@@ -54,6 +54,29 @@ class TestExitCodes:
         )
         assert run(["vqe", "--config", cfg]) == 2
 
+    def test_sampled_energies_with_quasi_newton_rejected(self, tmp_path, outdir, capsys):
+        # quasi-Newton needs exact gradients; shot noise cannot supply them
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            f"system: {{fcidump: {ROOT}/fixtures/h2.fcidump}}\n"
+            "mapping: {kind: parity, two_qubit_reduction: true}\n"
+            "estimator: {kind: sampled, shots: 1000, seed: 23}\n"
+            "optimizer: {kind: quasi_newton}\n"
+        )
+        assert run(["vqe", "--config", cfg, "--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "quasi-Newton" in err
+        assert not (outdir / "vqe_result.txt").exists()
+
+    def test_grad_step_is_config_error(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(
+            f"system: {{fcidump: {ROOT}/fixtures/h2.fcidump}}\n"
+            "optimizer: {kind: quasi_newton, grad_step: 1.0e-6}\n"
+        )
+        assert run(["vqe", "--config", cfg, "--out", outdir]) == 2
+        assert "grad_step" in capsys.readouterr().err
+
     def test_oracle_cap_exceeded_is_config_error(self, tmp_path, outdir):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump}}\n")
