@@ -46,6 +46,7 @@ from .simulator import (
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
+    energy_and_gradient,
     evolve,
     exact_expectation,
     sample,

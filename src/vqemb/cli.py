@@ -31,7 +31,14 @@ from .mapping import (
 from .pauli import MATRIX_QUBIT_CAP, QubitHamiltonian
 from .resources import estimate, format_table, to_csv
 from .simulator import ReadoutNoiseModel
-from .vqe import EstimatorSpec, OptimizerSpec, VqeProblem, relative_error, solve
+from .vqe import (
+    EstimatorSpec,
+    OptimizerSpec,
+    VqeProblem,
+    check_optimizer_fits_estimator,
+    relative_error,
+    solve,
+)
 
 
 class ConfigError(Exception):
@@ -117,6 +124,10 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     mitigation = getattr(overrides, "mitigation", None) or est.get("mitigation", "none")
     est_seed = est.get("seed")
     opt = _section(data, "optimizer")
+    if "grad_step" in opt:
+        raise ConfigError(
+            "optimizer.grad_step is no longer supported: quasi-Newton gradients are exact"
+        )
     opt_seed = opt.get("seed")
     vqe_cfg = _section(data, "vqe")
     init_seed = vqe_cfg.get("seed")
@@ -137,9 +148,9 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
             iterations=int(opt.get("iterations", 100)),
             seed=opt_seed,
             conv_tol=float(opt.get("conv_tol", 1e-8)),
-            grad_step=float(opt.get("grad_step", 1e-6)),
             max_iter=int(opt.get("max_iter", 500)),
         )
+        check_optimizer_fits_estimator(cfg.estimator, cfg.optimizer)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

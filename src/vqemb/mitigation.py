@@ -236,13 +236,15 @@ class TrexGroupEstimator:
     """Group-estimation hook applying twirled readout to every term.
 
     One twirled calibration pass (lazy, on the first group) serves all Z
-    supports; per-term attenuations are read from its stored bit matrix.
+    supports; each support's attenuation and its variance are computed from
+    the stored bit matrix once and cached until the calibration is redone.
     """
 
     def __init__(self, cal_shots: int = 20000, n_batches: int = 16):
         self.cal_shots = cal_shots
         self.n_batches = n_batches
         self._cal_bits = None
+        self._attenuations: dict = {}
 
     def _calibration_bits(self, n: int, noise, seed) -> np.ndarray:
         if self._cal_bits is None or self._cal_bits.shape[1] != n:
@@ -250,7 +252,19 @@ class TrexGroupEstimator:
             self._cal_bits = _twirled_bits(
                 zero_state(n), n, self.cal_shots, noise, rng, self.n_batches
             )
+            self._attenuations = {}
         return self._cal_bits
+
+    def _attenuation(self, cal_bits: np.ndarray, support) -> tuple[float, float]:
+        """(attenuation, its variance) of one Z support, from the calibration bits."""
+        if support not in self._attenuations:
+            cal_eigs = _parity_eigs(cal_bits, support)
+            att = float(cal_eigs.mean())
+            if abs(att) < 1e-6:
+                raise ValueError(f"twirled attenuation {att:.2e} is too small to mitigate")
+            var_att = max(float((cal_eigs**2).mean()) - att * att, 0.0) / self.cal_shots
+            self._attenuations[support] = (att, var_att)
+        return self._attenuations[support]
 
     def estimate_group(self, state, basis, members, shots, noise, seed):
         n = basis.n_qubits
@@ -263,11 +277,7 @@ class TrexGroupEstimator:
         extra_var = 0.0
         for coeff, support in members:
             eigs = _parity_eigs(bits, support)
-            cal_eigs = _parity_eigs(cal_bits, support)
-            att = float(cal_eigs.mean())
-            if abs(att) < 1e-6:
-                raise ValueError(f"twirled attenuation {att:.2e} is too small to mitigate")
-            var_att = max(float((cal_eigs**2).mean()) - att * att, 0.0) / self.cal_shots
+            att, var_att = self._attenuation(cal_bits, support)
             raw = float(eigs.mean())
             per_shot += coeff * eigs / att
             extra_var += (coeff * raw / att**2) ** 2 * var_att

@@ -1,8 +1,9 @@
 """Classical optimizers for the variational loop.
 
 Two drivers: simultaneous-perturbation stochastic approximation (SPSA) with
-the standard gain schedules, and a bounded limited-memory quasi-Newton method
-(scipy L-BFGS-B) fed central finite-difference gradients.  Both record an
+the standard gain schedules, which needs only objective values, and a bounded
+limited-memory quasi-Newton method (scipy L-BFGS-B), which takes a function
+returning the value and its exact gradient together.  Both record an
 evaluation trace and are deterministic given their seed and inputs.
 """
 
@@ -21,6 +22,15 @@ class NonFiniteObjectiveError(RuntimeError):
 
     def __init__(self, value: float, iteration: int):
         super().__init__(f"non-finite objective value {value} at iteration {iteration}")
+        self.iteration = iteration
+
+
+class InfeasibleIterateError(RuntimeError):
+    """An accepted iterate lies outside the box bounds; carries the iterate."""
+
+    def __init__(self, x: np.ndarray, iteration: int):
+        super().__init__(f"iterate {x.tolist()} left the feasible box at iteration {iteration}")
+        self.x = x
         self.iteration = iteration
 
 
@@ -130,14 +140,14 @@ def bounded_quasi_newton(
     f,
     x0,
     bounds,
-    grad_step: float = 1e-6,
     conv_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, OptimizerTrace]:
-    """L-BFGS-B with box projection and central finite-difference gradients.
+    """L-BFGS-B with box projection; ``f(x)`` returns ``(value, gradient)``.
 
     Terminates when the projected-gradient infinity norm or the relative
-    objective change drops below ``conv_tol``.
+    objective change drops below ``conv_tol``.  Raises
+    ``InfeasibleIterateError`` if an accepted iterate leaves the box.
     """
     x0 = np.array(x0, dtype=float)
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -149,37 +159,35 @@ def bounded_quasi_newton(
 
     trace = OptimizerTrace()
     start = time.perf_counter()
-    state = {"k": 0, "last": (None, None)}
+    state = {"k": 0, "last": None}
 
     def wrapped(x):
-        v = _checked(f, x, state["k"])
-        state["last"] = (np.array(x), v)
-        return v
-
-    def grad(x):
-        g = np.empty_like(x)
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = grad_step
-            g[i] = (wrapped(x + step) - wrapped(x - step)) / (2.0 * grad_step)
-        return g
+        """(value, gradient), evaluated once per distinct point in a row."""
+        x = np.asarray(x, dtype=float)
+        last = state["last"]
+        if last is None or not np.array_equal(last[0], x):
+            value, grad = f(x)
+            value = float(value)
+            grad = np.array(grad, dtype=float)
+            if not math.isfinite(value) or not np.isfinite(grad).all():
+                raise NonFiniteObjectiveError(value, state["k"])
+            last = state["last"] = (x.copy(), value, grad)
+        return last[1], last[2].copy()
 
     def callback(xk):
         if (xk < lo - 1e-9).any() or (xk > hi + 1e-9).any():
-            raise AssertionError("iterate left the feasible box")
-        last_x, last_v = state["last"]
-        v = last_v if last_x is not None and np.array_equal(last_x, xk) else wrapped(xk)
-        trace.record(state["k"], v, xk, time.perf_counter() - start)
+            raise InfeasibleIterateError(np.array(xk), state["k"])
+        trace.record(state["k"], wrapped(xk)[0], xk, time.perf_counter() - start)
         state["k"] += 1
 
-    v0 = wrapped(x0)
+    v0, _ = wrapped(x0)
     trace.record(0, v0, x0, time.perf_counter() - start)
     state["k"] = 1
     result = minimize(
         wrapped,
         x0,
         method="L-BFGS-B",
-        jac=grad,
+        jac=True,
         bounds=list(zip(lo, hi)),
         callback=callback,
         options={"ftol": conv_tol, "gtol": conv_tol, "maxcor": 10, "maxiter": max_iter},

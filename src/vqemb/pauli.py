@@ -242,11 +242,13 @@ def words_qubitwise_commute(a: PauliWord, b: PauliWord) -> bool:
 
 
 class PauliExpectation:
-    """Precomputed <psi|H|psi> evaluator for many states of one Hamiltonian.
+    """Precomputed H·v and <v|H|v> for many real vectors of one Hamiltonian.
 
-    Stores the permutation and phased-sign tables of every term so each
-    evaluation is a single vectorized pass; worthwhile inside optimization
-    loops where the same Hamiltonian is evaluated thousands of times.
+    For a real vector v, <v|H|v> = <v|Re H|v> and Re(H v) = (Re H) v, so only
+    the real part of each term's phased-sign table is kept; terms with the
+    same X mask share one gather and one summed weight row.  Complex vectors
+    go through ``QubitHamiltonian.expectation``.  The Hamiltonian must be
+    Hermitian, which is checked once here.
     """
 
     def __init__(self, h: QubitHamiltonian):
@@ -254,26 +256,41 @@ class PauliExpectation:
             raise ValueError(
                 f"{h.n_qubits} qubits exceeds the dense-evaluation cap of {MATRIX_QUBIT_CAP}"
             )
+        if not h.is_hermitian():
+            raise ValueError("Hamiltonian is not Hermitian (complex coefficients survive simplify)")
         self.n_qubits = h.n_qubits
+        self._hamiltonian = h
         dim = 1 << h.n_qubits
         idx = np.arange(dim)
-        perms = []
-        weights = []
+        rows: dict[int, np.ndarray] = {}
         for t in h.terms:
             x, z = _masks(t.word.letters)
             phase = _PHASES[_popcount(x & z) % 4]
-            perms.append(idx ^ x)
-            weights.append(t.coefficient * phase * (1.0 - 2.0 * _parity(idx & z)))
-        self._perms = np.array(perms) if perms else np.zeros((0, dim), dtype=int)
-        self._weights = np.array(weights) if weights else np.zeros((0, dim), dtype=complex)
+            weight = (complex(t.coefficient) * phase).real
+            if weight == 0.0:  # a word with an odd number of Y is imaginary
+                continue
+            # (P v)[i] = phase * (-1)^popcount((i ^ x) & z) * v[i ^ x]
+            signs = 1.0 - 2.0 * _parity((idx ^ x) & z)
+            rows[x] = rows.get(x, 0.0) + weight * signs
+        masks = sorted(rows)
+        self._perms = np.array([idx ^ x for x in masks], dtype=np.intp).reshape(len(masks), dim)
+        self._weights = np.array([rows[x] for x in masks]).reshape(len(masks), dim)
 
-    def __call__(self, state: np.ndarray) -> float:
-        vec = np.asarray(state, dtype=complex).ravel()
+    def _checked(self, state: np.ndarray) -> np.ndarray:
+        vec = np.asarray(state).ravel()
         if vec.size != 1 << self.n_qubits:
             raise ValueError(
                 f"state dimension {vec.size} does not match {self.n_qubits} qubits"
             )
-        value = np.sum(np.conj(vec)[self._perms] * self._weights * vec[None, :])
-        if abs(value.imag) > 1e-10:
-            raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
-        return float(value.real)
+        return vec
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """(Re H) v for a real vector v."""
+        vec = self._checked(state)
+        return np.einsum("ij,ij->j", self._weights, vec[self._perms])
+
+    def __call__(self, state: np.ndarray) -> float:
+        vec = self._checked(state)
+        if np.iscomplexobj(vec):
+            return float(self._hamiltonian.expectation(vec).real)
+        return float(vec @ self.apply(vec))

@@ -43,7 +43,7 @@ def estimate(
                 window=k,
                 circuit_width=h.n_qubits,
                 hamiltonian_terms=len(h),
-                mapping_kind=spec.kind,
+                mapping_kind=spec.kind + ("_reduced" if spec.two_qubit_reduction else ""),
             )
         )
     return out

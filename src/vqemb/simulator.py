@@ -1,9 +1,13 @@
 """Statevector circuit simulation, expectation estimation, and readout noise.
 
-States are dense complex vectors with qubit 0 on the most significant bit,
+States are dense float64 vectors with qubit 0 on the most significant bit,
 so bitstring output reads left to right as qubit 0, 1, ...  Circuits carry
-X, Ry and CNOT gates; Ry angles sit in slots that are either free (an index
-into the parameter vector) or frozen at a fixed angle.
+X, Ry and CNOT gates, all real, so a real state stays real; Ry angles sit in
+slots that are either free (an index into the parameter vector) or frozen at
+a fixed angle.  Each circuit is compiled once into rotations and index
+permutations (every run of X and CNOT gates becomes one gather).  The energy
+and its gradient in all free angles come from one forward and one adjoint
+sweep (Jones & Gacon, arXiv:2009.02823).
 
 Measurement grouping for sampled expectations uses greedy qubit-wise
 commutativity; Y-basis measurements rotate with S-dagger followed by H.
@@ -14,15 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliWord, QubitHamiltonian
+from .pauli import PauliExpectation, PauliWord, QubitHamiltonian
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
-_X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
+# -iY, the generator of Ry: d/dθ Ry(θ) = ½ (-iY) Ry(θ).
+_RY_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -96,52 +102,123 @@ class Circuit:
             if isinstance(g, RyGate) and isinstance(g.slot, FreeSlot)
         ]
 
+    @cached_property
+    def program(self) -> tuple:
+        """The gate list compiled for simulation, built on first use.
+
+        A ``("ry", qubit, parameter index or None, frozen angle)`` step per Ry
+        gate, and a ``("perm", index, inverse)`` step per maximal run of X and
+        CNOT gates: that run maps a state ``s`` to ``s[index]``.
+        """
+        steps = []
+        ar = np.arange(1 << self.n_qubits)
+        index = None
+        for g in self.gates:
+            if isinstance(g, RyGate):
+                if index is not None:
+                    steps.append(("perm", index, np.argsort(index)))
+                    index = None
+                free = isinstance(g.slot, FreeSlot)
+                steps.append(("ry", g.qubit, g.slot.index if free else None,
+                              None if free else g.slot.angle))
+                continue
+            if isinstance(g, PauliXGate):
+                gate = ar ^ _bit(g.qubit, self.n_qubits)
+            else:
+                flip = (ar & _bit(g.control, self.n_qubits)) != 0
+                gate = ar ^ (flip * _bit(g.target, self.n_qubits))
+            index = gate if index is None else index[gate]
+        if index is not None:
+            steps.append(("perm", index, np.argsort(index)))
+        return tuple(steps)
+
+
+def _bit(qubit: int, n: int) -> int:
+    """Basis-index bit of ``qubit`` (qubit 0 is the most significant)."""
+    return 1 << (n - 1 - qubit)
+
 
 def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=complex)
+    state = np.zeros(1 << n_qubits)
     state[0] = 1.0
     return state
 
 
 def _apply_1q(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """Complex one-qubit gate; used only to rotate into a measurement basis."""
     tensor = state.reshape([2] * n)
     tensor = np.tensordot(mat, tensor, axes=([1], [qubit]))
     return np.moveaxis(tensor, 0, qubit).reshape(-1)
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    tensor = state.reshape([2] * n).copy()
-    sel = [slice(None)] * n
-    sel[control] = 1
-    block = tensor[tuple(sel)]
-    t_axis = target if target < control else target - 1
-    tensor[tuple(sel)] = np.flip(block, axis=t_axis)
-    return tensor.reshape(-1)
-
-
 def _ry(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[c, -s], [s, c]])
 
 
-def evolve(circuit: Circuit, params: Sequence[float] = ()) -> np.ndarray:
-    """Run the circuit on |0...0>, binding free slots to ``params``."""
+def _pairs(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """View of one C-contiguous state or stack of states as (-1, 2, rest),
+    with axis 1 the bit of ``qubit``; writes to it write the states."""
+    return states.reshape(-1, 2, 1 << (n - 1 - qubit))
+
+
+def _checked_params(circuit: Circuit, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.size != circuit.n_parameters:
         raise ValueError(
             f"expected {circuit.n_parameters} parameters, got {params.size}"
         )
+    return params
+
+
+def _angle(step, params: np.ndarray) -> float:
+    _, _, index, frozen = step
+    return frozen if index is None else params[index]
+
+
+def evolve(circuit: Circuit, params: Sequence[float] = ()) -> np.ndarray:
+    """Run the circuit on |0...0>, binding free slots to ``params``."""
+    params = _checked_params(circuit, params)
     n = circuit.n_qubits
     state = zero_state(n)
-    for g in circuit.gates:
-        if isinstance(g, PauliXGate):
-            state = _apply_1q(state, _X_MAT, g.qubit, n)
-        elif isinstance(g, RyGate):
-            angle = g.slot.angle if isinstance(g.slot, FrozenSlot) else params[g.slot.index]
-            state = _apply_1q(state, _ry(angle), g.qubit, n)
+    for step in circuit.program:
+        if step[0] == "perm":
+            state = state[step[1]]
         else:
-            state = _apply_cnot(state, g.control, g.target, n)
+            view = _pairs(state, step[1], n)
+            np.matmul(_ry(_angle(step, params)), view, out=view)
     return state
+
+
+def energy_and_gradient(
+    circuit: Circuit, params: Sequence[float], expectation: PauliExpectation
+) -> tuple[float, np.ndarray]:
+    """<H> at ``params`` and its gradient in every free angle.
+
+    One forward pass gives psi; one backward pass walks the gates in reverse
+    with lambda = H psi, undoing each gate on both vectors.  At a free Ry on
+    qubit q, with both vectors taken just after the gate, the derivative is
+    <lambda| -iY_q |psi>, which equals 2 <lambda| dRy psi_before> with
+    dRy(θ) = Ry(θ + π) / 2.
+    """
+    params = _checked_params(circuit, params)
+    n = circuit.n_qubits
+    psi = evolve(circuit, params)
+    lam = expectation.apply(psi)
+    energy = float(psi @ lam)
+    grad = np.zeros(params.size)
+    both = np.stack((psi, lam))
+    for step in reversed(circuit.program):
+        if step[0] == "perm":
+            both = np.take(both, step[2], axis=1)  # C-contiguous, unlike both[:, index]
+            continue
+        _, qubit, index, _ = step
+        view = _pairs(both, qubit, n)
+        if index is not None:
+            halves = view.reshape(2, -1, 2, view.shape[-1])
+            grad[index] = np.vdot(halves[1], _RY_GENERATOR @ halves[0])
+        np.matmul(_ry(-_angle(step, params)), view, out=view)
+    return energy, grad
 
 
 def exact_expectation(state: np.ndarray, h: QubitHamiltonian) -> float:

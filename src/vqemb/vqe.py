@@ -12,7 +12,13 @@ import numpy as np
 from . import mitigation
 from .optimize import OptimizerTrace, bounded_quasi_newton, spsa
 from .pauli import PauliExpectation, QubitHamiltonian
-from .simulator import Circuit, ReadoutNoiseModel, evolve, sampled_expectation
+from .simulator import (
+    Circuit,
+    ReadoutNoiseModel,
+    energy_and_gradient,
+    evolve,
+    sampled_expectation,
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,6 @@ class OptimizerSpec:
     iterations: int = 100
     seed: Optional[int] = None
     conv_tol: float = 1e-8
-    grad_step: float = 1e-6
     max_iter: int = 500
 
     def __post_init__(self):
@@ -49,6 +54,15 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.kind == "spsa" and self.seed is None:
             raise ValueError("SPSA requires a seed")
+
+
+def check_optimizer_fits_estimator(estimator: EstimatorSpec, optimizer: OptimizerSpec):
+    """Quasi-Newton needs exact gradients, which shot-based energies do not have."""
+    if estimator.kind == "sampled" and optimizer.kind == "quasi_newton":
+        raise ValueError(
+            "the quasi-Newton optimizer needs exact gradients; "
+            "use optimizer spsa with a sampled estimator"
+        )
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,7 @@ class VqeProblem:
             raise ValueError("random initial parameters require a seed")
         if self.restarts > 1 and self.initial_seed is None:
             raise ValueError("multi-start requires an initial seed")
+        check_optimizer_fits_estimator(self.estimator, self.optimizer)
 
 
 @dataclass
@@ -150,20 +165,26 @@ def _initial_vector(problem: VqeProblem, restart: int, init_rng) -> np.ndarray:
     return init_rng.uniform(-math.pi, math.pi, size=n)
 
 
-def _run_optimizer(problem: VqeProblem, objective, x0) -> tuple[np.ndarray, OptimizerTrace]:
+def _optimizer_runner(problem: VqeProblem):
+    """Function from a start point to (parameters, trace) for the configured optimizer."""
     opt = problem.optimizer
     if opt.kind == "spsa":
-        return spsa(objective, x0, iterations=opt.iterations, seed=opt.seed)
-    bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * len(x0)
-    x0 = np.mod(np.asarray(x0, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
-    return bounded_quasi_newton(
-        objective,
-        x0,
-        bounds,
-        grad_step=opt.grad_step,
-        conv_tol=opt.conv_tol,
-        max_iter=opt.max_iter,
-    )
+        objective = build_objective(problem)
+        return lambda x0: spsa(objective, x0, iterations=opt.iterations, seed=opt.seed)
+    # quasi-Newton: VqeProblem admits it only with the exact estimator
+    evaluator = PauliExpectation(problem.hamiltonian.simplify())
+
+    def energy_gradient(params):
+        return energy_and_gradient(problem.circuit, params, evaluator)
+
+    def run(x0):
+        bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * len(x0)
+        x0 = np.mod(np.asarray(x0, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+        return bounded_quasi_newton(
+            energy_gradient, x0, bounds, conv_tol=opt.conv_tol, max_iter=opt.max_iter
+        )
+
+    return run
 
 
 def solve(
@@ -177,20 +198,20 @@ def solve(
     ``reference`` fills in the relative-error field.  Deterministic for
     fixed seeds.
     """
-    objective = build_objective(problem)
     if problem.circuit.n_parameters == 0:
         trace = OptimizerTrace()
-        value = float(objective(np.zeros(0)))
+        value = float(build_objective(problem)(np.zeros(0)))
         trace.record(0, value, np.zeros(0), 0.0)
         result = VqeResult(value, np.zeros(0), trace)
         if reference is not None:
             result.relative_error = relative_error(value, reference)
         return result
+    run = _optimizer_runner(problem)
     init_rng = np.random.default_rng(problem.initial_seed)
     best = None
     for r in range(problem.restarts):
         start = x0 if (x0 is not None and r == 0) else _initial_vector(problem, r, init_rng)
-        params, trace = _run_optimizer(problem, objective, start)
+        params, trace = run(start)
         energy, best_params = trace.best()
         if best is None or energy < best.energy:
             best = VqeResult(energy, best_params, trace, restart_index=r)

@@ -149,6 +149,23 @@ class TestTrex:
         )
         assert abs(value - 1.0) <= 3 * err
 
+    def test_attenuation_cache_reused_and_reset(self):
+        noise = ReadoutNoiseModel.uniform(3, 0.05)
+        est = TrexGroupEstimator(cal_shots=5000)
+        state = evolve(ghz(3), [])
+        members = [(1.0, (0, 1)), (0.5, (1, 2))]
+        first = est.estimate_group(state, PauliWord("ZZZ"), members, 1000, noise, 3)
+        cached = dict(est._attenuations)
+        assert set(cached) == {(0, 1), (1, 2)}
+        for support, (att, var_att) in cached.items():
+            eigs = 1.0 - 2.0 * (est._cal_bits[:, list(support)].sum(axis=1) % 2)
+            assert att == float(eigs.mean())
+            assert var_att == max(float((eigs**2).mean()) - att * att, 0.0) / 5000
+        assert est.estimate_group(state, PauliWord("ZZZ"), members, 1000, noise, 3) == first
+        # a calibration rebuilt for another register drops the cached values
+        est.estimate_group(evolve(ghz(2), []), PauliWord("ZZ"), [(1.0, (0,))], 100, None, 4)
+        assert set(est._attenuations) == {(0,)}
+
     def test_convergence_with_shots(self):
         # mitigated estimates stay consistent with the ideal value at every
         # shot count while the propagated error bar shrinks

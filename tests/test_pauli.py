@@ -194,6 +194,25 @@ class TestApplyAndExpectation:
         assert h.expectation(v) == pytest.approx(expected, abs=1e-10)
         assert PauliExpectation(h)(v) == pytest.approx(expected.real, abs=1e-10)
 
+    def test_real_kernel_matches_dense_real_part(self):
+        rng = np.random.default_rng(9)
+        letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(20)]
+        h = QubitHamiltonian.from_dict(4, {w: float(rng.normal()) for w in letters})
+        ev = PauliExpectation(h)
+        v = rng.normal(size=16)
+        assert np.abs(ev.apply(v) - dense(h).real @ v).max() < 1e-12
+        assert ev(v) == pytest.approx(float(np.real(np.vdot(v, dense(h) @ v))), abs=1e-12)
+
+    def test_only_imaginary_terms(self):
+        # odd-Y words have imaginary real-vector matrix elements only
+        ev = PauliExpectation(QubitHamiltonian.from_dict(2, {"XY": 1.0}))
+        v = np.array([0.5, -0.5, 0.5, 0.5])
+        assert ev(v) == 0.0 and np.array_equal(ev.apply(v), np.zeros(4))
+
+    def test_non_hermitian_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            PauliExpectation(QubitHamiltonian.from_dict(1, {"X": 1.0j}))
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

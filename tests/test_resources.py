@@ -43,6 +43,17 @@ class TestEstimate:
         est = estimate(h10[0], h10_mf, [1, 2], spec)
         assert [e.circuit_width for e in est] == [6, 10]
 
+    def test_mapping_labels_tell_reduction_apart(self, h2, h2_mf):
+        labels = [
+            estimate(h2[0], h2_mf, [0], spec)[0].mapping_kind
+            for spec in (
+                MappingSpec(JORDAN_WIGNER),
+                MappingSpec(PARITY),
+                MappingSpec(PARITY, two_qubit_reduction=True, n_electrons=2),
+            )
+        ]
+        assert labels == ["jordan_wigner", "parity", "parity_reduced"]
+
     def test_window_out_of_range(self, h2, h2_mf):
         with pytest.raises(ValueError):
             estimate(h2[0], h2_mf, [1], MappingSpec(JORDAN_WIGNER))

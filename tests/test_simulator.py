@@ -1,11 +1,21 @@
 """Circuit evolution, sampling, and grouped shot-based expectations."""
 
 import math
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vqemb.pauli import PauliWord, QubitHamiltonian
+from vqemb.ansatz import HeaConfig, build_hea
+from vqemb.mapping import (
+    JORDAN_WIGNER,
+    MappingSpec,
+    build_fermionic_hamiltonian,
+    hartree_fock_bitstring,
+    map_to_qubits,
+)
+from vqemb.pauli import PauliExpectation, PauliWord, QubitHamiltonian
 from vqemb.simulator import (
     Circuit,
     CnotGate,
@@ -15,6 +25,7 @@ from vqemb.simulator import (
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
+    energy_and_gradient,
     evolve,
     exact_expectation,
     group_qubitwise,
@@ -22,6 +33,9 @@ from vqemb.simulator import (
     sampled_expectation,
     zero_state,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def ghz(n):
@@ -91,6 +105,122 @@ class TestEvolve:
         c = Circuit(4, gates)
         state = evolve(c, rng.uniform(-3, 3, size=p))
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
+
+
+def random_circuit(n, n_gates, seed):
+    """X, free and frozen Ry, and CNOT gates in random order on n qubits."""
+    rng = np.random.default_rng(seed)
+    gates, p = [], 0
+    for _ in range(n_gates):
+        kind = rng.integers(4)
+        if kind == 0:
+            gates.append(PauliXGate(int(rng.integers(n))))
+        elif kind == 1:
+            gates.append(RyGate(int(rng.integers(n)), FreeSlot(p)))
+            p += 1
+        elif kind == 2:
+            gates.append(RyGate(int(rng.integers(n)), FrozenSlot(float(rng.uniform(-4, 4)))))
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(CnotGate(int(a), int(b)))
+    return Circuit(n, gates), rng.uniform(-4, 4, size=p)
+
+
+def dense_reference_state(circuit, params):
+    """|0..0> pushed through each gate as a dense kron-built matrix."""
+    n = circuit.n_qubits
+    eye, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    def on(ops):
+        return reduce(np.kron, [ops.get(q, eye) for q in range(n)])
+
+    state = np.zeros(1 << n)
+    state[0] = 1.0
+    for g in circuit.gates:
+        if isinstance(g, PauliXGate):
+            state = on({g.qubit: x}) @ state
+        elif isinstance(g, RyGate):
+            t = g.slot.angle if isinstance(g.slot, FrozenSlot) else params[g.slot.index]
+            c, s = math.cos(t / 2), math.sin(t / 2)
+            state = on({g.qubit: np.array([[c, -s], [s, c]])}) @ state
+        else:
+            state = (on({g.control: p0}) + on({g.control: p1, g.target: x})) @ state
+    return state
+
+
+class TestEvolveAgainstDense:
+    @pytest.mark.parametrize("n,seed", [(2, 1), (3, 2), (4, 3), (5, 4)])
+    def test_random_circuits(self, n, seed):
+        circuit, params = random_circuit(n, 40, seed)
+        state = evolve(circuit, params)
+        assert state.dtype == np.float64
+        assert np.abs(state - dense_reference_state(circuit, params)).max() < 1e-12
+
+    def test_hea_with_reference_bits(self):
+        circuit = build_hea(HeaConfig(4, 2), [1, 0, 1, 1])
+        params = np.random.default_rng(7).uniform(-4, 4, size=circuit.n_parameters)
+        reference = dense_reference_state(circuit, params)
+        assert np.abs(evolve(circuit, params) - reference).max() < 1e-12
+
+
+def central_differences(circuit, params, evaluator, step=1e-6):
+    grad = np.empty(params.size)
+    for i in range(params.size):
+        e = np.zeros(params.size)
+        e[i] = step
+        grad[i] = (evaluator(evolve(circuit, params + e)) - evaluator(evolve(circuit, params - e))) / (2 * step)
+    return grad
+
+
+def freeze(circuit, positions, angle):
+    """Freeze the free Ry gates at ``positions`` and renumber the rest."""
+    gates, p = [], 0
+    for pos, g in enumerate(circuit.gates):
+        if isinstance(g, RyGate) and pos in positions:
+            gates.append(RyGate(g.qubit, FrozenSlot(angle)))
+        elif isinstance(g, RyGate):
+            gates.append(RyGate(g.qubit, FreeSlot(p)))
+            p += 1
+        else:
+            gates.append(g)
+    return Circuit(circuit.n_qubits, gates)
+
+
+class TestAdjointGradient:
+    def check(self, h, circuit, seed):
+        evaluator = PauliExpectation(h.simplify())
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            params = rng.uniform(-math.pi, math.pi, size=circuit.n_parameters)
+            energy, grad = energy_and_gradient(circuit, params, evaluator)
+            assert energy == pytest.approx(exact_expectation(evolve(circuit, params), h), abs=1e-12)
+            assert np.abs(grad - central_differences(circuit, params, evaluator)).max() < 1e-7
+
+    def test_chain5_with_frozen_slots(self):
+        h = QubitHamiltonian.from_text((FIXTURES / "chain5.ham").read_text())
+        circuit = freeze(build_hea(HeaConfig(5, 1), [0] * 5), {0, 11}, math.pi / 2)
+        assert circuit.n_parameters == 8
+        self.check(h, circuit, seed=5)
+
+    def test_jordan_wigner_h2_two_layers(self, h2):
+        spec = MappingSpec(JORDAN_WIGNER)
+        h = map_to_qubits(build_fermionic_hamiltonian(h2[0]), spec)
+        bits = hartree_fock_bitstring(2, 2, spec)
+        assert any(bits)
+        self.check(h, build_hea(HeaConfig(4, 2), bits), seed=6)
+
+    def test_random_circuit_with_y_terms(self):
+        rng = np.random.default_rng(8)
+        letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(12)]
+        h = QubitHamiltonian.from_dict(4, {w: float(rng.normal()) for w in letters})
+        circuit, _ = random_circuit(4, 30, 9)
+        self.check(h, circuit, seed=10)
+
+    def test_no_free_parameters(self):
+        h = QubitHamiltonian.from_dict(3, {"ZZI": 1.0})
+        energy, grad = energy_and_gradient(ghz(3), [], PauliExpectation(h))
+        assert energy == pytest.approx(1.0) and grad.shape == (0,)
 
 
 class TestExactExpectation:

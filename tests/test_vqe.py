@@ -104,6 +104,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="seed"):
             EstimatorSpec("sampled", shots=100)
 
+    def test_sampled_energies_with_quasi_newton_rejected(self, h2_reduced):
+        h, circuit, _, _ = h2_reduced
+        with pytest.raises(ValueError, match="exact gradients"):
+            VqeProblem(h, circuit, EstimatorSpec("sampled", shots=100, seed=1),
+                       OptimizerSpec("quasi_newton"))
+
     def test_qubit_count_mismatch_rejected(self, h2_reduced):
         h, _, _, _ = h2_reduced
         wrong = build_hea(HeaConfig(h.n_qubits + 1, 1), [0] * (h.n_qubits + 1))
