@@ -8,9 +8,11 @@ fragment-environment cross terms), implemented as the first-index restricted
 contraction, which equals the symmetric weighting because the integrals and
 real-wavefunction RDMs carry the full 8-fold permutational symmetry.
 
-Fragment problems are solved per electron-number sector: exact diagonalization
-of the Jordan-Wigner image restricted to the (N/2, N/2) occupation sector, or
-a hardware-efficient-ansatz VQE in the embedding's mean-field orbital basis.
+Fragment problems are solved per electron-number sector: a dense
+diagonalization of the Hamiltonian built from spin-summed excitation operators
+E_pq on the (N/2, N/2) occupation-basis determinants, or a
+hardware-efficient-ansatz VQE in the embedding's mean-field orbital basis.
+Both hand their state to the same occupation-basis RDM code.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import vqe as vqe_mod
 from .ansatz import HeaConfig, build_hea
@@ -34,7 +37,6 @@ from .chem import (
     transform_integrals,
 )
 from .mapping import (
-    JORDAN_WIGNER,
     PARITY,
     MappingSpec,
     build_fermionic_hamiltonian,
@@ -43,7 +45,7 @@ from .mapping import (
     map_to_qubits,
 )
 from .optimize import NonFiniteObjectiveError
-from .pauli import MATRIX_QUBIT_CAP, QubitHamiltonian, _masks, _parity, _PHASES, _popcount
+from .pauli import MATRIX_QUBIT_CAP
 from .simulator import evolve
 from .vqe import EstimatorSpec, OptimizerSpec
 
@@ -221,144 +223,99 @@ def build_embedding(
     return build_embedding_from_parts(m, basis, env_density, len(fragment))
 
 
-# -- sector-restricted exact diagonalization --------------------------------------
+# -- exact solves in the occupation basis ------------------------------------------
 
-def _occupation_counts(n_modes: int, positions: Sequence[int]) -> np.ndarray:
-    """Number of set bits among the given modes for every basis index."""
-    dim = 1 << n_modes
-    idx = np.arange(dim)
-    total = np.zeros(dim, dtype=np.int64)
-    for j in positions:
-        total += (idx >> (n_modes - 1 - j)) & 1
-    return total
+def _excitation_operators(n_spatial: int, indices: np.ndarray) -> sp.csr_matrix:
+    """Spin-summed E_pq = sum_s a+_ps a_qs over sorted occupation-basis indices.
 
-
-def sector_indices(n_modes: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Basis indices with the given alpha/beta occupations (interleaved modes)."""
-    alpha = _occupation_counts(n_modes, range(0, n_modes, 2))
-    beta = _occupation_counts(n_modes, range(1, n_modes, 2))
-    return np.nonzero((alpha == n_alpha) & (beta == n_beta))[0]
-
-
-def sector_ground_state(
-    h: QubitHamiltonian, n_alpha: int, n_beta: int
-) -> tuple[float, np.ndarray]:
-    """Ground state of the particle-number block of a Jordan-Wigner Hamiltonian.
-
-    Assumes the interleaved spin convention (mode 2p alpha, 2p+1 beta).
-    Returns the energy and the full-register statevector.
+    Mode 2p + s (s = 0 alpha, 1 beta) sits on bit 2n-1-(2p+s), mode 0 on the
+    most significant bit, and a ladder operator's sign is the parity of the
+    occupied lower modes, as in ``decode_statevector``.  The index set must be
+    closed under every E_pq (a union of (N_alpha, N_beta) sectors).  Returns
+    the n^2 matrices stacked into one (n^2 d) x d matrix: row (p n + q) d + i,
+    column j holds <i|E_pq|j>.
     """
-    n = h.n_qubits
-    if n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"{n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}")
-    sel = sector_indices(n, n_alpha, n_beta)
-    pos = -np.ones(1 << n, dtype=np.int64)
-    pos[sel] = np.arange(sel.size)
-    H = np.zeros((sel.size, sel.size), dtype=complex)
-    for t in h.terms:
-        x, z = _masks(t.word.letters)
-        rows = sel ^ x
-        row_pos = pos[rows]
-        ok = row_pos >= 0
-        signs = 1.0 - 2.0 * _parity(sel & z)
-        phase = _PHASES[_popcount(x & z) % 4]
-        H[row_pos[ok], pos[sel[ok]]] += t.coefficient * phase * signs[ok]
-    if not np.allclose(H, H.conj().T, atol=1e-10):
+    n_modes = 2 * n_spatial
+    pos = n_modes - 1 - np.arange(n_modes)
+    bit, below = 1 << pos, (1 << n_modes) - (1 << (pos + 1))  # below: the lower modes' bits
+    p, q, s = np.meshgrid(range(n_spatial), range(n_spatial), (0, 1), indexing="ij")
+    op, cre, ann = (p * n_spatial + q).ravel(), (2 * p + s).ravel(), (2 * q + s).ravel()
+    occupied = indices & bit[:, None] != 0
+    # a_q needs mode q occupied; a+_p then needs mode p empty unless p = q
+    k, col = np.nonzero(occupied[ann] & (~occupied[cre] | (cre == ann)[:, None]))
+    op, cre, ann, v = op[k], cre[k], ann[k], indices[col]
+    moved = v ^ bit[ann]
+    parity = np.bitwise_count(v & below[ann]) + np.bitwise_count(moved & below[cre])
+    rows = op * indices.size + np.searchsorted(indices, moved | bit[cre])
+    return sp.csr_matrix(
+        (1.0 - 2.0 * (parity & 1), (rows, col)),
+        shape=(n_spatial**2 * indices.size, indices.size),
+    )
+
+
+def _sector_labels(n_spatial: int) -> np.ndarray:
+    """N_alpha * (n + 1) + N_beta for every full-register index (alpha modes 0, 2, ...)."""
+    idx = np.arange(1 << 2 * n_spatial)
+    alpha = int("10" * n_spatial, 2)
+    return np.bitwise_count(idx & alpha) * (n_spatial + 1) + np.bitwise_count(idx & ~alpha)
+
+
+def sector_ground_state(m: MolecularIntegrals) -> tuple[float, np.ndarray]:
+    """Ground state of the closed-shell (N/2, N/2) sector by dense ``eigh``.
+
+    H = E_core + sum h'_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs with
+    h' = h - 1/2 sum_r (pr|rq), built on the sector determinants.  Returns the
+    energy and the full-register statevector (interleaved Jordan-Wigner order).
+    """
+    n = m.n_orbitals
+    if 2 * n > MATRIX_QUBIT_CAP:
+        raise ValueError(f"{2 * n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}")
+    if m.n_electrons % 2:
+        raise ValueError("closed-shell full CI needs an even electron count")
+    labels = _sector_labels(n)
+    sel = np.flatnonzero(labels == m.n_electrons // 2 * (n + 2))  # N_alpha = N_beta = N/2
+    d = sel.size
+    E = _excitation_operators(n, sel)
+    flat_T = E.reshape(n * n, d * d).T  # column pq: E_pq flattened
+    h = m.one_body - 0.5 * np.einsum("prrq->pq", m.two_body)
+    H = (flat_T @ h.ravel()).reshape(d, d)
+    # one E_pq block at a time: the transient stays a few d x d arrays
+    for pq, g_pq in enumerate(m.two_body.reshape(n * n, n * n)):
+        H += 0.5 * (E[pq * d:(pq + 1) * d] @ (flat_T @ g_pq).reshape(d, d))
+    if not np.allclose(H, H.T, atol=1e-10):
         raise ValueError("sector Hamiltonian is not Hermitian")
     evals, evecs = np.linalg.eigh(H)
-    state = np.zeros(1 << n, dtype=complex)
+    state = np.zeros(labels.size)
     state[sel] = evecs[:, 0]
-    return float(evals[0]), state
+    return float(evals[0]) + m.core_energy, state
 
 
 def full_ci_ground_energy(m: MolecularIntegrals) -> float:
     """Exact ground energy of the closed-shell (N/2, N/2) sector."""
-    if m.n_electrons % 2:
-        raise ValueError("closed-shell full CI needs an even electron count")
-    h = map_to_qubits(build_fermionic_hamiltonian(m), MappingSpec(JORDAN_WIGNER))
-    energy, _ = sector_ground_state(h, m.n_electrons // 2, m.n_electrons // 2)
-    return energy
+    return sector_ground_state(m)[0]
 
 
-# -- reduced density matrices ------------------------------------------------------
-
-def _mode_masks(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    bits = np.array([1 << (n_modes - 1 - j) for j in range(n_modes)], dtype=np.int64)
-    below = np.zeros(n_modes, dtype=np.int64)
-    acc = 0
-    for j in range(n_modes):
-        below[j] = acc
-        acc |= int(bits[j])
-    return bits, below
-
-
-def spin_summed_rdms(
-    state: np.ndarray, n_spatial: int, two_body: bool = True
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def spin_summed_rdms(state: np.ndarray, n_spatial: int) -> tuple[np.ndarray, np.ndarray]:
     """Spin-summed one- and two-particle density matrices of a JW statevector.
 
-    gamma[p, q] = sum_s <a+_ps a_qs>;
-    Gamma[p, q, r, s] = sum_st <a+_ps a+_rt a_st a_qs> (chemist pairing), so
-    the energy contraction is sum(h * gamma) + 0.5 * sum(g * Gamma).
+    gamma[p, q] = <E_pq> = sum_s <a+_ps a_qs>;
+    Gamma[p, q, r, s] = <E_pq E_rs> - delta_qr gamma[p, s]
+                      = sum_st <a+_ps a+_rt a_st a_qs> (chemist pairing), so
+    the energy contraction is sum(h * gamma) + 0.5 * sum(g * Gamma).  The
+    state may leave the particle-number sector; complex states give the real
+    parts.
     """
-    M = 2 * n_spatial
-    dim = state.size
-    if dim != 1 << M:
-        raise ValueError(f"state dimension {dim} does not match {n_spatial} spatial orbitals")
-    bits, below = _mode_masks(M)
-    b = np.arange(dim)
-    psi = np.asarray(state, dtype=complex)
-    conj = np.conj(psi)
-
-    def ladder_value(ops):
-        """<psi| prod ops |psi> with ops = ((mode, creation), ...) left to right."""
-        ok = np.ones(dim, dtype=bool)
-        sign = np.zeros(dim)
-        t = b.copy()
-        for mode, creation in reversed(ops):
-            occupied = (t & bits[mode]) != 0
-            ok &= ~occupied if creation else occupied
-            sign = sign + _parity(t & below[mode])
-            t = t ^ bits[mode]
-        if not ok.any():
-            return 0.0
-        amp = ((-1.0) ** sign[ok]) * conj[t[ok]] * psi[b[ok]]
-        return complex(amp.sum())
-
-    gamma = np.zeros((n_spatial, n_spatial))
-    for p in range(n_spatial):
-        for q in range(p, n_spatial):
-            val = 0.0
-            for s in (0, 1):
-                term = ladder_value(((2 * p + s, True), (2 * q + s, False)))
-                val += term.real if isinstance(term, complex) else term
-            gamma[p, q] = gamma[q, p] = val
-
-    if not two_body:
-        return gamma, None
-
-    # pair-exchange symmetry Gamma[p,q,r,s] = Gamma[r,s,p,q] halves the work
-    Gamma = np.zeros((n_spatial,) * 4)
-    for p in range(n_spatial):
-        for q in range(n_spatial):
-            for r in range(n_spatial):
-                for s in range(n_spatial):
-                    if (p, q) < (r, s):
-                        continue
-                    val = 0.0
-                    for sa in (0, 1):
-                        for sb in (0, 1):
-                            term = ladder_value(
-                                (
-                                    (2 * p + sa, True),
-                                    (2 * r + sb, True),
-                                    (2 * s + sb, False),
-                                    (2 * q + sa, False),
-                                )
-                            )
-                            val += term.real if isinstance(term, complex) else term
-                    Gamma[p, q, r, s] = val
-                    Gamma[r, s, p, q] = val
+    n = n_spatial
+    psi = np.asarray(state).ravel()
+    if psi.size != 1 << 2 * n:
+        raise ValueError(f"state dimension {psi.size} does not match {n} spatial orbitals")
+    labels = _sector_labels(n)
+    sel = np.flatnonzero(np.isin(labels, labels[psi != 0]))  # every sector psi touches
+    psi = psi[sel]
+    D = (_excitation_operators(n, sel) @ psi).reshape(n * n, -1)  # row pq: E_pq psi
+    gamma = (D @ psi.conj()).real.reshape(n, n)
+    pair = (D.conj() @ D.T).real.reshape(n, n, n, n)  # (E_qp psi)^+ (E_rs psi) at [q, p, r, s]
+    Gamma = pair.transpose(1, 0, 2, 3) - np.einsum("qr,ps->pqrs", np.eye(n), gamma)
     return gamma, Gamma
 
 
@@ -408,10 +365,7 @@ class FragmentSolution:
 
 def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
     """Sector-FCI RDMs of the embedding Hamiltonian, in the given basis."""
-    h = map_to_qubits(build_fermionic_hamiltonian(ints), MappingSpec(JORDAN_WIGNER))
-    _, state = sector_ground_state(h, ints.n_electrons // 2, ints.n_electrons // 2)
-    gamma, Gamma = spin_summed_rdms(state, ints.n_orbitals)
-    return gamma, Gamma
+    return spin_summed_rdms(sector_ground_state(ints)[1], ints.n_orbitals)
 
 
 def _solve_embedding_vqe(

@@ -55,7 +55,7 @@ def _letters(x: int, z: int, n: int) -> str:
 
 
 def _popcount(v: int) -> int:
-    return bin(v).count("1")
+    return v.bit_count()
 
 
 def _mul_masks(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
@@ -215,10 +215,7 @@ class QubitHamiltonian:
 
 def _parity(v: np.ndarray) -> np.ndarray:
     """Bitwise parity of each entry of an integer array."""
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(float)
+    return np.bitwise_count(v) & 1
 
 
 def apply_word(word: PauliWord, vec: np.ndarray) -> np.ndarray:

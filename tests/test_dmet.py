@@ -1,6 +1,9 @@
 """Bath construction, embedding Hamiltonians, fragment solvers, and the
 chemical-potential loop."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from vqemb.dmet import (
 )
 from vqemb.mapping import (
     JORDAN_WIGNER,
+    FermionOperator,
     MappingSpec,
     build_fermionic_hamiltonian,
     map_to_qubits,
@@ -26,8 +30,8 @@ from vqemb.mapping import (
 from vqemb.vqe import EstimatorSpec, OptimizerSpec
 
 
-def hubbard_chain(n, t=1.0, u=2.0):
-    """Half-filled Hubbard chain in its particle-hole symmetric form."""
+def hubbard_chain(n, t=1.0, u=2.0, n_electrons=None):
+    """Hubbard chain in its particle-hole symmetric form, half-filled by default."""
     h = np.zeros((n, n))
     for i in range(n - 1):
         h[i, i + 1] = h[i + 1, i] = -t
@@ -35,7 +39,22 @@ def hubbard_chain(n, t=1.0, u=2.0):
     g = np.zeros((n, n, n, n))
     for i in range(n):
         g[i, i, i, i] = u
-    return MolecularIntegrals(n, n, 0.0, h, g)
+    return MolecularIntegrals(n, n if n_electrons is None else n_electrons, 0.0, h, g)
+
+
+def _fixture_generator():
+    """tools/make_fixtures.py, which shares no code with the package."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _jw_expectation(n_modes, ops, state):
+    return map_to_qubits(
+        FermionOperator(n_modes, ops), MappingSpec(JORDAN_WIGNER)
+    ).expectation(state)
 
 
 class TestFragmentation:
@@ -107,14 +126,13 @@ class TestSectorSolver:
         m, meta = h2
         h = map_to_qubits(build_fermionic_hamiltonian(m), MappingSpec(JORDAN_WIGNER))
         dense_energy, _ = h.ground_state_energy()
-        sector_energy, state = sector_ground_state(h, 1, 1)
+        sector_energy, state = sector_ground_state(m)
         assert sector_energy == pytest.approx(dense_energy, abs=1e-10)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_rdm_traces(self, h4):
         m, _ = h4
-        h = map_to_qubits(build_fermionic_hamiltonian(m), MappingSpec(JORDAN_WIGNER))
-        _, state = sector_ground_state(h, 2, 2)
+        _, state = sector_ground_state(m)
         gamma, Gamma = spin_summed_rdms(state, 4)
         assert np.trace(gamma) == pytest.approx(4.0, abs=1e-10)
         # energy reassembled from RDMs equals the eigenvalue
@@ -128,10 +146,8 @@ class TestSectorSolver:
     def test_rdms_match_operator_expectations(self, h2):
         # independent route: fermionic operators mapped to qubits
         m, _ = h2
-        h = map_to_qubits(build_fermionic_hamiltonian(m), MappingSpec(JORDAN_WIGNER))
-        _, state = sector_ground_state(h, 1, 1)
+        _, state = sector_ground_state(m)
         gamma, _ = spin_summed_rdms(state, 2)
-        from vqemb.mapping import FermionOperator
 
         for p in range(2):
             for q in range(2):
@@ -140,6 +156,75 @@ class TestSectorSolver:
                 )
                 op = map_to_qubits(FermionOperator(4, ops), MappingSpec(JORDAN_WIGNER))
                 assert op.expectation(state).real == pytest.approx(gamma[p, q], abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "system",
+        ["h2", "h4", (3, 2), (3, 4), (4, 4), (5, 4), (5, 6)],
+        ids=lambda s: s if isinstance(s, str) else "hubbard{}_{}e".format(*s),
+    )
+    def test_energy_matches_independent_references(self, system, request):
+        # Hubbard chains are (sites, electrons): odd chains cannot be exactly
+        # half filled in a closed shell, so they take the fillings either side
+        if isinstance(system, str):
+            m = request.getfixturevalue(system)[0]
+        else:
+            m = hubbard_chain(system[0], n_electrons=system[1])
+        energy, state = sector_ground_state(m)
+
+        fci = _fixture_generator().fci_ground_energy(
+            m.one_body, m.two_body, m.n_electrons, m.core_energy
+        )
+        assert energy == pytest.approx(fci, abs=1e-10)
+
+        n_modes = 2 * m.n_orbitals
+        alpha = sum(1 << (n_modes - 1 - mode) for mode in range(0, n_modes, 2))
+        half = m.n_electrons // 2
+        sector = [
+            i for i in range(1 << n_modes)
+            if bin(i & alpha).count("1") == half and bin(i & (alpha >> 1)).count("1") == half
+        ]
+        h = map_to_qubits(build_fermionic_hamiltonian(m), MappingSpec(JORDAN_WIGNER))
+        block = h.to_matrix()[np.ix_(sector, sector)]
+        assert energy == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-10)
+        assert np.allclose(np.delete(state, sector), 0.0)
+
+    @pytest.mark.parametrize("n_spatial", [2, 3])
+    def test_rdms_of_random_fock_vectors(self, n_spatial):
+        # complex amplitudes on every basis state, so every particle-number
+        # sector and every off-sector coherence contributes
+        n_modes = 2 * n_spatial
+        rng = np.random.default_rng(n_spatial)
+        state = rng.normal(size=1 << n_modes) + 1j * rng.normal(size=1 << n_modes)
+        state /= np.linalg.norm(state)
+        gamma, Gamma = spin_summed_rdms(state, n_spatial)
+        orbitals = range(n_spatial)
+        for p in orbitals:
+            for q in orbitals:
+                ops = tuple((1.0, ((2 * p + s, True), (2 * q + s, False))) for s in (0, 1))
+                assert gamma[p, q] == pytest.approx(
+                    _jw_expectation(n_modes, ops, state).real, abs=1e-12
+                )
+                for r in orbitals:
+                    for t in orbitals:
+                        ops = tuple(
+                            (1.0, ((2 * p + a, True), (2 * r + b, True),
+                                   (2 * t + b, False), (2 * q + a, False)))
+                            for a in (0, 1) for b in (0, 1)
+                        )
+                        assert Gamma[p, q, r, t] == pytest.approx(
+                            _jw_expectation(n_modes, ops, state).real, abs=1e-12
+                        )
+
+    def test_cap_is_checked_before_building(self, h10, monkeypatch):
+        import vqemb.dmet as dmet_mod
+
+        def no_build(*args):
+            raise AssertionError("built the excitation table past the cap")
+
+        monkeypatch.setattr(dmet_mod, "_excitation_operators", no_build)
+        m, _ = h10
+        with pytest.raises(ValueError, match="20 qubits exceeds the exact-solver cap of 14"):
+            sector_ground_state(m)
 
 
 class TestSolveFragment:
@@ -276,6 +361,13 @@ class TestRunDmet:
         fci = full_ci_ground_energy(m)
         hf = h4_mf.hf_energy
         assert fci - 1e-6 <= res.total_energy <= hf + 1e-6
+
+    def test_two_halves_of_h10_exceed_the_exact_cap(self, h10):
+        m, _ = h10
+        mf = restricted_hartree_fock(m)
+        frag = Fragmentation(((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+        with pytest.raises(ValueError, match="20 qubits exceeds the exact-solver cap of 14"):
+            run_dmet(m, mf, frag)
 
     def test_result_text(self, h2, h2_mf):
         res = run_dmet(h2[0], h2_mf, Fragmentation(((0, 1),)))
