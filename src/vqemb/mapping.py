@@ -11,11 +11,12 @@ two qubits and substitutes the eigenvalues fixed by the electron count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .chem import MolecularIntegrals
-from .pauli import PauliTerm, PauliWord, QubitHamiltonian, _letters, _mul_masks, _PHASES
+from .pauli import _PHASE_ARRAY, QubitHamiltonian, _check_register, _merge, _mul_phase
 
 JORDAN_WIGNER = "jordan_wigner"
 PARITY = "parity"
@@ -68,29 +69,17 @@ def build_fermionic_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     terms = []
     if m.core_energy != 0.0:
         terms.append((complex(m.core_energy), ()))
-    for p in range(n):
-        for q in range(n):
-            h = m.one_body[p, q]
-            if abs(h) < 1e-14:
-                continue
-            for s in (0, 1):
-                terms.append((complex(h), ((2 * p + s, True), (2 * q + s, False))))
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s_ in range(n):
-                    g = m.two_body[p, q, r, s_]
-                    if abs(g) < 1e-14:
-                        continue
-                    for sa in (0, 1):
-                        for sb in (0, 1):
-                            ops = (
-                                (2 * p + sa, True),
-                                (2 * r + sb, True),
-                                (2 * s_ + sb, False),
-                                (2 * q + sa, False),
-                            )
-                            terms.append((0.5 * complex(g), ops))
+    # np.argwhere walks the indices in the order of nested p, q(, r, s) loops
+    for p, q in np.argwhere(~(np.abs(m.one_body) < 1e-14)).tolist():
+        h = m.one_body[p, q]
+        terms += [(complex(h), ((2 * p + s, True), (2 * q + s, False))) for s in (0, 1)]
+    for p, q, r, s_ in np.argwhere(~(np.abs(m.two_body) < 1e-14)).tolist():
+        g = 0.5 * complex(m.two_body[p, q, r, s_])
+        terms += [
+            (g, ((2 * p + sa, True), (2 * r + sb, True), (2 * s_ + sb, False), (2 * q + sa, False)))
+            for sa in (0, 1)
+            for sb in (0, 1)
+        ]
     return FermionOperator(2 * n, tuple(terms))
 
 
@@ -107,136 +96,114 @@ def _block_permutation(n_modes: int) -> list[int]:
     return [(j // 2) + (j % 2) * half for j in range(n_modes)]
 
 
-def _ladder_words(position: int, creation: bool, n: int, kind: str):
-    """Expand one ladder operator into [(coeff, x_mask, z_mask)] on n qubits.
+# Fermion terms are expanded this many at a time, bounding the product arrays.
+_TERM_CHUNK = 4096
 
-    Masks live in basis-index space (qubit q on bit n-1-q), matching pauli.py.
+
+def _ladder_table(n: int, kind: str):
+    """x masks, z masks and coefficients of the two words of every ladder operator.
+
+    Row 2 * mode + is_creation; column 0 holds the X-type word, column 1 the
+    Y-type word.  Masks live in basis-index space (qubit q on bit n-1-q).
     """
-    sign = -1.0j if creation else 1.0j
-
-    def bit(q):
-        return 1 << (n - 1 - q)
-
+    positions = _block_permutation(n) if kind == PARITY else list(range(n))
+    bit = np.int64(1) << (n - 1 - np.repeat(np.array(positions, dtype=np.int64), 2))
+    full = np.int64((1 << n) - 1)
     if kind == JORDAN_WIGNER:
-        z_chain = 0
-        for q in range(position):
-            z_chain |= bit(q)
-        x_word = (0.5 + 0j, bit(position), z_chain)
-        y_word = (0.5 * sign, bit(position), z_chain | bit(position))
-        return [x_word, y_word]
+        z_chain = full ^ (2 * bit - 1)  # Z on every qubit before the position
+        x, z = np.stack([bit, bit], 1), np.stack([z_chain, z_chain | bit], 1)
+    else:
+        # parity: X chain on qubits above the position, Z on the qubit below
+        x_chain = 2 * bit - 1
+        x, z = np.stack([x_chain, x_chain], 1), np.stack([(bit << 1) & full, bit], 1)
+    coeffs = np.array([(0.5 + 0j, 0.5 * (-1.0j if creation else 1.0j))
+                       for _ in range(n) for creation in (False, True)])
+    return x, z, coeffs
 
-    # parity: X chain on qubits above `position`, Z on the qubit below.
-    x_chain = 0
-    for q in range(position + 1, n):
-        x_chain |= bit(q)
-    z_below = bit(position - 1) if position > 0 else 0
-    x_word = (0.5 + 0j, x_chain | bit(position), z_below)
-    y_word = (0.5 * sign, x_chain | bit(position), bit(position))
-    return [x_word, y_word]
+
+def _expand(coeffs: np.ndarray, rows: np.ndarray, table):
+    """Every Pauli product of k-operator terms, in the order of the term-by-term expansion.
+
+    ``rows`` is (terms, k) ladder-table rows.  Term t's 2^k products come out
+    consecutively, the first operator's choice of word most significant; each
+    factor multiplies the running coefficient, then its phase.
+    """
+    tx, tz, tc = table
+    x = z = np.zeros((len(coeffs), 1), dtype=np.int64)
+    c = coeffs[:, None]
+    for j in range(rows.shape[1]):
+        fx, fz, fc = tx[rows[:, j], None, :], tz[rows[:, j], None, :], tc[rows[:, j], None, :]
+        xa, za = x[:, :, None], z[:, :, None]
+        phase = _PHASE_ARRAY[_mul_phase(xa, za, fx, fz)]
+        c = ((c[:, :, None] * fc) * phase).reshape(len(coeffs), -1)
+        x, z = (xa ^ fx).reshape(len(coeffs), -1), (za ^ fz).reshape(len(coeffs), -1)
+    return x.ravel(), z.ravel(), c.ravel()
 
 
 def map_to_qubits(
     f: FermionOperator, spec: MappingSpec, drop_tol: float = 1e-12
 ) -> QubitHamiltonian:
-    """Encode a fermionic operator as a qubit Hamiltonian."""
-    n = f.n_modes
-    perm = _block_permutation(n) if spec.kind == PARITY else list(range(n))
+    """Encode a fermionic operator as a qubit Hamiltonian.
 
-    cache: dict[tuple[int, bool], list] = {}
-    accum: dict[tuple[int, int], complex] = {}
-    identity = (0, 0)
-    for coeff, ops in f.terms:
-        # product of the 2-word expansions of each ladder operator
-        words = [(complex(coeff), 0, 0)]
-        for index, creation in ops:
-            key = (index, creation)
-            factor = cache.get(key)
-            if factor is None:
-                factor = _ladder_words(perm[index], creation, n, spec.kind)
-                cache[key] = factor
-            new_words = []
-            for c1, x1, z1 in words:
-                for c2, x2, z2 in factor:
-                    k, x, z = _mul_masks(x1, z1, x2, z2)
-                    new_words.append((c1 * c2 * _PHASES[k], x, z))
-            words = new_words
-        for c, x, z in words:
-            key = (x, z)
-            accum[key] = accum.get(key, 0.0) + c
+    Runs of consecutive terms with the same number of ladder operators are
+    expanded a chunk at a time; like words are summed in the order a
+    term-by-term expansion meets them.
+    """
+    n = f.n_modes
+    _check_register(n)
+    table = _ladder_table(n, spec.kind)
+    x = z = np.zeros(0, dtype=np.int64)
+    c = np.zeros(0, dtype=complex)
+    for k, run in groupby(f.terms, key=lambda term: len(term[1])):
+        run = tuple(run)
+        for chunk in (run[lo:lo + _TERM_CHUNK] for lo in range(0, len(run), _TERM_CHUNK)):
+            coeffs = np.array([complex(a) for a, _ in chunk])
+            rows = np.array([[2 * i + cr for i, cr in ops] for _, ops in chunk], dtype=np.intp)
+            # unnamed, the products are freed once concatenated, before the merge
+            x, z, c = _merge(*map(np.concatenate, zip(
+                (x, z, c), _expand(coeffs, rows.reshape(len(chunk), k), table))))
 
     if spec.two_qubit_reduction:
-        return _reduce_two_qubits(accum, n, spec.n_electrons, drop_tol)
-
-    ham = QubitHamiltonian(
-        n,
-        [
-            PauliTerm(c, PauliWord(_letters(x, z, n)))
-            for (x, z), c in accum.items()
-        ],
-    )
-    return ham.simplify(drop_tol)
+        return _reduce_two_qubits(x, z, c, n, spec.n_electrons, drop_tol)
+    return QubitHamiltonian.from_arrays(n, x, z, c).simplify(drop_tol)
 
 
-def _reduce_two_qubits(accum, n, n_electrons, drop_tol) -> QubitHamiltonian:
+def _reduce_two_qubits(x, z, c, n, n_electrons, drop_tol) -> QubitHamiltonian:
     """Remove the alpha-parity and total-parity qubits of a block-parity register."""
     if n_electrons is None:
         raise ValueError("two-qubit reduction needs the electron count on the mapping spec")
     if n_electrons % 2:
         raise ValueError("two-qubit reduction assumes a closed-shell (even) electron count")
     half = n // 2
-    z_alpha = (-1.0) ** (n_electrons // 2)
-    z_total = (-1.0) ** n_electrons
-    taper = {half - 1: z_alpha, n - 1: z_total}
+    kept = np.abs(c) >= drop_tol
+    x, z, c = x[kept], z[kept], c[kept]
+    # qubit half-1 sits on bit n-half = half, qubit n-1 on bit 0
+    clash = x & ((1 << half) | 1)
+    if clash.any():
+        q = half - 1 if clash[clash != 0][0] >> half else n - 1
+        raise ValueError(
+            f"operator does not commute with the parity symmetry on qubit {q}; "
+            "two-qubit reduction is invalid"
+        )
+    c = np.where(z & (1 << half), c * (-1.0) ** (n_electrons // 2), c)
+    c = np.where(z & 1, c * (-1.0) ** n_electrons, c)
 
-    def bit(q):
-        return 1 << (n - 1 - q)
+    def drop_bits(v):
+        v = v >> 1
+        low = (1 << (half - 1)) - 1
+        return ((v >> half) << (half - 1)) | (v & low)
 
-    reduced: dict[tuple[int, int], complex] = {}
-    for (x, z), c in accum.items():
-        if abs(c) < drop_tol:
-            continue
-        for q, eig in taper.items():
-            if x & bit(q):
-                raise ValueError(
-                    f"operator does not commute with the parity symmetry on qubit {q}; "
-                    "two-qubit reduction is invalid"
-                )
-            if z & bit(q):
-                c = c * eig
-        new_x = _drop_bits(x, n, (half - 1, n - 1))
-        new_z = _drop_bits(z, n, (half - 1, n - 1))
-        key = (new_x, new_z)
-        reduced[key] = reduced.get(key, 0.0) + c
-
-    m = n - 2
-    ham = QubitHamiltonian(
-        m,
-        [PauliTerm(c, PauliWord(_letters(x, z, m))) for (x, z), c in reduced.items()],
-    )
-    return ham.simplify(drop_tol)
-
-
-def _drop_bits(mask: int, n: int, drop_qubits: tuple) -> int:
-    """Re-pack an index-space mask after deleting the given qubit positions."""
-    out = 0
-    new_n = n - len(drop_qubits)
-    new_q = 0
-    for q in range(n):
-        if q in drop_qubits:
-            continue
-        if mask & (1 << (n - 1 - q)):
-            out |= 1 << (new_n - 1 - new_q)
-        new_q += 1
-    return out
+    return QubitHamiltonian.from_arrays(n - 2, drop_bits(x), drop_bits(z), c).simplify(drop_tol)
 
 
 def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np.ndarray:
     """Relabel a mapped-register statevector into the occupation basis.
 
-    Both encodings permute computational basis states without phases, so this
-    is a pure amplitude permutation; tapered registers are first expanded by
-    reinserting the two parity bits fixed by the electron-number sector.
-    Qubit/mode 0 sits on the most significant bit throughout.
+    Both encodings permute computational basis states; the parity encoding's
+    block order also brings the fermionic sign of reordering the occupied
+    modes.  Tapered registers are first expanded by reinserting the two
+    parity bits fixed by the electron-number sector.  Qubit/mode 0 sits on
+    the most significant bit throughout.
     """
     if spec.kind == JORDAN_WIGNER:
         return np.asarray(state, dtype=complex)
@@ -245,67 +212,50 @@ def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np
     if spec.two_qubit_reduction:
         if state.size != 1 << (n_modes - 2):
             raise ValueError("state dimension does not match the reduced register")
-        b_alpha = (spec.n_electrons // 2) % 2
-        b_total = spec.n_electrons % 2
+        # reduced qubits before half-1 move up past the alpha-parity bit (bit half)
+        # and the rest past the total-parity bit (bit 0)
+        idx = np.arange(state.size)
+        low = (1 << (half - 1)) - 1
+        full = ((idx & ~low) << 2) | (idx & low) << 1
+        full |= ((spec.n_electrons // 2) % 2) << half | spec.n_electrons % 2
         expanded = np.zeros(1 << n_modes, dtype=complex)
-        for idx in range(state.size):
-            bits = [(idx >> (n_modes - 3 - q)) & 1 for q in range(n_modes - 2)]
-            bits.insert(half - 1, b_alpha)
-            bits.insert(n_modes - 1, b_total)
-            full = 0
-            for q, b in enumerate(bits):
-                full |= b << (n_modes - 1 - q)
-            expanded[full] = state[idx]
+        expanded[full] = state
         state = expanded
     elif state.size != 1 << n_modes:
         raise ValueError("state dimension does not match the register")
 
-    perm = _block_permutation(n_modes)
-    inv = [0] * n_modes
-    for mode, pos in enumerate(perm):
-        inv[pos] = mode
+    idx = np.flatnonzero(state)
+    occ = idx ^ (idx >> 1)  # block-ordered occupations: parity prefix differences
+    target = np.zeros_like(idx)
+    for mode, pos in enumerate(_block_permutation(n_modes)):
+        target |= ((occ >> (n_modes - 1 - pos)) & 1) << (n_modes - 1 - mode)
+    # fermionic sign of reordering the occupied creation operators from
+    # block order (alpha orbitals, then beta) to ascending interleaved order:
+    # one inversion per occupied beta orbital b and occupied alpha orbital a > b
+    alpha, beta = occ >> half, occ & ((1 << half) - 1)
+    inversions = np.zeros_like(idx)
+    for b in range(half):
+        below = (1 << (half - 1 - b)) - 1  # alpha orbitals after b
+        inversions += ((beta >> (half - 1 - b)) & 1) * np.bitwise_count(alpha & below)
     out = np.zeros_like(state)
-    for idx in np.nonzero(state)[0]:
-        p_bits = [(int(idx) >> (n_modes - 1 - q)) & 1 for q in range(n_modes)]
-        occ_block = [p_bits[0]] + [p_bits[q] ^ p_bits[q - 1] for q in range(1, n_modes)]
-        target = 0
-        for mode in range(n_modes):
-            if occ_block[perm[mode]]:
-                target |= 1 << (n_modes - 1 - mode)
-        # fermionic sign of reordering the occupied creation operators from
-        # block-scan order to ascending interleaved order
-        occupied = [inv[pos] for pos in range(n_modes) if occ_block[pos]]
-        inversions = sum(
-            1
-            for i in range(len(occupied))
-            for j in range(i + 1, len(occupied))
-            if occupied[i] > occupied[j]
-        )
-        out[target] = state[idx] * (-1.0) ** inversions
+    out[target] = state[idx] * (1.0 - 2.0 * (inversions & 1))
     return out
-
-
-def hartree_fock_occupation(n_spatial: int, n_electrons: int) -> list[int]:
-    """Interleaved spin-orbital occupation bits of the aufbau determinant."""
-    n_modes = 2 * n_spatial
-    if n_electrons > n_modes:
-        raise ValueError(f"{n_electrons} electrons exceed {n_modes} spin-orbitals")
-    return [1 if j < n_electrons else 0 for j in range(n_modes)]
 
 
 def hartree_fock_bitstring(
     n_spatial: int, n_electrons: int, spec: MappingSpec
 ) -> list[int]:
-    """Qubit-register bits preparing the Hartree-Fock state under a mapping."""
-    occ = hartree_fock_occupation(n_spatial, n_electrons)
+    """Qubit-register bits preparing the Hartree-Fock (aufbau) state under a mapping."""
+    n_modes = 2 * n_spatial
+    if n_electrons > n_modes:
+        raise ValueError(f"{n_electrons} electrons exceed {n_modes} spin-orbitals")
+    occ = [1 if j < n_electrons else 0 for j in range(n_modes)]
     if spec.kind == JORDAN_WIGNER:
         return occ
-    perm = _block_permutation(len(occ))
-    blocked = [0] * len(occ)
-    for j, o in enumerate(occ):
-        blocked[perm[j]] = o
-    bits = list(np.cumsum(blocked) % 2)
+    blocked = [0] * n_modes
+    for j, pos in enumerate(_block_permutation(n_modes)):
+        blocked[pos] = occ[j]
+    bits = [int(b) for b in np.cumsum(blocked) % 2]
     if spec.two_qubit_reduction:
-        n = len(bits)
-        bits = [b for q, b in enumerate(bits) if q not in (n // 2 - 1, n - 1)]
-    return [int(b) for b in bits]
+        bits = [b for q, b in enumerate(bits) if q not in (n_spatial - 1, n_modes - 1)]
+    return bits

@@ -1,8 +1,9 @@
 """Pauli-word algebra, qubit Hamiltonians, and the dense diagonalization oracle.
 
 A Hamiltonian is a weighted sum of Pauli words (tensor products over
-{I, X, Y, Z}).  Words are stored as strings with qubit 0 leftmost; the
-matrix convention puts qubit 0 on the most significant bit, i.e.
+{I, X, Y, Z}).  A word is written as a string with qubit 0 leftmost and
+stored in a Hamiltonian as two int64 masks in basis-index space; the matrix
+convention puts qubit 0 on the most significant bit, i.e.
 ``matrix(word) = kron(P[letters[0]], P[letters[1]], ...)``.
 
 Dense matrix expansion and exact diagonalization are capped at
@@ -22,14 +23,18 @@ PAULI_LETTERS = "IXYZ"
 # Largest register for which dense matrix expansion / eigensolves are allowed.
 MATRIX_QUBIT_CAP = 14
 
-_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
+_PHASE_ARRAY = np.array(_PHASES)
+
+MASK_QUBIT_CAP = 63  # masks are int64, so qubit 0 sits at most on bit 62
+_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)  # x bit + 2 * z bit
+
+
+def _check_register(n_qubits: int) -> None:
+    if n_qubits > MASK_QUBIT_CAP:
+        raise ValueError(
+            f"{n_qubits} qubits exceeds the {MASK_QUBIT_CAP}-qubit limit of int64 Pauli masks"
+        )
 
 
 def _masks(letters: str) -> tuple[int, int]:
@@ -45,24 +50,51 @@ def _masks(letters: str) -> tuple[int, int]:
     return x, z
 
 
-def _letters(x: int, z: int, n: int) -> str:
-    out = []
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        xb, zb = bool(x & bit), bool(z & bit)
-        out.append("Y" if (xb and zb) else "X" if xb else "Z" if zb else "I")
-    return "".join(out)
+def _words(x: np.ndarray, z: np.ndarray, n: int) -> list[str]:
+    """Letter strings of mask arrays, qubit 0 leftmost."""
+    shifts = np.arange(n - 1, -1, -1)
+    codes = ((x[:, None] >> shifts) & 1) + 2 * ((z[:, None] >> shifts) & 1)
+    raw = _LETTER_CODES[codes].tobytes().decode("ascii")
+    return [raw[i * n:(i + 1) * n] for i in range(len(x))]
 
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
+def _mul_phase(xa, za, xb, zb) -> np.ndarray:
+    """Power of i (mod 4) in P(xa, za) P(xb, zb) = i^k P(xa ^ xb, za ^ zb), elementwise."""
+    count = np.bitwise_count  # uint8 counts: wrapping mod 256 keeps the value mod 4
+    return (count(xa & za) + count(xb & zb) - count((xa ^ xb) & (za ^ zb))
+            + 2 * count(za & xb)) & 3
 
 
-def _mul_masks(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
-    """Multiply two words in mask form; returns (phase power of i mod 4, x, z)."""
-    x, z = xa ^ xb, za ^ zb
-    k = _popcount(xa & za) + _popcount(xb & zb) - _popcount(x & z) + 2 * _popcount(za & xb)
-    return k % 4, x, z
+def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
+    """Sum the coefficients of equal words, each sum in occurrence order.
+
+    Words come out in order of first occurrence; the sums start from zero, as
+    a dict accumulator ``acc.get(w, 0.0) + c`` would.
+    """
+    if len(x) == 0:
+        return x, z, coeffs
+    order = np.lexsort((z, x))
+    xs, zs = x[order], z[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    del xs, zs
+    first = order[starts]  # the sort is stable, so these are first occurrences
+    rank = np.argsort(first)
+    group = np.argsort(rank)  # group number in order of first occurrence
+    inverse = np.empty_like(order)
+    inverse[order] = group[np.cumsum(starts) - 1]
+    acc = np.zeros(len(first), dtype=complex)
+    np.add.at(acc, inverse, coeffs)
+    keep = first[rank]
+    return x[keep], z[keep], acc
+
+
+def _lexicographic_order(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Permutation sorting words by their letters (I < X < Y < Z, qubit 0 first)."""
+    shifts = np.arange(n - 1, -1, -1)
+    zb = (z[None, :] >> shifts[:, None]) & 1
+    codes = 2 * zb + (((x ^ z)[None, :] >> shifts[:, None]) & 1)
+    return np.lexsort(codes[::-1]) if n else np.arange(len(x))
 
 
 @dataclass(frozen=True)
@@ -75,17 +107,9 @@ class PauliWord:
         if not all(c in PAULI_LETTERS for c in self.letters):
             raise ValueError(f"invalid Pauli letters in {self.letters!r}")
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliWord":
-        return cls("I" * n_qubits)
-
     @property
     def n_qubits(self) -> int:
         return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) <= {"I"}
 
     def support(self) -> tuple[int, ...]:
         """Qubit indices carrying a non-identity letter."""
@@ -99,10 +123,10 @@ def multiply(a: PauliWord, b: PauliWord) -> tuple[complex, PauliWord]:
     """Product of two equal-length words: matrix(a) @ matrix(b) = phase * matrix(word)."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"length mismatch: {a.n_qubits} vs {b.n_qubits}")
-    xa, za = _masks(a.letters)
-    xb, zb = _masks(b.letters)
-    k, x, z = _mul_masks(xa, za, xb, zb)
-    return _PHASES[k], PauliWord(_letters(x, z, a.n_qubits))
+    _check_register(a.n_qubits)
+    xa, za, xb, zb = (np.array([m]) for m in (*_masks(a.letters), *_masks(b.letters)))
+    k = int(_mul_phase(xa, za, xb, zb)[0])
+    return _PHASES[k], PauliWord(_words(xa ^ xb, za ^ zb, a.n_qubits)[0])
 
 
 @dataclass(frozen=True)
@@ -114,37 +138,60 @@ class PauliTerm:
 
 
 class QubitHamiltonian:
-    """Sum of Pauli terms over a fixed qubit register."""
+    """Sum of Pauli terms over a fixed qubit register.
+
+    Stored as arrays: ``x`` and ``z`` hold each word's int64 masks in
+    basis-index space (qubit q on bit n-1-q) and ``coeffs`` the complex128
+    coefficients.  ``terms`` builds ``PauliTerm`` objects on first use.
+    """
 
     def __init__(self, n_qubits: int, terms: Iterable[PauliTerm] = ()):
         self.n_qubits = int(n_qubits)
-        self.terms = tuple(terms)
-        for t in self.terms:
+        _check_register(self.n_qubits)
+        self._terms = tuple(terms)
+        for t in self._terms:
             if t.word.n_qubits != self.n_qubits:
                 raise ValueError(
                     f"term {t.word} has {t.word.n_qubits} qubits, expected {self.n_qubits}"
                 )
+        masks = [_masks(t.word.letters) for t in self._terms]
+        self.x, self.z = np.array(masks, dtype=np.int64).reshape(-1, 2).T.copy()
+        self.coeffs = np.array([complex(t.coefficient) for t in self._terms], dtype=complex)
+
+    @classmethod
+    def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "QubitHamiltonian":
+        """Hamiltonian from index-space mask arrays and their coefficients."""
+        h = cls(n_qubits)
+        h.x, h.z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        h.coeffs, h._terms = np.asarray(coeffs, dtype=complex), None
+        return h
+
+    @property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        if self._terms is None:
+            words = _words(self.x, self.z, self.n_qubits)
+            self._terms = tuple(
+                PauliTerm(c, PauliWord(w)) for c, w in zip(self.coeffs.tolist(), words)
+            )
+        return self._terms
 
     @classmethod
     def from_dict(cls, n_qubits: int, terms: dict[str, complex]) -> "QubitHamiltonian":
         return cls(n_qubits, [PauliTerm(complex(c), PauliWord(w)) for w, c in terms.items()])
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"QubitHamiltonian({self.n_qubits} qubits, {len(self.terms)} terms)"
+        return f"QubitHamiltonian({self.n_qubits} qubits, {len(self)} terms)"
 
     def simplify(self, drop_tol: float = 1e-12) -> "QubitHamiltonian":
         """Merge like terms, drop |coeff| < drop_tol, sort words lexicographically."""
-        acc: dict[str, complex] = {}
-        for t in self.terms:
-            acc[t.word.letters] = acc.get(t.word.letters, 0.0) + complex(t.coefficient)
-        kept = {w: c for w, c in acc.items() if abs(c) >= drop_tol}
-        return QubitHamiltonian(
-            self.n_qubits,
-            [PauliTerm(kept[w], PauliWord(w)) for w in sorted(kept)],
-        )
+        x, z, c = _merge(self.x, self.z, self.coeffs)
+        kept = np.abs(c) >= drop_tol
+        x, z, c = x[kept], z[kept], c[kept]
+        order = _lexicographic_order(x, z, self.n_qubits)
+        return QubitHamiltonian.from_arrays(self.n_qubits, x[order], z[order], c[order])
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (qubit 0 on the most significant bit)."""
@@ -155,16 +202,15 @@ class QubitHamiltonian:
         dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
-        for t in self.terms:
-            x, z = _masks(t.word.letters)
+        for c, x, z in zip(self.coeffs.tolist(), self.x.tolist(), self.z.tolist()):
             signs = 1.0 - 2.0 * _parity(idx & z)
-            phase = _PHASES[_popcount(x & z) % 4]
-            mat[idx ^ x, idx] += t.coefficient * phase * signs
+            phase = _PHASES[(x & z).bit_count() % 4]
+            mat[idx ^ x, idx] += c * phase * signs
         return mat
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         s = self.simplify(drop_tol=0.0)
-        return all(abs(t.coefficient.imag) < tol for t in s.terms)
+        return bool(np.all(np.abs(s.coeffs.imag) < tol))
 
     def ground_state_energy(self) -> tuple[float, np.ndarray]:
         """Minimum eigenvalue and a unit-norm eigenvector via dense eigh."""
@@ -181,8 +227,8 @@ class QubitHamiltonian:
                 f"state dimension {vec.size} does not match {self.n_qubits} qubits"
             )
         total = 0.0 + 0.0j
-        for t in self.terms:
-            total += t.coefficient * np.vdot(vec, apply_word(t.word, vec))
+        for c, x, z in zip(self.coeffs.tolist(), self.x.tolist(), self.z.tolist()):
+            total += c * np.vdot(vec, _apply_masks(x, z, vec))
         return total
 
     # -- text serialization ------------------------------------------------
@@ -190,9 +236,8 @@ class QubitHamiltonian:
     def to_text(self) -> str:
         """One term per line ``<re> <im> <word>`` after a ``nqubits=`` header."""
         lines = [f"nqubits={self.n_qubits}"]
-        for t in self.terms:
-            c = complex(t.coefficient)
-            lines.append(f"{c.real!r} {c.imag!r} {t.word.letters}")
+        for c, w in zip(self.coeffs.tolist(), _words(self.x, self.z, self.n_qubits)):
+            lines.append(f"{c.real!r} {c.imag!r} {w}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -220,14 +265,16 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 def apply_word(word: PauliWord, vec: np.ndarray) -> np.ndarray:
     """Apply a Pauli word to a statevector (qubit 0 = most significant bit)."""
-    n = word.n_qubits
     vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.size != 1 << n:
-        raise ValueError(f"vector dimension {vec.size} does not match {n} qubits")
-    x, z = _masks(word.letters)
+    if vec.size != 1 << word.n_qubits:
+        raise ValueError(f"vector dimension {vec.size} does not match {word.n_qubits} qubits")
+    return _apply_masks(*_masks(word.letters), vec)
+
+
+def _apply_masks(x: int, z: int, vec: np.ndarray) -> np.ndarray:
     idx = np.arange(vec.size)
     signs = 1.0 - 2.0 * _parity(idx & z)
-    phase = _PHASES[_popcount(x & z) % 4]
+    phase = _PHASES[(x & z).bit_count() % 4]
     out = np.empty_like(vec)
     out[idx ^ x] = phase * signs * vec
     return out
@@ -260,10 +307,9 @@ class PauliExpectation:
         dim = 1 << h.n_qubits
         idx = np.arange(dim)
         rows: dict[int, np.ndarray] = {}
-        for t in h.terms:
-            x, z = _masks(t.word.letters)
-            phase = _PHASES[_popcount(x & z) % 4]
-            weight = (complex(t.coefficient) * phase).real
+        for c, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
+            phase = _PHASES[(x & z).bit_count() % 4]
+            weight = (c * phase).real
             if weight == 0.0:  # a word with an odd number of Y is imaginary
                 continue
             # (P v)[i] = phase * (-1)^popcount((i ^ x) & z) * v[i ^ x]

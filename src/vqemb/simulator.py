@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliExpectation, PauliWord, QubitHamiltonian
+from .pauli import PauliExpectation, PauliWord, QubitHamiltonian, _words
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
@@ -387,34 +387,27 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
     [(coefficient, support tuple), ...]).  Coefficients are taken real.
     """
     constant = 0.0
-    groups: list[tuple[list[str], list]] = []
-    for term in h.terms:
+    groups: list[list] = []  # [x mask, z mask, members]
+    for term, x, z in zip(h.terms, h.x.tolist(), h.z.tolist()):
         coeff = complex(term.coefficient)
         if abs(coeff.imag) > 1e-10:
             raise ValueError("sampled estimation requires a Hermitian Hamiltonian")
-        if term.word.is_identity:
+        if not x | z:
             constant += coeff.real
             continue
-        placed = False
-        for letters, members in groups:
-            ok = True
-            for q, c in enumerate(term.word.letters):
-                if c != "I" and letters[q] != "I" and letters[q] != c:
-                    ok = False
-                    break
-            if ok:
-                for q, c in enumerate(term.word.letters):
-                    if c != "I":
-                        letters[q] = c
-                members.append((coeff.real, term.word.support()))
-                placed = True
+        member = (coeff.real, term.word.support())
+        for group in groups:
+            # letters must agree wherever both words act
+            if ((x ^ group[0]) | (z ^ group[1])) & (x | z) & (group[0] | group[1]) == 0:
+                group[0] |= x
+                group[1] |= z
+                group[2].append(member)
                 break
-        if not placed:
-            letters = list(term.word.letters)
-            groups.append((letters, [(coeff.real, term.word.support())]))
-    return constant, [
-        (PauliWord("".join(letters)), members) for letters, members in groups
-    ]
+        else:
+            groups.append([x, z, [member]])
+    bases = _words(np.array([g[0] for g in groups], dtype=np.int64),
+                   np.array([g[1] for g in groups], dtype=np.int64), h.n_qubits)
+    return constant, [(PauliWord(b), g[2]) for b, g in zip(bases, groups)]
 
 
 def tally_counts(counts: ShotCounts, members: list) -> tuple[float, float]:
@@ -449,7 +442,7 @@ class RawGroupEstimator:
 def sampled_expectation(
     circuit: Circuit,
     params: Sequence[float],
-    h: QubitHamiltonian,
+    h: QubitHamiltonian | tuple,
     shots: int,
     noise: Optional[ReadoutNoiseModel] = None,
     mitigator=None,
@@ -457,13 +450,15 @@ def sampled_expectation(
 ) -> tuple[float, float]:
     """Shot-based estimate of <H> with one measurement per commuting group.
 
-    Returns (value, stderr).  ``mitigator`` may supply an ``estimate_group``
-    hook (see mitigation module); None means raw counts.
+    Returns (value, stderr).  ``h`` is a QubitHamiltonian or the (constant,
+    groups) pair ``group_qubitwise`` returns for it, so a caller evaluating
+    one Hamiltonian many times groups it once.  ``mitigator`` may supply an
+    ``estimate_group`` hook (see mitigation module); None means raw counts.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     state = evolve(circuit, params)
-    constant, groups = group_qubitwise(h.simplify())
+    constant, groups = group_qubitwise(h.simplify()) if isinstance(h, QubitHamiltonian) else h
     estimator = mitigator if mitigator is not None else RawGroupEstimator()
     rng = np.random.default_rng(seed)
     value = constant

@@ -17,6 +17,7 @@ from .simulator import (
     ReadoutNoiseModel,
     energy_and_gradient,
     evolve,
+    group_qubitwise,
     sampled_expectation,
 )
 
@@ -141,13 +142,14 @@ def build_objective(problem: VqeProblem):
         mitigator = mitigation.TrexGroupEstimator(cal_shots=est.calibration_shots)
 
     rng = np.random.default_rng(est.seed)
+    grouped = group_qubitwise(problem.hamiltonian.simplify())
 
     def objective(params):
         sub_seed = int(rng.integers(0, 2**63 - 1))
         value, _ = sampled_expectation(
             problem.circuit,
             params,
-            problem.hamiltonian,
+            grouped,
             est.shots,
             noise=est.noise,
             mitigator=mitigator,

@@ -1,0 +1,35 @@
+"""Every committed ``out/`` directory is reproduced byte for byte by its CLI command."""
+
+from pathlib import Path
+
+import pytest
+
+from vqemb.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# out/ directory -> (verb, config) that writes it
+ARTIFACTS = {
+    "chain5_deparam": ("deparam", "configs/chain5_deparam.yaml"),
+    "det1": ("vqe", "configs/h2_vqe_spsa.yaml"),
+    "det2": ("vqe", "configs/h2_vqe_spsa.yaml"),
+    "h10_resources": ("resources", "configs/h10_resources.yaml"),
+    "h2_dmet_vqe": ("dmet", "configs/h2_dmet_vqe.yaml"),
+    "h2_vqe_sampled": ("vqe", "configs/h2_vqe_sampled.yaml"),
+    "h2_vqe_spsa": ("vqe", "configs/h2_vqe_spsa.yaml"),
+    "h4_dmet": ("dmet", "configs/h4_dmet.yaml"),
+    "oracle_h2": ("oracle", "configs/h2_vqe_lbfgs.yaml"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_committed_artifacts_reproduce(name, tmp_path, monkeypatch, capsys):
+    verb, config = ARTIFACTS[name]
+    monkeypatch.chdir(ROOT)  # configs name their integral files relative to the repo
+    out = tmp_path / name
+    assert main([verb, "--config", config, "--out", str(out)]) == 0
+    committed = ROOT / "out" / name
+    expected = sorted(p.name for p in committed.iterdir())
+    assert expected and sorted(p.name for p in out.iterdir()) == expected
+    for file_name in expected:
+        assert (out / file_name).read_bytes() == (committed / file_name).read_bytes(), file_name

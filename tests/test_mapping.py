@@ -1,9 +1,12 @@
 """Fermionic Hamiltonians and the Jordan-Wigner / parity encodings."""
 
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from vqemb.chem import MolecularIntegrals
+from vqemb.chem import MolecularIntegrals, active_space, restricted_hartree_fock
 from vqemb.mapping import (
     JORDAN_WIGNER,
     PARITY,
@@ -15,6 +18,193 @@ from vqemb.mapping import (
     map_to_qubits,
     total_number_operator,
 )
+from vqemb.pauli import QubitHamiltonian
+
+
+# -- term-by-term reference encodings -------------------------------------------
+#
+# The expansion ``map_to_qubits`` and ``decode_statevector`` used before they
+# worked on whole arrays: Python-int masks, one product and one dict update
+# per Pauli word, one loop iteration per basis index.
+
+
+def _ref_mul_masks(xa, za, xb, zb):
+    x, z = xa ^ xb, za ^ zb
+    k = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+    return (k + 2 * (za & xb).bit_count()) % 4, x, z
+
+
+def _ref_ladder_words(position, creation, n, kind):
+    sign = -1.0j if creation else 1.0j
+
+    def bit(q):
+        return 1 << (n - 1 - q)
+
+    if kind == JORDAN_WIGNER:
+        z_chain = 0
+        for q in range(position):
+            z_chain |= bit(q)
+        return [(0.5 + 0j, bit(position), z_chain),
+                (0.5 * sign, bit(position), z_chain | bit(position))]
+    x_chain = 0
+    for q in range(position + 1, n):
+        x_chain |= bit(q)
+    z_below = bit(position - 1) if position > 0 else 0
+    return [(0.5 + 0j, x_chain | bit(position), z_below),
+            (0.5 * sign, x_chain | bit(position), bit(position))]
+
+
+def _ref_letters(x, z, n):
+    out = []
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        xb, zb = bool(x & bit), bool(z & bit)
+        out.append("Y" if (xb and zb) else "X" if xb else "Z" if zb else "I")
+    return "".join(out)
+
+
+def _ref_drop_bits(mask, n, drop_qubits):
+    out, new_n, new_q = 0, n - len(drop_qubits), 0
+    for q in range(n):
+        if q in drop_qubits:
+            continue
+        if mask & (1 << (n - 1 - q)):
+            out |= 1 << (new_n - 1 - new_q)
+        new_q += 1
+    return out
+
+
+def _ref_simplify(accum, n, drop_tol):
+    acc = {}
+    for (x, z), c in accum.items():
+        w = _ref_letters(x, z, n)
+        acc[w] = acc.get(w, 0.0) + complex(c)
+    return [(w, acc[w]) for w in sorted(acc) if abs(acc[w]) >= drop_tol]
+
+
+def reference_map_to_qubits(f, spec, drop_tol=1e-12):
+    """(n_qubits, [(letters, coefficient)]) from the term-by-term expansion."""
+    n = f.n_modes
+    perm = [(j // 2) + (j % 2) * (n // 2) for j in range(n)] if spec.kind == PARITY else range(n)
+    accum = {}
+    for coeff, ops in f.terms:
+        words = [(complex(coeff), 0, 0)]
+        for index, creation in ops:
+            factor = _ref_ladder_words(perm[index], creation, n, spec.kind)
+            words = [
+                (c1 * c2 * (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[k], x, z)
+                for c1, x1, z1 in words
+                for c2, x2, z2 in factor
+                for k, x, z in [_ref_mul_masks(x1, z1, x2, z2)]
+            ]
+        for c, x, z in words:
+            accum[(x, z)] = accum.get((x, z), 0.0) + c
+    if not spec.two_qubit_reduction:
+        return n, _ref_simplify(accum, n, drop_tol)
+    half = n // 2
+    taper = {half - 1: (-1.0) ** (spec.n_electrons // 2), n - 1: (-1.0) ** spec.n_electrons}
+    reduced = {}
+    for (x, z), c in accum.items():
+        if abs(c) < drop_tol:
+            continue
+        for q, eig in taper.items():
+            assert not x & (1 << (n - 1 - q))
+            if z & (1 << (n - 1 - q)):
+                c = c * eig
+        key = (_ref_drop_bits(x, n, (half - 1, n - 1)), _ref_drop_bits(z, n, (half - 1, n - 1)))
+        reduced[key] = reduced.get(key, 0.0) + c
+    return n - 2, _ref_simplify(reduced, n - 2, drop_tol)
+
+
+def reference_text(n, terms):
+    lines = [f"nqubits={n}"] + [f"{c.real!r} {c.imag!r} {w}" for w, c in terms]
+    return "\n".join(lines) + "\n"
+
+
+def reference_decode(state, n_modes, spec):
+    """Per-index loop form of ``decode_statevector`` for the parity encoding."""
+    half = n_modes // 2
+    state = np.asarray(state, dtype=complex)
+    if spec.two_qubit_reduction:
+        expanded = np.zeros(1 << n_modes, dtype=complex)
+        for idx in range(state.size):
+            bits = [(idx >> (n_modes - 3 - q)) & 1 for q in range(n_modes - 2)]
+            bits.insert(half - 1, (spec.n_electrons // 2) % 2)
+            bits.insert(n_modes - 1, spec.n_electrons % 2)
+            full = 0
+            for q, b in enumerate(bits):
+                full |= b << (n_modes - 1 - q)
+            expanded[full] = state[idx]
+        state = expanded
+    perm = [(j // 2) + (j % 2) * half for j in range(n_modes)]
+    inv = [0] * n_modes
+    for mode, pos in enumerate(perm):
+        inv[pos] = mode
+    out = np.zeros_like(state)
+    for idx in np.nonzero(state)[0]:
+        p_bits = [(int(idx) >> (n_modes - 1 - q)) & 1 for q in range(n_modes)]
+        occ_block = [p_bits[0]] + [p_bits[q] ^ p_bits[q - 1] for q in range(1, n_modes)]
+        target = 0
+        for mode in range(n_modes):
+            if occ_block[perm[mode]]:
+                target |= 1 << (n_modes - 1 - mode)
+        occupied = [inv[pos] for pos in range(n_modes) if occ_block[pos]]
+        inversions = sum(
+            1
+            for i in range(len(occupied))
+            for j in range(i + 1, len(occupied))
+            if occupied[i] > occupied[j]
+        )
+        out[target] = state[idx] * (-1.0) ** inversions
+    return out
+
+
+# -- independent dense fermion operators ------------------------------------------
+
+_Z = np.diag([1.0, -1.0])
+_RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|: occupy the mode
+
+
+def dense_ladder(mode, creation, n_modes):
+    """a+ or a of one mode on the occupation basis (mode 0 on the top bit)."""
+    op = _RAISE if creation else _RAISE.T
+    return reduce(np.kron, [_Z] * mode + [op] + [np.eye(2)] * (n_modes - mode - 1))
+
+
+def dense_fermion(f):
+    out = np.zeros((1 << f.n_modes,) * 2, dtype=complex)
+    for coeff, ops in f.terms:
+        term = np.eye(1 << f.n_modes, dtype=complex)
+        for mode, creation in ops:
+            term = term @ dense_ladder(mode, creation, f.n_modes)
+        out += coeff * term
+    return out
+
+
+def random_fermion_operator(rng, n_modes, n_terms, conserve_parities=False):
+    """Complex, non-Hermitian terms of 0-4 ladder operators; modes may repeat.
+
+    With ``conserve_parities`` every term has an even number of alpha (even
+    mode) and of beta (odd mode) operators, so it commutes with both parity
+    symmetries the two-qubit reduction removes.
+    """
+    terms = []
+    for _ in range(n_terms):
+        coeff = complex(rng.normal(), rng.normal())
+        if conserve_parities:
+            spins = [0, 0] * int(rng.integers(0, 2)) + [1, 1] * int(rng.integers(0, 2))
+            modes = [2 * int(rng.integers(0, n_modes // 2)) + s for s in rng.permutation(spins)]
+        else:
+            modes = [int(m) for m in rng.integers(0, n_modes, size=rng.integers(0, 5))]
+        ops = tuple((m, bool(rng.integers(0, 2))) for m in modes)
+        terms.append((coeff, ops))
+    return FermionOperator(n_modes, tuple(terms))
+
+
+def parity_to_occupation(n_modes, spec):
+    """Signed permutation taking parity-register vectors to the occupation basis."""
+    dim = 1 << (n_modes - 2 if spec.two_qubit_reduction else n_modes)
+    return np.stack([reference_decode(e, n_modes, spec) for e in np.eye(dim)], axis=1)
 
 
 def single_orbital(eps=0.0, g=0.0, core=0.0, n_electrons=2):
@@ -169,3 +359,105 @@ class TestDecodeStatevector:
         decoded = decode_statevector(v_par, 2 * m.n_orbitals, spec)
         energy = h_jw.expectation(decoded).real
         assert energy == pytest.approx(e_par, abs=1e-10)
+
+
+class TestArrayMapping:
+    @pytest.mark.parametrize("n_modes", [4, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jordan_wigner_matches_dense_ladder_products(self, n_modes, seed):
+        f = random_fermion_operator(np.random.default_rng(seed), n_modes, 40)
+        assert {len(ops) for _, ops in f.terms} == {0, 1, 2, 3, 4}
+        h = map_to_qubits(f, MappingSpec(JORDAN_WIGNER))
+        assert np.abs(h.to_matrix() - dense_fermion(f)).max() < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [4, 6])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_parity_matches_dense_ladder_products(self, n_modes, seed):
+        f = random_fermion_operator(np.random.default_rng(seed), n_modes, 40)
+        spec = MappingSpec(PARITY)
+        p = parity_to_occupation(n_modes, spec)
+        h = map_to_qubits(f, spec).to_matrix()
+        assert np.abs(p @ h @ p.T - dense_fermion(f)).max() < 1e-12
+
+    @pytest.mark.parametrize("n_modes,n_electrons", [(4, 2), (6, 2), (6, 4), (8, 6)])
+    def test_reduced_register_is_the_parity_sector_block(self, n_modes, n_electrons):
+        rng = np.random.default_rng(n_modes + n_electrons)
+        f = random_fermion_operator(rng, n_modes, 30, conserve_parities=True)
+        full = map_to_qubits(f, MappingSpec(PARITY)).to_matrix()
+        reduced = map_to_qubits(f, MappingSpec(PARITY, True, n_electrons)).to_matrix()
+        # the sector's register states: qubit n/2-1 (bit n/2) holds the
+        # alpha-electron parity, qubit n-1 (bit 0) the total parity
+        idx = np.arange(1 << n_modes)
+        alpha_bit, total_bit = (idx >> (n_modes // 2)) & 1, idx & 1
+        rows = idx[(alpha_bit == (n_electrons // 2) % 2) & (total_bit == n_electrons % 2)]
+        assert len(rows) == reduced.shape[0]
+        assert np.abs(full[np.ix_(rows, rows)] - reduced).max() < 1e-12
+
+    def test_reduction_rejects_a_spin_flip(self):
+        f = FermionOperator(4, ((1.0 + 0j, ((0, True), (0, False))), (1.0 + 0j, ((0, True), (1, False)))))
+        with pytest.raises(ValueError, match="does not commute with the parity symmetry on qubit 1"):
+            map_to_qubits(f, MappingSpec(PARITY, True, 2))
+
+    @pytest.mark.parametrize("kind", [JORDAN_WIGNER, PARITY])
+    def test_repeated_creation_vanishes(self, kind):
+        f = FermionOperator(4, ((1.0 + 0.5j, ((2, True), (2, True))),))
+        assert len(map_to_qubits(f, MappingSpec(kind))) == 0
+
+    @pytest.mark.parametrize(
+        "n_modes,spec",
+        [(63, MappingSpec(JORDAN_WIGNER)), (62, MappingSpec(PARITY)),
+         (62, MappingSpec(PARITY, True, 2))],
+    )
+    def test_widest_registers_match_reference(self, n_modes, spec):
+        top, low = n_modes - 1, (n_modes - 1) % 2  # same spin
+        f = FermionOperator(n_modes, (
+            (0.25 + 0j, ((top, True), (low, False))),
+            (0.25 + 0j, ((low, True), (top, False))),
+            (-1.5 + 0j, ((top - 1, True), (top, True), (top, False), (top - 1, False))),
+        ))
+        h = map_to_qubits(f, spec)
+        assert h.to_text() == reference_text(*reference_map_to_qubits(f, spec))
+
+    def test_registers_past_63_qubits_raise(self):
+        f = FermionOperator(64, ((1.0 + 0j, ((63, True), (0, False))),))
+        with pytest.raises(ValueError, match="63-qubit limit"):
+            map_to_qubits(f, MappingSpec(JORDAN_WIGNER))
+        with pytest.raises(ValueError, match="63-qubit limit"):
+            QubitHamiltonian.from_dict(64, {"Z" * 64: 1.0})
+        with pytest.raises(ValueError, match="63-qubit limit"):
+            QubitHamiltonian.from_arrays(64, [0], [1], [1.0])
+
+
+def _systems(h2, h4, h10):
+    m10, _ = h10
+    mf = restricted_hartree_fock(m10)
+    yield "h2", h2[0]
+    yield "h4", h4[0]
+    for k in (1, 2):  # windows 3-4 are pinned by out/h10_resources/resources.csv
+        yield f"h10-window{k}", active_space(m10, mf, window=k + 1)[0]
+
+
+@pytest.mark.parametrize("kind,reduced", [(JORDAN_WIGNER, False), (PARITY, False), (PARITY, True)])
+def test_array_mapping_is_bit_identical_to_reference(h2, h4, h10, kind, reduced):
+    for name, m in _systems(h2, h4, h10):
+        spec = MappingSpec(kind, reduced, m.n_electrons)
+        f = build_fermionic_hamiltonian(m)
+        h = map_to_qubits(f, spec)
+        n, terms = reference_map_to_qubits(f, spec)
+        assert [repr(c) for c in h.coeffs.tolist()] == [repr(c) for _, c in terms], name
+        assert h.to_text() == reference_text(n, terms), name
+
+
+class TestDecodeAgainstLoop:
+    @pytest.mark.parametrize("n_modes", [4, 6, 8, 10])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_signed_permutation_is_bit_identical(self, n_modes, reduced):
+        rng = np.random.default_rng(n_modes + 100 * reduced)
+        for n_electrons in range(0, n_modes + 1, 2):
+            spec = MappingSpec(PARITY, reduced, n_electrons if reduced else None)
+            dim = 1 << (n_modes - 2 if reduced else n_modes)
+            state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            state[rng.random(dim) < 0.3] = 0.0
+            state[rng.random(dim) < 0.1] = -0.0
+            got = decode_statevector(state, n_modes, spec)
+            assert got.tobytes() == reference_decode(state, n_modes, spec).tobytes()
