@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from vqemb.cli import main
 
@@ -76,6 +77,25 @@ class TestExitCodes:
         )
         assert run(["vqe", "--config", cfg, "--out", outdir]) == 2
         assert "grad_step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [{"shots": 0}, {"shots": -5}, {"mitigation": "trex", "calibration_shots": 0}],
+    )
+    def test_nonpositive_shot_counts_are_config_errors(self, tmp_path, outdir, capsys, estimator):
+        doc = yaml.safe_load((CONFIGS / "h2_vqe_sampled.yaml").read_text())
+        doc["estimator"].update(estimator)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run(["vqe", "--config", cfg, "--out", outdir]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (outdir / "vqe_result.txt").exists()
+
+    def test_zero_shots_override_is_not_ignored(self, outdir, capsys):
+        argv = ["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--out", outdir]
+        assert run(argv + ["--shots", "0"]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (outdir / "vqe_result.txt").exists()
 
     def test_oracle_cap_exceeded_is_config_error(self, tmp_path, outdir):
         cfg = tmp_path / "c.yaml"
