@@ -120,7 +120,8 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     if est.get("noise"):
         noise_path = _existing_path(est["noise"], "noise model")
         noise = ReadoutNoiseModel.from_text(noise_path.read_text())
-    shots = int(getattr(overrides, "shots", None) or est.get("shots", 1000))
+    shots = getattr(overrides, "shots", None)
+    shots = int(shots if shots is not None else est.get("shots", 1000))
     mitigation = getattr(overrides, "mitigation", None) or est.get("mitigation", "none")
     est_seed = est.get("seed")
     opt = _section(data, "optimizer")

@@ -13,25 +13,29 @@ expectation values are computed directly from the quasi-distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .pauli import PauliWord
+from .pauli import PauliTerm, PauliWord, QubitHamiltonian
 from .simulator import (
     Circuit,
     ReadoutNoiseModel,
     ShotCounts,
+    _member_values,
+    _pack,
     _rotate_to_basis,
-    evolve,
+    _sample_bits,
+    _z_eigenvalues,
     sample,
+    sampled_expectation,
     zero_state,
 )
 
 DIRECT_SOLVE_LIMIT = 500
+_TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
 @dataclass(frozen=True)
@@ -74,12 +78,12 @@ def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutCal
     return ReadoutCalibration(matrices, shots, seed)
 
 
-def _restricted_matrix(bitstrings: Sequence[str], cal: ReadoutCalibration) -> np.ndarray:
+def _restricted_matrix(outcomes: np.ndarray, n: int, cal: ReadoutCalibration) -> np.ndarray:
     """Assignment matrix A[i, j] = P(measure b_i | true b_j) on the observed set."""
-    bits = np.array([[int(c) for c in b] for b in bitstrings])
-    m = len(bitstrings)
+    bits = (outcomes[:, None] >> (n - 1 - np.arange(n))) & 1
+    m = len(outcomes)
     A = np.ones((m, m))
-    for q in range(bits.shape[1]):
+    for q in range(n):
         Mq = np.asarray(cal.matrices[q], dtype=float)
         A *= Mq[bits[:, None, q], bits[None, :, q]]
     return A
@@ -101,23 +105,32 @@ def _solve_assignment(A: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _subspace_inversion(counts: ShotCounts, cal: ReadoutCalibration):
+    """Observed bitstrings in sorted order, their indices, their frequencies p,
+    the restricted assignment matrix A, and the solution x of A x = p.
+
+    Raises when the quasi-probability mass sum(x) vanishes.
+    """
+    if not counts.counts:
+        raise ValueError("empty counts")
+    observed = sorted(counts.counts)
+    p = np.array([counts.counts[b] for b in observed], dtype=float) / counts.shots
+    outcomes = np.array([int(b, 2) for b in observed], dtype=np.int64)
+    A = _restricted_matrix(outcomes, counts.basis.n_qubits, cal)
+    x = _solve_assignment(A, p)
+    if abs(x.sum()) < 1e-8:
+        raise ValueError("quasi-probability mass vanished; calibration is pathological")
+    return observed, outcomes, p, A, x
+
+
 def m3_mitigate(counts: ShotCounts, cal: ReadoutCalibration) -> dict:
     """Quasi-probability distribution over the observed bitstrings.
 
     Solves A x = p with A restricted to the observed subspace; x is
     renormalized to unit sum and may carry negative entries.
     """
-    if not counts.counts:
-        raise ValueError("empty counts")
-    observed = sorted(counts.counts)
-    p = np.array([counts.counts[b] for b in observed], dtype=float) / counts.shots
-    A = _restricted_matrix(observed, cal)
-    x = _solve_assignment(A, p)
-    total = x.sum()
-    if abs(total) < 1e-8:
-        raise ValueError("quasi-probability mass vanished; calibration is pathological")
-    x = x / total
-    return dict(zip(observed, x.tolist()))
+    observed, _, _, _, x = _subspace_inversion(counts, cal)
+    return dict(zip(observed, (x / x.sum()).tolist()))
 
 
 class M3GroupEstimator:
@@ -133,19 +146,9 @@ class M3GroupEstimator:
 
     def estimate_group(self, state, basis, members, shots, noise, seed):
         counts = sample(state, basis, shots, noise, seed)
-        observed = sorted(counts.counts)
-        p = np.array([counts.counts[b] for b in observed], dtype=float) / shots
-        A = _restricted_matrix(observed, self.calibration)
-        v = np.zeros(len(observed))
-        for i, b in enumerate(observed):
-            for coeff, support in members:
-                parity = sum(int(b[q]) for q in support) & 1
-                v[i] += coeff * (1.0 - 2.0 * parity)
-        x = _solve_assignment(A, p)
+        _, outcomes, p, A, x = _subspace_inversion(counts, self.calibration)
         s = x.sum()
-        if abs(s) < 1e-8:
-            raise ValueError("quasi-probability mass vanished; calibration is pathological")
-        w = _solve_assignment(A.T, v)
+        w = _solve_assignment(A.T, _member_values(outcomes, members, basis.n_qubits))
         mean = float(w @ p) / s
         var = max(float(p @ (w * w)) - float(w @ p) ** 2, 0.0) / shots / (s * s)
         return mean, var
@@ -154,40 +157,22 @@ class M3GroupEstimator:
 # -- twirled readout estimation ---------------------------------------------------
 
 def _twirled_bits(
-    state: np.ndarray,
-    n: int,
-    shots: int,
-    noise: Optional[ReadoutNoiseModel],
-    rng,
-    n_batches: int = 16,
+    state: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng
 ) -> np.ndarray:
     """Measured bits with per-batch X-mask twirling already compensated."""
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
-    sizes = [shots // n_batches] * n_batches
-    for i in range(shots % n_batches):
-        sizes[i] += 1
     fp = noise.flip_probs() if noise is not None else None
+    sizes = [shots // _TWIRL_BATCHES] * _TWIRL_BATCHES
+    for i in range(shots % _TWIRL_BATCHES):
+        sizes[i] += 1
     out = []
     for size in sizes:
         if size == 0:
             continue
         mask = rng.integers(0, 2, size=n)
-        outcomes = rng.choice(probs.size, size=size, p=probs)
-        bits = (outcomes[:, None] >> (n - 1 - np.arange(n))) & 1
-        bits = bits ^ mask
-        if fp is not None:
-            u = rng.random(size=(size, n))
-            p_flip = np.where(bits == 0, fp[:, 0], fp[:, 1])
-            bits = bits ^ (u < p_flip)
-        out.append(bits ^ mask)
+        out.append(_sample_bits(probs, n, size, fp, rng, twirl=mask))
     return np.concatenate(out, axis=0)
-
-
-def _parity_eigs(bits: np.ndarray, support: Sequence[int]) -> np.ndarray:
-    if len(support) == 0:
-        return np.ones(bits.shape[0])
-    return 1.0 - 2.0 * (bits[:, list(support)].sum(axis=1) % 2)
 
 
 def trex_expectation(
@@ -198,38 +183,21 @@ def trex_expectation(
     noise: Optional[ReadoutNoiseModel] = None,
     seed: int = 0,
     cal_shots: Optional[int] = None,
-    n_batches: int = 16,
 ) -> tuple[float, float]:
     """Twirled estimate of a diagonal (I/Z) observable, divided by the
     calibrated attenuation of its Z support.
 
     Returns (value, stderr); stderr combines the main and calibration passes.
+    This is ``sampled_expectation`` of the one-term Hamiltonian with a
+    ``TrexGroupEstimator`` calibrating on ``cal_shots`` (default ``shots``).
     """
     if set(observable.letters) - {"I", "Z"}:
         raise ValueError("twirled readout estimation needs a diagonal (I/Z) observable")
     if shots <= 0:
         raise ValueError("shots must be positive")
-    n = observable.n_qubits
-    support = observable.support()
-    rng = np.random.default_rng(seed)
-    cal_shots = cal_shots if cal_shots is not None else shots
-
-    state = evolve(circuit, params)
-    bits = _twirled_bits(state, n, shots, noise, rng, n_batches)
-    eigs = _parity_eigs(bits, support)
-    raw = float(eigs.mean())
-    var_raw = max(float((eigs * eigs).mean()) - raw * raw, 0.0) / shots
-
-    cal_bits = _twirled_bits(zero_state(n), n, cal_shots, noise, rng, n_batches)
-    cal_eigs = _parity_eigs(cal_bits, support)
-    att = float(cal_eigs.mean())
-    var_att = max(float((cal_eigs * cal_eigs).mean()) - att * att, 0.0) / cal_shots
-    if abs(att) < 1e-6:
-        raise ValueError(f"twirled attenuation {att:.2e} is too small to mitigate")
-
-    value = raw / att
-    stderr = math.sqrt(var_raw / att**2 + raw**2 * var_att / att**4)
-    return value, stderr
+    h = QubitHamiltonian(observable.n_qubits, [PauliTerm(1.0, observable)])
+    estimator = TrexGroupEstimator(cal_shots if cal_shots is not None else shots)
+    return sampled_expectation(circuit, params, h, shots, noise, mitigator=estimator, seed=seed)
 
 
 class TrexGroupEstimator:
@@ -240,25 +208,22 @@ class TrexGroupEstimator:
     the stored bit matrix once and cached until the calibration is redone.
     """
 
-    def __init__(self, cal_shots: int = 20000, n_batches: int = 16):
+    def __init__(self, cal_shots: int = 20000):
         self.cal_shots = cal_shots
-        self.n_batches = n_batches
         self._cal_bits = None
         self._attenuations: dict = {}
 
     def _calibration_bits(self, n: int, noise, seed) -> np.ndarray:
         if self._cal_bits is None or self._cal_bits.shape[1] != n:
             rng = np.random.default_rng(seed)
-            self._cal_bits = _twirled_bits(
-                zero_state(n), n, self.cal_shots, noise, rng, self.n_batches
-            )
+            self._cal_bits = _twirled_bits(zero_state(n), n, self.cal_shots, noise, rng)
             self._attenuations = {}
         return self._cal_bits
 
     def _attenuation(self, cal_bits: np.ndarray, support) -> tuple[float, float]:
         """(attenuation, its variance) of one Z support, from the calibration bits."""
         if support not in self._attenuations:
-            cal_eigs = _parity_eigs(cal_bits, support)
+            cal_eigs = _z_eigenvalues(_pack(cal_bits), support, cal_bits.shape[1])
             att = float(cal_eigs.mean())
             if abs(att) < 1e-6:
                 raise ValueError(f"twirled attenuation {att:.2e} is too small to mitigate")
@@ -271,12 +236,12 @@ class TrexGroupEstimator:
         rng = np.random.default_rng(seed)
         cal_bits = self._calibration_bits(n, noise, seed + 1 if seed is not None else 1)
         rotated = _rotate_to_basis(state, basis, n)
-        bits = _twirled_bits(rotated, n, shots, noise, rng, self.n_batches)
+        outcomes = _pack(_twirled_bits(rotated, n, shots, noise, rng))
 
-        per_shot = np.zeros(bits.shape[0])
+        per_shot = np.zeros(shots)
         extra_var = 0.0
         for coeff, support in members:
-            eigs = _parity_eigs(bits, support)
+            eigs = _z_eigenvalues(outcomes, support, n)
             att, var_att = self._attenuation(cal_bits, support)
             raw = float(eigs.mean())
             per_shot += coeff * eigs / att

@@ -202,10 +202,8 @@ class QubitHamiltonian:
         dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
-        for c, x, z in zip(self.coeffs.tolist(), self.x.tolist(), self.z.tolist()):
-            signs = 1.0 - 2.0 * _parity(idx & z)
-            phase = _PHASES[(x & z).bit_count() % 4]
-            mat[idx ^ x, idx] += c * phase * signs
+        for x, row in _weight_rows(self, real=False):
+            mat[idx, idx ^ x] = row
         return mat
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
@@ -221,15 +219,8 @@ class QubitHamiltonian:
 
     def expectation(self, state: np.ndarray) -> complex:
         """<state|H|state> without building the dense matrix."""
-        vec = np.asarray(state, dtype=complex).ravel()
-        if vec.size != 1 << self.n_qubits:
-            raise ValueError(
-                f"state dimension {vec.size} does not match {self.n_qubits} qubits"
-            )
-        total = 0.0 + 0.0j
-        for c, x, z in zip(self.coeffs.tolist(), self.x.tolist(), self.z.tolist()):
-            total += c * np.vdot(vec, _apply_masks(x, z, vec))
-        return total
+        vec = _state_vector(state, self.n_qubits, dtype=complex)
+        return complex(np.vdot(vec, _apply(self, vec)))
 
     # -- text serialization ------------------------------------------------
 
@@ -258,41 +249,77 @@ class QubitHamiltonian:
         return cls(n, terms)
 
 
+def _state_vector(state, n_qubits: int, dtype=None) -> np.ndarray:
+    """``state`` as a flat array, checked against a register of ``n_qubits``."""
+    vec = np.asarray(state, dtype=dtype).ravel()
+    if vec.size != 1 << n_qubits:
+        raise ValueError(f"state dimension {vec.size} does not match {n_qubits} qubits")
+    return vec
+
+
 def _parity(v: np.ndarray) -> np.ndarray:
     """Bitwise parity of each entry of an integer array."""
     return np.bitwise_count(v) & 1
 
 
+def _weight_rows(h: QubitHamiltonian, real: bool):
+    """Yield ``(x, row)`` for each distinct X mask of ``h``, in sorted mask order.
+
+    ``H v = sum(row * v[idx ^ x])`` over the rows: a term c P(x, z) adds
+    c i^popcount(x & z) (-1)^popcount((idx ^ x) & z) to the row of its X mask,
+    the terms of a row summed in term order.  With ``real`` each weight keeps
+    only its real part and terms whose real weight is zero are dropped, which
+    gives the rows of Re H.  No Hermiticity check is made.
+    """
+    weights = h.coeffs * _PHASE_ARRAY[np.bitwise_count(h.x & h.z) & 3]
+    x, z = h.x, h.z
+    if real:
+        weights = weights.real
+        keep = weights != 0.0  # purely imaginary, e.g. a real coefficient on an odd-Y word
+        weights, x, z = weights[keep], x[keep], z[keep]
+    idx = np.arange(1 << h.n_qubits)
+    order = np.argsort(x, kind="stable")
+    masks, starts = np.unique(x[order], return_index=True)
+    for mask, terms in zip(masks.tolist(), np.split(order, starts[1:])):
+        row = np.zeros(idx.size, dtype=weights.dtype)
+        for w, zt in zip(weights[terms], z[terms].tolist()):
+            row += w * (1.0 - 2.0 * _parity((idx ^ mask) & zt))
+        yield mask, row
+
+
+def _apply(h: QubitHamiltonian, vec: np.ndarray) -> np.ndarray:
+    """H v for a complex vector, one weight row at a time."""
+    idx = np.arange(vec.size)
+    out = np.zeros(vec.size, dtype=complex)
+    for x, row in _weight_rows(h, real=False):
+        out += row * vec[idx ^ x]
+    return out
+
+
 def apply_word(word: PauliWord, vec: np.ndarray) -> np.ndarray:
     """Apply a Pauli word to a statevector (qubit 0 = most significant bit)."""
-    vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.size != 1 << word.n_qubits:
-        raise ValueError(f"vector dimension {vec.size} does not match {word.n_qubits} qubits")
-    return _apply_masks(*_masks(word.letters), vec)
+    vec = _state_vector(vec, word.n_qubits, dtype=complex)
+    return _apply(QubitHamiltonian(word.n_qubits, [PauliTerm(1.0, word)]), vec)
 
 
-def _apply_masks(x: int, z: int, vec: np.ndarray) -> np.ndarray:
-    idx = np.arange(vec.size)
-    signs = 1.0 - 2.0 * _parity(idx & z)
-    phase = _PHASES[(x & z).bit_count() % 4]
-    out = np.empty_like(vec)
-    out[idx ^ x] = phase * signs * vec
-    return out
+def _qubitwise_commute(xa: int, za: int, xb: int, zb: int) -> bool:
+    """True when two words' masks agree wherever both words act."""
+    return ((xa ^ xb) | (za ^ zb)) & (xa | za) & (xb | zb) == 0
 
 
 def words_qubitwise_commute(a: PauliWord, b: PauliWord) -> bool:
     """True when on every qubit the letters are equal or one is identity."""
-    return all(ca == cb or ca == "I" or cb == "I" for ca, cb in zip(a.letters, b.letters))
+    return _qubitwise_commute(*_masks(a.letters), *_masks(b.letters))
 
 
 class PauliExpectation:
     """Precomputed H·v and <v|H|v> for many real vectors of one Hamiltonian.
 
     For a real vector v, <v|H|v> = <v|Re H|v> and Re(H v) = (Re H) v, so only
-    the real part of each term's phased-sign table is kept; terms with the
-    same X mask share one gather and one summed weight row.  Complex vectors
-    go through ``QubitHamiltonian.expectation``.  The Hamiltonian must be
-    Hermitian, which is checked once here.
+    the real weight rows are kept: terms with the same X mask share one
+    gather and one summed row.  Complex vectors are applied through the
+    complex rows, one at a time.  The Hamiltonian must be Hermitian, which is
+    checked once here.
     """
 
     def __init__(self, h: QubitHamiltonian):
@@ -306,34 +333,17 @@ class PauliExpectation:
         self._hamiltonian = h
         dim = 1 << h.n_qubits
         idx = np.arange(dim)
-        rows: dict[int, np.ndarray] = {}
-        for c, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
-            phase = _PHASES[(x & z).bit_count() % 4]
-            weight = (c * phase).real
-            if weight == 0.0:  # a word with an odd number of Y is imaginary
-                continue
-            # (P v)[i] = phase * (-1)^popcount((i ^ x) & z) * v[i ^ x]
-            signs = 1.0 - 2.0 * _parity((idx ^ x) & z)
-            rows[x] = rows.get(x, 0.0) + weight * signs
-        masks = sorted(rows)
-        self._perms = np.array([idx ^ x for x in masks], dtype=np.intp).reshape(len(masks), dim)
-        self._weights = np.array([rows[x] for x in masks]).reshape(len(masks), dim)
-
-    def _checked(self, state: np.ndarray) -> np.ndarray:
-        vec = np.asarray(state).ravel()
-        if vec.size != 1 << self.n_qubits:
-            raise ValueError(
-                f"state dimension {vec.size} does not match {self.n_qubits} qubits"
-            )
-        return vec
+        rows = list(_weight_rows(h, real=True))
+        self._perms = np.array([idx ^ x for x, _ in rows], dtype=np.intp).reshape(len(rows), dim)
+        self._weights = np.array([row for _, row in rows]).reshape(len(rows), dim)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """(Re H) v for a real vector v."""
-        vec = self._checked(state)
+        vec = _state_vector(state, self.n_qubits)
         return np.einsum("ij,ij->j", self._weights, vec[self._perms])
 
     def __call__(self, state: np.ndarray) -> float:
-        vec = self._checked(state)
+        vec = _state_vector(state, self.n_qubits)
         if np.iscomplexobj(vec):
-            return float(self._hamiltonian.expectation(vec).real)
+            return float(np.vdot(vec, _apply(self._hamiltonian, vec)).real)
         return float(vec @ self.apply(vec))

@@ -23,7 +23,14 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliExpectation, PauliWord, QubitHamiltonian, _words
+from .pauli import (
+    PauliExpectation,
+    PauliWord,
+    QubitHamiltonian,
+    _parity,
+    _qubitwise_commute,
+    _words,
+)
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
@@ -336,27 +343,40 @@ def _rotate_to_basis(state: np.ndarray, basis: PauliWord, n: int) -> np.ndarray:
 
 
 def _sample_bits(
-    state: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng
+    probs: np.ndarray, n: int, shots: int, fp: Optional[np.ndarray], rng, twirl=0
 ) -> np.ndarray:
-    """(shots, n) matrix of measured bits, including readout flips."""
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
+    """(shots, n) matrix of measured bits, including readout flips ``fp``
+    (a noise model's ``flip_probs()``, or None), drawn from normalized Born
+    probabilities.  ``twirl``, an X mask of 0/1 entries, is applied to the
+    ideal bits before the readout flips and undone after them.
+    """
     outcomes = rng.choice(probs.size, size=shots, p=probs)
-    bits = (outcomes[:, None] >> (n - 1 - np.arange(n))) & 1
-    if noise is not None:
-        fp = noise.flip_probs()
+    bits = ((outcomes[:, None] >> (n - 1 - np.arange(n))) & 1) ^ twirl
+    if fp is not None:
         u = rng.random(size=(shots, n))
         p_flip = np.where(bits == 0, fp[:, 0], fp[:, 1])
         bits = bits ^ (u < p_flip)
-    return bits.astype(np.int64)
+    return (bits ^ twirl).astype(np.int64)
 
 
-def _bits_to_strings(bits: np.ndarray) -> dict:
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Basis index of each row of a (shots, n) bit matrix."""
     n = bits.shape[1]
-    weights = 1 << (n - 1 - np.arange(n))
-    packed = bits @ weights
-    values, counts = np.unique(packed, return_counts=True)
-    return {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)}
+    return bits @ (1 << (n - 1 - np.arange(n)))
+
+
+def _z_eigenvalues(outcomes: np.ndarray, support, n: int) -> np.ndarray:
+    """+1/-1 eigenvalue of the Z string on ``support`` for each basis index."""
+    mask = sum(1 << (n - 1 - q) for q in support)
+    return 1.0 - 2.0 * _parity(outcomes & mask)
+
+
+def _member_values(outcomes: np.ndarray, members: list, n: int) -> np.ndarray:
+    """Coefficient-weighted sum of the members' eigenvalues for each basis index."""
+    v = np.zeros(len(outcomes))
+    for coeff, support in members:
+        v += coeff * _z_eigenvalues(outcomes, support, n)
+    return v
 
 
 def sample(
@@ -373,9 +393,11 @@ def sample(
     if state.size != 1 << n:
         raise ValueError(f"state dimension {state.size} does not match basis {basis.letters}")
     rng = np.random.default_rng(seed)
-    rotated = _rotate_to_basis(state, basis, n)
-    bits = _sample_bits(rotated, n, shots, noise, rng)
-    return ShotCounts(_bits_to_strings(bits), shots, basis)
+    probs = np.abs(_rotate_to_basis(state, basis, n)) ** 2
+    fp = noise.flip_probs() if noise is not None else None
+    bits = _sample_bits(probs / probs.sum(), n, shots, fp, rng)
+    values, counts = np.unique(_pack(bits), return_counts=True)
+    return ShotCounts({format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)}, shots, basis)
 
 
 # -- grouped sampled expectations ------------------------------------------------
@@ -397,8 +419,7 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
             continue
         member = (coeff.real, term.word.support())
         for group in groups:
-            # letters must agree wherever both words act
-            if ((x ^ group[0]) | (z ^ group[1])) & (x | z) & (group[0] | group[1]) == 0:
+            if _qubitwise_commute(x, z, group[0], group[1]):
                 group[0] |= x
                 group[1] |= z
                 group[2].append(member)
@@ -417,16 +438,12 @@ def tally_counts(counts: ShotCounts, members: list) -> tuple[float, float]:
     the per-shot variable is the coefficient-weighted sum of parities.
     """
     total = counts.shots
-    mean = 0.0
-    second = 0.0
-    for bitstring, c in counts.counts.items():
-        v = 0.0
-        for coeff, support in members:
-            parity = sum(int(bitstring[q]) for q in support) & 1
-            v += coeff * (1.0 - 2.0 * parity)
-        w = c / total
-        mean += w * v
-        second += w * v * v
+    outcomes = np.array([int(b, 2) for b in counts.counts], dtype=np.int64)
+    v = _member_values(outcomes, members, counts.basis.n_qubits)
+    wv = np.array(list(counts.counts.values())) / total * v
+    # running sums add the outcomes one at a time, in histogram order
+    mean = float(np.cumsum(wv)[-1])
+    second = float(np.cumsum(wv * v)[-1])
     var = max(second - mean * mean, 0.0) / total
     return mean, var
 

@@ -40,6 +40,9 @@ class EstimatorSpec:
             raise ValueError(f"unknown mitigation kind {self.mitigation!r}")
         if self.kind == "sampled" and self.seed is None:
             raise ValueError("sampled estimation requires a seed")
+        for name in ("shots", "calibration_shots"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"estimator.{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from vqemb.simulator import (
     RyGate,
     ShotCounts,
     evolve,
+    sample,
     sampled_expectation,
 )
 
@@ -106,8 +107,39 @@ class TestM3:
         raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, seed=8)
         assert (1.0 - raw) > 5 * raw_err
 
+    def test_quasi_distribution_gives_the_group_estimate(self):
+        # sum_b q(b) v(b) = v . x / sum(x) = w . p / sum(x) with A^T w = v
+        noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
+        cal = calibrate(noise, shots=20000, seed=9)
+        state = evolve(ghz(3), [])
+        members = [(0.7, (0, 1)), (-0.3, (2,)), (1.1, (0, 1, 2))]
+        for basis in ("ZZZ", "XXZ"):
+            counts = sample(state, PauliWord(basis), 3000, noise, seed=10)
+            quasi = m3_mitigate(counts, cal)
+            parity = {
+                b: sum(c * (-1) ** sum(int(b[q]) for q in support) for c, support in members)
+                for b in quasi
+            }
+            mean, _ = M3GroupEstimator(cal).estimate_group(
+                state, PauliWord(basis), members, 3000, noise, 10
+            )
+            assert mean == pytest.approx(sum(quasi[b] * parity[b] for b in quasi), abs=1e-12)
+
 
 class TestTrex:
+    def test_standalone_is_the_group_estimator(self):
+        noise = ReadoutNoiseModel.uniform(4, 0.03)
+        for observable, cal_shots in (("ZZZZ", None), ("ZIZI", 3000), ("IIII", None)):
+            h = QubitHamiltonian.from_dict(4, {observable: 1.0})
+            expected = sampled_expectation(
+                ghz(4), [], h, 2000, noise=noise,
+                mitigator=TrexGroupEstimator(cal_shots or 2000), seed=6,
+            )
+            got = trex_expectation(
+                ghz(4), [], PauliWord(observable), 2000, noise=noise, seed=6, cal_shots=cal_shots
+            )
+            assert got == expected
+
     def test_zero_noise_passthrough(self):
         # even-size GHZ: <Z...Z> = +1 (odd-weight parities vanish instead)
         value, err = trex_expectation(ghz(4), [], PauliWord("ZZZZ"), 4000, noise=None, seed=1)

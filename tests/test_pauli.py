@@ -43,6 +43,13 @@ def dense(h):
 words = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
 
+def random_hamiltonian(rng, n, n_terms, hermitian=False):
+    """Random words with complex coefficients, or real ones when ``hermitian``."""
+    letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(n_terms)]
+    coeffs = rng.normal(size=n_terms) + (0.0 if hermitian else 1j * rng.normal(size=n_terms))
+    return QubitHamiltonian(n, [PauliTerm(complex(c), PauliWord(w)) for c, w in zip(coeffs, letters)])
+
+
 class TestMultiply:
     def test_single_qubit_identities(self):
         phase, word = multiply(PauliWord("X"), PauliWord("X"))
@@ -213,6 +220,41 @@ class TestApplyAndExpectation:
         with pytest.raises(ValueError, match="Hermitian"):
             PauliExpectation(QubitHamiltonian.from_dict(1, {"X": 1.0j}))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complex_vectors_match_dense(self, n):
+        # E_pq-like operators are not Hermitian, so the expectation is complex
+        rng = np.random.default_rng(40 + n)
+        for hermitian in (False, True):
+            h = random_hamiltonian(rng, n, 3 * n, hermitian)
+            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            v /= np.linalg.norm(v)
+            expected = np.vdot(v, dense(h) @ v)
+            assert abs(h.expectation(v) - expected) < 1e-12
+        assert abs(expected.imag) < 1e-12
+        assert abs(PauliExpectation(h)(v) - expected.real) < 1e-12
+
+    def test_real_table_and_matrix_match_the_per_term_loops(self):
+        # the former per-term loops, kept as references: same sums in the
+        # same order, so the tables and the matrix are bit-identical
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 4, 6):
+            h = random_hamiltonian(rng, n, 4 * n, hermitian=True)
+            h = QubitHamiltonian(n, h.terms + h.terms[: n + 1])  # repeated words
+            idx = np.arange(2**n)
+            rows, mat = {}, np.zeros((2**n, 2**n), dtype=complex)
+            for c, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
+                phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[(x & z).bit_count() % 4]
+                mat[idx ^ x, idx] += c * phase * (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1))
+                weight = (c * phase).real
+                if weight != 0.0:
+                    signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ x) & z) & 1)
+                    rows[x] = rows.get(x, 0.0) + weight * signs
+            ev = PauliExpectation(h)
+            masks = sorted(rows)
+            assert np.array_equal(ev._perms, np.array([idx ^ x for x in masks]).reshape(-1, 2**n))
+            assert ev._weights.tobytes() == np.array([rows[x] for x in masks]).tobytes()
+            assert h.to_matrix().tobytes() == mat.tobytes()
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
@@ -235,3 +277,12 @@ class TestSerialization:
 def test_qubitwise_commute():
     assert words_qubitwise_commute(PauliWord("XI"), PauliWord("XZ"))
     assert not words_qubitwise_commute(PauliWord("XI"), PauliWord("ZI"))
+
+
+@given(a=words, b=words)
+@settings(max_examples=200, deadline=None)
+def test_qubitwise_commute_matches_letter_rule(a, b):
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    expected = all(ca == cb or "I" in (ca, cb) for ca, cb in zip(a, b))
+    assert words_qubitwise_commute(PauliWord(a), PauliWord(b)) == expected

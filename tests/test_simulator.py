@@ -31,6 +31,7 @@ from vqemb.simulator import (
     group_qubitwise,
     sample,
     sampled_expectation,
+    tally_counts,
     zero_state,
 )
 
@@ -300,6 +301,34 @@ class TestGrouping:
         h = QubitHamiltonian.from_dict(2, {"II": 1.25})
         value, err = sampled_expectation(Circuit(2), [], h, shots=10, seed=0)
         assert value == pytest.approx(1.25) and err == 0.0
+
+
+def tally_reference(counts, members):
+    """The former character-by-character tally, kept as the reference."""
+    mean = second = 0.0
+    for bitstring, c in counts.counts.items():
+        v = 0.0
+        for coeff, support in members:
+            parity = sum(int(bitstring[q]) for q in support) & 1
+            v += coeff * (1.0 - 2.0 * parity)
+        w = c / counts.shots
+        mean += w * v
+        second += w * v * v
+    return mean, max(second - mean * mean, 0.0) / counts.shots
+
+
+def test_tally_counts_matches_character_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        keys = rng.choice(2**n, size=int(rng.integers(1, min(2**n, 40) + 1)), replace=False)
+        hist = {format(int(k), f"0{n}b"): int(rng.integers(1, 500)) for k in keys}
+        counts = ShotCounts(hist, sum(hist.values()), PauliWord("Z" * n))
+        members = [
+            (float(rng.normal()), tuple(q for q in range(n) if rng.random() < 0.5))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        assert tally_counts(counts, members) == tally_reference(counts, members)
 
 
 class TestSampledExpectation:
