@@ -143,7 +143,6 @@ def _freeze_gate(circuit: Circuit, gate_index: int, angle: float) -> Circuit:
 def deparameterise(
     problem: "vqe_mod.VqeProblem",
     tolerance: float = 1e-2,
-    candidate_angles: Sequence[float] = DEFAULT_CANDIDATE_ANGLES,
     baseline: Optional["vqe_mod.VqeResult"] = None,
 ) -> DeparamReport:
     """Greedily freeze rotations to standardized angles.
@@ -166,7 +165,7 @@ def deparameterise(
     while circuit.n_parameters > 0:
         trials = []
         for gate_index, slot_index in circuit.free_gates():
-            angle = nearest_candidate(params[slot_index], candidate_angles)
+            angle = nearest_candidate(params[slot_index], DEFAULT_CANDIDATE_ANGLES)
             trial_circuit = _freeze_gate(circuit, gate_index, angle)
             warm = np.delete(params, slot_index)
             trial_problem = replace(problem, circuit=trial_circuit)

@@ -454,39 +454,29 @@ def solve_fragment(
 ) -> FragmentSolution:
     """Correlated solve of one embedding at the given chemical potential."""
     ints = e.solver_integrals(mu)
-    vqe_result = None
     used_fallback = False
 
-    if isinstance(solver, str):
-        if solver != "exact":
-            raise ValueError(f"unknown fragment solver {solver!r}")
-        solver_obj = None
-    else:
-        solver_obj = solver
+    if isinstance(solver, str) and solver != "exact":
+        raise ValueError(f"unknown fragment solver {solver!r}")
+    vqe_solver = None if isinstance(solver, str) else solver
 
-    def inner(active_ints):
-        if solver_obj is None:
-            g1, g2 = _solve_embedding_exact(active_ints)
-            return g1, g2, None
-        return _solve_embedding_vqe(active_ints, solver_obj, x0=x0)
+    def solve(vqe):
+        """RDMs and VQE result from the VQE solver ``vqe``, or the exact solve if None."""
+        def inner(active_ints):
+            if vqe is None:
+                return (*_solve_embedding_exact(active_ints), None)
+            return _solve_embedding_vqe(active_ints, vqe, x0=x0)
+
+        return inner(ints) if window is None else _pad_windowed_rdms(ints, window, inner)
 
     try:
-        if window is not None:
-            gamma, Gamma, vqe_result = _pad_windowed_rdms(ints, window, inner)
-        else:
-            gamma, Gamma, vqe_result = inner(ints)
+        gamma, Gamma, vqe_result = solve(vqe_solver)
     except (ScfConvergenceError, NonFiniteObjectiveError) as exc:
-        if solver_obj is None or not solver_obj.fallback_to_exact:
+        if vqe_solver is None or not vqe_solver.fallback_to_exact:
             raise
         warnings.warn(f"VQE fragment solver failed ({exc}); falling back to exact", stacklevel=2)
         used_fallback = True
-        if window is not None:
-            gamma, Gamma, vqe_result = _pad_windowed_rdms(
-                ints, window, lambda a: (*_solve_embedding_exact(a), None)
-            )
-        else:
-            gamma, Gamma = _solve_embedding_exact(ints)
-            vqe_result = None
+        gamma, Gamma, vqe_result = solve(None)
 
     energy = democratic_fragment_energy(gamma, Gamma, e)
     n_frag = float(np.trace(gamma[: e.n_fragment, : e.n_fragment]))
@@ -533,6 +523,12 @@ class DmetResult:
         return "\n".join(lines) + "\n"
 
 
+# Newton steps (and, after them, bisection steps) on mu, and the central
+# finite-difference step of the electron-count derivative.
+_MU_MAX_STEPS = 30
+_MU_FD_STEP = 1e-4
+
+
 def run_dmet(
     m: MolecularIntegrals,
     mf: MeanField,
@@ -541,8 +537,6 @@ def run_dmet(
     mu_tol: float = 1e-6,
     window: Optional[int] = None,
     bath_tol: float = 1e-6,
-    max_steps: int = 30,
-    fd_step: float = 1e-4,
 ) -> DmetResult:
     """One-shot embedding with Newton-Raphson matching of the electron count.
 
@@ -577,11 +571,11 @@ def run_dmet(
     history.append((mu, mismatch))
 
     steps = 0
-    while abs(mismatch) > mu_tol and steps < max_steps:
-        f_plus, _ = evaluate(mu + fd_step)
-        f_minus, _ = evaluate(mu - fd_step)
-        history.extend([(mu + fd_step, f_plus), (mu - fd_step, f_minus)])
-        deriv = (f_plus - f_minus) / (2.0 * fd_step)
+    while abs(mismatch) > mu_tol and steps < _MU_MAX_STEPS:
+        f_plus, _ = evaluate(mu + _MU_FD_STEP)
+        f_minus, _ = evaluate(mu - _MU_FD_STEP)
+        history.extend([(mu + _MU_FD_STEP, f_plus), (mu - _MU_FD_STEP, f_minus)])
+        deriv = (f_plus - f_minus) / (2.0 * _MU_FD_STEP)
         if abs(deriv) < 1e-14 or not math.isfinite(deriv):
             break
         mu_next = mu - mismatch / deriv
@@ -594,7 +588,7 @@ def run_dmet(
         steps += 1
 
     if abs(mismatch) > mu_tol:
-        mu, mismatch, sols = _bisect_mu(evaluate, history, trace, mu_tol, max_steps)
+        mu, mismatch, sols = _bisect_mu(evaluate, history, trace, mu_tol)
 
     total = float(sum(s.energy for s in sols)) + m.core_energy
     return DmetResult(
@@ -609,7 +603,7 @@ def run_dmet(
     )
 
 
-def _bisect_mu(evaluate, history, trace, mu_tol, max_steps):
+def _bisect_mu(evaluate, history, trace, mu_tol):
     """Bisection fallback on a sign-changing bracket from past evaluations."""
     lo = max((p for p in history if p[1] < 0), key=lambda p: p[0], default=None)
     hi = min((p for p in history if p[1] > 0), key=lambda p: p[0], default=None)
@@ -620,7 +614,7 @@ def _bisect_mu(evaluate, history, trace, mu_tol, max_steps):
         )
     (a, fa), (b, fb) = lo, hi
     mismatch, sols, mu = fa, None, a
-    for _ in range(max_steps):
+    for _ in range(_MU_MAX_STEPS):
         mu = 0.5 * (a + b)
         mismatch, sols = evaluate(mu)
         trace.append((mu, mismatch))

@@ -10,8 +10,7 @@ two qubits and substitutes the eigenvalues fixed by the electron count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,23 +38,36 @@ class MappingSpec:
 
 @dataclass(frozen=True)
 class FermionOperator:
-    """Sum of products of creation/annihilation operators.
+    """Sum of products of creation/annihilation operators, held as arrays.
 
-    ``terms`` holds (coefficient, ops) pairs where ops is an ordered tuple of
-    (spin-orbital index, is_creation); an empty ops tuple is a constant.
+    ``blocks`` holds (coeffs, ladder) pairs in term order: coeffs is a complex
+    (T,) array and ladder a (T, k) integer array whose row lists a term's
+    operators left to right as 2 * spin_orbital + is_creation.  Every term of
+    a block has k operators; k = 0 is a constant.
     """
 
     n_modes: int
-    terms: tuple = field(default=())
+    blocks: tuple = ()
 
     def __post_init__(self):
-        for coeff, ops in self.terms:
-            for index, _ in ops:
-                if not 0 <= index < self.n_modes:
-                    raise ValueError(f"mode index {index} out of range 0..{self.n_modes - 1}")
+        for _, ladder in self.blocks:
+            modes = np.asarray(ladder) >> 1
+            bad = modes[(modes < 0) | (modes >= self.n_modes)]
+            if bad.size:
+                raise ValueError(f"mode index {bad[0]} out of range 0..{self.n_modes - 1}")
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return sum(len(coeffs) for coeffs, _ in self.blocks)
+
+
+def _spin_summed(values, orbitals, spins, creation):
+    """Block of value * (ladder product) for every spin choice, spins innermost.
+
+    ``orbitals`` is (T, k) spatial orbitals in operator order, ``spins`` the
+    (S, k) spin of each operator per choice, ``creation`` the k flags.
+    """
+    ladder = 4 * orbitals[:, None, :] + 2 * np.array(spins) + np.array(creation)
+    return np.repeat(values, len(spins)).astype(complex), ladder.reshape(-1, len(creation))
 
 
 def build_fermionic_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
@@ -65,29 +77,24 @@ def build_fermionic_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
               + 1/2 sum_pqrs (pq|rs) a+_ps a+_rt a_st a_qs
     with s, t summed over both spins.
     """
-    n = m.n_orbitals
-    terms = []
-    if m.core_energy != 0.0:
-        terms.append((complex(m.core_energy), ()))
+    n_const = int(m.core_energy != 0.0)
     # np.argwhere walks the indices in the order of nested p, q(, r, s) loops
-    for p, q in np.argwhere(~(np.abs(m.one_body) < 1e-14)).tolist():
-        h = m.one_body[p, q]
-        terms += [(complex(h), ((2 * p + s, True), (2 * q + s, False))) for s in (0, 1)]
-    for p, q, r, s_ in np.argwhere(~(np.abs(m.two_body) < 1e-14)).tolist():
-        g = 0.5 * complex(m.two_body[p, q, r, s_])
-        terms += [
-            (g, ((2 * p + sa, True), (2 * r + sb, True), (2 * s_ + sb, False), (2 * q + sa, False)))
-            for sa in (0, 1)
-            for sb in (0, 1)
-        ]
-    return FermionOperator(2 * n, tuple(terms))
+    pq = np.argwhere(~(np.abs(m.one_body) < 1e-14))
+    pqrs = np.argwhere(~(np.abs(m.two_body) < 1e-14))
+    return FermionOperator(2 * m.n_orbitals, (
+        (np.full(n_const, m.core_energy, dtype=complex), np.zeros((n_const, 0), dtype=np.intp)),
+        _spin_summed(m.one_body[tuple(pq.T)], pq, [[0, 0], [1, 1]], [1, 0]),
+        # operators on orbitals p, r, s, q with spins s, t, t, s
+        _spin_summed(0.5 * m.two_body[tuple(pqrs.T)], pqrs[:, [0, 2, 3, 1]],
+                     [[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]], [1, 1, 0, 0]),
+    ))
 
 
 def total_number_operator(n_modes: int) -> FermionOperator:
     """Sum of occupation-number operators over all spin-orbitals."""
-    return FermionOperator(
-        n_modes, tuple((1.0 + 0j, ((j, True), (j, False))) for j in range(n_modes))
-    )
+    modes = np.arange(n_modes)
+    ladder = np.stack([2 * modes + 1, 2 * modes], 1)
+    return FermionOperator(n_modes, ((np.ones(n_modes, dtype=complex), ladder),))
 
 
 def _block_permutation(n_modes: int) -> list[int]:
@@ -98,6 +105,8 @@ def _block_permutation(n_modes: int) -> list[int]:
 
 # Fermion terms are expanded this many at a time, bounding the product arrays.
 _TERM_CHUNK = 4096
+# Mapped words whose summed coefficient is smaller than this are dropped.
+_DROP_TOL = 1e-12
 
 
 def _ladder_table(n: int, kind: str):
@@ -140,42 +149,37 @@ def _expand(coeffs: np.ndarray, rows: np.ndarray, table):
     return x.ravel(), z.ravel(), c.ravel()
 
 
-def map_to_qubits(
-    f: FermionOperator, spec: MappingSpec, drop_tol: float = 1e-12
-) -> QubitHamiltonian:
+def map_to_qubits(f: FermionOperator, spec: MappingSpec) -> QubitHamiltonian:
     """Encode a fermionic operator as a qubit Hamiltonian.
 
-    Runs of consecutive terms with the same number of ladder operators are
-    expanded a chunk at a time; like words are summed in the order a
-    term-by-term expansion meets them.
+    Each block is expanded a chunk of terms at a time; like words are summed
+    in the order a term-by-term expansion meets them.
     """
     n = f.n_modes
     _check_register(n)
     table = _ladder_table(n, spec.kind)
     x = z = np.zeros(0, dtype=np.int64)
     c = np.zeros(0, dtype=complex)
-    for k, run in groupby(f.terms, key=lambda term: len(term[1])):
-        run = tuple(run)
-        for chunk in (run[lo:lo + _TERM_CHUNK] for lo in range(0, len(run), _TERM_CHUNK)):
-            coeffs = np.array([complex(a) for a, _ in chunk])
-            rows = np.array([[2 * i + cr for i, cr in ops] for _, ops in chunk], dtype=np.intp)
+    for coeffs, ladder in f.blocks:
+        for lo in range(0, len(coeffs), _TERM_CHUNK):
+            chunk = slice(lo, lo + _TERM_CHUNK)
             # unnamed, the products are freed once concatenated, before the merge
             x, z, c = _merge(*map(np.concatenate, zip(
-                (x, z, c), _expand(coeffs, rows.reshape(len(chunk), k), table))))
+                (x, z, c), _expand(coeffs[chunk], ladder[chunk], table))))
 
     if spec.two_qubit_reduction:
-        return _reduce_two_qubits(x, z, c, n, spec.n_electrons, drop_tol)
-    return QubitHamiltonian.from_arrays(n, x, z, c).simplify(drop_tol)
+        return _reduce_two_qubits(x, z, c, n, spec.n_electrons)
+    return QubitHamiltonian.from_arrays(n, x, z, c).simplify(_DROP_TOL)
 
 
-def _reduce_two_qubits(x, z, c, n, n_electrons, drop_tol) -> QubitHamiltonian:
+def _reduce_two_qubits(x, z, c, n, n_electrons) -> QubitHamiltonian:
     """Remove the alpha-parity and total-parity qubits of a block-parity register."""
     if n_electrons is None:
         raise ValueError("two-qubit reduction needs the electron count on the mapping spec")
     if n_electrons % 2:
         raise ValueError("two-qubit reduction assumes a closed-shell (even) electron count")
     half = n // 2
-    kept = np.abs(c) >= drop_tol
+    kept = np.abs(c) >= _DROP_TOL
     x, z, c = x[kept], z[kept], c[kept]
     # qubit half-1 sits on bit n-half = half, qubit n-1 on bit 0
     clash = x & ((1 << half) | 1)
@@ -193,7 +197,7 @@ def _reduce_two_qubits(x, z, c, n, n_electrons, drop_tol) -> QubitHamiltonian:
         low = (1 << (half - 1)) - 1
         return ((v >> half) << (half - 1)) | (v & low)
 
-    return QubitHamiltonian.from_arrays(n - 2, drop_bits(x), drop_bits(z), c).simplify(drop_tol)
+    return QubitHamiltonian.from_arrays(n - 2, drop_bits(x), drop_bits(z), c).simplify(_DROP_TOL)
 
 
 def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np.ndarray:

@@ -408,16 +408,17 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
     Returns (identity constant, groups); each group is (basis word,
     [(coefficient, support tuple), ...]).  Coefficients are taken real.
     """
+    n = h.n_qubits
     constant = 0.0
     groups: list[list] = []  # [x mask, z mask, members]
-    for term, x, z in zip(h.terms, h.x.tolist(), h.z.tolist()):
-        coeff = complex(term.coefficient)
+    for coeff, x, z in zip(h.coeffs.tolist(), h.x.tolist(), h.z.tolist()):
         if abs(coeff.imag) > 1e-10:
             raise ValueError("sampled estimation requires a Hermitian Hamiltonian")
         if not x | z:
             constant += coeff.real
             continue
-        member = (coeff.real, term.word.support())
+        # qubit q sits on bit n-1-q
+        member = (coeff.real, tuple(q for q in range(n) if (x | z) >> (n - 1 - q) & 1))
         for group in groups:
             if _qubitwise_commute(x, z, group[0], group[1]):
                 group[0] |= x
@@ -427,7 +428,7 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
         else:
             groups.append([x, z, [member]])
     bases = _words(np.array([g[0] for g in groups], dtype=np.int64),
-                   np.array([g[1] for g in groups], dtype=np.int64), h.n_qubits)
+                   np.array([g[1] for g in groups], dtype=np.int64), n)
     return constant, [(PauliWord(b), g[2]) for b, g in zip(bases, groups)]
 
 

@@ -22,12 +22,13 @@ from vqemb.dmet import (
 )
 from vqemb.mapping import (
     JORDAN_WIGNER,
-    FermionOperator,
     MappingSpec,
     build_fermionic_hamiltonian,
     map_to_qubits,
 )
 from vqemb.vqe import EstimatorSpec, OptimizerSpec
+
+from fermion_terms import fermion_operator
 
 
 def hubbard_chain(n, t=1.0, u=2.0, n_electrons=None):
@@ -53,7 +54,7 @@ def _fixture_generator():
 
 def _jw_expectation(n_modes, ops, state):
     return map_to_qubits(
-        FermionOperator(n_modes, ops), MappingSpec(JORDAN_WIGNER)
+        fermion_operator(n_modes, ops), MappingSpec(JORDAN_WIGNER)
     ).expectation(state)
 
 
@@ -154,7 +155,7 @@ class TestSectorSolver:
                 ops = tuple(
                     (1.0 + 0j, ((2 * p + s, True), (2 * q + s, False))) for s in (0, 1)
                 )
-                op = map_to_qubits(FermionOperator(4, ops), MappingSpec(JORDAN_WIGNER))
+                op = map_to_qubits(fermion_operator(4, ops), MappingSpec(JORDAN_WIGNER))
                 assert op.expectation(state).real == pytest.approx(gamma[p, q], abs=1e-10)
 
     @pytest.mark.parametrize(

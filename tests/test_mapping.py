@@ -20,6 +20,30 @@ from vqemb.mapping import (
 )
 from vqemb.pauli import QubitHamiltonian
 
+from fermion_terms import fermion_operator, fermion_terms
+
+
+# -- the former tuple builder ----------------------------------------------------
+
+
+def reference_fermionic_terms(m):
+    """[(coefficient, ops)] as ``build_fermionic_hamiltonian`` built them before
+    it held arrays: one Python tuple per term, in nested-loop order."""
+    terms = []
+    if m.core_energy != 0.0:
+        terms.append((complex(m.core_energy), ()))
+    for p, q in np.argwhere(~(np.abs(m.one_body) < 1e-14)).tolist():
+        h = m.one_body[p, q]
+        terms += [(complex(h), ((2 * p + s, True), (2 * q + s, False))) for s in (0, 1)]
+    for p, q, r, s_ in np.argwhere(~(np.abs(m.two_body) < 1e-14)).tolist():
+        g = 0.5 * complex(m.two_body[p, q, r, s_])
+        terms += [
+            (g, ((2 * p + sa, True), (2 * r + sb, True), (2 * s_ + sb, False), (2 * q + sa, False)))
+            for sa in (0, 1)
+            for sb in (0, 1)
+        ]
+    return terms
+
 
 # -- term-by-term reference encodings -------------------------------------------
 #
@@ -87,7 +111,7 @@ def reference_map_to_qubits(f, spec, drop_tol=1e-12):
     n = f.n_modes
     perm = [(j // 2) + (j % 2) * (n // 2) for j in range(n)] if spec.kind == PARITY else range(n)
     accum = {}
-    for coeff, ops in f.terms:
+    for coeff, ops in fermion_terms(f):
         words = [(complex(coeff), 0, 0)]
         for index, creation in ops:
             factor = _ref_ladder_words(perm[index], creation, n, spec.kind)
@@ -173,7 +197,7 @@ def dense_ladder(mode, creation, n_modes):
 
 def dense_fermion(f):
     out = np.zeros((1 << f.n_modes,) * 2, dtype=complex)
-    for coeff, ops in f.terms:
+    for coeff, ops in fermion_terms(f):
         term = np.eye(1 << f.n_modes, dtype=complex)
         for mode, creation in ops:
             term = term @ dense_ladder(mode, creation, f.n_modes)
@@ -198,7 +222,7 @@ def random_fermion_operator(rng, n_modes, n_terms, conserve_parities=False):
             modes = [int(m) for m in rng.integers(0, n_modes, size=rng.integers(0, 5))]
         ops = tuple((m, bool(rng.integers(0, 2))) for m in modes)
         terms.append((coeff, ops))
-    return FermionOperator(n_modes, tuple(terms))
+    return fermion_operator(n_modes, terms)
 
 
 def parity_to_occupation(n_modes, spec):
@@ -218,9 +242,9 @@ class TestFermionicHamiltonian:
     def test_single_orbital_number_terms(self):
         f = build_fermionic_hamiltonian(single_orbital(eps=0.5))
         expected = {((0, True), (0, False)), ((1, True), (1, False))}
-        got = {ops for coeff, ops in f.terms if ops}
+        got = {ops for coeff, ops in fermion_terms(f) if ops}
         assert got == expected
-        for coeff, ops in f.terms:
+        for coeff, ops in fermion_terms(f):
             if ops:
                 assert coeff == pytest.approx(0.5)
 
@@ -236,12 +260,25 @@ class TestFermionicHamiltonian:
 
     def test_index_range_checked(self):
         with pytest.raises(ValueError, match="out of range"):
-            FermionOperator(2, (((1.0), ((2, True),)),))
+            fermion_operator(2, [(1.0, ((2, True),))])
+
+    @pytest.mark.parametrize("mode", [4, -1])
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_index_range_checked_in_every_block(self, mode, block):
+        # a constant block, then blocks of two terms of 1, 2 and 4 in-range operators
+        blocks = [(np.ones(2, dtype=complex), np.arange(2 * k).reshape(2, k)) for k in (0, 1, 2, 4)]
+        assert len(FermionOperator(4, tuple(blocks))) == 8
+        coeffs, ladder = blocks[block]
+        ladder = ladder.copy()
+        ladder[1, 0] = 2 * mode + 1
+        blocks[block] = (coeffs, ladder)
+        with pytest.raises(ValueError, match=f"mode index {mode} out of range 0..3"):
+            FermionOperator(4, tuple(blocks))
 
 
 class TestJordanWigner:
     def test_number_operator_single_mode(self):
-        f = FermionOperator(1, ((1.0 + 0j, ((0, True), (0, False))),))
+        f = fermion_operator(1, [(1.0 + 0j, ((0, True), (0, False)))])
         h = map_to_qubits(f, MappingSpec(JORDAN_WIGNER))
         terms = {t.word.letters: t.coefficient for t in h.terms}
         assert terms["I"] == pytest.approx(0.5)
@@ -366,7 +403,7 @@ class TestArrayMapping:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_jordan_wigner_matches_dense_ladder_products(self, n_modes, seed):
         f = random_fermion_operator(np.random.default_rng(seed), n_modes, 40)
-        assert {len(ops) for _, ops in f.terms} == {0, 1, 2, 3, 4}
+        assert {len(ops) for _, ops in fermion_terms(f)} == {0, 1, 2, 3, 4}
         h = map_to_qubits(f, MappingSpec(JORDAN_WIGNER))
         assert np.abs(h.to_matrix() - dense_fermion(f)).max() < 1e-12
 
@@ -394,13 +431,13 @@ class TestArrayMapping:
         assert np.abs(full[np.ix_(rows, rows)] - reduced).max() < 1e-12
 
     def test_reduction_rejects_a_spin_flip(self):
-        f = FermionOperator(4, ((1.0 + 0j, ((0, True), (0, False))), (1.0 + 0j, ((0, True), (1, False)))))
+        f = fermion_operator(4, [(1.0 + 0j, ((0, True), (0, False))), (1.0 + 0j, ((0, True), (1, False)))])
         with pytest.raises(ValueError, match="does not commute with the parity symmetry on qubit 1"):
             map_to_qubits(f, MappingSpec(PARITY, True, 2))
 
     @pytest.mark.parametrize("kind", [JORDAN_WIGNER, PARITY])
     def test_repeated_creation_vanishes(self, kind):
-        f = FermionOperator(4, ((1.0 + 0.5j, ((2, True), (2, True))),))
+        f = fermion_operator(4, [(1.0 + 0.5j, ((2, True), (2, True)))])
         assert len(map_to_qubits(f, MappingSpec(kind))) == 0
 
     @pytest.mark.parametrize(
@@ -410,16 +447,16 @@ class TestArrayMapping:
     )
     def test_widest_registers_match_reference(self, n_modes, spec):
         top, low = n_modes - 1, (n_modes - 1) % 2  # same spin
-        f = FermionOperator(n_modes, (
+        f = fermion_operator(n_modes, [
             (0.25 + 0j, ((top, True), (low, False))),
             (0.25 + 0j, ((low, True), (top, False))),
             (-1.5 + 0j, ((top - 1, True), (top, True), (top, False), (top - 1, False))),
-        ))
+        ])
         h = map_to_qubits(f, spec)
         assert h.to_text() == reference_text(*reference_map_to_qubits(f, spec))
 
     def test_registers_past_63_qubits_raise(self):
-        f = FermionOperator(64, ((1.0 + 0j, ((63, True), (0, False))),))
+        f = fermion_operator(64, [(1.0 + 0j, ((63, True), (0, False)))])
         with pytest.raises(ValueError, match="63-qubit limit"):
             map_to_qubits(f, MappingSpec(JORDAN_WIGNER))
         with pytest.raises(ValueError, match="63-qubit limit"):
@@ -435,6 +472,22 @@ def _systems(h2, h4, h10):
     yield "h4", h4[0]
     for k in (1, 2):  # windows 3-4 are pinned by out/h10_resources/resources.csv
         yield f"h10-window{k}", active_space(m10, mf, window=k + 1)[0]
+
+
+def test_array_builder_reproduces_the_tuple_builder(h2, h4, h10):
+    m10, _ = h10
+    mf = restricted_hartree_fock(m10)
+    systems = [("h2", h2[0], 73), ("h4", h4[0], 1057)]
+    # resource windows 1-4, then the whole molecule
+    systems += [(f"h10-window{k}", active_space(m10, mf, window=k + 1)[0], count)
+                for k, count in zip((1, 2, 3, 4), (529, 2629, 8261, 20101))]
+    systems.append(("h10", m10, 40201))
+    for name, m, count in systems:
+        f = build_fermionic_hamiltonian(m)
+        got, ref = fermion_terms(f), reference_fermionic_terms(m)
+        assert len(f) == len(ref) == count, name
+        assert [ops for _, ops in got] == [ops for _, ops in ref], name
+        assert [repr(c) for c, _ in got] == [repr(c) for c, _ in ref], name
 
 
 @pytest.mark.parametrize("kind,reduced", [(JORDAN_WIGNER, False), (PARITY, False), (PARITY, True)])

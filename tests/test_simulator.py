@@ -297,6 +297,20 @@ class TestGrouping:
         # every member's letters agree with the group basis on its support
         term_letters = {t.word.support(): t.word for t in h.terms}
 
+    def test_array_hamiltonian_is_grouped_from_its_masks(self):
+        rng = np.random.default_rng(6)
+        x, z = rng.integers(0, 1 << 5, size=(2, 40))
+        coeffs = rng.normal(size=40)
+        h = QubitHamiltonian.from_arrays(5, x, z, coeffs)
+        constant, groups = group_qubitwise(h)
+        assert h._terms is None
+        # the same members, read from the PauliTerm objects
+        expected = [(c, t.word.support()) for c, t in zip(coeffs.tolist(), h.terms)
+                    if t.word.support()]
+        assert sorted(m for _, members in groups for m in members) == sorted(expected)
+        assert constant == sum(c for c, t in zip(coeffs.tolist(), h.terms)
+                               if not t.word.support())
+
     def test_identity_only(self):
         h = QubitHamiltonian.from_dict(2, {"II": 1.25})
         value, err = sampled_expectation(Circuit(2), [], h, shots=10, seed=0)
