@@ -10,6 +10,40 @@ from vqemb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+H2 = f"system: {{fcidump: {ROOT}/fixtures/h2.fcidump}}\n"
+H4 = f"system: {{fcidump: {ROOT}/fixtures/h4.fcidump}}\n"
+H10 = f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump}}\n"
+
+# id -> (verb, config text, the section.key the error must name)
+BAD_CONFIGS = {
+    "bool-as-string": (
+        "vqe", H2 + "mapping: {kind: parity, two_qubit_reduction: 'false'}\n",
+        "mapping.two_qubit_reduction",
+    ),
+    "fractional-shots": (
+        "vqe",
+        H2 + "mapping: {kind: parity, two_qubit_reduction: true}\n"
+        "estimator: {kind: sampled, shots: 1.9, seed: 23}\n"
+        "optimizer: {kind: spsa, iterations: 5, seed: 11}\n",
+        "estimator.shots",
+    ),
+    "electron-count-key": (
+        "vqe", H2 + "mapping: {kind: parity, two_qubit_reduction: true, n_electrons: 4}\n",
+        "mapping.n_electrons",
+    ),
+    "windows-as-string": ("resources", H10 + "resources: {windows: '12'}\n", "resources.windows"),
+    "fractional-fragment": (
+        "dmet", H4 + "dmet: {fragments: [[0, 1.7], [2, 3]]}\n", "dmet.fragments",
+    ),
+    "layers-as-word": ("vqe", H2 + "ansatz: {layers: two}\n", "ansatz.layers"),
+    "mu-tol-as-word": (
+        "dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], mu_tol: x}\n", "dmet.mu_tol",
+    ),
+    "unknown-section": ("vqe", H2 + "optimiser: {kind: spsa}\n", "optimiser"),
+    "unknown-key": ("vqe", H2 + "estimator: {shot: 5}\n", "estimator.shot"),
+    "seed-as-word": ("vqe", H2 + "vqe: {seed: abc}\n", "vqe.seed"),
+    "negative-layers": ("vqe", H2 + "ansatz: {layers: -1}\n", "ansatz.layers"),
+}
 
 
 def run(argv):
@@ -96,6 +130,23 @@ class TestExitCodes:
         assert run(argv + ["--shots", "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
         assert not (outdir / "vqe_result.txt").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2_naming_the_key(self, tmp_path, outdir, capsys, case):
+        verb, text, name = BAD_CONFIGS[case]
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert run([verb, "--config", cfg, "--out", outdir]) == 2
+        assert name in capsys.readouterr().err
+        assert not outdir.exists()  # nothing written, not even a partial result
+
+    def test_float_key_read_as_string_is_accepted(self, tmp_path, outdir):
+        # PyYAML reads 1e-6 (no decimal point) as the string '1e-6'
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(H4 + "dmet: {fragments: [[0, 1], [2, 3]], mu_tol: 1e-6}\n")
+        assert yaml.safe_load(cfg.read_text())["dmet"]["mu_tol"] == "1e-6"
+        assert run(["dmet", "--config", cfg, "--out", outdir]) == 0
+        assert (outdir / "dmet_result.txt").exists()
 
     def test_oracle_cap_exceeded_is_config_error(self, tmp_path, outdir):
         cfg = tmp_path / "c.yaml"
