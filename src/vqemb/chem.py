@@ -188,11 +188,13 @@ def hf_energy_expression(m: MolecularIntegrals, density: np.ndarray) -> float:
     )
 
 
+_SCF_DAMPING = 0.3  # share of the previous density mixed into the next Fock build
+
+
 def restricted_hartree_fock(
     m: MolecularIntegrals,
     max_iter: int = 200,
     conv_tol: float = 1e-8,
-    damping: float = 0.3,
 ) -> MeanField:
     """Closed-shell SCF in the orthonormal input basis (no overlap matrix).
 
@@ -226,7 +228,7 @@ def restricted_hartree_fock(
                 hf_energy=trace[-1],
                 energy_trace=tuple(trace),
             )
-        D_mix = damping * D_mix + (1.0 - damping) * D_new
+        D_mix = _SCF_DAMPING * D_mix + (1.0 - _SCF_DAMPING) * D_new
         D = D_new
     raise ScfConvergenceError(
         f"SCF not converged after {max_iter} iterations (last density change {delta:.3e})",

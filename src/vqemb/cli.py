@@ -9,10 +9,11 @@ timestamps, so a seeded rerun reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,165 +23,161 @@ from . import svg
 from .ansatz import HeaConfig, build_hea, deparameterise
 from .chem import active_space, parse_fcidump, restricted_hartree_fock
 from .dmet import Fragmentation, VqeFragmentSolver, full_ci_ground_energy, run_dmet
-from .mapping import (
-    MappingSpec,
-    build_fermionic_hamiltonian,
-    hartree_fock_bitstring,
-    map_to_qubits,
-)
+from .mapping import MappingSpec, build_fermionic_hamiltonian, hartree_fock_bitstring, map_to_qubits
 from .pauli import MATRIX_QUBIT_CAP, QubitHamiltonian
 from .resources import estimate, format_table, to_csv
-from .simulator import ReadoutNoiseModel
-from .vqe import (
-    EstimatorSpec,
-    OptimizerSpec,
-    VqeProblem,
-    check_optimizer_fits_estimator,
-    relative_error,
-    solve,
-)
+from .simulator import Circuit, ReadoutNoiseModel
+from .vqe import EstimatorSpec, OptimizerSpec, VqeProblem, relative_error, solve
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    fcidump: Optional[Path] = None
-    hamiltonian: Optional[Path] = None
-    window: Optional[int] = None
-    mapping: MappingSpec = MappingSpec()
-    layers: int = 1
-    estimator: EstimatorSpec = EstimatorSpec()
-    optimizer: OptimizerSpec = OptimizerSpec()
-    initial: str = "zeros"
-    initial_seed: Optional[int] = None
-    restarts: int = 1
-    deparam_tolerance: float = 1e-2
-    fragments: Optional[tuple] = None
-    dmet_solver: str = "exact"
-    mu_tol: float = 1e-6
-    bath_tol: float = 1e-6
-    dmet_window: Optional[int] = None
-    windows: tuple = (1, 2, 3, 4)
-    out_dir: Path = Path("out")
+# -- config table ------------------------------------------------------------------
+# A kind checks one config value and returns it converted, or raises ValueError.
+
+def _kind(what: str, test):
+    def check(value):
+        if not test(value):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+
+    return check
 
 
-def _section(data, name):
-    value = data.get(name, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
+def _int(lo=None):
+    what = "an integer" if lo is None else f"an integer >= {lo}"
+    return _kind(what, lambda v: type(v) is int and (lo is None or v >= lo))
 
 
-def _existing_path(raw, what) -> Path:
-    p = Path(raw)
-    if not p.exists():
-        raise ConfigError(f"{what} file does not exist: {p}")
-    return p
+_bool = _kind("true or false", lambda v: type(v) is bool)
+_str = _kind("a string", lambda v: type(v) is str)
 
 
-def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig:
+def _float(value):
+    """A finite number >= 0, given as an int, a float or a string float() reads in full.
+
+    PyYAML reads an exponent without a decimal point, such as 1e-6, as a string.
+    """
+    try:
+        number = float(value) if type(value) in (int, float, str) else math.nan
+    except ValueError:
+        number = math.nan
+    if not 0 <= number < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return number
+
+
+def _list(item):
+    def check(value):
+        if type(value) is not list:
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(item(v) for v in value)
+
+    return check
+
+
+def _path(value) -> Path:
+    if type(value) is not str or not Path(value).is_file():
+        raise ValueError(f"file does not exist: {value}")
+    return Path(value)
+
+
+def _noise(value) -> ReadoutNoiseModel:
+    return ReadoutNoiseModel.from_text(_path(value).read_text())
+
+
+# section -> key -> kind; mirrors the README's "Config sections" block.  A key
+# left out takes the default of the spec or function it feeds.
+CONFIG_KEYS = {
+    "system": {"fcidump": _path, "hamiltonian": _path, "window": _int(1)},
+    "mapping": {"kind": _str, "two_qubit_reduction": _bool},
+    "ansatz": {"layers": _int(0)},
+    "estimator": {
+        "kind": _str, "shots": _int(), "noise": _noise, "mitigation": _str,
+        "seed": _int(0), "calibration_shots": _int(),
+    },
+    "optimizer": {
+        "kind": _str, "iterations": _int(1), "seed": _int(0),
+        "conv_tol": _float, "max_iter": _int(1),
+    },
+    "vqe": {"initial": _str, "seed": _int(0), "restarts": _int(1)},
+    "deparam": {"tolerance": _float},
+    "dmet": {
+        "fragments": _list(_list(_int(0))),
+        "solver": _kind("exact or vqe", lambda v: v in ("exact", "vqe")),
+        "mu_tol": _float, "window": _int(1), "bath_tol": _float,
+    },
+    "resources": {"windows": _list(_int(0))},
+    "output": {"dir": _str},
+}
+
+
+def _check(data: dict, flags: dict) -> dict:
+    """section -> key -> checked value, for the keys in ``data`` or set by ``flags``."""
+    cfg = {section: {} for section in CONFIG_KEYS}
+    for section, body in data.items():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(
+                f"unknown config section {section!r} (known: {', '.join(CONFIG_KEYS)})"
+            )
+        if not isinstance(body or {}, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        cfg[section].update(body or {})
+    for (section, key), value in flags.items():
+        if value is not None:
+            cfg[section][key] = value
+    for section, body in cfg.items():
+        for key, value in body.items():
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(
+                    f"unknown config key {section}.{key} "
+                    f"(known: {', '.join(CONFIG_KEYS[section])})"
+                )
+            try:
+                body[key] = CONFIG_KEYS[section][key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+    return cfg
+
+
+def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
+    """Checked run configuration, section -> key -> value, holding only the keys given.
+
+    ``mapping`` comes back as a ``MappingSpec``; ``vqe`` as the keywords that
+    ``VqeProblem`` and ``VqeFragmentSolver`` share, the estimator and
+    optimizer specs included; ``output.dir`` as a Path.
+    """
     data = {}
     if path is not None:
-        cfg_path = _existing_path(path, "config")
         try:
-            data = yaml.safe_load(cfg_path.read_text()) or {}
+            data = yaml.safe_load(_path(path).read_text()) or {}
+        except ValueError as exc:
+            raise ConfigError(f"config {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config parse failure: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-
-    cfg = RunConfig()
-    system = _section(data, "system")
-    if "fcidump" in system:
-        cfg.fcidump = _existing_path(system["fcidump"], "integral")
-    if "hamiltonian" in system:
-        cfg.hamiltonian = _existing_path(system["hamiltonian"], "Hamiltonian")
-    cfg.window = system.get("window")
-
-    mapping = _section(data, "mapping")
+    seed = overrides.seed
+    cfg = _check(data, {
+        ("estimator", "seed"): seed, ("optimizer", "seed"): seed, ("vqe", "seed"): seed,
+        ("estimator", "shots"): overrides.shots,
+        ("estimator", "mitigation"): overrides.mitigation,
+        ("output", "dir"): overrides.out,
+    })
+    vqe = cfg["vqe"]
+    if "seed" in vqe:
+        vqe["initial_seed"] = vqe.pop("seed")
     try:
-        cfg.mapping = MappingSpec(
-            kind=mapping.get("kind", "jordan_wigner"),
-            two_qubit_reduction=bool(mapping.get("two_qubit_reduction", False)),
-            n_electrons=mapping.get("n_electrons"),
-        )
+        cfg["mapping"] = MappingSpec(**cfg["mapping"])
+        vqe["estimator"] = EstimatorSpec(**cfg.pop("estimator"))
+        vqe["optimizer"] = OptimizerSpec(**cfg.pop("optimizer"))
+        # VqeProblem checks the VQE settings together; a one-qubit stand-in runs its checks now
+        VqeProblem(QubitHamiltonian(1), Circuit(1), **vqe)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    ansatz = _section(data, "ansatz")
-    cfg.layers = int(ansatz.get("layers", 1))
-
-    est = _section(data, "estimator")
-    noise = None
-    if est.get("noise"):
-        noise_path = _existing_path(est["noise"], "noise model")
-        noise = ReadoutNoiseModel.from_text(noise_path.read_text())
-    shots = getattr(overrides, "shots", None)
-    shots = int(shots if shots is not None else est.get("shots", 1000))
-    mitigation = getattr(overrides, "mitigation", None) or est.get("mitigation", "none")
-    est_seed = est.get("seed")
-    opt = _section(data, "optimizer")
-    if "grad_step" in opt:
-        raise ConfigError(
-            "optimizer.grad_step is no longer supported: quasi-Newton gradients are exact"
-        )
-    opt_seed = opt.get("seed")
-    vqe_cfg = _section(data, "vqe")
-    init_seed = vqe_cfg.get("seed")
-    if getattr(overrides, "seed", None) is not None:
-        est_seed = opt_seed = init_seed = int(overrides.seed)
-
-    try:
-        cfg.estimator = EstimatorSpec(
-            kind=est.get("kind", "exact"),
-            shots=shots,
-            noise=noise,
-            mitigation=mitigation,
-            seed=est_seed,
-            calibration_shots=int(est.get("calibration_shots", 20000)),
-        )
-        cfg.optimizer = OptimizerSpec(
-            kind=opt.get("kind", "quasi_newton"),
-            iterations=int(opt.get("iterations", 100)),
-            seed=opt_seed,
-            conv_tol=float(opt.get("conv_tol", 1e-8)),
-            max_iter=int(opt.get("max_iter", 500)),
-        )
-        check_optimizer_fits_estimator(cfg.estimator, cfg.optimizer)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    cfg.initial = vqe_cfg.get("initial", "zeros")
-    cfg.initial_seed = init_seed
-    cfg.restarts = int(vqe_cfg.get("restarts", 1))
-    if cfg.initial == "random" and cfg.initial_seed is None:
-        raise ConfigError("vqe.initial=random requires vqe.seed (or --seed)")
-
-    cfg.deparam_tolerance = float(_section(data, "deparam").get("tolerance", 1e-2))
-
-    dmet_cfg = _section(data, "dmet")
-    if "fragments" in dmet_cfg:
-        frags = dmet_cfg["fragments"]
-        if not isinstance(frags, list) or not all(isinstance(f, list) for f in frags):
-            raise ConfigError("dmet.fragments must be a list of orbital-index lists")
-        cfg.fragments = tuple(tuple(int(i) for i in f) for f in frags)
-    cfg.dmet_solver = dmet_cfg.get("solver", "exact")
-    if cfg.dmet_solver not in ("exact", "vqe"):
-        raise ConfigError(f"unknown dmet solver {cfg.dmet_solver!r}")
-    cfg.mu_tol = float(dmet_cfg.get("mu_tol", 1e-6))
-    cfg.bath_tol = float(dmet_cfg.get("bath_tol", 1e-6))
-    cfg.dmet_window = dmet_cfg.get("window")
-
-    res = _section(data, "resources")
-    cfg.windows = tuple(int(k) for k in res.get("windows", (1, 2, 3, 4)))
-
-    out_dir = getattr(overrides, "out", None) or _section(data, "output").get("dir", "out")
-    cfg.out_dir = Path(out_dir)
+    cfg["output"]["dir"] = Path(cfg["output"].get("dir", "out"))
     return cfg
 
 
@@ -197,23 +194,24 @@ def write_atomic(path: Path, text: str):
         raise
 
 
-def _load_problem_hamiltonian(cfg: RunConfig):
+def _molecule(cfg: dict, needed: str = "system.fcidump"):
+    if "fcidump" not in cfg["system"]:
+        raise ConfigError(f"config needs {needed}")
+    return parse_fcidump(cfg["system"]["fcidump"].read_text())
+
+
+def _load_problem_hamiltonian(cfg: dict):
     """Qubit Hamiltonian plus ansatz reference bits from the configured system."""
-    if cfg.hamiltonian is not None:
-        h = QubitHamiltonian.from_text(cfg.hamiltonian.read_text())
+    system = cfg["system"]
+    if "hamiltonian" in system:
+        h = QubitHamiltonian.from_text(system["hamiltonian"].read_text())
         return h, [0] * h.n_qubits
-    if cfg.fcidump is None:
-        raise ConfigError("config needs system.fcidump or system.hamiltonian")
-    m = parse_fcidump(cfg.fcidump.read_text())
-    if cfg.window is not None:
-        mf = restricted_hartree_fock(m)
-        m, _ = active_space(m, mf, int(cfg.window))
-    spec = cfg.mapping
-    if spec.two_qubit_reduction and spec.n_electrons is None:
-        spec = replace(spec, n_electrons=m.n_electrons)
+    m = _molecule(cfg, "system.fcidump or system.hamiltonian")
+    if "window" in system:
+        m, _ = active_space(m, restricted_hartree_fock(m), system["window"])
+    spec = replace(cfg["mapping"], n_electrons=m.n_electrons)
     h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
-    bits = hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
-    return h, bits
+    return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
 
 
 def _oracle_energy(h: QubitHamiltonian) -> Optional[float]:
@@ -223,25 +221,16 @@ def _oracle_energy(h: QubitHamiltonian) -> Optional[float]:
     return energy
 
 
-def _build_problem(cfg: RunConfig) -> tuple[VqeProblem, Optional[float]]:
+def _build_problem(cfg: dict) -> tuple[VqeProblem, Optional[float]]:
     h, bits = _load_problem_hamiltonian(cfg)
-    circuit = build_hea(HeaConfig(h.n_qubits, cfg.layers), bits)
-    problem = VqeProblem(
-        hamiltonian=h,
-        circuit=circuit,
-        estimator=cfg.estimator,
-        optimizer=cfg.optimizer,
-        initial=cfg.initial,
-        initial_seed=cfg.initial_seed,
-        restarts=cfg.restarts,
-    )
-    return problem, _oracle_energy(h)
+    circuit = build_hea(HeaConfig(h.n_qubits, **cfg["ansatz"]), bits)
+    return VqeProblem(h, circuit, **cfg["vqe"]), _oracle_energy(h)
 
 
-def cmd_vqe(cfg: RunConfig) -> int:
+def cmd_vqe(cfg: dict) -> int:
     problem, oracle = _build_problem(cfg)
     result = solve(problem, reference=oracle)
-    out = cfg.out_dir
+    out = cfg["output"]["dir"]
     header = "" if oracle is None else f"oracle_energy={oracle!r}\n"
     write_atomic(out / "vqe_result.txt", header + result.to_text())
     write_atomic(out / "vqe_trace.csv", result.trace.to_csv())
@@ -258,11 +247,11 @@ def cmd_vqe(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_deparam(cfg: RunConfig) -> int:
+def cmd_deparam(cfg: dict) -> int:
     problem, oracle = _build_problem(cfg)
     baseline = solve(problem, reference=oracle)
-    report = deparameterise(problem, tolerance=cfg.deparam_tolerance, baseline=baseline)
-    out = cfg.out_dir
+    report = deparameterise(problem, baseline=baseline, **cfg["deparam"])
+    out = cfg["output"]["dir"]
     write_atomic(out / "deparam_report.txt", report.to_text())
 
     params = [problem.circuit.n_parameters] + [s.params_after for s in report.steps]
@@ -293,39 +282,26 @@ def cmd_deparam(cfg: RunConfig) -> int:
             title="Accuracy under deparameterisation",
             xlabel="step",
             ylabel="relative error",
-            hline=("tolerance", cfg.deparam_tolerance),
+            hline=("tolerance", report.tolerance),
         ),
     )
     print(f"parameters {params[0]} -> {params[-1]} in {len(report.steps)} steps")
     return 0
 
 
-def cmd_dmet(cfg: RunConfig) -> int:
-    if cfg.fcidump is None:
-        raise ConfigError("dmet needs system.fcidump")
-    if cfg.fragments is None:
-        raise ConfigError("dmet needs dmet.fragments")
-    m = parse_fcidump(cfg.fcidump.read_text())
-    mf = restricted_hartree_fock(m)
-    solver = "exact"
-    if cfg.dmet_solver == "vqe":
-        solver = VqeFragmentSolver(
-            layers=cfg.layers,
-            optimizer=cfg.optimizer,
-            estimator=cfg.estimator,
-            initial=cfg.initial,
-            initial_seed=cfg.initial_seed,
-            restarts=cfg.restarts,
-        )
-    result = run_dmet(
-        m,
-        mf,
-        Fragmentation(cfg.fragments),
-        solver=solver,
-        mu_tol=cfg.mu_tol,
-        window=cfg.dmet_window,
-        bath_tol=cfg.bath_tol,
-    )
+def cmd_dmet(cfg: dict) -> int:
+    dmet = dict(cfg["dmet"])  # the keys left after fragments are run_dmet keywords
+    if "fragments" not in dmet:
+        raise ConfigError("config needs dmet.fragments")
+    m = _molecule(cfg)
+    try:
+        fragments = Fragmentation(dmet.pop("fragments"))
+        fragments.validate_cover(m.n_orbitals)
+    except ValueError as exc:
+        raise ConfigError(f"dmet.fragments: {exc}") from exc
+    if dmet.get("solver") == "vqe":
+        dmet["solver"] = VqeFragmentSolver(**cfg["ansatz"], **cfg["vqe"])
+    result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)
 
     lines = [result.to_text().rstrip()]
     if 2 * m.n_orbitals <= MATRIX_QUBIT_CAP:
@@ -334,7 +310,7 @@ def cmd_dmet(cfg: RunConfig) -> int:
         lines.append(f"oracle_energy={fci!r}")
         lines.append(f"relative_error_e3={rel * 1e3:.2f}")
     text = "\n".join(lines) + "\n"
-    out = cfg.out_dir
+    out = cfg["output"]["dir"]
     write_atomic(out / "dmet_result.txt", text)
     write_atomic(
         out / "dmet_mu_trace.csv",
@@ -347,20 +323,18 @@ def cmd_dmet(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_resources(cfg: RunConfig) -> int:
-    if cfg.fcidump is None:
-        raise ConfigError("resources needs system.fcidump")
-    m = parse_fcidump(cfg.fcidump.read_text())
-    mf = restricted_hartree_fock(m)
-    estimates = estimate(m, mf, cfg.windows, cfg.mapping)
+def cmd_resources(cfg: dict) -> int:
+    m = _molecule(cfg)
+    windows = cfg["resources"].get("windows", (1, 2, 3, 4))
+    estimates = estimate(m, restricted_hartree_fock(m), windows, cfg["mapping"])
     table = format_table(estimates)
-    write_atomic(cfg.out_dir / "resources.txt", table)
-    write_atomic(cfg.out_dir / "resources.csv", to_csv(estimates))
+    write_atomic(cfg["output"]["dir"] / "resources.txt", table)
+    write_atomic(cfg["output"]["dir"] / "resources.csv", to_csv(estimates))
     print(table, end="")
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: dict) -> int:
     h, _ = _load_problem_hamiltonian(cfg)
     energy = _oracle_energy(h)
     if energy is None:
@@ -368,7 +342,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
             f"{h.n_qubits} qubits exceed the dense-diagonalization cap of {MATRIX_QUBIT_CAP}"
         )
     text = f"n_qubits={h.n_qubits}\nn_terms={len(h.simplify())}\nground_energy={energy!r}\n"
-    write_atomic(cfg.out_dir / "oracle_result.txt", text)
+    write_atomic(cfg["output"]["dir"] / "oracle_result.txt", text)
     print(text, end="")
     return 0
 

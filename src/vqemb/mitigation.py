@@ -39,28 +39,16 @@ _TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
 @dataclass(frozen=True)
-class ReadoutCalibration:
-    """Per-qubit confusion matrices estimated from prepared 0/1 states."""
+class ReadoutCalibration(ReadoutNoiseModel):
+    """Confusion matrices estimated from prepared 0/1 states, with the shot
+    count and seed of the estimate."""
 
-    matrices: tuple
     shots: int
     seed: int
 
-    def __post_init__(self):
-        for q, m in enumerate(self.matrices):
-            if not np.allclose(np.asarray(m).sum(axis=0), 1.0, atol=1e-12):
-                raise ValueError(f"qubit {q}: estimated confusion columns must sum to 1")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.matrices)
-
     def to_text(self) -> str:
-        lines = [f"nqubits={self.n_qubits}", f"shots={self.shots}", f"seed={self.seed}"]
-        for m in self.matrices:
-            m = np.asarray(m)
-            lines.append(f"{m[1, 0]!r} {m[0, 1]!r}")
-        return "\n".join(lines) + "\n"
+        header, flips = super().to_text().split("\n", 1)
+        return f"{header}\nshots={self.shots}\nseed={self.seed}\n{flips}"
 
 
 def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutCalibration:

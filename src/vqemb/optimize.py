@@ -82,24 +82,24 @@ def _checked(f, x, iteration):
     return v
 
 
+_SPSA_ALPHA = 0.602  # step-size decay exponent (Spall's standard gain schedule)
+_SPSA_GAMMA = 0.101  # perturbation decay exponent
+
+
 def spsa(
     f,
     x0,
     iterations: int = 100,
-    a: float | None = None,
     c: float = 0.1,
-    A: float | None = None,
-    alpha: float = 0.602,
-    gamma: float = 0.101,
     seed: int = 0,
 ) -> tuple[np.ndarray, OptimizerTrace]:
     """SPSA with Rademacher perturbations and gain sequences
-    a_k = a / (k + 1 + A)^alpha, c_k = c / (k + 1)^gamma.
+    a_k = a / (k + 1 + A)^alpha, c_k = c / (k + 1)^gamma, A = iterations / 10.
 
-    When ``a`` is None it is calibrated from 10 probe gradient estimates so
-    the first update step has magnitude about 0.1 per component (the probes
-    are not recorded in the trace).  Returns the best parameters seen across
-    all recorded evaluations, not the final iterate.
+    ``a`` is calibrated from 10 probe gradient estimates so the first update
+    step has magnitude about 0.1 per component (the probes are not recorded
+    in the trace).  Returns the best parameters seen across all recorded
+    evaluations, not the final iterate.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -107,23 +107,21 @@ def spsa(
         raise ValueError("perturbation scale c must be positive")
     x = np.array(x0, dtype=float)
     rng = np.random.default_rng(seed)
-    if A is None:
-        A = iterations / 10.0
+    A = iterations / 10.0
 
-    if a is None:
-        magnitudes = []
-        for _ in range(10):
-            delta = rng.choice((-1.0, 1.0), size=x.shape)
-            df = _checked(f, x + c * delta, 0) - _checked(f, x - c * delta, 0)
-            magnitudes.append(abs(df) / (2.0 * c))
-        mean_mag = float(np.mean(magnitudes))
-        a = 0.1 * (1.0 + A) ** alpha / mean_mag if mean_mag > 1e-12 else 0.1
+    magnitudes = []
+    for _ in range(10):
+        delta = rng.choice((-1.0, 1.0), size=x.shape)
+        df = _checked(f, x + c * delta, 0) - _checked(f, x - c * delta, 0)
+        magnitudes.append(abs(df) / (2.0 * c))
+    mean_mag = float(np.mean(magnitudes))
+    a = 0.1 * (1.0 + A) ** _SPSA_ALPHA / mean_mag if mean_mag > 1e-12 else 0.1
 
     trace = OptimizerTrace()
     start = time.perf_counter()
     for k in range(iterations):
-        ak = a / (k + 1.0 + A) ** alpha
-        ck = c / (k + 1.0) ** gamma
+        ak = a / (k + 1.0 + A) ** _SPSA_ALPHA
+        ck = c / (k + 1.0) ** _SPSA_GAMMA
         delta = rng.choice((-1.0, 1.0), size=x.shape)
         x_plus, x_minus = x + ck * delta, x - ck * delta
         f_plus = _checked(f, x_plus, k)

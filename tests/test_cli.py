@@ -1,12 +1,14 @@
 """Command-line integration: exit codes, artifacts, determinism."""
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from vqemb.cli import main
+from vqemb.cli import CONFIG_KEYS, build_parser, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -152,6 +154,45 @@ class TestExitCodes:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump}}\n")
         assert run(["oracle", "--config", cfg, "--out", outdir]) == 2
+
+
+def _load(argv):
+    args = build_parser().parse_args([str(a) for a in argv])
+    return load_config(args.config, args)
+
+
+class TestConfigTable:
+    def test_readme_block_lists_the_table(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("Config sections", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.splitlines():
+            line = line.split("#", 1)[0]
+            if not line[:1].isspace():  # a section name starts its line
+                section, line = line.split(":", 1)
+                documented[section] = []
+            documented[section] += re.findall(r"(\w+):", line)
+        assert documented == {section: list(keys) for section, keys in CONFIG_KEYS.items()}
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_shipped_configs_load(self, name, monkeypatch):
+        monkeypatch.chdir(ROOT)  # configs name their input files relative to the repo
+        _load(["vqe", "--config", f"configs/{name}"])
+
+    @pytest.mark.parametrize("workload", ["deparam_sampled", "dmet_resources"])
+    def test_benchmark_configs_load(self, workload, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        monkeypatch.chdir(ROOT)
+        for op in workloads.prepare(workload, tmp_path, 0):  # writes the configs it runs
+            cfg = _load(op.argv)
+            assert cfg["output"]["dir"] == op.out
+            if op.argv[0] == "dmet":  # JSON writes 1e-06, which YAML reads as a string
+                assert cfg["dmet"]["mu_tol"] == workloads.DMET_MU_TOL
 
 
 class TestVqeCommand:

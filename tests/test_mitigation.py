@@ -65,6 +65,12 @@ class TestCalibrate:
         assert text.startswith("nqubits=2\nshots=1000\nseed=4\n")
         assert len(text.strip().splitlines()) == 5
 
+    def test_text_flip_lines_are_plain_floats(self):
+        noise = ReadoutNoiseModel.from_flip_probs([0.03, 0.01], [0.02, 0.05])
+        cal = calibrate(noise, shots=1000, seed=4)
+        rows = [[float(v) for v in line.split()] for line in cal.to_text().splitlines()[3:]]
+        assert rows == cal.flip_probs().tolist()
+
 
 class TestM3:
     def test_identity_calibration_is_passthrough(self):
