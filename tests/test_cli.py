@@ -47,6 +47,18 @@ BAD_CONFIGS = {
     "negative-layers": ("vqe", H2 + "ansatz: {layers: -1}\n", "ansatz.layers"),
 }
 
+# id -> (verb, config text, the section.key and value the error must name):
+# active-space windows wider than the orbitals on one side of H4's gap
+WINDOWS_PAST_RANGE = {
+    "resources-window": ("resources", H4 + "resources: {windows: [3]}\n", "resources.windows", "3"),
+    "system-window": (
+        "vqe", f"system: {{fcidump: {ROOT}/fixtures/h4.fcidump, window: 5}}\n", "system.window", "5",
+    ),
+    "dmet-window": (
+        "dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], window: 3}\n", "dmet.window", "3",
+    ),
+}
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -141,6 +153,30 @@ class TestExitCodes:
         assert run([verb, "--config", cfg, "--out", outdir]) == 2
         assert name in capsys.readouterr().err
         assert not outdir.exists()  # nothing written, not even a partial result
+
+    @pytest.mark.parametrize("case", sorted(WINDOWS_PAST_RANGE))
+    def test_window_past_orbital_range_exits_2(self, tmp_path, outdir, capsys, case):
+        verb, text, name, value = WINDOWS_PAST_RANGE[case]
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert run([verb, "--config", cfg, "--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {name}: {value} " in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("verb", ["vqe", "deparam"])
+    @pytest.mark.parametrize("mitigation", ["m3", "trex"])
+    def test_noise_model_wider_than_register_exits_2(self, tmp_path, outdir, capsys, verb, mitigation):
+        # reduced parity puts H2 on 2 qubits; the noise file models 4
+        doc = yaml.safe_load((CONFIGS / "h2_vqe_sampled.yaml").read_text())
+        doc["estimator"].update(noise=str(ROOT / "fixtures/noise_4q_2pct.txt"), mitigation=mitigation)
+        doc["system"]["fcidump"] = str(ROOT / doc["system"]["fcidump"])
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run([verb, "--config", cfg, "--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert "estimator.noise" in err and "4 qubits" in err and "2 qubits" in err
+        assert not outdir.exists()
 
     def test_float_key_read_as_string_is_accepted(self, tmp_path, outdir):
         # PyYAML reads 1e-6 (no decimal point) as the string '1e-6'
