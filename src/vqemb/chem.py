@@ -259,6 +259,20 @@ def transform_integrals(
     return h, g
 
 
+class WindowError(ValueError):
+    """An active-space window wider than the occupied or the virtual orbitals."""
+
+
+def check_window(n_orbitals: int, n_electrons: int, window: int):
+    """Raise WindowError unless ``window`` orbitals lie on each side of the gap."""
+    nocc = n_electrons // 2
+    if window > min(nocc, n_orbitals - nocc):
+        raise WindowError(
+            f"active-space window {window} exceeds the orbital range "
+            f"({nocc} occupied, {n_orbitals - nocc} virtual)"
+        )
+
+
 def active_space(
     m: MolecularIntegrals, mf: MeanField, window: int
 ) -> tuple[MolecularIntegrals, FrozenInfo]:
@@ -270,14 +284,10 @@ def active_space(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    check_window(m.n_orbitals, m.n_electrons, window)
     nocc = m.n_electrons // 2
     homo, lumo = nocc - 1, nocc
     lo, hi = nocc - window, nocc + window  # active orbitals are [lo, hi)
-    if lo < 0 or hi > m.n_orbitals:
-        raise ValueError(
-            f"window {window} exceeds the orbital range "
-            f"({nocc} occupied, {m.n_orbitals - nocc} virtual)"
-        )
 
     eps = mf.orbital_energies
     if lo > 0 and abs(eps[lo] - eps[lo - 1]) < 1e-8:

@@ -21,7 +21,7 @@ import yaml
 
 from . import svg
 from .ansatz import HeaConfig, build_hea, deparameterise
-from .chem import active_space, parse_fcidump, restricted_hartree_fock
+from .chem import WindowError, active_space, check_window, parse_fcidump, restricted_hartree_fock
 from .dmet import Fragmentation, VqeFragmentSolver, full_ci_ground_energy, run_dmet
 from .mapping import MappingSpec, build_fermionic_hamiltonian, hartree_fock_bitstring, map_to_qubits
 from .pauli import MATRIX_QUBIT_CAP, QubitHamiltonian
@@ -173,8 +173,11 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
         cfg["mapping"] = MappingSpec(**cfg["mapping"])
         vqe["estimator"] = EstimatorSpec(**cfg.pop("estimator"))
         vqe["optimizer"] = OptimizerSpec(**cfg.pop("optimizer"))
-        # VqeProblem checks the VQE settings together; a one-qubit stand-in runs its checks now
-        VqeProblem(QubitHamiltonian(1), Circuit(1), **vqe)
+        # VqeProblem checks the VQE settings together; a stand-in as wide as
+        # any noise model runs its checks now, the register's width later
+        noise = vqe["estimator"].noise
+        width = 1 if noise is None else noise.n_qubits
+        VqeProblem(QubitHamiltonian(width), Circuit(width), **vqe)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg["output"]["dir"] = Path(cfg["output"].get("dir", "out"))
@@ -200,6 +203,10 @@ def _molecule(cfg: dict, needed: str = "system.fcidump"):
     return parse_fcidump(cfg["system"]["fcidump"].read_text())
 
 
+def _too_wide(key: str, value: int, exc: WindowError) -> ConfigError:
+    return ConfigError(f"{key}: {value} is too wide: {exc}")
+
+
 def _load_problem_hamiltonian(cfg: dict):
     """Qubit Hamiltonian plus ansatz reference bits from the configured system."""
     system = cfg["system"]
@@ -208,6 +215,10 @@ def _load_problem_hamiltonian(cfg: dict):
         return h, [0] * h.n_qubits
     m = _molecule(cfg, "system.fcidump or system.hamiltonian")
     if "window" in system:
+        try:
+            check_window(m.n_orbitals, m.n_electrons, system["window"])
+        except WindowError as exc:
+            raise _too_wide("system.window", system["window"], exc) from exc
         m, _ = active_space(m, restricted_hartree_fock(m), system["window"])
     spec = replace(cfg["mapping"], n_electrons=m.n_electrons)
     h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
@@ -224,7 +235,11 @@ def _oracle_energy(h: QubitHamiltonian) -> Optional[float]:
 def _build_problem(cfg: dict) -> tuple[VqeProblem, Optional[float]]:
     h, bits = _load_problem_hamiltonian(cfg)
     circuit = build_hea(HeaConfig(h.n_qubits, **cfg["ansatz"]), bits)
-    return VqeProblem(h, circuit, **cfg["vqe"]), _oracle_energy(h)
+    try:
+        problem = VqeProblem(h, circuit, **cfg["vqe"])
+    except ValueError as exc:  # the settings passed load_config; only the noise width is left
+        raise ConfigError(str(exc)) from exc
+    return problem, _oracle_energy(h)
 
 
 def cmd_vqe(cfg: dict) -> int:
@@ -301,7 +316,10 @@ def cmd_dmet(cfg: dict) -> int:
         raise ConfigError(f"dmet.fragments: {exc}") from exc
     if dmet.get("solver") == "vqe":
         dmet["solver"] = VqeFragmentSolver(**cfg["ansatz"], **cfg["vqe"])
-    result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)
+    try:
+        result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)
+    except WindowError as exc:  # run_dmet checks the window on every embedding first
+        raise _too_wide("dmet.window", dmet["window"], exc) from exc
 
     lines = [result.to_text().rstrip()]
     if 2 * m.n_orbitals <= MATRIX_QUBIT_CAP:
@@ -326,6 +344,11 @@ def cmd_dmet(cfg: dict) -> int:
 def cmd_resources(cfg: dict) -> int:
     m = _molecule(cfg)
     windows = cfg["resources"].get("windows", (1, 2, 3, 4))
+    for k in windows:  # HOMO-k/LUMO+k is active-space window k + 1
+        try:
+            check_window(m.n_orbitals, m.n_electrons, k + 1)
+        except WindowError as exc:
+            raise _too_wide("resources.windows", k, exc) from exc
     estimates = estimate(m, restricted_hartree_fock(m), windows, cfg["mapping"])
     table = format_table(estimates)
     write_atomic(cfg["output"]["dir"] / "resources.txt", table)

@@ -32,6 +32,7 @@ from .chem import (
     MolecularIntegrals,
     ScfConvergenceError,
     active_space,
+    check_window,
     coulomb_exchange,
     restricted_hartree_fock,
     transform_integrals,
@@ -547,6 +548,9 @@ def run_dmet(
     """
     fragmentation.validate_cover(m.n_orbitals)
     embeddings = [build_embedding(m, mf, f, bath_tol) for f in fragmentation.fragments]
+    if window is not None:
+        for e in embeddings:
+            check_window(e.n_orbitals, e.n_electrons, window)
     warm: dict[int, np.ndarray] = {}
     notes: list[str] = []
 

@@ -85,6 +85,12 @@ class VqeProblem:
                 f"circuit acts on {self.circuit.n_qubits} qubits but the "
                 f"Hamiltonian has {self.hamiltonian.n_qubits}"
             )
+        noise = self.estimator.noise
+        if noise is not None and noise.n_qubits != self.hamiltonian.n_qubits:
+            raise ValueError(
+                f"estimator.noise: the noise model acts on {noise.n_qubits} qubits "
+                f"but the register has {self.hamiltonian.n_qubits} qubits"
+            )
         if self.initial not in ("zeros", "random"):
             raise ValueError(f"unknown initial-parameter policy {self.initial!r}")
         if self.initial == "random" and self.initial_seed is None:
