@@ -35,7 +35,7 @@ from .simulator import (
 )
 
 DIRECT_SOLVE_LIMIT = 500
-_TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
+_TWIRL_BATCHES = 16  # twirl masks per sampling pass
 
 
 @dataclass(frozen=True)
@@ -147,20 +147,18 @@ class M3GroupEstimator:
 def _twirled_bits(
     state: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng
 ) -> np.ndarray:
-    """Measured bits with per-batch X-mask twirling already compensated."""
+    """Measured bits with per-batch X-mask twirling already compensated.
+
+    ``_TWIRL_BATCHES`` masks each cover one block of consecutive shots of
+    ``shots // _TWIRL_BATCHES``, the first ``shots % _TWIRL_BATCHES`` blocks
+    one shot longer; all shots are drawn in one pass.
+    """
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
     fp = noise.flip_probs() if noise is not None else None
-    sizes = [shots // _TWIRL_BATCHES] * _TWIRL_BATCHES
-    for i in range(shots % _TWIRL_BATCHES):
-        sizes[i] += 1
-    out = []
-    for size in sizes:
-        if size == 0:
-            continue
-        mask = rng.integers(0, 2, size=n)
-        out.append(_sample_bits(probs, n, size, fp, rng, twirl=mask))
-    return np.concatenate(out, axis=0)
+    masks = rng.integers(0, 2, size=(_TWIRL_BATCHES, n))
+    sizes = shots // _TWIRL_BATCHES + (np.arange(_TWIRL_BATCHES) < shots % _TWIRL_BATCHES)
+    return _sample_bits(probs, n, shots, fp, rng, twirl=np.repeat(masks, sizes, axis=0))
 
 
 def trex_expectation(

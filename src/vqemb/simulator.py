@@ -347,8 +347,9 @@ def _sample_bits(
 ) -> np.ndarray:
     """(shots, n) matrix of measured bits, including readout flips ``fp``
     (a noise model's ``flip_probs()``, or None), drawn from normalized Born
-    probabilities.  ``twirl``, an X mask of 0/1 entries, is applied to the
-    ideal bits before the readout flips and undone after them.
+    probabilities.  ``twirl``, an X mask of 0/1 entries (one ``(n,)`` mask or
+    one row per shot), is applied to the ideal bits before the readout flips
+    and undone after them.
     """
     outcomes = rng.choice(probs.size, size=shots, p=probs)
     bits = ((outcomes[:, None] >> (n - 1 - np.arange(n))) & 1) ^ twirl

@@ -9,6 +9,7 @@ from vqemb.mitigation import (
     M3GroupEstimator,
     ReadoutCalibration,
     TrexGroupEstimator,
+    _twirled_bits,
     calibrate,
     m3_mitigate,
     trex_expectation,
@@ -130,6 +131,60 @@ class TestM3:
                 state, PauliWord(basis), members, 3000, noise, 10
             )
             assert mean == pytest.approx(sum(quasi[b] * parity[b] for b in quasi), abs=1e-12)
+
+
+def batch_of_each_shot(shots, batches=16):
+    """Twirl batch of every shot: ``shots // batches`` consecutive shots per
+    batch, the first ``shots % batches`` batches one shot longer."""
+    sizes = [shots // batches + (i < shots % batches) for i in range(batches)]
+    return [i for i, size in enumerate(sizes) for _ in range(size)]
+
+
+class TestTwirledBits:
+    def random_state(self, n, seed):
+        amps = np.random.default_rng(seed).normal(size=2**n)
+        return amps / np.linalg.norm(amps)
+
+    @pytest.mark.parametrize("shots", [1, 15, 16, 17, 1000])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_one_pass_draw_order(self, shots, n, noisy):
+        # masks first, then every shot's outcome, then every shot's flip draw
+        state = self.random_state(n, shots + n)
+        noise = ReadoutNoiseModel.from_flip_probs([0.1, 0.2, 0.3][:n], [0.25, 0.05, 0.15][:n])
+        noise = noise if noisy else None
+        rng = np.random.default_rng(77)
+        masks = rng.integers(0, 2, size=(16, n))
+        twirl = masks[batch_of_each_shot(shots)]
+        probs = np.abs(state) ** 2
+        outcomes = rng.choice(2**n, size=shots, p=probs / probs.sum())
+        bits = np.array([[(int(o) >> (n - 1 - q)) & 1 for q in range(n)] for o in outcomes])
+        if noisy:
+            u = rng.random(size=(shots, n))
+            measured = bits ^ twirl
+            fp = noise.flip_probs()
+            p_flip = np.where(measured == 0, fp[:, 0], fp[:, 1])
+            bits = measured ^ (u < p_flip) ^ twirl
+        got = _twirled_bits(state, n, shots, noise, np.random.default_rng(77))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, bits)
+
+    @pytest.mark.parametrize("shots", [1, 15, 16, 17, 1000])
+    def test_always_one_channel_returns_complemented_masks(self, shots):
+        n = 3
+        always_one = ReadoutNoiseModel.from_flip_probs([1.0] * n, [0.0] * n)
+        masks = np.random.default_rng(5).integers(0, 2, size=(16, n))
+        got = _twirled_bits(self.random_state(n, 1), n, shots, always_one, np.random.default_rng(5))
+        assert got.shape == (shots, n)
+        for shot, batch in enumerate(batch_of_each_shot(shots)):
+            np.testing.assert_array_equal(got[shot], 1 - masks[batch])
+
+    def test_twirl_cancels_without_noise(self):
+        n = 3
+        state = np.zeros(2**n)
+        state[0b101] = 1.0
+        got = _twirled_bits(state, n, 1000, None, np.random.default_rng(8))
+        np.testing.assert_array_equal(got, np.tile([1, 0, 1], (1000, 1)))
 
 
 class TestTrex:
