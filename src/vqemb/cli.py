@@ -203,10 +203,6 @@ def _molecule(cfg: dict, needed: str = "system.fcidump"):
     return parse_fcidump(cfg["system"]["fcidump"].read_text())
 
 
-def _too_wide(key: str, value: int, exc: WindowError) -> ConfigError:
-    return ConfigError(f"{key}: {value} is too wide: {exc}")
-
-
 def _load_problem_hamiltonian(cfg: dict):
     """Qubit Hamiltonian plus ansatz reference bits from the configured system."""
     system = cfg["system"]
@@ -216,10 +212,9 @@ def _load_problem_hamiltonian(cfg: dict):
     m = _molecule(cfg, "system.fcidump or system.hamiltonian")
     if "window" in system:
         try:
-            check_window(m.n_orbitals, m.n_electrons, system["window"])
+            m, _ = active_space(m, restricted_hartree_fock(m), system["window"])
         except WindowError as exc:
-            raise _too_wide("system.window", system["window"], exc) from exc
-        m, _ = active_space(m, restricted_hartree_fock(m), system["window"])
+            raise ConfigError(f"system.window: {system['window']} is too wide: {exc}") from exc
     spec = replace(cfg["mapping"], n_electrons=m.n_electrons)
     h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
     return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
@@ -319,7 +314,7 @@ def cmd_dmet(cfg: dict) -> int:
     try:
         result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)
     except WindowError as exc:  # run_dmet checks the window on every embedding first
-        raise _too_wide("dmet.window", dmet["window"], exc) from exc
+        raise ConfigError(f"dmet.window: {dmet['window']} is too wide: {exc}") from exc
 
     lines = [result.to_text().rstrip()]
     if 2 * m.n_orbitals <= MATRIX_QUBIT_CAP:
@@ -348,7 +343,7 @@ def cmd_resources(cfg: dict) -> int:
         try:
             check_window(m.n_orbitals, m.n_electrons, k + 1)
         except WindowError as exc:
-            raise _too_wide("resources.windows", k, exc) from exc
+            raise ConfigError(f"resources.windows: {k} is too wide: {exc}") from exc
     estimates = estimate(m, restricted_hartree_fock(m), windows, cfg["mapping"])
     table = format_table(estimates)
     write_atomic(cfg["output"]["dir"] / "resources.txt", table)

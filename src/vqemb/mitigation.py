@@ -35,7 +35,7 @@ from .simulator import (
 )
 
 DIRECT_SOLVE_LIMIT = 500
-_TWIRL_BATCHES = 16  # twirl masks per sampling pass
+_TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
 @dataclass(frozen=True)
