@@ -45,6 +45,19 @@ BAD_CONFIGS = {
     "unknown-key": ("vqe", H2 + "estimator: {shot: 5}\n", "estimator.shot"),
     "seed-as-word": ("vqe", H2 + "vqe: {seed: abc}\n", "vqe.seed"),
     "negative-layers": ("vqe", H2 + "ansatz: {layers: -1}\n", "ansatz.layers"),
+    # the exact fragment solver maps nothing
+    "mapping-with-exact-dmet": (
+        "dmet", H4 + "mapping: {kind: parity}\ndmet: {fragments: [[0, 1], [2, 3]]}\n", "mapping",
+    ),
+    # a key left out keeps the VQE fragment solver's default, two-qubit reduction
+    "jordan-wigner-over-reduced-parity": (
+        "dmet", H2 + "mapping: {kind: jordan_wigner}\ndmet: {fragments: [[0], [1]], solver: vqe}\n",
+        "mapping",
+    ),
+    # two 5-orbital fragments give 10-orbital embeddings: 20 qubits
+    "h10-halves-over-exact-cap": (
+        "dmet", H10 + "dmet: {fragments: [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]}\n", "dmet.fragments",
+    ),
 }
 
 # id -> (verb, config text, the section.key and value the error must name):
@@ -318,6 +331,20 @@ class TestDmetCommand:
         e_exact = float(re.search(r"total_energy=([-\d.e]+)", read(out_e / "dmet_result.txt")).group(1))
         e_vqe = float(re.search(r"total_energy=([-\d.e]+)", read(out_v / "dmet_result.txt")).group(1))
         assert abs(e_exact - e_vqe) < 5e-3
+
+    def test_vqe_solver_reads_mapping(self, tmp_path, outdir):
+        # Jordan-Wigner puts each two-orbital embedding on 4 qubits, not 2
+        doc = yaml.safe_load((CONFIGS / "h2_dmet_vqe.yaml").read_text())
+        doc["system"]["fcidump"] = str(ROOT / doc["system"]["fcidump"])
+        doc["mapping"] = {"kind": "jordan_wigner", "two_qubit_reduction": False}
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run(["dmet", "--config", cfg, "--out", outdir]) == 0
+        result = read(outdir / "dmet_result.txt")
+        assert result != read(ROOT / "out" / "h2_dmet_vqe" / "dmet_result.txt")
+        energy = float(re.search(r"total_energy=([-\d.e]+)", result).group(1))
+        oracle = float(re.search(r"oracle_energy=([-\d.e]+)", result).group(1))
+        assert abs(energy - oracle) < 5e-3
 
 
 class TestResourcesCommand:
