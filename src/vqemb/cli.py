@@ -22,7 +22,7 @@ import yaml
 from . import svg
 from .ansatz import HeaConfig, build_hea, deparameterise
 from .chem import WindowError, active_space, check_window, parse_fcidump, restricted_hartree_fock
-from .dmet import Fragmentation, VqeFragmentSolver, full_ci_ground_energy, run_dmet
+from .dmet import ExactCapError, Fragmentation, VqeFragmentSolver, full_ci_ground_energy, run_dmet
 from .mapping import MappingSpec, build_fermionic_hamiltonian, hartree_fock_bitstring, map_to_qubits
 from .pauli import MATRIX_QUBIT_CAP, QubitHamiltonian
 from .resources import estimate, format_table, to_csv
@@ -145,7 +145,8 @@ def _check(data: dict, flags: dict) -> dict:
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
     """Checked run configuration, section -> key -> value, holding only the keys given.
 
-    ``mapping`` comes back as a ``MappingSpec``; ``vqe`` as the keywords that
+    ``mapping`` stays the keys given, which each verb applies over the
+    ``MappingSpec`` it feeds; ``vqe`` comes back as the keywords that
     ``VqeProblem`` and ``VqeFragmentSolver`` share, the estimator and
     optimizer specs included; ``output.dir`` as a Path.
     """
@@ -170,7 +171,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
     if "seed" in vqe:
         vqe["initial_seed"] = vqe.pop("seed")
     try:
-        cfg["mapping"] = MappingSpec(**cfg["mapping"])
+        MappingSpec(**cfg["mapping"])
         vqe["estimator"] = EstimatorSpec(**cfg.pop("estimator"))
         vqe["optimizer"] = OptimizerSpec(**cfg.pop("optimizer"))
         # VqeProblem checks the VQE settings together; a stand-in as wide as
@@ -215,7 +216,7 @@ def _load_problem_hamiltonian(cfg: dict):
             m, _ = active_space(m, restricted_hartree_fock(m), system["window"])
         except WindowError as exc:
             raise ConfigError(f"system.window: {system['window']} is too wide: {exc}") from exc
-    spec = replace(cfg["mapping"], n_electrons=m.n_electrons)
+    spec = MappingSpec(**cfg["mapping"], n_electrons=m.n_electrons)
     h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
     return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
 
@@ -310,11 +311,22 @@ def cmd_dmet(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"dmet.fragments: {exc}") from exc
     if dmet.get("solver") == "vqe":
-        dmet["solver"] = VqeFragmentSolver(**cfg["ansatz"], **cfg["vqe"])
+        solver = VqeFragmentSolver(**cfg["ansatz"], **cfg["vqe"])
+        try:
+            dmet["solver"] = replace(solver, mapping=replace(solver.mapping, **cfg["mapping"]))
+        except ValueError as exc:
+            raise ConfigError(f"mapping: {exc} (the VQE fragment solver's default is "
+                              "parity with two-qubit reduction)") from exc
+    elif cfg["mapping"]:
+        raise ConfigError("mapping: only the VQE fragment solver reads it, "
+                          "and dmet.solver is exact")
+    # run_dmet checks every embedding against its solver before the first solve
     try:
         result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)
-    except WindowError as exc:  # run_dmet checks the window on every embedding first
+    except WindowError as exc:
         raise ConfigError(f"dmet.window: {dmet['window']} is too wide: {exc}") from exc
+    except ExactCapError as exc:
+        raise ConfigError(f"dmet.fragments: an embedding is too wide: {exc}") from exc
 
     lines = [result.to_text().rstrip()]
     if 2 * m.n_orbitals <= MATRIX_QUBIT_CAP:
@@ -344,7 +356,7 @@ def cmd_resources(cfg: dict) -> int:
             check_window(m.n_orbitals, m.n_electrons, k + 1)
         except WindowError as exc:
             raise ConfigError(f"resources.windows: {k} is too wide: {exc}") from exc
-    estimates = estimate(m, restricted_hartree_fock(m), windows, cfg["mapping"])
+    estimates = estimate(m, restricted_hartree_fock(m), windows, MappingSpec(**cfg["mapping"]))
     table = format_table(estimates)
     write_atomic(cfg["output"]["dir"] / "resources.txt", table)
     write_atomic(cfg["output"]["dir"] / "resources.csv", to_csv(estimates))

@@ -12,7 +12,10 @@ Fragment problems are solved per electron-number sector: a dense
 diagonalization of the Hamiltonian built from spin-summed excitation operators
 E_pq on the (N/2, N/2) occupation-basis determinants, or a
 hardware-efficient-ansatz VQE in the embedding's mean-field orbital basis.
-Both hand their state to the same occupation-basis RDM code.
+Both hand their state to the same occupation-basis RDM code.  An embedding
+builds its sector operator once: the chemical potential only shifts the
+fragment diagonal, H(mu) = H(0) - mu diag(n_F), with n_F the fragment
+occupation of each determinant.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -57,6 +61,10 @@ class DmetConvergenceError(RuntimeError):
     def __init__(self, message: str, trace):
         super().__init__(message)
         self.trace = tuple(trace)
+
+
+class ExactCapError(ValueError):
+    """A sector too wide for the dense exact solver."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,17 @@ class EmbeddingProblem:
             one_body=h,
             two_body=self.two_body,
         )
+
+    @cached_property
+    def sector_operator(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """(E_pq table, H at mu = 0, fragment occupation n_F) on the (N/2, N/2) sector.
+
+        E_ii counts the electrons in orbital i, so H(mu) = H - mu diag(n_F).
+        """
+        sel, E, H = _sector_hamiltonian(self.solver_integrals())
+        n_modes, n_frag_modes = 2 * self.n_orbitals, 2 * self.n_fragment
+        fragment_modes = ((1 << n_frag_modes) - 1) << (n_modes - n_frag_modes)
+        return E, H, np.bitwise_count(sel & fragment_modes)
 
 
 def make_bath(
@@ -261,20 +280,21 @@ def _sector_labels(n_spatial: int) -> np.ndarray:
     return np.bitwise_count(idx & alpha) * (n_spatial + 1) + np.bitwise_count(idx & ~alpha)
 
 
-def sector_ground_state(m: MolecularIntegrals) -> tuple[float, np.ndarray]:
-    """Ground state of the closed-shell (N/2, N/2) sector by dense ``eigh``.
+def _sector_hamiltonian(m: MolecularIntegrals) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
+    """The closed-shell (N/2, N/2) sector: its indices, E_pq table and Hamiltonian.
 
-    H = E_core + sum h'_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs with
-    h' = h - 1/2 sum_r (pr|rq), built on the sector determinants.  Returns the
-    energy and the full-register statevector (interleaved Jordan-Wigner order).
+    H = sum h'_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs with h' = h - 1/2 sum_r (pr|rq),
+    without the core energy.  The cap and the electron count are checked
+    before anything is built.
     """
     n = m.n_orbitals
     if 2 * n > MATRIX_QUBIT_CAP:
-        raise ValueError(f"{2 * n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}")
+        raise ExactCapError(
+            f"{2 * n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}"
+        )
     if m.n_electrons % 2:
         raise ValueError("closed-shell full CI needs an even electron count")
-    labels = _sector_labels(n)
-    sel = np.flatnonzero(labels == m.n_electrons // 2 * (n + 2))  # N_alpha = N_beta = N/2
+    sel = np.flatnonzero(_sector_labels(n) == m.n_electrons // 2 * (n + 2))  # N_alpha = N_beta = N/2
     d = sel.size
     E = _excitation_operators(n, sel)
     flat_T = E.reshape(n * n, d * d).T  # column pq: E_pq flattened
@@ -285,8 +305,18 @@ def sector_ground_state(m: MolecularIntegrals) -> tuple[float, np.ndarray]:
         H += 0.5 * (E[pq * d:(pq + 1) * d] @ (flat_T @ g_pq).reshape(d, d))
     if not np.allclose(H, H.T, atol=1e-10):
         raise ValueError("sector Hamiltonian is not Hermitian")
+    return sel, E, H
+
+
+def sector_ground_state(m: MolecularIntegrals) -> tuple[float, np.ndarray]:
+    """Ground state of the closed-shell (N/2, N/2) sector by dense ``eigh``.
+
+    Returns the energy and the full-register statevector (interleaved
+    Jordan-Wigner order).
+    """
+    sel, _, H = _sector_hamiltonian(m)
     evals, evecs = np.linalg.eigh(H)
-    state = np.zeros(labels.size)
+    state = np.zeros(1 << 2 * m.n_orbitals)
     state[sel] = evecs[:, 0]
     return float(evals[0]) + m.core_energy, state
 
@@ -312,8 +342,12 @@ def spin_summed_rdms(state: np.ndarray, n_spatial: int) -> tuple[np.ndarray, np.
         raise ValueError(f"state dimension {psi.size} does not match {n} spatial orbitals")
     labels = _sector_labels(n)
     sel = np.flatnonzero(np.isin(labels, labels[psi != 0]))  # every sector psi touches
-    psi = psi[sel]
-    D = (_excitation_operators(n, sel) @ psi).reshape(n * n, -1)  # row pq: E_pq psi
+    return _rdms(_excitation_operators(n, sel), psi[sel], n)
+
+
+def _rdms(E: sp.csr_matrix, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``spin_summed_rdms`` of the vector ``psi`` on the indices ``E`` was built over."""
+    D = (E @ psi).reshape(n * n, -1)  # row pq: E_pq psi
     gamma = (D @ psi.conj()).real.reshape(n, n)
     pair = (D.conj() @ D.T).real.reshape(n, n, n, n)  # (E_qp psi)^+ (E_rs psi) at [q, p, r, s]
     Gamma = pair.transpose(1, 0, 2, 3) - np.einsum("qr,ps->pqrs", np.eye(n), gamma)
@@ -367,6 +401,13 @@ class FragmentSolution:
 def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
     """Sector-FCI RDMs of the embedding Hamiltonian, in the given basis."""
     return spin_summed_rdms(sector_ground_state(ints)[1], ints.n_orbitals)
+
+
+def _solve_embedding_sector(e: EmbeddingProblem, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sector-FCI RDMs of the whole embedding at ``mu`` from its cached operator."""
+    E, H, n_frag = e.sector_operator
+    psi = np.linalg.eigh(H - np.diag(mu * n_frag))[1][:, 0]
+    return _rdms(E, psi, e.n_orbitals)
 
 
 def _solve_embedding_vqe(
@@ -454,7 +495,6 @@ def solve_fragment(
     x0: Optional[np.ndarray] = None,
 ) -> FragmentSolution:
     """Correlated solve of one embedding at the given chemical potential."""
-    ints = e.solver_integrals(mu)
     used_fallback = False
 
     if isinstance(solver, str) and solver != "exact":
@@ -463,11 +503,15 @@ def solve_fragment(
 
     def solve(vqe):
         """RDMs and VQE result from the VQE solver ``vqe``, or the exact solve if None."""
+        if vqe is None and window is None:
+            return (*_solve_embedding_sector(e, mu), None)
+
         def inner(active_ints):
             if vqe is None:
                 return (*_solve_embedding_exact(active_ints), None)
             return _solve_embedding_vqe(active_ints, vqe, x0=x0)
 
+        ints = e.solver_integrals(mu)
         return inner(ints) if window is None else _pad_windowed_rdms(ints, window, inner)
 
     try:
@@ -548,9 +592,11 @@ def run_dmet(
     """
     fragmentation.validate_cover(m.n_orbitals)
     embeddings = [build_embedding(m, mf, f, bath_tol) for f in fragmentation.fragments]
-    if window is not None:
-        for e in embeddings:
+    for e in embeddings:  # every embedding fits its solver before the first solve
+        if window is not None:
             check_window(e.n_orbitals, e.n_electrons, window)
+        elif solver == "exact":
+            e.sector_operator
     warm: dict[int, np.ndarray] = {}
     notes: list[str] = []
 

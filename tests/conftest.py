@@ -40,5 +40,10 @@ def h4_mf(h4):
 
 
 @pytest.fixture(scope="session")
+def h10_mf(h10):
+    return restricted_hartree_fock(h10[0])
+
+
+@pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES

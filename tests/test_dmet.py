@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vqemb.dmet as dmet_mod
 from vqemb.chem import MolecularIntegrals, restricted_hartree_fock
 from vqemb.dmet import (
     Fragmentation,
     VqeFragmentSolver,
     build_embedding,
+    democratic_fragment_energy,
     fragment_hamiltonian,
     full_ci_ground_energy,
     make_bath,
@@ -29,6 +31,12 @@ from vqemb.mapping import (
 from vqemb.vqe import EstimatorSpec, OptimizerSpec
 
 from fermion_terms import fermion_operator
+
+# the fragmentations of H10 that fit the exact solver's cap
+H10_FRAGMENTS = {
+    "5x2": ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)),
+    "2+3+3+2": ((0, 1), (2, 3, 4), (5, 6, 7), (8, 9)),
+}
 
 
 def hubbard_chain(n, t=1.0, u=2.0, n_electrons=None):
@@ -217,8 +225,6 @@ class TestSectorSolver:
                         )
 
     def test_cap_is_checked_before_building(self, h10, monkeypatch):
-        import vqemb.dmet as dmet_mod
-
         def no_build(*args):
             raise AssertionError("built the excitation table past the cap")
 
@@ -226,6 +232,52 @@ class TestSectorSolver:
         m, _ = h10
         with pytest.raises(ValueError, match="20 qubits exceeds the exact-solver cap of 14"):
             sector_ground_state(m)
+
+
+class TestSectorOperatorCache:
+    @pytest.mark.parametrize(
+        "system,fragments",
+        [("h4", ((0, 1), (2, 3))), ("h10", H10_FRAGMENTS["5x2"]), ("h10", H10_FRAGMENTS["2+3+3+2"])],
+        ids=["h4", "h10-5x2", "h10-2+3+3+2"],
+    )
+    def test_cached_solve_matches_a_fresh_build(self, system, fragments, request):
+        m, _ = request.getfixturevalue(system)
+        mf = request.getfixturevalue(f"{system}_mf")
+        for fragment in fragments:
+            e = build_embedding(m, mf, fragment)
+            F = e.n_fragment
+            for mu in (0.0, 1e-4, -1e-4, 0.05):
+                ints = e.solver_integrals(mu)
+                energy, state = sector_ground_state(ints)
+                ref_gamma, ref_Gamma = spin_summed_rdms(state, e.n_orbitals)
+                gamma, Gamma = dmet_mod._solve_embedding_sector(e, mu)
+                assert np.allclose(gamma, ref_gamma, rtol=0, atol=1e-10)
+                assert np.allclose(Gamma, ref_Gamma, rtol=0, atol=1e-10)
+                # H(mu) = H(0) - mu diag(n_F) has the eigenvalue of the rebuilt H(mu)
+                e_rdm = (
+                    ints.core_energy
+                    + float(np.sum(ints.one_body * gamma))
+                    + 0.5 * float(np.einsum("pqrs,pqrs->", ints.two_body, Gamma))
+                )
+                assert e_rdm == pytest.approx(energy, abs=1e-10)
+                sol = solve_fragment(e, "exact", mu)
+                ref = democratic_fragment_energy(ref_gamma, ref_Gamma, e)
+                assert sol.energy == pytest.approx(ref, abs=1e-10)
+                assert sol.n_electrons == pytest.approx(np.trace(ref_gamma[:F, :F]), abs=1e-10)
+
+    def test_one_build_per_embedding_per_run(self, h10, h10_mf, monkeypatch):
+        built = []
+        build = dmet_mod._excitation_operators
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dmet_mod, "_excitation_operators", counting)
+        fragments = H10_FRAGMENTS["2+3+3+2"]
+        res = run_dmet(h10[0], h10_mf, Fragmentation(fragments))
+        assert len(res.trace) == 2  # mu = 0, two difference points, one Newton step: 4 solves each
+        assert len(built) == len(fragments)
 
 
 class TestSolveFragment:
@@ -267,7 +319,6 @@ class TestSolveFragment:
             solve_fragment(e, "ccsd")
 
     def test_vqe_failure_falls_back_with_warning(self, h2, h2_mf, monkeypatch):
-        import vqemb.dmet as dmet_mod
         from vqemb.chem import ScfConvergenceError
 
         def failing_rhf(*args, **kwargs):
@@ -285,7 +336,6 @@ class TestSolveFragment:
         assert sol.energy == pytest.approx(exact.energy, abs=1e-10)
 
     def test_vqe_failure_without_fallback_raises(self, h2, h2_mf, monkeypatch):
-        import vqemb.dmet as dmet_mod
         from vqemb.chem import ScfConvergenceError
 
         def failing_rhf(*args, **kwargs):
@@ -369,6 +419,21 @@ class TestRunDmet:
         frag = Fragmentation(((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
         with pytest.raises(ValueError, match="20 qubits exceeds the exact-solver cap of 14"):
             run_dmet(m, mf, frag)
+
+    @pytest.mark.parametrize(
+        "name,total_energy,mu",
+        [("5x2", -5.466904267893, 0.001673739082818), ("2+3+3+2", -5.474352030350, 0.002258332442744)],
+    )
+    def test_h10_exact_runs_are_pinned(self, h10, h10_mf, name, total_energy, mu):
+        res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS[name]))
+        assert res.converged
+        assert res.total_energy == pytest.approx(total_energy, abs=1e-9)
+        # positive: the fragments start short of electrons, and a flipped mu
+        # shift would reach the same energies at -mu
+        assert res.mu == pytest.approx(mu, abs=1e-9)
+        assert len(res.trace) == 2
+        energies = res.fragment_energies  # the chain is mirror-symmetric
+        assert np.allclose(energies, energies[::-1], rtol=0, atol=1e-9)
 
     def test_result_text(self, h2, h2_mf):
         res = run_dmet(h2[0], h2_mf, Fragmentation(((0, 1),)))
