@@ -171,7 +171,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
     if "seed" in vqe:
         vqe["initial_seed"] = vqe.pop("seed")
     try:
-        MappingSpec(**cfg["mapping"])
+        MappingSpec(**cfg["mapping"])  # each verb builds the spec it feeds
         vqe["estimator"] = EstimatorSpec(**cfg.pop("estimator"))
         vqe["optimizer"] = OptimizerSpec(**cfg.pop("optimizer"))
         # VqeProblem checks the VQE settings together; a stand-in as wide as

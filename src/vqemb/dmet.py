@@ -289,12 +289,11 @@ def _sector_hamiltonian(m: MolecularIntegrals) -> tuple[np.ndarray, sp.csr_matri
     """
     n = m.n_orbitals
     if 2 * n > MATRIX_QUBIT_CAP:
-        raise ExactCapError(
-            f"{2 * n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}"
-        )
+        raise ExactCapError(f"{2 * n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}")
     if m.n_electrons % 2:
         raise ValueError("closed-shell full CI needs an even electron count")
-    sel = np.flatnonzero(_sector_labels(n) == m.n_electrons // 2 * (n + 2))  # N_alpha = N_beta = N/2
+    labels = _sector_labels(n)
+    sel = np.flatnonzero(labels == m.n_electrons // 2 * (n + 2))  # N_alpha = N_beta = N/2
     d = sel.size
     E = _excitation_operators(n, sel)
     flat_T = E.reshape(n * n, d * d).T  # column pq: E_pq flattened
@@ -400,14 +399,14 @@ class FragmentSolution:
 
 def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
     """Sector-FCI RDMs of the embedding Hamiltonian, in the given basis."""
-    return spin_summed_rdms(sector_ground_state(ints)[1], ints.n_orbitals)
+    _, E, H = _sector_hamiltonian(ints)
+    return _rdms(E, np.linalg.eigh(H)[1][:, 0], ints.n_orbitals)
 
 
 def _solve_embedding_sector(e: EmbeddingProblem, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Sector-FCI RDMs of the whole embedding at ``mu`` from its cached operator."""
     E, H, n_frag = e.sector_operator
-    psi = np.linalg.eigh(H - np.diag(mu * n_frag))[1][:, 0]
-    return _rdms(E, psi, e.n_orbitals)
+    return _rdms(E, np.linalg.eigh(H - np.diag(mu * n_frag))[1][:, 0], e.n_orbitals)
 
 
 def _solve_embedding_vqe(
