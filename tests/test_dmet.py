@@ -397,13 +397,31 @@ class TestRunDmet:
         via_vqe = run_dmet(m, h2_mf, frag, solver=solver)
         assert abs(via_vqe.total_energy - exact.total_energy) < 5e-3
 
-    def test_windowed_run_matches_full_when_window_covers(self, h4, h4_mf):
+    def test_windowed_run_matches_full_when_window_covers(self, h2, h4, h2_mf, h4_mf):
         m, _ = h4
         frag = Fragmentation(((0, 1), (2, 3)))
         plain = run_dmet(m, h4_mf, frag)
         # every embedding has 4 orbitals / 4 electrons: window 2 covers all
         windowed = run_dmet(m, h4_mf, frag, window=2)
         assert windowed.total_energy == pytest.approx(plain.total_energy, abs=1e-8)
+        # a VQE solve sees the same RHF-basis problem with or without a covering window;
+        # the H2 embeddings have 2 orbitals / 2 electrons, so window 1 covers them
+        for (m, _), mf, fragments, window, seed in (
+            (h2, h2_mf, ((0,), (1,)), 1, 5),
+            (h4, h4_mf, ((0, 1), (2, 3)), 2, 0),
+        ):
+            solver = VqeFragmentSolver(
+                layers=1,
+                optimizer=OptimizerSpec("quasi_newton"),
+                estimator=EstimatorSpec("exact"),
+                initial="random",
+                initial_seed=seed,
+            )
+            plain = run_dmet(m, mf, Fragmentation(fragments), solver=solver)
+            windowed = run_dmet(m, mf, Fragmentation(fragments), solver=solver, window=window)
+            assert windowed.total_energy == pytest.approx(plain.total_energy, abs=1e-10)
+            assert windowed.mu == pytest.approx(plain.mu, abs=1e-10)
+            assert len(windowed.trace) == len(plain.trace)
 
     def test_windowed_reduction_is_sane(self, h4, h4_mf):
         m, _ = h4
