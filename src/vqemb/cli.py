@@ -107,7 +107,7 @@ CONFIG_KEYS = {
     "dmet": {
         "fragments": _list(_list(_int(0))),
         "solver": _kind("exact or vqe", lambda v: v in ("exact", "vqe")),
-        "mu_tol": _float, "window": _int(1), "bath_tol": _float,
+        "mu_tol": _float, "window": _int(1),
     },
     "resources": {"windows": _list(_int(0))},
     "output": {"dir": _str},

@@ -11,18 +11,18 @@ real-wavefunction RDMs carry the full 8-fold permutational symmetry.
 Fragment problems are solved per electron-number sector: a dense
 diagonalization of the Hamiltonian built from spin-summed excitation operators
 E_pq on the (N/2, N/2) occupation-basis determinants, or a
-hardware-efficient-ansatz VQE in the embedding's mean-field orbital basis.
-Both hand their state to the same occupation-basis RDM code.  An embedding
-builds its sector operator once: the chemical potential only shifts the
-fragment diagonal, H(mu) = H(0) - mu diag(n_F), with n_F the fragment
-occupation of each determinant.
+hardware-efficient-ansatz VQE.  Both hand their state to the same
+occupation-basis RDM code.  An embedding builds its sector operator once: the
+chemical potential only shifts the fragment diagonal, H(mu) = H(0) - mu
+diag(n_F), with n_F the fragment occupation of each determinant.  Every other
+solve (a VQE, or an active window) runs once in the RHF orbitals of the
+mu-shifted embedding.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -142,14 +142,16 @@ class EmbeddingProblem:
         return E, H, np.bitwise_count(sel & fragment_modes)
 
 
-def make_bath(
-    mf: MeanField, fragment: Sequence[int], bath_tol: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray]:
+# singular values of D[env, frag] at or below this carry no bath orbital
+_BATH_TOL = 1e-6
+
+
+def make_bath(mf: MeanField, fragment: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Bath orbitals from the environment-fragment block of the density.
 
     Returns (embedding basis, environment core density).  The embedding basis
     stacks fragment unit vectors with the singular vectors of D[env, frag]
-    whose singular value exceeds ``bath_tol``; the core density is the
+    whose singular value exceeds ``_BATH_TOL``; the core density is the
     mean-field density projected on the environment complement of the bath.
     """
     n = mf.density.shape[0]
@@ -166,7 +168,7 @@ def make_bath(
     if env:
         block = D[np.ix_(env, frag)]
         u, s, _ = np.linalg.svd(block, full_matrices=False)
-        kept = u[:, s > bath_tol]
+        kept = u[:, s > _BATH_TOL]
         for col in kept.T:
             v = np.zeros(n)
             v[env] = col
@@ -232,12 +234,9 @@ def build_embedding_from_parts(
 
 
 def build_embedding(
-    m: MolecularIntegrals,
-    mf: MeanField,
-    fragment: Sequence[int],
-    bath_tol: float = 1e-6,
+    m: MolecularIntegrals, mf: MeanField, fragment: Sequence[int]
 ) -> EmbeddingProblem:
-    basis, env_density = make_bath(mf, fragment, bath_tol)
+    basis, env_density = make_bath(mf, fragment)
     if basis.shape[1] > 2 * len(fragment):
         raise AssertionError("embedding dimension exceeded twice the fragment size")
     return build_embedding_from_parts(m, basis, env_density, len(fragment))
@@ -385,16 +384,13 @@ class VqeFragmentSolver:
     initial: str = "zeros"
     initial_seed: Optional[int] = None
     restarts: int = 1
-    fallback_to_exact: bool = True
 
 
 @dataclass
 class FragmentSolution:
-    one_rdm: np.ndarray
     energy: float
     n_electrons: float
     vqe_parameters: Optional[np.ndarray] = None
-    used_fallback: bool = False
 
 
 def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
@@ -414,17 +410,15 @@ def _solve_embedding_vqe(
     solver: VqeFragmentSolver,
     x0: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, "vqe_mod.VqeResult"]:
-    """VQE RDMs of the embedding Hamiltonian, rotated back to the given basis."""
-    mf = restricted_hartree_fock(ints)
-    C = mf.orbital_coeffs
-    h_mo, g_mo = transform_integrals(ints.one_body, ints.two_body, C)
-    ints_mo = MolecularIntegrals(
-        ints.n_orbitals, ints.n_electrons, ints.core_energy, h_mo, g_mo
-    )
+    """VQE RDMs of the embedding Hamiltonian in the given basis.
+
+    The reference bits fill the lowest orbitals, so the basis should be the
+    mean-field orbitals of ``ints``.
+    """
     spec = solver.mapping
     if spec.two_qubit_reduction:
         spec = replace(spec, n_electrons=ints.n_electrons)
-    h_q = map_to_qubits(build_fermionic_hamiltonian(ints_mo), spec)
+    h_q = map_to_qubits(build_fermionic_hamiltonian(ints), spec)
     bits = hartree_fock_bitstring(ints.n_orbitals, ints.n_electrons, spec)
     circuit = build_hea(HeaConfig(h_q.n_qubits, solver.layers), bits)
     problem = vqe_mod.VqeProblem(
@@ -440,31 +434,32 @@ def _solve_embedding_vqe(
     state = decode_statevector(
         evolve(circuit, result.parameters), 2 * ints.n_orbitals, spec
     )
-    gamma_mo, Gamma_mo = spin_summed_rdms(state, ints.n_orbitals)
-    gamma = C @ gamma_mo @ C.T
-    Gamma = np.einsum("pa,qb,rc,sd,abcd->pqrs", C, C, C, C, Gamma_mo, optimize=True)
-    return gamma, Gamma, result
+    return (*spin_summed_rdms(state, ints.n_orbitals), result)
 
 
-def _pad_windowed_rdms(
-    ints: MolecularIntegrals, window: int, inner_solve
+def _solve_in_rhf_basis(
+    ints: MolecularIntegrals, window: Optional[int], inner_solve
 ) -> tuple[np.ndarray, np.ndarray, Optional["vqe_mod.VqeResult"]]:
-    """Correlate only an active window; pad frozen orbitals at mean field.
+    """Solve in the RHF orbitals of ``ints``: all of them, or an active window.
 
-    ``inner_solve(active integral set)`` returns RDMs in the active basis
-    (plus an optional VQE result).  The padded RDMs come back in the basis of
-    ``ints``.
+    ``inner_solve(integral set)`` returns RDMs in the RHF (active) basis plus
+    an optional VQE result.  Frozen occupied orbitals are padded at mean
+    field, and the RDMs come back in the basis of ``ints``.
     """
     mf = restricted_hartree_fock(ints)
-    acts, info = active_space(ints, mf, window)
+    C = mf.orbital_coeffs
+    n = ints.n_orbitals
+    if window is None:
+        h_mo, g_mo = transform_integrals(ints.one_body, ints.two_body, C)
+        acts = replace(ints, one_body=h_mo, two_body=g_mo)
+        active, frozen = list(range(n)), []
+    else:
+        acts, info = active_space(ints, mf, window)
+        active, frozen = list(info.active_orbitals), list(info.frozen_occupied)
     gamma_a, Gamma_a, extra = inner_solve(acts)
 
-    n = ints.n_orbitals
-    active = list(info.active_orbitals)
-    frozen = list(info.frozen_occupied)
     D = np.zeros((n, n))
-    for i in frozen:
-        D[i, i] = 2.0
+    D[frozen, frozen] = 2.0
     g_full = np.zeros((n, n))
     g_full[np.ix_(active, active)] = gamma_a
     gamma_mo = D + g_full
@@ -477,7 +472,6 @@ def _pad_windowed_rdms(
     )
     Gamma_mo += np.einsum("pq,rs->pqrs", D, D) - 0.5 * np.einsum("ps,rq->pqrs", D, D)
 
-    C = mf.orbital_coeffs
     gamma = C @ gamma_mo @ C.T
     Gamma = np.einsum("pa,qb,rc,sd,abcd->pqrs", C, C, C, C, Gamma_mo, optimize=True)
     return gamma, Gamma, extra
@@ -493,43 +487,28 @@ def solve_fragment(
     window: Optional[int] = None,
     x0: Optional[np.ndarray] = None,
 ) -> FragmentSolution:
-    """Correlated solve of one embedding at the given chemical potential."""
-    used_fallback = False
+    """Correlated solve of one embedding at the given chemical potential.
 
+    The exact solver without a window diagonalizes the embedding's cached
+    sector operator; every other solve runs in the RHF orbitals of the
+    mu-shifted embedding (``_solve_in_rhf_basis``).
+    """
     if isinstance(solver, str) and solver != "exact":
         raise ValueError(f"unknown fragment solver {solver!r}")
-    vqe_solver = None if isinstance(solver, str) else solver
+    if solver == "exact" and window is None:
+        gamma, Gamma, vqe_result = (*_solve_embedding_sector(e, mu), None)
+    else:
+        def inner(ints):
+            if solver == "exact":
+                return (*_solve_embedding_exact(ints), None)
+            return _solve_embedding_vqe(ints, solver, x0=x0)
 
-    def solve(vqe):
-        """RDMs and VQE result from the VQE solver ``vqe``, or the exact solve if None."""
-        if vqe is None and window is None:
-            return (*_solve_embedding_sector(e, mu), None)
+        gamma, Gamma, vqe_result = _solve_in_rhf_basis(e.solver_integrals(mu), window, inner)
 
-        def inner(active_ints):
-            if vqe is None:
-                return (*_solve_embedding_exact(active_ints), None)
-            return _solve_embedding_vqe(active_ints, vqe, x0=x0)
-
-        ints = e.solver_integrals(mu)
-        return inner(ints) if window is None else _pad_windowed_rdms(ints, window, inner)
-
-    try:
-        gamma, Gamma, vqe_result = solve(vqe_solver)
-    except (ScfConvergenceError, NonFiniteObjectiveError) as exc:
-        if vqe_solver is None or not vqe_solver.fallback_to_exact:
-            raise
-        warnings.warn(f"VQE fragment solver failed ({exc}); falling back to exact", stacklevel=2)
-        used_fallback = True
-        gamma, Gamma, vqe_result = solve(None)
-
-    energy = democratic_fragment_energy(gamma, Gamma, e)
-    n_frag = float(np.trace(gamma[: e.n_fragment, : e.n_fragment]))
     return FragmentSolution(
-        one_rdm=gamma,
-        energy=energy,
-        n_electrons=n_frag,
+        energy=democratic_fragment_energy(gamma, Gamma, e),
+        n_electrons=float(np.trace(gamma[: e.n_fragment, : e.n_fragment])),
         vqe_parameters=None if vqe_result is None else vqe_result.parameters,
-        used_fallback=used_fallback,
     )
 
 
@@ -544,7 +523,6 @@ class DmetResult:
     n_electrons: int
     trace: list  # (mu, electron-count mismatch) per evaluation
     converged: bool
-    notes: list = field(default_factory=list)
 
     @property
     def electron_mismatch(self) -> float:
@@ -562,8 +540,6 @@ class DmetResult:
             lines.append(f"fragment {i} energy={en!r} electrons={ne!r}")
         for mu, f in self.trace:
             lines.append(f"mu_step mu={mu!r} mismatch={f!r}")
-        for note in self.notes:
-            lines.append(f"note {note}")
         return "\n".join(lines) + "\n"
 
 
@@ -580,33 +556,35 @@ def run_dmet(
     solver: Solver = "exact",
     mu_tol: float = 1e-6,
     window: Optional[int] = None,
-    bath_tol: float = 1e-6,
 ) -> DmetResult:
     """One-shot embedding with Newton-Raphson matching of the electron count.
 
     A single global chemical potential shifts every fragment's diagonal until
     the summed fragment electron counts match the molecule; the derivative
     comes from central finite differences, with a bisection fallback on a
-    bracketed interval if Newton steps stop improving.
+    bracketed interval if Newton steps stop improving.  A fragment solve's
+    SCF or non-finite-objective failure propagates with the fragment index and
+    mu added to its message.
     """
     fragmentation.validate_cover(m.n_orbitals)
-    embeddings = [build_embedding(m, mf, f, bath_tol) for f in fragmentation.fragments]
+    embeddings = [build_embedding(m, mf, f) for f in fragmentation.fragments]
     for e in embeddings:  # every embedding fits its solver before the first solve
         if window is not None:
             check_window(e.n_orbitals, e.n_electrons, window)
         elif solver == "exact":
             e.sector_operator
     warm: dict[int, np.ndarray] = {}
-    notes: list[str] = []
 
     def evaluate(mu: float):
         sols = []
         for i, e in enumerate(embeddings):
-            sol = solve_fragment(e, solver, mu=mu, window=window, x0=warm.get(i))
+            try:
+                sol = solve_fragment(e, solver, mu=mu, window=window, x0=warm.get(i))
+            except (ScfConvergenceError, NonFiniteObjectiveError) as exc:
+                exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
+                raise
             if sol.vqe_parameters is not None:
                 warm[i] = sol.vqe_parameters
-            if sol.used_fallback:
-                notes.append(f"fragment {i} fell back to the exact solver at mu={mu!r}")
             sols.append(sol)
         mismatch = float(sum(s.n_electrons for s in sols)) - m.n_electrons
         return mismatch, sols
@@ -648,7 +626,6 @@ def run_dmet(
         n_electrons=m.n_electrons,
         trace=trace,
         converged=abs(mismatch) <= mu_tol,
-        notes=notes,
     )
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 import yaml
 
+import vqemb.dmet as dmet_mod
+from vqemb.chem import ScfConvergenceError
 from vqemb.cli import CONFIG_KEYS, build_parser, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +42,10 @@ BAD_CONFIGS = {
     "layers-as-word": ("vqe", H2 + "ansatz: {layers: two}\n", "ansatz.layers"),
     "mu-tol-as-word": (
         "dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], mu_tol: x}\n", "dmet.mu_tol",
+    ),
+    # the bath threshold is a constant of vqemb.dmet, not a config key
+    "bath-tol-key": (
+        "dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], bath_tol: 1.0e-6}\n", "dmet.bath_tol",
     ),
     "unknown-section": ("vqe", H2 + "optimiser: {kind: spsa}\n", "optimiser"),
     "unknown-key": ("vqe", H2 + "estimator: {shot: 5}\n", "estimator.shot"),
@@ -345,6 +351,16 @@ class TestDmetCommand:
         energy = float(re.search(r"total_energy=([-\d.e]+)", result).group(1))
         oracle = float(re.search(r"oracle_energy=([-\d.e]+)", result).group(1))
         assert abs(energy - oracle) < 5e-3
+
+
+    def test_vqe_fragment_failure_exits_1_naming_the_fragment(self, outdir, capsys, monkeypatch):
+        def failing_rhf(*args, **kwargs):
+            raise ScfConvergenceError("forced failure", density_change=1.0)
+
+        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
+        assert run(["dmet", "--config", CONFIGS / "h2_dmet_vqe.yaml", "--out", outdir]) == 1
+        assert "fragment 0" in capsys.readouterr().err
+        assert not (outdir / "dmet_result.txt").exists()
 
 
 class TestResourcesCommand:

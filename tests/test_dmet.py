@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import vqemb.dmet as dmet_mod
-from vqemb.chem import MolecularIntegrals, restricted_hartree_fock
+from vqemb.chem import MolecularIntegrals, ScfConvergenceError, restricted_hartree_fock
 from vqemb.dmet import (
+    DmetConvergenceError,
+    FragmentSolution,
     Fragmentation,
     VqeFragmentSolver,
     build_embedding,
@@ -28,6 +30,7 @@ from vqemb.mapping import (
     build_fermionic_hamiltonian,
     map_to_qubits,
 )
+from vqemb.optimize import NonFiniteObjectiveError
 from vqemb.vqe import EstimatorSpec, OptimizerSpec
 
 from fermion_terms import fermion_operator
@@ -58,6 +61,19 @@ def _fixture_generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def failing_rhf(*args, **kwargs):
+    raise ScfConvergenceError("forced failure", density_change=1.0)
+
+
+def _stub_mismatch(monkeypatch, n_fragments, n_electrons, mismatch):
+    """Every fragment solve returns an equal share of n_electrons + mismatch(mu)."""
+
+    def solve(e, solver, mu, window, x0):
+        return FragmentSolution(energy=0.0, n_electrons=(n_electrons + mismatch(mu)) / n_fragments)
+
+    monkeypatch.setattr(dmet_mod, "solve_fragment", solve)
 
 
 def _jw_expectation(n_modes, ops, state):
@@ -318,35 +334,11 @@ class TestSolveFragment:
         with pytest.raises(ValueError, match="unknown fragment solver"):
             solve_fragment(e, "ccsd")
 
-    def test_vqe_failure_falls_back_with_warning(self, h2, h2_mf, monkeypatch):
-        from vqemb.chem import ScfConvergenceError
-
-        def failing_rhf(*args, **kwargs):
-            raise ScfConvergenceError("forced failure", density_change=1.0)
-
+    def test_vqe_failure_without_fallback_raises(self, h2, h2_mf, monkeypatch):
         monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
         e = build_embedding(h2[0], h2_mf, (0,))
-        exact = solve_fragment(e, "exact")
         solver = VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
-        )
-        with pytest.warns(UserWarning, match="falling back"):
-            sol = solve_fragment(e, solver)
-        assert sol.used_fallback
-        assert sol.energy == pytest.approx(exact.energy, abs=1e-10)
-
-    def test_vqe_failure_without_fallback_raises(self, h2, h2_mf, monkeypatch):
-        from vqemb.chem import ScfConvergenceError
-
-        def failing_rhf(*args, **kwargs):
-            raise ScfConvergenceError("forced failure", density_change=1.0)
-
-        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
-        e = build_embedding(h2[0], h2_mf, (0,))
-        solver = VqeFragmentSolver(
-            optimizer=OptimizerSpec("quasi_newton"),
-            estimator=EstimatorSpec("exact"),
-            fallback_to_exact=False,
         )
         with pytest.raises(ScfConvergenceError):
             solve_fragment(e, solver)
@@ -422,6 +414,50 @@ class TestRunDmet:
             assert windowed.total_energy == pytest.approx(plain.total_energy, abs=1e-10)
             assert windowed.mu == pytest.approx(plain.mu, abs=1e-10)
             assert len(windowed.trace) == len(plain.trace)
+
+    @pytest.mark.parametrize("failure", ["scf", "non-finite"])
+    def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
+        if failure == "scf":
+            monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
+            error, reason = ScfConvergenceError, "forced failure"
+        else:
+            def nan_objective(*args, **kwargs):
+                raise NonFiniteObjectiveError(float("nan"), 3)
+
+            monkeypatch.setattr(dmet_mod.vqe_mod, "solve", nan_objective)
+            error, reason = NonFiniteObjectiveError, "non-finite objective value nan at iteration 3"
+        solver = VqeFragmentSolver(
+            optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
+        )
+        with pytest.raises(error, match=rf"^fragment 0 at mu=0\.0: {reason}$"):
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
+
+    def test_bisection_finishes_when_newton_diverges(self, h2, h2_mf, monkeypatch):
+        # Newton on a cube root doubles the distance to the root every step
+        root = 0.1
+        _stub_mismatch(monkeypatch, 2, h2[0].n_electrons, lambda mu: np.cbrt(mu - root))
+        bisections = []
+        bisect = dmet_mod._bisect_mu
+
+        def counting(*args):
+            bisections.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(dmet_mod, "_bisect_mu", counting)
+        res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), mu_tol=1e-2)
+        assert len(bisections) == 1
+        assert max(abs(mu - root) for mu, _ in res.trace) > 100  # Newton walked away
+        assert res.converged
+        assert abs(res.electron_mismatch) <= 1e-2
+        assert abs(res.mu - root) <= 1e-6
+
+    def test_bisection_without_a_sign_change_raises_with_the_trace(self, h2, h2_mf, monkeypatch):
+        _stub_mismatch(monkeypatch, 2, h2[0].n_electrons, lambda mu: 1.0 + (mu - 0.5) ** 2)
+        with pytest.raises(DmetConvergenceError, match="no bracketing interval") as info:
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))))
+        trace = info.value.trace
+        assert trace[0] == (0.0, 1.25)
+        assert len(trace) > 1 and all(f >= 1.0 for _, f in trace)
 
     def test_windowed_reduction_is_sane(self, h4, h4_mf):
         m, _ = h4
