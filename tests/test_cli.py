@@ -352,7 +352,6 @@ class TestDmetCommand:
         oracle = float(re.search(r"oracle_energy=([-\d.e]+)", result).group(1))
         assert abs(energy - oracle) < 5e-3
 
-
     def test_vqe_fragment_failure_exits_1_naming_the_fragment(self, outdir, capsys, monkeypatch):
         def failing_rhf(*args, **kwargs):
             raise ScfConvergenceError("forced failure", density_change=1.0)

@@ -63,7 +63,7 @@ def _fixture_generator():
     return module
 
 
-def failing_rhf(*args, **kwargs):
+def _failing_rhf(*args, **kwargs):
     raise ScfConvergenceError("forced failure", density_change=1.0)
 
 
@@ -335,7 +335,7 @@ class TestSolveFragment:
             solve_fragment(e, "ccsd")
 
     def test_vqe_failure_without_fallback_raises(self, h2, h2_mf, monkeypatch):
-        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
+        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
         e = build_embedding(h2[0], h2_mf, (0,))
         solver = VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
@@ -418,7 +418,7 @@ class TestRunDmet:
     @pytest.mark.parametrize("failure", ["scf", "non-finite"])
     def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
         if failure == "scf":
-            monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
+            monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
             error, reason = ScfConvergenceError, "forced failure"
         else:
             def nan_objective(*args, **kwargs):
