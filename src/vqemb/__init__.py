@@ -33,7 +33,7 @@ from .mapping import (
     build_fermionic_hamiltonian,
     map_to_qubits,
 )
-from .mitigation import ReadoutCalibration, calibrate, m3_mitigate, trex_expectation
+from .mitigation import calibrate, m3_mitigate, trex_expectation
 from .optimize import OptimizerTrace, bounded_quasi_newton, spsa
 from .pauli import PauliTerm, PauliWord, QubitHamiltonian, multiply
 from .resources import ResourceEstimate, estimate

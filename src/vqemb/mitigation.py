@@ -1,8 +1,8 @@
 """Readout-error mitigation.
 
-Two schemes: assignment-matrix inversion restricted to the observed-bitstring
-subspace (direct solve below 500 distinct bitstrings, preconditioned GMRES
-above), and twirled readout estimation, where random X masks symmetrize the
+Two schemes: assignment-matrix inversion restricted to the subspace of
+observed outcomes (direct solve below 500 distinct outcomes, preconditioned
+GMRES above), and twirled readout estimation, where random X masks symmetrize the
 readout channel and a calibration pass on the empty circuit measures the
 attenuation factor to divide out.
 
@@ -13,7 +13,6 @@ expectation values are computed directly from the quasi-distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,20 +37,7 @@ DIRECT_SOLVE_LIMIT = 500
 _TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
-@dataclass(frozen=True)
-class ReadoutCalibration(ReadoutNoiseModel):
-    """Confusion matrices estimated from prepared 0/1 states, with the shot
-    count and seed of the estimate."""
-
-    shots: int
-    seed: int
-
-    def to_text(self) -> str:
-        header, flips = super().to_text().split("\n", 1)
-        return f"{header}\nshots={self.shots}\nseed={self.seed}\n{flips}"
-
-
-def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutCalibration:
+def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutNoiseModel:
     """Estimate each qubit's flip rates by measuring all-0 and all-1 preparations."""
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -63,10 +49,10 @@ def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutCal
     matrices = tuple(
         ((1.0 - a, b), (a, 1.0 - b)) for a, b in zip(p10, p01)
     )
-    return ReadoutCalibration(matrices, shots, seed)
+    return ReadoutNoiseModel(matrices)
 
 
-def _restricted_matrix(outcomes: np.ndarray, n: int, cal: ReadoutCalibration) -> np.ndarray:
+def _restricted_matrix(outcomes: np.ndarray, n: int, cal: ReadoutNoiseModel) -> np.ndarray:
     """Assignment matrix A[i, j] = P(measure b_i | true b_j) on the observed set."""
     bits = (outcomes[:, None] >> (n - 1 - np.arange(n))) & 1
     m = len(outcomes)
@@ -93,50 +79,49 @@ def _solve_assignment(A: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _subspace_inversion(counts: ShotCounts, cal: ReadoutCalibration):
-    """Observed bitstrings in sorted order, their indices, their frequencies p,
-    the restricted assignment matrix A, and the solution x of A x = p.
+def _subspace_inversion(counts: ShotCounts, cal: ReadoutNoiseModel):
+    """The observed outcomes' frequencies p, the restricted assignment matrix
+    A, and the solution x of A x = p, all in the order of ``counts.outcomes``.
 
     Raises when the quasi-probability mass sum(x) vanishes.
     """
-    if not counts.counts:
+    if not counts.outcomes.size:
         raise ValueError("empty counts")
-    observed = sorted(counts.counts)
-    p = np.array([counts.counts[b] for b in observed], dtype=float) / counts.shots
-    outcomes = np.array([int(b, 2) for b in observed], dtype=np.int64)
-    A = _restricted_matrix(outcomes, counts.basis.n_qubits, cal)
+    p = counts.counts / counts.shots
+    A = _restricted_matrix(counts.outcomes, counts.basis.n_qubits, cal)
     x = _solve_assignment(A, p)
     if abs(x.sum()) < 1e-8:
         raise ValueError("quasi-probability mass vanished; calibration is pathological")
-    return observed, outcomes, p, A, x
+    return p, A, x
 
 
-def m3_mitigate(counts: ShotCounts, cal: ReadoutCalibration) -> dict:
-    """Quasi-probability distribution over the observed bitstrings.
+def m3_mitigate(counts: ShotCounts, cal: ReadoutNoiseModel) -> dict:
+    """Quasi-probability distribution over the observed outcomes, keyed by
+    basis index.
 
     Solves A x = p with A restricted to the observed subspace; x is
     renormalized to unit sum and may carry negative entries.
     """
-    observed, _, _, _, x = _subspace_inversion(counts, cal)
-    return dict(zip(observed, (x / x.sum()).tolist()))
+    _, _, x = _subspace_inversion(counts, cal)
+    return dict(zip(counts.outcomes.tolist(), (x / x.sum()).tolist()))
 
 
 class M3GroupEstimator:
     """Group-estimation hook for sampled expectations with subspace inversion.
 
     The group value is w . p_hat with A^T w = v, where v holds each observed
-    bitstring's coefficient-weighted parity; the variance is propagated from
+    outcome's coefficient-weighted parity; the variance is propagated from
     the multinomial covariance of p_hat (renormalization treated as constant).
     """
 
-    def __init__(self, calibration: ReadoutCalibration):
+    def __init__(self, calibration: ReadoutNoiseModel):
         self.calibration = calibration
 
     def estimate_group(self, state, basis, members, shots, noise, seed):
         counts = sample(state, basis, shots, noise, seed)
-        _, outcomes, p, A, x = _subspace_inversion(counts, self.calibration)
+        p, A, x = _subspace_inversion(counts, self.calibration)
         s = x.sum()
-        w = _solve_assignment(A.T, _member_values(outcomes, members, basis.n_qubits))
+        w = _solve_assignment(A.T, _member_values(counts.outcomes, members))
         mean = float(w @ p) / s
         var = max(float(p @ (w * w)) - float(w @ p) ** 2, 0.0) / shots / (s * s)
         return mean, var
@@ -190,45 +175,48 @@ class TrexGroupEstimator:
     """Group-estimation hook applying twirled readout to every term.
 
     One twirled calibration pass (lazy, on the first group) serves all Z
-    supports; each support's attenuation and its variance are computed from
-    the stored bit matrix once and cached until the calibration is redone.
+    masks; each mask's attenuation and its variance are computed from the
+    stored calibration outcomes once and cached until the calibration is
+    redone for another register width.
     """
 
     def __init__(self, cal_shots: int = 20000):
         self.cal_shots = cal_shots
-        self._cal_bits = None
+        self._cal_width = None
+        self._cal_outcomes = None
         self._attenuations: dict = {}
 
-    def _calibration_bits(self, n: int, noise, seed) -> np.ndarray:
-        if self._cal_bits is None or self._cal_bits.shape[1] != n:
+    def _calibrate(self, n: int, noise, seed) -> None:
+        """Run the calibration pass unless one for an n-qubit register is stored."""
+        if self._cal_width != n:
             rng = np.random.default_rng(seed)
-            self._cal_bits = _twirled_bits(zero_state(n), n, self.cal_shots, noise, rng)
+            self._cal_outcomes = _pack(_twirled_bits(zero_state(n), n, self.cal_shots, noise, rng))
+            self._cal_width = n
             self._attenuations = {}
-        return self._cal_bits
 
-    def _attenuation(self, cal_bits: np.ndarray, support) -> tuple[float, float]:
-        """(attenuation, its variance) of one Z support, from the calibration bits."""
-        if support not in self._attenuations:
-            cal_eigs = _z_eigenvalues(_pack(cal_bits), support, cal_bits.shape[1])
+    def _attenuation(self, mask: int) -> tuple[float, float]:
+        """(attenuation, its variance) of one Z mask, from the calibration outcomes."""
+        if mask not in self._attenuations:
+            cal_eigs = _z_eigenvalues(self._cal_outcomes, mask)
             att = float(cal_eigs.mean())
             if abs(att) < 1e-6:
                 raise ValueError(f"twirled attenuation {att:.2e} is too small to mitigate")
             var_att = max(float((cal_eigs**2).mean()) - att * att, 0.0) / self.cal_shots
-            self._attenuations[support] = (att, var_att)
-        return self._attenuations[support]
+            self._attenuations[mask] = (att, var_att)
+        return self._attenuations[mask]
 
     def estimate_group(self, state, basis, members, shots, noise, seed):
         n = basis.n_qubits
         rng = np.random.default_rng(seed)
-        cal_bits = self._calibration_bits(n, noise, seed + 1 if seed is not None else 1)
+        self._calibrate(n, noise, seed + 1 if seed is not None else 1)
         rotated = _rotate_to_basis(state, basis, n)
         outcomes = _pack(_twirled_bits(rotated, n, shots, noise, rng))
 
         per_shot = np.zeros(shots)
         extra_var = 0.0
-        for coeff, support in members:
-            eigs = _z_eigenvalues(outcomes, support, n)
-            att, var_att = self._attenuation(cal_bits, support)
+        for coeff, mask in members:
+            eigs = _z_eigenvalues(outcomes, mask)
+            att, var_att = self._attenuation(mask)
             raw = float(eigs.mean())
             per_shot += coeff * eigs / att
             extra_var += (coeff * raw / att**2) ** 2 * var_att

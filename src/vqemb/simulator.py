@@ -1,7 +1,7 @@
 """Statevector circuit simulation, expectation estimation, and readout noise.
 
-States are dense float64 vectors with qubit 0 on the most significant bit,
-so bitstring output reads left to right as qubit 0, 1, ...  Circuits carry
+States are dense float64 vectors with qubit 0 on the most significant bit
+of the basis index, and a measurement outcome is that basis index.  Circuits carry
 X, Ry and CNOT gates, all real, so a real state stays real; Ry angles sit in
 slots that are either free (an index into the parameter vector) or frozen at
 a fixed angle.  Each circuit is compiled once into rotations and index
@@ -302,34 +302,16 @@ class ReadoutNoiseModel:
 
 @dataclass(frozen=True)
 class ShotCounts:
-    """Measured bitstring histogram in a fixed Pauli basis."""
+    """Measured histogram in a fixed Pauli basis: the distinct outcomes as
+    sorted int64 basis indices, and how often each was measured."""
 
-    counts: dict
-    shots: int
+    outcomes: np.ndarray
+    counts: np.ndarray
     basis: PauliWord
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to the shot total")
-
-    def to_text(self) -> str:
-        lines = [f"shots={self.shots}", f"basis={self.basis.letters}"]
-        for b in sorted(self.counts):
-            lines.append(f"{b} {self.counts[b]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ShotCounts":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2 or not lines[0].startswith("shots=") or not lines[1].startswith("basis="):
-            raise ValueError("missing 'shots='/'basis=' header lines")
-        shots = int(lines[0].split("=", 1)[1])
-        basis = PauliWord(lines[1].split("=", 1)[1])
-        counts = {}
-        for ln in lines[2:]:
-            b, c = ln.split()
-            counts[b] = int(c)
-        return cls(counts, shots, basis)
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
 
 
 def _rotate_to_basis(state: np.ndarray, basis: PauliWord, n: int) -> np.ndarray:
@@ -366,17 +348,16 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return bits @ (1 << (n - 1 - np.arange(n)))
 
 
-def _z_eigenvalues(outcomes: np.ndarray, support, n: int) -> np.ndarray:
-    """+1/-1 eigenvalue of the Z string on ``support`` for each basis index."""
-    mask = sum(1 << (n - 1 - q) for q in support)
+def _z_eigenvalues(outcomes: np.ndarray, mask: int) -> np.ndarray:
+    """+1/-1 eigenvalue of the Z string on the bits of ``mask`` for each basis index."""
     return 1.0 - 2.0 * _parity(outcomes & mask)
 
 
-def _member_values(outcomes: np.ndarray, members: list, n: int) -> np.ndarray:
+def _member_values(outcomes: np.ndarray, members: list) -> np.ndarray:
     """Coefficient-weighted sum of the members' eigenvalues for each basis index."""
     v = np.zeros(len(outcomes))
-    for coeff, support in members:
-        v += coeff * _z_eigenvalues(outcomes, support, n)
+    for coeff, mask in members:
+        v += coeff * _z_eigenvalues(outcomes, mask)
     return v
 
 
@@ -397,8 +378,8 @@ def sample(
     probs = np.abs(_rotate_to_basis(state, basis, n)) ** 2
     fp = noise.flip_probs() if noise is not None else None
     bits = _sample_bits(probs / probs.sum(), n, shots, fp, rng)
-    values, counts = np.unique(_pack(bits), return_counts=True)
-    return ShotCounts({format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)}, shots, basis)
+    outcomes, counts = np.unique(_pack(bits), return_counts=True)
+    return ShotCounts(outcomes, counts, basis)
 
 
 # -- grouped sampled expectations ------------------------------------------------
@@ -407,7 +388,9 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
     """Greedy first-fit partition into qubit-wise commuting groups.
 
     Returns (identity constant, groups); each group is (basis word,
-    [(coefficient, support tuple), ...]).  Coefficients are taken real.
+    [(coefficient, Z mask), ...]), where a member's Z mask is its word's
+    ``x | z``, measured as Z once the group's basis is rotated in.
+    Coefficients are taken real.
     """
     n = h.n_qubits
     constant = 0.0
@@ -418,8 +401,7 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
         if not x | z:
             constant += coeff.real
             continue
-        # qubit q sits on bit n-1-q
-        member = (coeff.real, tuple(q for q in range(n) if (x | z) >> (n - 1 - q) & 1))
+        member = (coeff.real, x | z)
         for group in groups:
             if _qubitwise_commute(x, z, group[0], group[1]):
                 group[0] |= x
@@ -436,13 +418,12 @@ def group_qubitwise(h: QubitHamiltonian) -> tuple[float, list]:
 def tally_counts(counts: ShotCounts, members: list) -> tuple[float, float]:
     """Weighted eigenvalue mean and variance-of-mean from a histogram.
 
-    ``members`` holds (coefficient, support) pairs measured in the same basis;
+    ``members`` holds (coefficient, Z mask) pairs measured in the same basis;
     the per-shot variable is the coefficient-weighted sum of parities.
     """
     total = counts.shots
-    outcomes = np.array([int(b, 2) for b in counts.counts], dtype=np.int64)
-    v = _member_values(outcomes, members, counts.basis.n_qubits)
-    wv = np.array(list(counts.counts.values())) / total * v
+    v = _member_values(counts.outcomes, members)
+    wv = counts.counts / total * v
     # running sums add the outcomes one at a time, in histogram order
     mean = float(np.cumsum(wv)[-1])
     second = float(np.cumsum(wv * v)[-1])

@@ -158,7 +158,7 @@ def test_criterion_4_mitigation_efficacy():
         m3_clean, _ = sampled_expectation(
             ghz, [], h, 10000, mitigator=M3GroupEstimator(ident_cal), seed=5
         )
-        counts = ShotCounts({"0000": 6, "1111": 4}, 10, PauliWord("ZZZZ"))
+        counts = ShotCounts(np.array([0b0000, 0b1111]), np.array([6, 4]), PauliWord("ZZZZ"))
         quasi = m3_mitigate(counts, ident_cal)
         trex_clean, trex_clean_err = trex_expectation(
             ghz, [], PauliWord("ZZZZ"), 10000, noise=None, seed=5
@@ -167,7 +167,7 @@ def test_criterion_4_mitigation_efficacy():
     assert abs(m3_value - 1.0) <= 3 * m3_err
     assert abs(trex_value - 1.0) <= 3 * trex_err
     assert m3_clean == clean, "identity-calibration subspace inversion must be a pass-through"
-    assert quasi == {"0000": 0.6, "1111": 0.4}
+    assert quasi == {0b0000: 0.6, 0b1111: 0.4}
     assert abs(trex_clean - 1.0) <= 5 * max(trex_clean_err, 1e-12)
     report(
         "criterion 4 (mitigation efficacy)",
