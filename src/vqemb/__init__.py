@@ -6,7 +6,7 @@ active-space resource estimation, all checkable against a dense
 exact-diagonalization oracle at desk scale.
 """
 
-from .ansatz import DeparamReport, HeaConfig, build_hea, deparameterise, hartree_fock_bitstring
+from .ansatz import DeparamReport, HeaConfig, build_hea, deparameterise
 from .chem import (
     MeanField,
     MolecularIntegrals,
@@ -21,7 +21,6 @@ from .dmet import (
     Fragmentation,
     VqeFragmentSolver,
     build_embedding,
-    fragment_hamiltonian,
     full_ci_ground_energy,
     make_bath,
     run_dmet,
@@ -31,6 +30,7 @@ from .mapping import (
     FermionOperator,
     MappingSpec,
     build_fermionic_hamiltonian,
+    hartree_fock_bitstring,
     map_to_qubits,
 )
 from .mitigation import calibrate, m3_mitigate, trex_expectation

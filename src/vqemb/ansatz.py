@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import vqe as vqe_mod
-from .mapping import hartree_fock_bitstring  # re-export
 from .simulator import Circuit, CnotGate, FreeSlot, FrozenSlot, PauliXGate, RyGate
 
 DEFAULT_CANDIDATE_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
@@ -86,7 +85,6 @@ class DeparamReport:
     oracle_energy: float
     tolerance: float
     final_circuit: Circuit
-    final_parameters: np.ndarray
 
     def to_text(self) -> str:
         lines = [
@@ -197,5 +195,4 @@ def deparameterise(
         oracle_energy=oracle_energy,
         tolerance=tolerance,
         final_circuit=circuit,
-        final_parameters=params,
     )

@@ -244,10 +244,6 @@ class FrozenInfo:
 
     frozen_occupied: tuple
     active_orbitals: tuple
-    discarded_virtual: tuple
-    homo_index: int
-    lumo_index: int
-    frozen_energy: float
 
 
 def transform_integrals(
@@ -286,7 +282,6 @@ def active_space(
         raise ValueError("window must be >= 1")
     check_window(m.n_orbitals, m.n_electrons, window)
     nocc = m.n_electrons // 2
-    homo, lumo = nocc - 1, nocc
     lo, hi = nocc - window, nocc + window  # active orbitals are [lo, hi)
 
     eps = mf.orbital_energies
@@ -329,9 +324,5 @@ def active_space(
     info = FrozenInfo(
         frozen_occupied=tuple(frozen),
         active_orbitals=tuple(active),
-        discarded_virtual=tuple(range(hi, m.n_orbitals)),
-        homo_index=homo,
-        lumo_index=lumo,
-        frozen_energy=e_frozen,
     )
     return reduced, info

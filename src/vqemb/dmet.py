@@ -103,10 +103,8 @@ class EmbeddingProblem:
     Hamiltonian including the chemical-potential shift.
     """
 
-    basis: np.ndarray          # n x n_emb, orthonormal columns
-    env_density: np.ndarray    # n x n environment core density
     one_body_bare: np.ndarray  # n_emb x n_emb rotated h
-    env_fold: np.ndarray       # n_emb x n_emb rotated J - K/2 of env_density
+    env_fold: np.ndarray       # n_emb x n_emb rotated J - K/2 of the environment core density
     two_body: np.ndarray       # n_emb^4
     n_fragment: int
     n_electrons: int
@@ -189,23 +187,12 @@ def make_bath(mf: MeanField, fragment: Sequence[int]) -> tuple[np.ndarray, np.nd
     return basis, env_density
 
 
-def fragment_hamiltonian(
-    m: MolecularIntegrals,
-    basis: np.ndarray,
-    env_density: np.ndarray,
-    mu: float,
-    n_fragment: int,
-) -> MolecularIntegrals:
-    """Embedding-space integrals with the environment fold and the mu shift."""
-    return build_embedding_from_parts(m, basis, env_density, n_fragment).solver_integrals(mu)
-
-
-def build_embedding_from_parts(
-    m: MolecularIntegrals,
-    basis: np.ndarray,
-    env_density: np.ndarray,
-    n_fragment: int,
+def build_embedding(
+    m: MolecularIntegrals, mf: MeanField, fragment: Sequence[int]
 ) -> EmbeddingProblem:
+    basis, env_density = make_bath(mf, fragment)
+    if basis.shape[1] > 2 * len(fragment):
+        raise AssertionError("embedding dimension exceeded twice the fragment size")
     J, K = coulomb_exchange(m.two_body, env_density)
     fold_full = J - 0.5 * K
     h_bare, g = transform_integrals(m.one_body, m.two_body, basis)
@@ -222,24 +209,13 @@ def build_embedding_from_parts(
         raise ValueError(f"embedding electron count {n_emb} is not a valid closed shell")
 
     return EmbeddingProblem(
-        basis=basis,
-        env_density=env_density,
         one_body_bare=h_bare,
         env_fold=fold,
         two_body=g,
-        n_fragment=n_fragment,
+        n_fragment=len(fragment),
         n_electrons=n_emb,
         core_energy=m.core_energy,
     )
-
-
-def build_embedding(
-    m: MolecularIntegrals, mf: MeanField, fragment: Sequence[int]
-) -> EmbeddingProblem:
-    basis, env_density = make_bath(mf, fragment)
-    if basis.shape[1] > 2 * len(fragment):
-        raise AssertionError("embedding dimension exceeded twice the fragment size")
-    return build_embedding_from_parts(m, basis, env_density, len(fragment))
 
 
 # -- exact solves in the occupation basis ------------------------------------------

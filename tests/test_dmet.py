@@ -16,7 +16,6 @@ from vqemb.dmet import (
     VqeFragmentSolver,
     build_embedding,
     democratic_fragment_energy,
-    fragment_hamiltonian,
     full_ci_ground_energy,
     make_bath,
     run_dmet,
@@ -130,8 +129,7 @@ class TestMakeBath:
 class TestFragmentHamiltonian:
     def test_whole_molecule_embedding_is_identity(self, h4, h4_mf):
         m, _ = h4
-        basis, env = make_bath(h4_mf, (0, 1, 2, 3))
-        ints = fragment_hamiltonian(m, basis, env, mu=0.0, n_fragment=4)
+        ints = build_embedding(m, h4_mf, range(4)).solver_integrals()
         assert full_ci_ground_energy(ints) == pytest.approx(full_ci_ground_energy(m), abs=1e-8)
 
     def test_mu_shifts_fragment_diagonal_exactly(self, h4, h4_mf):
