@@ -104,7 +104,7 @@ class EmbeddingProblem:
     """
 
     one_body_bare: np.ndarray  # n_emb x n_emb rotated h
-    env_fold: np.ndarray       # n_emb x n_emb rotated J - K/2 of the environment core density
+    env_fold: np.ndarray       # n_emb x n_emb rotated J - K/2 of the environment core
     two_body: np.ndarray       # n_emb^4
     n_fragment: int
     n_electrons: int

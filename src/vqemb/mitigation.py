@@ -2,9 +2,9 @@
 
 Two schemes: assignment-matrix inversion restricted to the subspace of
 observed outcomes (direct solve below 500 distinct outcomes, preconditioned
-GMRES above), and twirled readout estimation, where random X masks symmetrize the
-readout channel and a calibration pass on the empty circuit measures the
-attenuation factor to divide out.
+GMRES above), and twirled readout estimation, where random X masks
+symmetrize the readout channel and a calibration pass on the empty circuit
+measures the attenuation factor to divide out.
 
 Quasi-probabilities are renormalized to unit sum (restriction to the observed
 subspace can lose the unobserved probability mass) and are never clipped;

@@ -1,10 +1,10 @@
 """Statevector circuit simulation, expectation estimation, and readout noise.
 
 States are dense float64 vectors with qubit 0 on the most significant bit
-of the basis index, and a measurement outcome is that basis index.  Circuits carry
-X, Ry and CNOT gates, all real, so a real state stays real; Ry angles sit in
-slots that are either free (an index into the parameter vector) or frozen at
-a fixed angle.  Each circuit is compiled once into rotations and index
+of the basis index, and a measurement outcome is that basis index.
+Circuits carry X, Ry and CNOT gates, all real, so a real state stays real;
+Ry angles sit in slots that are either free (an index into the parameter
+vector) or frozen at a fixed angle.  Each circuit is compiled once into rotations and index
 permutations (every run of X and CNOT gates becomes one gather).  The energy
 and its gradient in all free angles come from one forward and one adjoint
 sweep (Jones & Gacon, arXiv:2009.02823).
