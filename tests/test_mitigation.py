@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from vqemb import mitigation
 from vqemb.mitigation import (
+    DIRECT_SOLVE_LIMIT,
     M3GroupEstimator,
     TrexGroupEstimator,
+    _restricted_matrix,
     _twirled_bits,
     calibrate,
     m3_mitigate,
@@ -121,6 +124,29 @@ class TestM3:
                 state, PauliWord(basis), members, 3000, noise, 10
             )
             assert mean == pytest.approx(sum(quasi[b] * parity[b] for b in quasi), abs=1e-12)
+
+    def test_many_outcomes_take_the_gmres_branch(self, monkeypatch):
+        # past DIRECT_SOLVE_LIMIT distinct outcomes A x = p is solved by GMRES
+        calls = []
+
+        def counted_gmres(*args, **kwargs):
+            calls.append(1)
+            return gmres(*args, **kwargs)
+
+        gmres = mitigation.gmres
+        monkeypatch.setattr(mitigation, "gmres", counted_gmres)
+        n = 10
+        rng = np.random.default_rng(14)
+        state = rng.normal(size=1 << n)
+        noise = ReadoutNoiseModel.uniform(n, 0.02)
+        counts = sample(state / np.linalg.norm(state), PauliWord("Z" * n), 4000, noise, seed=15)
+        assert counts.outcomes.size > DIRECT_SOLVE_LIMIT
+        quasi = m3_mitigate(counts, noise)
+        assert calls == [1]
+        x = np.linalg.solve(_restricted_matrix(counts.outcomes, n, noise),
+                            counts.counts / counts.shots)
+        assert list(quasi) == counts.outcomes.tolist()
+        assert np.abs(np.array(list(quasi.values())) - x / x.sum()).max() < 1e-10
 
 
 def batch_of_each_shot(shots, batches=16):

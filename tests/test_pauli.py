@@ -113,6 +113,46 @@ class TestSimplify:
         assert np.allclose(dense(h), dense(h.simplify()), atol=1e-12)
 
 
+class TestCanonicalForm:
+    """Every entry point gives the same merged, letter-ordered, filtered words."""
+
+    # shuffled words: ZIX three times, IXY twice, XYZ cancelling to zero and
+    # XXI below the 1e-12 drop tolerance
+    TERMS = [("ZIX", 0.1), ("YZI", 0.25 - 0.5j), ("IXY", -0.5), ("XXI", 1e-13), ("ZIX", 0.2),
+             ("XYZ", 0.4), ("IIZ", 0.75), ("IXY", 0.125j), ("ZIX", 0.3), ("XYZ", -0.4),
+             ("III", -1.5)]
+    X, Z = [0, 0, 3, 4, 1], [0, 1, 1, 6, 4]  # III, IIZ, IXY, YZI, ZIX
+    # ZIX sums 0.1 + 0.2 + 0.3 in occurrence order, from zero
+    COEFFS = ["(-1.5+0j)", "(0.75+0j)", "(-0.5+0.125j)", "(0.25-0.5j)", "(0.6000000000000001+0j)"]
+
+    @staticmethod
+    def masks(word):
+        n = len(word)
+        x = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c in "XY")
+        z = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c in "ZY")
+        return x, z
+
+    def entry_points(self):
+        terms = [PauliTerm(complex(c), PauliWord(w)) for w, c in self.TERMS]
+        merged = {}
+        for w, c in self.TERMS:
+            merged[w] = merged.get(w, 0.0) + c
+        text = "nqubits=3\n" + "".join(
+            f"{complex(c).real!r} {complex(c).imag!r} {w}\n" for w, c in self.TERMS)
+        x, z = np.array([self.masks(w) for w, _ in self.TERMS]).T
+        coeffs = np.array([c for _, c in self.TERMS], dtype=complex)
+        yield "init", QubitHamiltonian(3, terms)
+        yield "from_dict", QubitHamiltonian.from_dict(3, merged)
+        yield "from_text", QubitHamiltonian.from_text(text)
+        yield "from_arrays", QubitHamiltonian.from_arrays(3, x, z, coeffs)
+
+    def test_every_entry_point_gives_the_pinned_arrays(self):
+        for name, h in self.entry_points():
+            s = h.simplify()
+            assert s.x.tolist() == self.X and s.z.tolist() == self.Z, name
+            assert [repr(c) for c in s.coeffs.tolist()] == self.COEFFS, name
+
+
 class TestToMatrix:
     def test_single_z(self):
         h = QubitHamiltonian.from_dict(1, {"Z": 1.0})
