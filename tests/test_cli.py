@@ -11,6 +11,7 @@ import yaml
 import vqemb.dmet as dmet_mod
 from vqemb.chem import ScfConvergenceError
 from vqemb.cli import CONFIG_KEYS, build_parser, load_config, main
+from vqemb.pauli import QubitHamiltonian
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -208,6 +209,19 @@ class TestExitCodes:
     def test_oracle_cap_exceeded_is_config_error(self, tmp_path, outdir):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump}}\n")
+        assert run(["oracle", "--config", cfg, "--out", outdir]) == 2
+
+    def test_dense_oracle_past_its_cap_exits_2_before_building(self, tmp_path, outdir,
+                                                               monkeypatch):
+        # H10 window 4 under reduced parity is 14 qubits: its complex matrix
+        # alone would take 4.3 GB
+        def refused(self):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(QubitHamiltonian, "to_matrix", refused)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump, window: 4}}\n"
+                       "mapping: {kind: parity, two_qubit_reduction: true}\n")
         assert run(["oracle", "--config", cfg, "--out", outdir]) == 2
 
 
