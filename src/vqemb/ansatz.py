@@ -152,9 +152,9 @@ def deparameterise(
     within the tolerance.  Returns an empty report when no freeze is
     admissible.
     """
+    oracle_energy, _ = problem.hamiltonian.ground_state_energy()
     if baseline is None:
         baseline = vqe_mod.solve(problem)
-    oracle_energy, _ = problem.hamiltonian.simplify().ground_state_energy()
 
     circuit = problem.circuit
     params = np.array(baseline.parameters, dtype=float)

@@ -50,7 +50,7 @@ from .mapping import (
     map_to_qubits,
 )
 from .optimize import NonFiniteObjectiveError
-from .pauli import MATRIX_QUBIT_CAP
+from .pauli import VECTOR_QUBIT_CAP, _check_cap
 from .simulator import evolve
 from .vqe import EstimatorSpec, OptimizerSpec
 
@@ -61,10 +61,6 @@ class DmetConvergenceError(RuntimeError):
     def __init__(self, message: str, trace):
         super().__init__(message)
         self.trace = tuple(trace)
-
-
-class ExactCapError(ValueError):
-    """A sector too wide for the dense exact solver."""
 
 
 @dataclass(frozen=True)
@@ -263,8 +259,7 @@ def _sector_hamiltonian(m: MolecularIntegrals) -> tuple[np.ndarray, sp.csr_matri
     before anything is built.
     """
     n = m.n_orbitals
-    if 2 * n > MATRIX_QUBIT_CAP:
-        raise ExactCapError(f"{2 * n} qubits exceeds the exact-solver cap of {MATRIX_QUBIT_CAP}")
+    _check_cap(2 * n, VECTOR_QUBIT_CAP, "exact-solver")
     if m.n_electrons % 2:
         raise ValueError("closed-shell full CI needs an even electron count")
     labels = _sector_labels(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chem import MolecularIntegrals
-from .pauli import _PHASE_ARRAY, QubitHamiltonian, _check_register, _merge, _mul_phase
+from .pauli import _DROP_TOL, _PHASE_ARRAY, QubitHamiltonian, _check_register, _merge, _mul_phase
 
 JORDAN_WIGNER = "jordan_wigner"
 PARITY = "parity"
@@ -105,8 +105,6 @@ def _block_permutation(n_modes: int) -> list[int]:
 
 # Fermion terms are expanded this many at a time, bounding the product arrays.
 _TERM_CHUNK = 4096
-# Mapped words whose summed coefficient is smaller than this are dropped.
-_DROP_TOL = 1e-12
 
 
 def _ladder_table(n: int, kind: str):
@@ -169,7 +167,7 @@ def map_to_qubits(f: FermionOperator, spec: MappingSpec) -> QubitHamiltonian:
 
     if spec.two_qubit_reduction:
         return _reduce_two_qubits(x, z, c, n, spec.n_electrons)
-    return QubitHamiltonian.from_arrays(n, x, z, c).simplify(_DROP_TOL)
+    return QubitHamiltonian.from_arrays(n, x, z, c)
 
 
 def _reduce_two_qubits(x, z, c, n, n_electrons) -> QubitHamiltonian:
@@ -197,7 +195,7 @@ def _reduce_two_qubits(x, z, c, n, n_electrons) -> QubitHamiltonian:
         low = (1 << (half - 1)) - 1
         return ((v >> half) << (half - 1)) | (v & low)
 
-    return QubitHamiltonian.from_arrays(n - 2, drop_bits(x), drop_bits(z), c).simplify(_DROP_TOL)
+    return QubitHamiltonian.from_arrays(n - 2, drop_bits(x), drop_bits(z), c)
 
 
 def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np.ndarray:

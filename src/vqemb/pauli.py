@@ -6,9 +6,14 @@ stored in a Hamiltonian as two int64 masks in basis-index space; the matrix
 convention puts qubit 0 on the most significant bit, i.e.
 ``matrix(word) = kron(P[letters[0]], P[letters[1]], ...)``.
 
-Dense matrix expansion and exact diagonalization are capped at
-``MATRIX_QUBIT_CAP`` qubits; calls beyond the cap raise instead of
-switching method.
+A Hamiltonian is canonical from construction: like words are merged, each
+sum in occurrence order from zero, merged coefficients below the one drop
+tolerance ``_DROP_TOL`` are dropped, and the words are kept in letter order
+(I < X < Y < Z, qubit 0 first).
+
+The dense matrix and exact diagonalization reach ``MATRIX_QUBIT_CAP`` (12)
+qubits, ``PauliExpectation`` and the DMET sector solver ``VECTOR_QUBIT_CAP``
+(14); a call past its cap raises ``ExactCapError`` before it allocates.
 """
 
 from __future__ import annotations
@@ -20,14 +25,29 @@ import numpy as np
 
 PAULI_LETTERS = "IXYZ"
 
-# Largest register for which dense matrix expansion / eigensolves are allowed.
-MATRIX_QUBIT_CAP = 14
+# Largest register whose dense 2^n x 2^n matrix is built: 268 MB of complex128
+# at 12 qubits, and eigh needs about four times the matrix.
+MATRIX_QUBIT_CAP = 12
+# Largest register for tables of whole-register vectors (PauliExpectation) and
+# for the DMET sector solver.
+VECTOR_QUBIT_CAP = 14
+# Words whose merged coefficient is smaller than this in magnitude are dropped.
+_DROP_TOL = 1e-12
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
 _PHASE_ARRAY = np.array(_PHASES)
 
 MASK_QUBIT_CAP = 63  # masks are int64, so qubit 0 sits at most on bit 62
 _LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)  # x bit + 2 * z bit
+
+
+class ExactCapError(ValueError):
+    """A register too wide for an exact method's allocation."""
+
+
+def _check_cap(n_qubits: int, cap: int, what: str) -> None:
+    if n_qubits > cap:
+        raise ExactCapError(f"{n_qubits} qubits exceeds the {what} cap of {cap}")
 
 
 def _check_register(n_qubits: int) -> None:
@@ -68,25 +88,18 @@ def _mul_phase(xa, za, xb, zb) -> np.ndarray:
 def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
     """Sum the coefficients of equal words, each sum in occurrence order.
 
-    Words come out in order of first occurrence; the sums start from zero, as
-    a dict accumulator ``acc.get(w, 0.0) + c`` would.
+    Words come out in (x, z) mask order; the sums start from zero, as a dict
+    accumulator ``acc.get(w, 0.0) + c`` would.
     """
     if len(x) == 0:
         return x, z, coeffs
-    order = np.lexsort((z, x))
+    order = np.lexsort((z, x))  # stable: equal words keep their occurrence order
     xs, zs = x[order], z[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
-    del xs, zs
-    first = order[starts]  # the sort is stable, so these are first occurrences
-    rank = np.argsort(first)
-    group = np.argsort(rank)  # group number in order of first occurrence
-    inverse = np.empty_like(order)
-    inverse[order] = group[np.cumsum(starts) - 1]
-    acc = np.zeros(len(first), dtype=complex)
-    np.add.at(acc, inverse, coeffs)
-    keep = first[rank]
-    return x[keep], z[keep], acc
+    acc = np.zeros(np.count_nonzero(starts), dtype=complex)
+    np.add.at(acc, np.cumsum(starts) - 1, coeffs[order])
+    return xs[starts], zs[starts], acc
 
 
 def _lexicographic_order(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
@@ -138,7 +151,7 @@ class PauliTerm:
 
 
 class QubitHamiltonian:
-    """Sum of Pauli terms over a fixed qubit register.
+    """Sum of Pauli terms over a fixed qubit register, canonical from construction.
 
     Stored as arrays: ``x`` and ``z`` hold each word's int64 masks in
     basis-index space (qubit q on bit n-1-q) and ``coeffs`` the complex128
@@ -148,23 +161,29 @@ class QubitHamiltonian:
     def __init__(self, n_qubits: int, terms: Iterable[PauliTerm] = ()):
         self.n_qubits = int(n_qubits)
         _check_register(self.n_qubits)
-        self._terms = tuple(terms)
-        for t in self._terms:
+        terms = tuple(terms)
+        for t in terms:
             if t.word.n_qubits != self.n_qubits:
                 raise ValueError(
                     f"term {t.word} has {t.word.n_qubits} qubits, expected {self.n_qubits}"
                 )
-        masks = [_masks(t.word.letters) for t in self._terms]
-        self.x, self.z = np.array(masks, dtype=np.int64).reshape(-1, 2).T.copy()
-        self.coeffs = np.array([complex(t.coefficient) for t in self._terms], dtype=complex)
+        x, z = np.array([_masks(t.word.letters) for t in terms], dtype=np.int64).reshape(-1, 2).T
+        self._store(x, z, np.array([complex(t.coefficient) for t in terms], dtype=complex))
 
     @classmethod
     def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "QubitHamiltonian":
         """Hamiltonian from index-space mask arrays and their coefficients."""
         h = cls(n_qubits)
-        h.x, h.z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
-        h.coeffs, h._terms = np.asarray(coeffs, dtype=complex), None
+        h._store(np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64),
+                 np.asarray(coeffs, dtype=complex))
         return h
+
+    def _store(self, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> None:
+        x, z, c = _merge(x, z, coeffs)
+        kept = np.abs(c) >= _DROP_TOL
+        x, z, c = x[kept], z[kept], c[kept]
+        order = _lexicographic_order(x, z, self.n_qubits)
+        self.x, self.z, self.coeffs, self._terms = x[order], z[order], c[order], None
 
     @property
     def terms(self) -> tuple[PauliTerm, ...]:
@@ -185,20 +204,13 @@ class QubitHamiltonian:
     def __repr__(self) -> str:
         return f"QubitHamiltonian({self.n_qubits} qubits, {len(self)} terms)"
 
-    def simplify(self, drop_tol: float = 1e-12) -> "QubitHamiltonian":
-        """Merge like terms, drop |coeff| < drop_tol, sort words lexicographically."""
-        x, z, c = _merge(self.x, self.z, self.coeffs)
-        kept = np.abs(c) >= drop_tol
-        x, z, c = x[kept], z[kept], c[kept]
-        order = _lexicographic_order(x, z, self.n_qubits)
-        return QubitHamiltonian.from_arrays(self.n_qubits, x[order], z[order], c[order])
+    def simplify(self) -> "QubitHamiltonian":
+        """This Hamiltonian, which construction has already put in canonical form."""
+        return self
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (qubit 0 on the most significant bit)."""
-        if self.n_qubits > MATRIX_QUBIT_CAP:
-            raise ValueError(
-                f"{self.n_qubits} qubits exceeds the dense-matrix cap of {MATRIX_QUBIT_CAP}"
-            )
+        _check_cap(self.n_qubits, MATRIX_QUBIT_CAP, "dense-matrix")
         dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
@@ -207,13 +219,13 @@ class QubitHamiltonian:
         return mat
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        s = self.simplify(drop_tol=0.0)
-        return bool(np.all(np.abs(s.coeffs.imag) < tol))
+        return bool(np.all(np.abs(self.coeffs.imag) < tol))
 
     def ground_state_energy(self) -> tuple[float, np.ndarray]:
         """Minimum eigenvalue and a unit-norm eigenvector via dense eigh."""
+        _check_cap(self.n_qubits, MATRIX_QUBIT_CAP, "dense-matrix")
         if not self.is_hermitian():
-            raise ValueError("Hamiltonian is not Hermitian (complex coefficients survive simplify)")
+            raise ValueError("Hamiltonian is not Hermitian (a merged coefficient is complex)")
         evals, evecs = np.linalg.eigh(self.to_matrix())
         return float(evals[0]), evecs[:, 0]
 
@@ -323,12 +335,9 @@ class PauliExpectation:
     """
 
     def __init__(self, h: QubitHamiltonian):
-        if h.n_qubits > MATRIX_QUBIT_CAP:
-            raise ValueError(
-                f"{h.n_qubits} qubits exceeds the dense-evaluation cap of {MATRIX_QUBIT_CAP}"
-            )
+        _check_cap(h.n_qubits, VECTOR_QUBIT_CAP, "dense-evaluation")
         if not h.is_hermitian():
-            raise ValueError("Hamiltonian is not Hermitian (complex coefficients survive simplify)")
+            raise ValueError("Hamiltonian is not Hermitian (a merged coefficient is complex)")
         self.n_qubits = h.n_qubits
         self._hamiltonian = h
         dim = 1 << h.n_qubits

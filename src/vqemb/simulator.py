@@ -458,7 +458,7 @@ def sampled_expectation(
     if shots <= 0:
         raise ValueError("shots must be positive")
     state = evolve(circuit, params)
-    constant, groups = group_qubitwise(h.simplify()) if isinstance(h, QubitHamiltonian) else h
+    constant, groups = group_qubitwise(h) if isinstance(h, QubitHamiltonian) else h
     estimator = mitigator if mitigator is not None else RawGroupEstimator()
     rng = np.random.default_rng(seed)
     value = constant

@@ -130,7 +130,7 @@ def build_objective(problem: VqeProblem):
     """Energy-evaluation closure for the configured estimator."""
     est = problem.estimator
     if est.kind == "exact":
-        evaluator = PauliExpectation(problem.hamiltonian.simplify())
+        evaluator = PauliExpectation(problem.hamiltonian)
 
         def objective(params):
             return evaluator(evolve(problem.circuit, params))
@@ -151,7 +151,7 @@ def build_objective(problem: VqeProblem):
         mitigator = mitigation.TrexGroupEstimator(cal_shots=est.calibration_shots)
 
     rng = np.random.default_rng(est.seed)
-    grouped = group_qubitwise(problem.hamiltonian.simplify())
+    grouped = group_qubitwise(problem.hamiltonian)
 
     def objective(params):
         sub_seed = int(rng.integers(0, 2**63 - 1))
@@ -183,7 +183,7 @@ def _optimizer_runner(problem: VqeProblem):
         objective = build_objective(problem)
         return lambda x0: spsa(objective, x0, iterations=opt.iterations, seed=opt.seed)
     # quasi-Newton: VqeProblem admits it only with the exact estimator
-    evaluator = PauliExpectation(problem.hamiltonian.simplify())
+    evaluator = PauliExpectation(problem.hamiltonian)
 
     def energy_gradient(params):
         return energy_and_gradient(problem.circuit, params, evaluator)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+import vqemb.cli as cli_mod
 import vqemb.dmet as dmet_mod
+import vqemb.vqe as vqe_mod
 from vqemb.chem import ScfConvergenceError
 from vqemb.cli import CONFIG_KEYS, build_parser, load_config, main
 from vqemb.pauli import QubitHamiltonian
@@ -309,6 +311,33 @@ class TestDeparamCommand:
         assert run(["deparam", "--config", cfg, "--out", outdir]) == 0
         params = [int(r.split(",")[1]) for r in read(outdir / "deparam_params.csv").splitlines()[1:]]
         assert params == [1, 0]
+
+    def test_oracle_is_computed_once(self, tmp_path, outdir, monkeypatch):
+        calls = []
+        ground_state_energy = QubitHamiltonian.ground_state_energy
+
+        def counted(self):
+            calls.append(self.n_qubits)
+            return ground_state_energy(self)
+
+        monkeypatch.setattr(QubitHamiltonian, "ground_state_energy", counted)
+        assert run(["deparam", "--config", CONFIGS / "chain5_deparam.yaml", "--out", outdir]) == 0
+        assert calls == [5]
+
+    def test_register_past_the_dense_cap_exits_2_before_any_solve(self, tmp_path, outdir,
+                                                                  monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a solve or a dense matrix was started")
+
+        for module in (vqe_mod, cli_mod):
+            monkeypatch.setattr(module, "solve", refused)
+        monkeypatch.setattr(QubitHamiltonian, "to_matrix", refused)
+        ham = tmp_path / "wide.ham"
+        ham.write_text("nqubits=13\n-1.0 0.0 " + "Z" * 13 + "\n")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"system: {{hamiltonian: {ham}}}\nansatz: {{layers: 0}}\n")
+        assert run(["deparam", "--config", cfg, "--out", outdir]) == 2
+        assert not outdir.exists()
 
     def test_zero_tolerance_boundary(self, tmp_path, outdir):
         cfg = tmp_path / "c.yaml"

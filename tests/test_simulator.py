@@ -298,10 +298,10 @@ class TestGrouping:
         constant, groups = group_qubitwise(h)
         assert h._terms is None
         # the same members, read from the PauliTerm objects
-        expected = [(c, sum(1 << (4 - q) for q in t.word.support()))
-                    for c, t in zip(coeffs.tolist(), h.terms) if t.word.support()]
+        expected = [(c.real, sum(1 << (4 - q) for q in t.word.support()))
+                    for c, t in zip(h.coeffs.tolist(), h.terms) if t.word.support()]
         assert sorted(m for _, members in groups for m in members) == sorted(expected)
-        assert constant == sum(c for c, t in zip(coeffs.tolist(), h.terms)
+        assert constant == sum(c.real for c, t in zip(h.coeffs.tolist(), h.terms)
                                if not t.word.support())
 
     def test_identity_only(self):
