@@ -148,9 +148,9 @@ def deparameterise(
     Each step tries every remaining free rotation at its nearest candidate
     angle, re-optimizes the rest warm-started from the current optimum, and
     accepts the freeze closest in energy to the baseline, provided the
-    relative error against the dense-diagonalization ground energy stays
-    within the tolerance.  Returns an empty report when no freeze is
-    admissible.
+    relative error against the dense-diagonalization ground energy, computed
+    first, stays within the tolerance.  Returns an empty report when no
+    freeze is admissible.
     """
     oracle_energy, _ = problem.hamiltonian.ground_state_energy()
     if baseline is None:

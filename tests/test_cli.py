@@ -312,7 +312,7 @@ class TestDeparamCommand:
         params = [int(r.split(",")[1]) for r in read(outdir / "deparam_params.csv").splitlines()[1:]]
         assert params == [1, 0]
 
-    def test_oracle_is_computed_once(self, tmp_path, outdir, monkeypatch):
+    def test_oracle_is_computed_once(self, outdir, monkeypatch):
         calls = []
         ground_state_energy = QubitHamiltonian.ground_state_energy
 
