@@ -127,13 +127,12 @@ class TestM3:
 
     def test_many_outcomes_take_the_gmres_branch(self, monkeypatch):
         # past DIRECT_SOLVE_LIMIT distinct outcomes A x = p is solved by GMRES
-        calls = []
+        calls, gmres = [], mitigation.gmres
 
         def counted_gmres(*args, **kwargs):
             calls.append(1)
             return gmres(*args, **kwargs)
 
-        gmres = mitigation.gmres
         monkeypatch.setattr(mitigation, "gmres", counted_gmres)
         n = 10
         rng = np.random.default_rng(14)
