@@ -97,9 +97,10 @@ def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
     xs, zs = x[order], z[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
-    acc = np.zeros(np.count_nonzero(starts), dtype=complex)
+    xs, zs = xs[starts], zs[starts]  # frees the sorted copies before the sums
+    acc = np.zeros(len(xs), dtype=complex)
     np.add.at(acc, np.cumsum(starts) - 1, coeffs[order])
-    return xs[starts], zs[starts], acc
+    return xs, zs, acc
 
 
 def _lexicographic_order(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
