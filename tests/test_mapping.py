@@ -1,5 +1,7 @@
 """Fermionic Hamiltonians and the Jordan-Wigner / parity encodings."""
 
+import hashlib
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -435,6 +437,29 @@ class TestArrayMapping:
         with pytest.raises(ValueError, match="does not commute with the parity symmetry on qubit 1"):
             map_to_qubits(f, MappingSpec(PARITY, True, 2))
 
+    @pytest.mark.parametrize("n_modes", [4, 6, 8])
+    @pytest.mark.parametrize("kind", [JORDAN_WIGNER, PARITY])
+    def test_random_operators_are_bit_identical_to_reference(self, kind, n_modes):
+        spec = MappingSpec(kind)
+        for seed in range(6):
+            f = random_fermion_operator(np.random.default_rng(seed), n_modes, 60)
+            assert {len(ops) for _, ops in fermion_terms(f)} == {0, 1, 2, 3, 4}
+            h = map_to_qubits(f, spec)
+            assert h.to_text() == reference_text(*reference_map_to_qubits(f, spec)), seed
+
+    @pytest.mark.parametrize("n_modes", [4, 6, 8])
+    def test_random_reduced_operators_are_pinned(self, n_modes):
+        # the reference sums words that meet after tapering in their first-
+        # occurrence order, map_to_qubits in mask order, so the last bits of
+        # those sums may differ: the texts are pinned by hash instead
+        texts = []
+        for seed in range(6):
+            f = random_fermion_operator(np.random.default_rng(seed), n_modes, 60, conserve_parities=True)
+            for n_electrons in range(0, n_modes + 1, 2):
+                texts.append(map_to_qubits(f, MappingSpec(PARITY, True, n_electrons)).to_text())
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == _REDUCED_RANDOM_SHA256[n_modes]
+
     @pytest.mark.parametrize("kind", [JORDAN_WIGNER, PARITY])
     def test_repeated_creation_vanishes(self, kind):
         f = fermion_operator(4, [(1.0 + 0.5j, ((2, True), (2, True)))])
@@ -499,6 +524,52 @@ def test_array_mapping_is_bit_identical_to_reference(h2, h4, h10, kind, reduced)
         n, terms = reference_map_to_qubits(f, spec)
         assert [repr(c) for c in h.coeffs.tolist()] == [repr(c) for _, c in terms], name
         assert h.to_text() == reference_text(n, terms), name
+
+
+_REDUCED_RANDOM_SHA256 = {
+    4: "a9787ef52522fa2ac5df6ac75b4a7ea29724ca7d3929f86cfa77f2bdd30131d5",
+    6: "95a0aadf50f545921a9c160861ff643c85fdacad617c0b9bdbb55072362ed788",
+    8: "b60a8ddd76e79346562cc56c849334e4529d44527890fa1d880db36b9e2b86b4",
+}
+
+# sha256 of to_text() for the H10 resource windows (active_space window k + 1)
+_H10_RESOURCE_SHA256 = {
+    (1, JORDAN_WIGNER, False): "70f371d55d3b989eb20ae13579c52ff754935913dc544326715ec334b3e6a284",
+    (1, PARITY, False): "b3dc41514e872d531c9c9d9867c2c5e5bd7731e8d0acfb381562406b0d528026",
+    (1, PARITY, True): "5d0abd82e24ca38f72c98bd8da15a2349823cf3440f81dd37b4ee7b4823a0738",
+    (2, JORDAN_WIGNER, False): "8dc63940075d4b90e0d961623056ea95c8cbe538d1ab78bd0ebe1910895fbac9",
+    (2, PARITY, False): "15c2fee5d00a97666b07fd36f0c0bba944f228f5ff3e7ca52a8ab86e2d014596",
+    (2, PARITY, True): "178274bfa7cb3cd07eb713a72d44bf7c1e0ad745c8eef081fe9a9dac18d058cf",
+    (3, JORDAN_WIGNER, False): "71d8aa7c7cb29838387f30620646f21d711925e10bdd6f039df1405d57b5fb20",
+    (3, PARITY, False): "2606cbb619c711a4c4aff80af570eb87c868f353e833adb93319d1a9a7f9ec5e",
+    (3, PARITY, True): "0c29cd56c5ec7347ba9f7a9869ded48d400577427b892107678e84346b9a02a2",
+    (4, JORDAN_WIGNER, False): "2ffc9f8d2e926e0f524cba63b055a3a0c280de5a65f8a73d5b7be7465adb3265",
+    (4, PARITY, False): "de7c0017c7bd5e6489d117639a1d4bb6692b2c54b5622649ef112b5ac54969d1",
+    (4, PARITY, True): "05adb8c1f73ce955315f474892673f2d6add9bdb4b1bd74b71015df3c6493938",
+}
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_h10_resource_mappings_are_pinned(h10, h10_mf, window):
+    m = active_space(h10[0], h10_mf, window=window + 1)[0]
+    f = build_fermionic_hamiltonian(m)
+    for kind, reduced in ((JORDAN_WIGNER, False), (PARITY, False), (PARITY, True)):
+        text = map_to_qubits(f, MappingSpec(kind, reduced, m.n_electrons)).to_text()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == _H10_RESOURCE_SHA256[window, kind, reduced], (kind, reduced)
+
+
+def test_widest_resource_mapping_peak_memory(h10, h10_mf):
+    # the benchmark bounds peak RSS; the 20-qubit window is its largest mapping
+    f = build_fermionic_hamiltonian(active_space(h10[0], h10_mf, window=5)[0])
+    tracemalloc.start()
+    try:
+        h = map_to_qubits(f, MappingSpec(JORDAN_WIGNER))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.n_qubits == 20
+    assert peak < 8e6
 
 
 class TestDecodeAgainstLoop:
