@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chem import MolecularIntegrals
-from .pauli import _DROP_TOL, _PHASE_ARRAY, QubitHamiltonian, _check_register, _merge, _mul_phase
+from .pauli import _DROP_TOL, _PHASE_ARRAY, QubitHamiltonian, _check_register, _merge
 
 JORDAN_WIGNER = "jordan_wigner"
 PARITY = "parity"
@@ -108,43 +108,60 @@ _TERM_CHUNK = 4096
 
 
 def _ladder_table(n: int, kind: str):
-    """x masks, z masks and coefficients of the two words of every ladder operator.
+    """X mask, Z masks and coefficient phases of the two words of every ladder operator.
 
-    Row 2 * mode + is_creation; column 0 holds the X-type word, column 1 the
-    Y-type word.  Masks live in basis-index space (qubit q on bit n-1-q).
+    Column 2 * mode + is_creation.  Both words share the X mask; row 0 of the
+    Z masks and phases is the X-type word, row 1 the Y-type word, whose
+    coefficient is 0.5 * i^phase.  Masks live in basis-index space (qubit q
+    on bit n-1-q).
     """
     positions = _block_permutation(n) if kind == PARITY else list(range(n))
     bit = np.int64(1) << (n - 1 - np.repeat(np.array(positions, dtype=np.int64), 2))
     full = np.int64((1 << n) - 1)
     if kind == JORDAN_WIGNER:
         z_chain = full ^ (2 * bit - 1)  # Z on every qubit before the position
-        x, z = np.stack([bit, bit], 1), np.stack([z_chain, z_chain | bit], 1)
+        x, z = bit, np.stack([z_chain, z_chain | bit])
     else:
         # parity: X chain on qubits above the position, Z on the qubit below
-        x_chain = 2 * bit - 1
-        x, z = np.stack([x_chain, x_chain], 1), np.stack([(bit << 1) & full, bit], 1)
-    coeffs = np.array([(0.5 + 0j, 0.5 * (-1.0j if creation else 1.0j))
-                       for _ in range(n) for creation in (False, True)])
-    return x, z, coeffs
+        x, z = 2 * bit - 1, np.stack([(bit << 1) & full, bit])
+    # the Y-type word carries +i on an annihilator, -i on a creator
+    phase = np.array([[0, 0] * n, [1, 3] * n], dtype=np.uint8)
+    return x, z, phase
 
 
 def _expand(coeffs: np.ndarray, rows: np.ndarray, table):
     """Every Pauli product of k-operator terms, in the order of the term-by-term expansion.
 
-    ``rows`` is (terms, k) ladder-table rows.  Term t's 2^k products come out
-    consecutively, the first operator's choice of word most significant; each
-    factor multiplies the running coefficient, then its phase.
+    ``rows`` is (terms, k) ladder-table columns.  Term t's 2^k products come
+    out consecutively, the first operator's choice of word most significant.
+
+    Closed form: with P(x, z) = i^|x & z| X^x Z^z, the words of a term share
+    the X mask x = x_1 ^ ... ^ x_k, and a product's Z mask is the XOR of the
+    chosen words' masks z_j.  Moving each X^x_j left past the Z^z_i of the
+    operators before it gives the product's power of i,
+
+        sum_j [phase_j + |x_j & z_j| + 2 |z_j & (x_{j+1} ^ ... ^ x_k)|] - |x & z|,
+
+    in which only the last popcount depends on more than one choice.  Every
+    factor a term-by-term product multiplies in (0.5, +-i, i^m) is exact, so
+    c * 0.5^k * i^power is the same double, up to the sign of a zero that no
+    sum starting from +0 can show.
     """
-    tx, tz, tc = table
-    x = z = np.zeros((len(coeffs), 1), dtype=np.int64)
-    c = coeffs[:, None]
-    for j in range(rows.shape[1]):
-        fx, fz, fc = tx[rows[:, j], None, :], tz[rows[:, j], None, :], tc[rows[:, j], None, :]
-        xa, za = x[:, :, None], z[:, :, None]
-        phase = _PHASE_ARRAY[_mul_phase(xa, za, fx, fz)]
-        c = ((c[:, :, None] * fc) * phase).reshape(len(coeffs), -1)
-        x, z = (xa ^ fx).reshape(len(coeffs), -1), (za ^ fz).reshape(len(coeffs), -1)
-    return x.ravel(), z.ravel(), c.ravel()
+    tx, tz, tphase = table
+    count = np.bitwise_count  # uint8 counts: wrapping mod 256 keeps the value mod 4
+    cols = np.ascontiguousarray(rows.T)  # operator-major, so each step runs along terms
+    xs, zs = tx[cols], tz.take(cols, axis=1)  # (k, T), (2, k, T)
+    x = np.bitwise_xor.reduce(xs, axis=0)
+    later = x ^ np.bitwise_xor.accumulate(xs, axis=0)  # x_{j+1} ^ ... ^ x_k
+    own = tphase.take(cols, axis=1) + count(xs & zs) + 2 * count(zs & later)
+    z = np.zeros((1, len(coeffs)), dtype=np.int64)
+    power = np.zeros((1, len(coeffs)), dtype=np.uint8)
+    for j in range(len(cols)):
+        z = (z[:, None] ^ zs[None, :, j]).reshape(-1, len(coeffs))
+        power = (power[:, None] + own[None, :, j]).reshape(-1, len(coeffs))
+    power = (power - count(x & z)) & 3
+    c = (coeffs * 0.5 ** len(cols)) * _PHASE_ARRAY[power]
+    return np.repeat(x, len(z)), z.T.ravel(), c.T.ravel()
 
 
 def map_to_qubits(f: FermionOperator, spec: MappingSpec) -> QubitHamiltonian:

@@ -454,7 +454,8 @@ class TestArrayMapping:
         # those sums may differ: the texts are pinned by hash instead
         texts = []
         for seed in range(6):
-            f = random_fermion_operator(np.random.default_rng(seed), n_modes, 60, conserve_parities=True)
+            rng = np.random.default_rng(seed)
+            f = random_fermion_operator(rng, n_modes, 60, conserve_parities=True)
             for n_electrons in range(0, n_modes + 1, 2):
                 texts.append(map_to_qubits(f, MappingSpec(PARITY, True, n_electrons)).to_text())
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
