@@ -96,50 +96,67 @@ def parse_fcidump(text) -> MolecularIntegrals:
     nelec = header_int("NELEC")
     header_int("MS2")
 
+    raws = [raw for raw in body.splitlines() if raw.strip()]
+    values, index, error = [], [], None
+    for raw in raws:  # reading stops at the first unreadable record
+        parts = raw.split()
+        try:
+            if len(parts) != 5:
+                raise ValueError(f"malformed FCIDUMP record: {raw!r}")
+            value = float(parts[0].replace("D", "e").replace("d", "e"))
+            ijkl = [int(p) for p in parts[1:]]
+            if max(ijkl) > n or min(ijkl) < 0:
+                raise ValueError(f"orbital index out of range in record: {raw!r}")
+        except ValueError as err:
+            error = err
+            break
+        values.append(value)
+        index.append(ijkl)
+    values, index = np.array(values), np.array(index, dtype=np.int64).reshape(-1, 4)
+
+    # all-zero: core; k = l = 0 < i, j: one-electron; none zero: two-electron
+    zero = index == 0
+    valid = zero.all(1) | (zero[:, 2] & zero[:, 3] & ~zero[:, 0] & ~zero[:, 1]) | ~zero.any(1)
+    n_valid = len(values) if valid.all() else int(np.argmin(valid))
+    values, index = values[:n_valid], index[:n_valid]
+    # canonical key (a, b, c, d) = max((a, b, c, d), (c, d, a, b)), a >= b and c >= d
+    pairs = -np.sort(-index.reshape(-1, 2, 2), axis=2)
+    swap = (pairs[:, 1, 0] > pairs[:, 0, 0]) | (
+        (pairs[:, 1, 0] == pairs[:, 0, 0]) & (pairs[:, 1, 1] > pairs[:, 0, 1]))
+    keys = np.where(swap[:, None, None], pairs[:, ::-1], pairs).reshape(-1, 4)
+
+    order = np.lexsort(keys.T[::-1])  # stable: a key's records stay in file order
+    sorted_keys, sorted_values = keys[order], values[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(1)
+    first = sorted_values[np.flatnonzero(starts)][np.cumsum(starts) - 1]
+    # a record conflicts when it differs from its key's first record (a NaN always differs)
+    conflicts = order[(sorted_values != first) & ~starts]
+    if conflicts.size:
+        r = int(conflicts.min())
+        a, b, c, d = keys[r].tolist()
+        key = ("core",) if a == 0 else ("one", a, b) if c == 0 else ("two", a, b, c, d)
+        raise ValueError(f"conflicting duplicate record for {key}: {raws[r]!r}")
+    if n_valid < len(valid):
+        raise ValueError(f"bad index pattern in record: {raws[n_valid]!r}")
+    if error is not None:
+        raise error
+
+    # the last record of each key sets its value (equal values may differ in a zero's sign)
+    ends = np.ones(len(order), dtype=bool)
+    ends[:-1] = starts[1:]
+    last = order[ends]
+    keys, values = keys[last] - 1, values[last]
+    kind = (keys >= 0).sum(1)  # 0 core, 2 one-electron, 4 two-electron
+    core = float(values[kind == 0][0]) if (kind == 0).any() else 0.0
     one = np.zeros((n, n))
+    p, q = keys[kind == 2, :2].T
+    one[p, q] = one[q, p] = values[kind == 2]
     two = np.zeros((n, n, n, n))
-    core = 0.0
-    seen: dict[tuple, float] = {}
-
-    for raw in body.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"malformed FCIDUMP record: {raw!r}")
-        value = float(parts[0].replace("D", "e").replace("d", "e"))
-        i, j, k, l = (int(p) for p in parts[1:])
-        if max(i, j, k, l) > n or min(i, j, k, l) < 0:
-            raise ValueError(f"orbital index out of range in record: {raw!r}")
-        if i == j == k == l == 0:
-            key = ("core",)
-            canonical = value
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise ValueError(f"bad index pattern in record: {raw!r}")
-            key = ("one", max(i, j), min(i, j))
-        elif min(i, j, k, l) == 0:
-            raise ValueError(f"bad index pattern in record: {raw!r}")
-        else:
-            a, b = sorted((i, j), reverse=True)
-            c, d = sorted((k, l), reverse=True)
-            key = ("two",) + max((a, b, c, d), (c, d, a, b))
-        if key in seen and seen[key] != value:
-            raise ValueError(f"conflicting duplicate record for {key}: {raw!r}")
-        seen[key] = value
-
-        if key[0] == "core":
-            core = value
-        elif key[0] == "one":
-            one[i - 1, j - 1] = one[j - 1, i - 1] = value
-        else:
-            p, q, r, s = i - 1, j - 1, k - 1, l - 1
-            for a, b, c, d in (
-                (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-                (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-            ):
-                two[a, b, c, d] = value
+    p, q, r, s = keys[kind == 4].T
+    for image in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                  (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)):
+        two[image] = values[kind == 4]
 
     return MolecularIntegrals(n, nelec, core, one, two)
 

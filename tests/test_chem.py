@@ -1,5 +1,7 @@
 """FCIDUMP parsing, restricted Hartree-Fock, and active-space reduction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,112 @@ def non_interacting(levels, n_electrons):
         one_body=np.diag(np.asarray(levels, dtype=float)),
         two_body=np.zeros((n, n, n, n)),
     )
+
+
+def reference_parse_fcidump(text):
+    """(n, core, one, two) of an FCIDUMP text, one record at a time, as
+    ``parse_fcidump`` read it before it worked on whole arrays."""
+    m = re.search(r"&FCI(.*)", text, re.IGNORECASE | re.DOTALL)
+    rest = m.group(1)
+    end = re.search(r"(&END|/)", rest, re.IGNORECASE)
+    header, body = rest[: end.start()], rest[end.end():]
+    n = int(re.search(r"NORB\s*=\s*(-?\d+)", header, re.IGNORECASE).group(1))
+    one = np.zeros((n, n))
+    two = np.zeros((n, n, n, n))
+    core = 0.0
+    seen = {}
+    for raw in body.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(f"malformed FCIDUMP record: {raw!r}")
+        value = float(parts[0].replace("D", "e").replace("d", "e"))
+        i, j, k, l = (int(p) for p in parts[1:])
+        if max(i, j, k, l) > n or min(i, j, k, l) < 0:
+            raise ValueError(f"orbital index out of range in record: {raw!r}")
+        if i == j == k == l == 0:
+            key = ("core",)
+        elif k == 0 and l == 0:
+            if i == 0 or j == 0:
+                raise ValueError(f"bad index pattern in record: {raw!r}")
+            key = ("one", max(i, j), min(i, j))
+        elif min(i, j, k, l) == 0:
+            raise ValueError(f"bad index pattern in record: {raw!r}")
+        else:
+            a, b = sorted((i, j), reverse=True)
+            c, d = sorted((k, l), reverse=True)
+            key = ("two",) + max((a, b, c, d), (c, d, a, b))
+        if key in seen and seen[key] != value:
+            raise ValueError(f"conflicting duplicate record for {key}: {raw!r}")
+        seen[key] = value
+        if key[0] == "core":
+            core = value
+        elif key[0] == "one":
+            one[i - 1, j - 1] = one[j - 1, i - 1] = value
+        else:
+            p, q, r, s = i - 1, j - 1, k - 1, l - 1
+            for a, b, c, d in (
+                (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+            ):
+                two[a, b, c, d] = value
+    return n, core, one, two
+
+
+_HEAD = "&FCI NORB=3,NELEC=2,MS2=0\n/\n"
+
+
+class TestParseAgainstLoop:
+    @pytest.mark.parametrize("name", ["h2", "h4", "h10"])
+    def test_fixtures_are_bit_identical(self, fixtures_dir, name):
+        text = (fixtures_dir / f"{name}.fcidump").read_text()
+        m = parse_fcidump(text)
+        n, core, one, two = reference_parse_fcidump(text)
+        assert m.n_orbitals == n and repr(m.core_energy) == repr(core)
+        assert np.array_equal(m.one_body, one) and m.one_body.tobytes() == one.tobytes()
+        assert np.array_equal(m.two_body, two) and m.two_body.tobytes() == two.tobytes()
+
+    def test_empty_body(self):
+        m = parse_fcidump("&FCI NORB=2,NELEC=2,MS2=0\n/\n")
+        assert m.core_energy == 0.0 and not m.one_body.any() and not m.two_body.any()
+
+    def test_duplicates_keep_the_last_zero_sign(self):
+        text = _HEAD + "0.0 2 1 0 0\n-0.0 1 2 0 0\n-0.0 3 2 2 1\n0.0 1 2 2 3\n"
+        text += "0.0 0 0 0 0\n1.0 1 1 0 0\n"
+        m = parse_fcidump(text)
+        _, core, one, two = reference_parse_fcidump(text)
+        assert m.one_body.tobytes() == one.tobytes() and m.two_body.tobytes() == two.tobytes()
+        assert np.signbit(m.one_body[0, 1]) and not np.signbit(m.two_body[0, 1, 1, 2])
+
+    @pytest.mark.parametrize("body", [
+        "1.0 2 1 0 0\n1.0 1 2 0 0 7\n",  # malformed
+        "1.0 2 1 0 0\nabc 1 1 0 0\n",  # unreadable value
+        "1.0 2 1 0 0\n1.0 1 x 0 0\n",  # unreadable index
+        "1.0 4 1 0 0\n",  # out of range
+        "1.0 1 -1 1 1\n",  # negative index
+        "1.0 99999999999999999999 1 0 0\n",  # past any fixed-width integer
+        "1.0 0 1 0 0\n",  # one-electron record with a zero index
+        "1.0 1 1 0 1\n",  # two-electron record with a zero index
+        "1.0 2 1 2 1\n2.0 1 2 1 2\n",  # conflicting two-electron duplicate
+        "1.0 2 1 3 3\n2.0 3 3 1 2\n",  # conflicting duplicate across the pair swap
+        "0.5 0 0 0 0\n0.7 0 0 0 0\n",  # conflicting core
+        "nan 1 1 0 0\nNaN 1 1 0 0\n",  # NaN conflicts with itself
+        "nan 1 1 0 0\n1.0 4 1 0 0\n",  # but not without a duplicate
+        # several faults: the first record at fault is reported
+        "1.0 2 1 0 0\n2.0 1 2 0 0\n1.0 0 1 0 0\n1.0 4 1 0 0\n",
+        "1.0 2 1 0 0\n1.0 0 1 0 0\n2.0 1 2 0 0\n",
+        "1.0 0 1 0 0\nbad\n2.0 1 2 0 0\n",
+        "1.0 2 1 0 0\n1.0 4 1 0 0\n2.0 1 2 0 0\n",
+        "1.0 2 1 0 0\n2.0 1 2 0 0\nbad\n",
+        "1.0 2 1 0 0\n1e400 2 1 0 0\n-1e400 2 2 0 0\n",
+    ])
+    def test_errors_name_the_record_the_loop_named(self, body):
+        with pytest.raises(ValueError) as ref:
+            reference_parse_fcidump(_HEAD + body)
+        with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+            parse_fcidump(_HEAD + body)
 
 
 class TestParse:
