@@ -119,22 +119,22 @@ def parse_fcidump(text) -> MolecularIntegrals:
     valid = zero.all(1) | (zero[:, 2] & zero[:, 3] & ~zero[:, 0] & ~zero[:, 1]) | ~zero.any(1)
     n_valid = len(values) if valid.all() else int(np.argmin(valid))
     values, index = values[:n_valid], index[:n_valid]
-    # canonical key (a, b, c, d) = max((a, b, c, d), (c, d, a, b)), a >= b and c >= d
-    pairs = -np.sort(-index.reshape(-1, 2, 2), axis=2)
-    swap = (pairs[:, 1, 0] > pairs[:, 0, 0]) | (
-        (pairs[:, 1, 0] == pairs[:, 0, 0]) & (pairs[:, 1, 1] > pairs[:, 0, 1]))
-    keys = np.where(swap[:, None, None], pairs[:, ::-1], pairs).reshape(-1, 4)
+    # canonical key max((a, b, c, d), (c, d, a, b)) with a >= b, c >= d, as base-(n+1) digits
+    base = n + 1
+    ij = index[:, :2].max(1) * base + index[:, :2].min(1)
+    kl = index[:, 2:].max(1) * base + index[:, 2:].min(1)
+    keys = np.maximum(ij, kl) * base**2 + np.minimum(ij, kl)
 
-    order = np.lexsort(keys.T[::-1])  # stable: a key's records stay in file order
+    order = np.argsort(keys, kind="stable")  # a key's records stay in file order
     sorted_keys, sorted_values = keys[order], values[order]
     starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(1)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
     first = sorted_values[np.flatnonzero(starts)][np.cumsum(starts) - 1]
     # a record conflicts when it differs from its key's first record (a NaN always differs)
     conflicts = order[(sorted_values != first) & ~starts]
     if conflicts.size:
         r = int(conflicts.min())
-        a, b, c, d = keys[r].tolist()
+        a, b, c, d = (keys[r] // base ** np.arange(3, -1, -1) % base).tolist()
         key = ("core",) if a == 0 else ("one", a, b) if c == 0 else ("two", a, b, c, d)
         raise ValueError(f"conflicting duplicate record for {key}: {raws[r]!r}")
     if n_valid < len(valid):
@@ -146,17 +146,17 @@ def parse_fcidump(text) -> MolecularIntegrals:
     ends = np.ones(len(order), dtype=bool)
     ends[:-1] = starts[1:]
     last = order[ends]
-    keys, values = keys[last] - 1, values[last]
-    kind = (keys >= 0).sum(1)  # 0 core, 2 one-electron, 4 two-electron
-    core = float(values[kind == 0][0]) if (kind == 0).any() else 0.0
+    p, q, r, s = (keys[last, None] // base ** np.arange(3, -1, -1) % base - 1).T
+    values = values[last]
+    core = float(values[p < 0][0]) if (p < 0).any() else 0.0
+    one_e, two_e = (p >= 0) & (r < 0), s >= 0
     one = np.zeros((n, n))
-    p, q = keys[kind == 2, :2].T
-    one[p, q] = one[q, p] = values[kind == 2]
+    one[p[one_e], q[one_e]] = one[q[one_e], p[one_e]] = values[one_e]
     two = np.zeros((n, n, n, n))
-    p, q, r, s = keys[kind == 4].T
+    p, q, r, s = p[two_e], q[two_e], r[two_e], s[two_e]
     for image in ((p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
                   (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)):
-        two[image] = values[kind == 4]
+        two[image] = values[two_e]
 
     return MolecularIntegrals(n, nelec, core, one, two)
 

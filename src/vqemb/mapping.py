@@ -6,6 +6,12 @@ directly.  The parity encoding first reorders modes into spin blocks (all
 alpha, then all beta) so that qubit M/2-1 carries the alpha-block parity and
 qubit M-1 the total parity; the optional two-qubit reduction removes those
 two qubits and substitutes the eigenvalues fixed by the electron count.
+
+A ladder operator maps to two Pauli words with one X mask and coefficients
+0.5 and +-0.5i, so the 2^k products of a k-operator term share one X mask.
+``_expand`` writes each product's phase in closed form from popcounts and
+scales the term's coefficient once by 0.5^k * i^m; every factor is exact, so
+the result is bit-identical to multiplying the words in one at a time.
 """
 
 from __future__ import annotations
