@@ -121,6 +121,7 @@ def parse_fcidump(text) -> MolecularIntegrals:
     values, index = values[:n_valid], index[:n_valid]
     # canonical key max((a, b, c, d), (c, d, a, b)) with a >= b, c >= d, as base-(n+1) digits
     base = n + 1
+    place = base ** np.arange(3, -1, -1)
     ij = index[:, :2].max(1) * base + index[:, :2].min(1)
     kl = index[:, 2:].max(1) * base + index[:, 2:].min(1)
     keys = np.maximum(ij, kl) * base**2 + np.minimum(ij, kl)
@@ -134,7 +135,7 @@ def parse_fcidump(text) -> MolecularIntegrals:
     conflicts = order[(sorted_values != first) & ~starts]
     if conflicts.size:
         r = int(conflicts.min())
-        a, b, c, d = (keys[r] // base ** np.arange(3, -1, -1) % base).tolist()
+        a, b, c, d = (keys[r] // place % base).tolist()
         key = ("core",) if a == 0 else ("one", a, b) if c == 0 else ("two", a, b, c, d)
         raise ValueError(f"conflicting duplicate record for {key}: {raws[r]!r}")
     if n_valid < len(valid):
@@ -146,7 +147,7 @@ def parse_fcidump(text) -> MolecularIntegrals:
     ends = np.ones(len(order), dtype=bool)
     ends[:-1] = starts[1:]
     last = order[ends]
-    p, q, r, s = (keys[last, None] // base ** np.arange(3, -1, -1) % base - 1).T
+    p, q, r, s = (keys[last, None] // place % base - 1).T
     values = values[last]
     core = float(values[p < 0][0]) if (p < 0).any() else 0.0
     one_e, two_e = (p >= 0) & (r < 0), s >= 0
