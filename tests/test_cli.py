@@ -1,5 +1,6 @@
 """Command-line integration: exit codes, artifacts, determinism."""
 
+import hashlib
 import importlib.util
 import re
 import sys
@@ -286,6 +287,17 @@ class TestVqeCommand:
 
     def test_sampled_with_mitigation_runs(self, outdir):
         assert run(["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--out", outdir]) == 0
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "407043947e165f2d4f8a56b27f47b40b93168815dfef4edba0004b54d6fe7485"),
+        # seed 3 ends closest to the benchmark's 5e-2 relative-error ceiling
+        (3, "cad5582daa94860723421c157091696f9bc0808b036e9c7b9fc20527335a2bff"),
+    ])
+    def test_sampled_trex_result_is_pinned(self, outdir, seed, digest):
+        argv = ["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--seed", seed,
+                "--mitigation", "trex", "--out", outdir]
+        assert run(argv) == 0
+        assert hashlib.sha256((outdir / "vqe_result.txt").read_bytes()).hexdigest() == digest
 
 
 class TestDeparamCommand:

@@ -202,6 +202,17 @@ class TestTwirledBits:
         np.testing.assert_array_equal(got, np.tile([1, 0, 1], (1000, 1)))
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_state_without_finite_mass_is_rejected(self, bad, noisy):
+        state = self.random_state(2, 4) if bad != "zero" else np.zeros(4)
+        if bad != "zero":
+            state[1] = float(bad)
+        noise = ReadoutNoiseModel.uniform(2, 0.05) if noisy else None
+        with pytest.raises(ValueError):
+            _twirled_bits(state, 2, 100, noise, np.random.default_rng(3))
+
+
 class TestTrex:
     def test_standalone_is_the_group_estimator(self):
         noise = ReadoutNoiseModel.uniform(4, 0.03)

@@ -1,5 +1,6 @@
 """Circuit evolution, sampling, and grouped shot-based expectations."""
 
+import hashlib
 import math
 from functools import reduce
 from pathlib import Path
@@ -204,6 +205,34 @@ class TestAdjointGradient:
         assert circuit.n_parameters == 8
         self.check(h, circuit, seed=5)
 
+    def test_chain5_with_frozen_slots_is_pinned(self):
+        # the evolved state (sha256 of its bytes), the energy and the gradient, bit for bit
+        h = QubitHamiltonian.from_text((FIXTURES / "chain5.ham").read_text())
+        circuit = freeze(build_hea(HeaConfig(5, 1), [0] * 5), {0, 11}, math.pi / 2)
+        evaluator = PauliExpectation(h)
+        rng = np.random.default_rng(31)
+        pins = [
+            ("e4f530038a3e728cc054fb928cc1c7b9", "-0x1.fa5f0d0f2bf3ep-1", [
+                "0x1.2003dd3801d02p-1", "-0x1.19b8e649e5a8bp-1", "-0x1.88caec70cc537p-4",
+                "0x1.347fba0d247dbp+0", "0x1.6d84cf8756f1ep-1", "0x1.fc906f4841910p-4",
+                "-0x1.d9644e82bebc8p-4", "0x1.7828ed5bc75ebp-2"]),
+            ("f9fb95fb1752fca701f1bd700d7e39cf", "-0x1.237e0c2e83780p-1", [
+                "0x1.680e68c85fa3cp-2", "0x1.ae191b977724fp-4", "-0x1.d0fe7d59112b4p-4",
+                "-0x1.a991f57fb5162p-3", "0x1.f67ad0148ef24p-4", "0x1.1f57c2a0a928bp-3",
+                "-0x1.55fc3df02d300p-6", "0x1.4eca443c4308cp-5"]),
+            ("c95424e108183ac427db53ae223d750e", "-0x1.f8615cc668e4dp+0", [
+                "0x1.38a52b585884cp-1", "0x1.f6b98beec0a51p-3", "0x1.4854eaeeeb44dp-1",
+                "0x1.b72f5d6d94cf8p-2", "-0x1.265848677c4eep-1", "0x1.d9bec01034125p-3",
+                "-0x1.0ff52ee3b1ee0p-7", "0x1.bafca0de58d7ap-2"]),
+        ]
+        for state_digest, energy_hex, grad_hex in pins:
+            params = rng.uniform(-math.pi, math.pi, size=circuit.n_parameters)
+            state = evolve(circuit, params)
+            assert hashlib.sha256(state.tobytes()).hexdigest()[:32] == state_digest
+            energy, grad = energy_and_gradient(circuit, params, evaluator)
+            assert energy.hex() == energy_hex
+            assert [g.hex() for g in grad] == grad_hex
+
     def test_jordan_wigner_h2_two_layers(self, h2):
         spec = MappingSpec(JORDAN_WIGNER)
         h = map_to_qubits(build_fermionic_hamiltonian(h2[0]), spec)
@@ -267,6 +296,42 @@ class TestSample:
         counts = sample(zero_state(1), PauliWord("Z"), 100000, noise=noise, seed=3)
         frac = histogram(counts).get(0b1, 0) / 100000
         assert 0.094 <= frac <= 0.106  # 5 sigma around 0.1
+
+    # basis -> histograms of 1000 shots without and with readout noise
+    PINNED_HISTOGRAMS = {
+        "X": ({0: 427, 1: 573}, {0: 537, 1: 463}),
+        "Y": ({0: 215, 1: 785}, {0: 400, 1: 600}),
+        "IZ": ({0: 285, 1: 132, 2: 25, 3: 558}, {0: 231, 1: 305, 2: 51, 3: 413}),
+        "XY": ({0: 488, 1: 139, 2: 20, 3: 353}, {0: 373, 1: 293, 2: 59, 3: 275}),
+        "YXI": ({0: 45, 1: 228, 2: 115, 3: 171, 4: 209, 5: 92, 6: 7, 7: 133},
+                {0: 96, 1: 189, 2: 120, 3: 211, 4: 92, 5: 110, 6: 56, 7: 126}),
+        "ZIY": ({0: 545, 1: 231, 2: 10, 3: 9, 4: 20, 5: 5, 6: 111, 7: 69},
+                {0: 301, 1: 241, 2: 111, 3: 106, 4: 51, 5: 43, 6: 56, 7: 91}),
+        "XYZ": ({0: 5, 1: 203, 2: 112, 3: 62, 4: 216, 5: 202, 6: 39, 7: 161},
+                {0: 67, 1: 183, 2: 96, 3: 149, 4: 107, 5: 159, 6: 79, 7: 160}),
+    }
+
+    @pytest.mark.parametrize("basis", sorted(PINNED_HISTOGRAMS))
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_histograms_are_pinned(self, basis, noisy):
+        n = len(basis)
+        rng = np.random.default_rng(n)
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        noise = ReadoutNoiseModel.from_flip_probs([0.1, 0.2, 0.3][:n], [0.25, 0.05, 0.15][:n])
+        counts = sample(state, PauliWord(basis), 1000, noise=noise if noisy else None, seed=40 + n)
+        assert counts.outcomes.dtype == np.int64 and counts.counts.dtype == np.int64
+        assert histogram(counts) == self.PINNED_HISTOGRAMS[basis][noisy]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_state_without_finite_mass_is_rejected(self, bad, noisy):
+        state = evolve(ghz(2), []) if bad != "zero" else np.zeros(4)
+        if bad != "zero":
+            state[3] = float(bad)
+        noise = ReadoutNoiseModel.uniform(2, 0.05) if noisy else None
+        with pytest.raises(ValueError):
+            sample(state, PauliWord("XZ"), 100, noise=noise, seed=1)
 
     def test_deterministic_given_seed(self):
         state = evolve(ghz(3), [])
