@@ -24,9 +24,8 @@ from .simulator import (
     ReadoutNoiseModel,
     ShotCounts,
     _member_values,
-    _pack,
     _rotate_to_basis,
-    _sample_bits,
+    _sample_outcomes,
     _z_eigenvalues,
     sample,
     sampled_expectation,
@@ -46,10 +45,7 @@ def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutNoi
     n = noise.n_qubits
     p10 = (rng.random((shots, n)) < fp[:, 0]).mean(axis=0)
     p01 = (rng.random((shots, n)) < fp[:, 1]).mean(axis=0)
-    matrices = tuple(
-        ((1.0 - a, b), (a, 1.0 - b)) for a, b in zip(p10, p01)
-    )
-    return ReadoutNoiseModel(matrices)
+    return ReadoutNoiseModel.from_flip_probs(p10, p01)
 
 
 def _restricted_matrix(outcomes: np.ndarray, n: int, cal: ReadoutNoiseModel) -> np.ndarray:
@@ -57,8 +53,7 @@ def _restricted_matrix(outcomes: np.ndarray, n: int, cal: ReadoutNoiseModel) -> 
     bits = (outcomes[:, None] >> (n - 1 - np.arange(n))) & 1
     m = len(outcomes)
     A = np.ones((m, m))
-    for q in range(n):
-        Mq = np.asarray(cal.matrices[q], dtype=float)
+    for q, Mq in enumerate(cal._stacked):
         A *= Mq[bits[:, None, q], bits[None, :, q]]
     return A
 
@@ -132,18 +127,16 @@ class M3GroupEstimator:
 def _twirled_bits(
     state: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng
 ) -> np.ndarray:
-    """Measured bits with per-batch X-mask twirling already compensated.
+    """Measured outcomes (int64 basis indices) with per-batch X-mask
+    twirling already compensated.
 
     ``_TWIRL_BATCHES`` masks each cover one block of consecutive shots of
     ``shots // _TWIRL_BATCHES``, the first ``shots % _TWIRL_BATCHES`` blocks
     one shot longer; all shots are drawn in one pass.
     """
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    fp = noise.flip_probs() if noise is not None else None
-    masks = rng.integers(0, 2, size=(_TWIRL_BATCHES, n))
+    masks = rng.integers(0, 2, size=(_TWIRL_BATCHES, n)) @ (1 << (n - 1 - np.arange(n)))
     sizes = shots // _TWIRL_BATCHES + (np.arange(_TWIRL_BATCHES) < shots % _TWIRL_BATCHES)
-    return _sample_bits(probs, n, shots, fp, rng, twirl=np.repeat(masks, sizes, axis=0))
+    return _sample_outcomes(np.abs(state) ** 2, n, shots, noise, rng, twirl=np.repeat(masks, sizes))
 
 
 def trex_expectation(
@@ -190,7 +183,7 @@ class TrexGroupEstimator:
         """Run the calibration pass unless one for an n-qubit register is stored."""
         if self._cal_width != n:
             rng = np.random.default_rng(seed)
-            self._cal_outcomes = _pack(_twirled_bits(zero_state(n), n, self.cal_shots, noise, rng))
+            self._cal_outcomes = _twirled_bits(zero_state(n), n, self.cal_shots, noise, rng)
             self._cal_width = n
             self._attenuations = {}
 
@@ -210,7 +203,7 @@ class TrexGroupEstimator:
         rng = np.random.default_rng(seed)
         self._calibrate(n, noise, seed + 1 if seed is not None else 1)
         rotated = _rotate_to_basis(state, basis, n)
-        outcomes = _pack(_twirled_bits(rotated, n, shots, noise, rng))
+        outcomes = _twirled_bits(rotated, n, shots, noise, rng)
 
         per_shot = np.zeros(shots)
         extra_var = 0.0

@@ -5,13 +5,15 @@ of the basis index, and a measurement outcome is that basis index.
 Circuits carry X, Ry and CNOT gates, all real, so a real state stays real;
 Ry angles sit in slots that are either free (an index into the parameter
 vector) or frozen at a fixed angle.  Each circuit is compiled once into rotations and index
-permutations (every run of X and CNOT gates becomes one gather).  The energy
-and its gradient in all free angles come from one forward and one adjoint
-sweep (Jones & Gacon, arXiv:2009.02823).
+permutations (every run of X and CNOT gates becomes one gather), and each
+evaluation binds all its rotation matrices in one table.  The energy and its
+gradient in all free angles come from one forward and one adjoint sweep
+(Jones & Gacon, arXiv:2009.02823).
 
 Measurement grouping for sampled expectations uses greedy qubit-wise
 commutativity; Y-basis measurements rotate with S-dagger followed by H.
-Every stochastic operation takes an explicit seed.
+Shots are drawn as packed basis indices.  Every stochastic operation takes
+an explicit seed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .pauli import (
 )
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
 # -iY, the generator of Ry: d/dθ Ry(θ) = ½ (-iY) Ry(θ).
 _RY_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -84,7 +85,7 @@ class Circuit:
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()):
         self.n_qubits = int(n_qubits)
         self.gates = tuple(gates)
-        indices = []
+        slots = []  # (parameter index, None) or (None, frozen angle) per Ry gate
         for g in self.gates:
             if isinstance(g, CnotGate):
                 if g.control == g.target:
@@ -95,11 +96,14 @@ class Circuit:
             for q in qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
-            if isinstance(g, RyGate) and isinstance(g.slot, FreeSlot):
-                indices.append(g.slot.index)
-        if sorted(indices) != list(range(len(indices))):
-            raise ValueError(f"free parameter indices {sorted(indices)} are not contiguous from 0")
+            if isinstance(g, RyGate):
+                free = isinstance(g.slot, FreeSlot)
+                slots.append((g.slot.index, None) if free else (None, g.slot.angle))
+        indices = sorted(i for i, _ in slots if i is not None)
+        if indices != list(range(len(indices))):
+            raise ValueError(f"free parameter indices {indices} are not contiguous from 0")
         self.n_parameters = len(indices)
+        self._ry_slots = tuple(slots)
 
     def free_gates(self) -> list[tuple[int, int]]:
         """(gate position, parameter index) for every free Ry gate."""
@@ -113,21 +117,22 @@ class Circuit:
     def program(self) -> tuple:
         """The gate list compiled for simulation, built on first use.
 
-        A ``("ry", qubit, parameter index or None, frozen angle)`` step per Ry
-        gate, and a ``("perm", index, inverse)`` step per maximal run of X and
-        CNOT gates: that run maps a state ``s`` to ``s[index]``.
+        A ``("ry", qubit, k, parameter index or None)`` step for the k-th Ry
+        gate, whose matrix is row k of the table ``_rotations`` binds, and a
+        ``("perm", index, inverse)`` step per maximal run of X and CNOT gates:
+        that run maps a state ``s`` to ``s[index]``.
         """
         steps = []
         ar = np.arange(1 << self.n_qubits)
         index = None
+        k = 0
         for g in self.gates:
             if isinstance(g, RyGate):
                 if index is not None:
                     steps.append(("perm", index, np.argsort(index)))
                     index = None
-                free = isinstance(g.slot, FreeSlot)
-                steps.append(("ry", g.qubit, g.slot.index if free else None,
-                              None if free else g.slot.angle))
+                steps.append(("ry", g.qubit, k, self._ry_slots[k][0]))
+                k += 1
                 continue
             if isinstance(g, PauliXGate):
                 gate = ar ^ _bit(g.qubit, self.n_qubits)
@@ -151,41 +156,31 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Complex one-qubit gate; used only to rotate into a measurement basis."""
-    tensor = state.reshape([2] * n)
-    tensor = np.tensordot(mat, tensor, axes=([1], [qubit]))
-    return np.moveaxis(tensor, 0, qubit).reshape(-1)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
 def _pairs(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """View of one C-contiguous state or stack of states as (-1, 2, rest),
     with axis 1 the bit of ``qubit``; writes to it write the states."""
     return states.reshape(-1, 2, 1 << (n - 1 - qubit))
 
 
-def _checked_params(circuit: Circuit, params) -> np.ndarray:
+def _rotations(circuit: Circuit, params: Sequence[float]) -> np.ndarray:
+    """(k, 2, 2) table of the matrices [[c, -s], [s, c]] of the circuit's k Ry
+    gates bound to ``params``, with c, s the ``math`` cosine and sine of θ/2
+    (``np.cos`` and ``np.sin`` may differ in the last bit)."""
     params = np.asarray(params, dtype=float)
     if params.size != circuit.n_parameters:
-        raise ValueError(
-            f"expected {circuit.n_parameters} parameters, got {params.size}"
-        )
-    return params
-
-
-def _angle(step, params: np.ndarray) -> float:
-    _, _, index, frozen = step
-    return frozen if index is None else params[index]
+        raise ValueError(f"expected {circuit.n_parameters} parameters, got {params.size}")
+    params = params.tolist()
+    half = [(a if i is None else params[i]) / 2.0 for i, a in circuit._ry_slots]
+    table = np.empty((len(half), 4))  # C-contiguous, so each matrix is too
+    table[:, 0] = table[:, 3] = [math.cos(h) for h in half]
+    table[:, 2] = [math.sin(h) for h in half]
+    np.negative(table[:, 2], out=table[:, 1])
+    return table.reshape(-1, 2, 2)
 
 
 def evolve(circuit: Circuit, params: Sequence[float] = ()) -> np.ndarray:
     """Run the circuit on |0...0>, binding free slots to ``params``."""
-    params = _checked_params(circuit, params)
+    table = _rotations(circuit, params)
     n = circuit.n_qubits
     state = zero_state(n)
     for step in circuit.program:
@@ -193,7 +188,7 @@ def evolve(circuit: Circuit, params: Sequence[float] = ()) -> np.ndarray:
             state = state[step[1]]
         else:
             view = _pairs(state, step[1], n)
-            np.matmul(_ry(_angle(step, params)), view, out=view)
+            np.matmul(table[step[2]], view, out=view)
     return state
 
 
@@ -206,25 +201,26 @@ def energy_and_gradient(
     with lambda = H psi, undoing each gate on both vectors.  At a free Ry on
     qubit q, with both vectors taken just after the gate, the derivative is
     <lambda| -iY_q |psi>, which equals 2 <lambda| dRy psi_before> with
-    dRy(θ) = Ry(θ + π) / 2.
+    dRy(θ) = Ry(θ + π) / 2.  Each Ry is undone by its transpose, Ry(-θ).
     """
-    params = _checked_params(circuit, params)
+    # copied C-contiguous: a strided transpose takes another matmul kernel
+    inverses = np.ascontiguousarray(_rotations(circuit, params).transpose(0, 2, 1))
     n = circuit.n_qubits
     psi = evolve(circuit, params)
     lam = expectation.apply(psi)
     energy = float(psi @ lam)
-    grad = np.zeros(params.size)
+    grad = np.zeros(circuit.n_parameters)
     both = np.stack((psi, lam))
     for step in reversed(circuit.program):
         if step[0] == "perm":
             both = np.take(both, step[2], axis=1)  # C-contiguous, unlike both[:, index]
             continue
-        _, qubit, index, _ = step
+        _, qubit, k, index = step
         view = _pairs(both, qubit, n)
         if index is not None:
             halves = view.reshape(2, -1, 2, view.shape[-1])
             grad[index] = np.vdot(halves[1], _RY_GENERATOR @ halves[0])
-        np.matmul(_ry(-_angle(step, params)), view, out=view)
+        np.matmul(inverses[k], view, out=view)
     return energy, grad
 
 
@@ -259,13 +255,26 @@ class ReadoutNoiseModel:
     def n_qubits(self) -> int:
         return len(self.matrices)
 
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """Read-only (n, 2, 2) array of the confusion matrices."""
+        out = np.array(self.matrices, dtype=float).reshape(-1, 2, 2)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """Read-only (2^n, n) table: each qubit's flip probability given its
+        bit in each basis index, p(1|0) or p(0|1)."""
+        n = self.n_qubits
+        bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1
+        out = self._stacked[np.arange(n), 1 - bits, bits]
+        out.flags.writeable = False
+        return out
+
     def flip_probs(self) -> np.ndarray:
         """(n, 2) array of [p(1|0), p(0|1)] per qubit."""
-        out = np.empty((self.n_qubits, 2))
-        for q, m in enumerate(self.matrices):
-            m = np.asarray(m, dtype=float)
-            out[q] = (m[1, 0], m[0, 1])
-        return out
+        return self._stacked[:, [1, 0], [0, 1]]
 
     @classmethod
     def uniform(cls, n_qubits: int, p_flip: float) -> "ReadoutNoiseModel":
@@ -315,37 +324,49 @@ class ShotCounts:
 
 
 def _rotate_to_basis(state: np.ndarray, basis: PauliWord, n: int) -> np.ndarray:
+    """``state`` rotated so that Z measures ``basis``: H on each X qubit,
+    S-dagger then H on each Y qubit; an all-I/Z basis returns ``state``."""
+    if not set(basis.letters) - {"I", "Z"}:
+        return state
+    out = state.astype(complex)
     for q, letter in enumerate(basis.letters):
-        if letter == "X":
-            state = _apply_1q(state, _H_MAT, q, n)
-        elif letter == "Y":
-            state = _apply_1q(state, _SDG_MAT, q, n)
-            state = _apply_1q(state, _H_MAT, q, n)
-    return state
+        if letter in "XY":
+            view = _pairs(out, q, n)
+            if letter == "Y":
+                view[:, 1] *= -1j  # S-dagger
+            if q < n - 1:
+                np.matmul(_H_MAT, view, out=view)
+            else:
+                # H is symmetric; a (-1, 2, 1) stack would skip BLAS and round differently
+                rows = out.reshape(-1, 2)
+                np.matmul(rows, _H_MAT, out=rows)
+    return out
 
 
-def _sample_bits(
-    probs: np.ndarray, n: int, shots: int, fp: Optional[np.ndarray], rng, twirl=0
+def _sample_outcomes(
+    probs: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng, twirl=0
 ) -> np.ndarray:
-    """(shots, n) matrix of measured bits, including readout flips ``fp``
-    (a noise model's ``flip_probs()``, or None), drawn from normalized Born
-    probabilities.  ``twirl``, an X mask of 0/1 entries (one ``(n,)`` mask or
-    one row per shot), is applied to the ideal bits before the readout flips
-    and undone after them.
+    """Measured int64 basis indices of ``shots`` shots from the Born weights
+    ``probs``, with the readout flips of ``noise`` (or none).
+
+    The ideal outcomes make the draws and arithmetic of
+    ``rng.choice(probs.size, shots, p=probs / probs.sum())``; then one uniform
+    per shot and qubit decides its flip.  ``twirl``, an X mask as a basis index
+    (one, or one per shot), is applied before the flips and undone after them.
+    Raises ValueError unless ``probs`` has finite, positive mass.
     """
-    outcomes = rng.choice(probs.size, size=shots, p=probs)
-    bits = ((outcomes[:, None] >> (n - 1 - np.arange(n))) & 1) ^ twirl
-    if fp is not None:
-        u = rng.random(size=(shots, n))
-        p_flip = np.where(bits == 0, fp[:, 0], fp[:, 1])
-        bits = bits ^ (u < p_flip)
-    return (bits ^ twirl).astype(np.int64)
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Basis index of each row of a (shots, n) bit matrix."""
-    n = bits.shape[1]
-    return bits @ (1 << (n - 1 - np.arange(n)))
+    total = probs.sum()
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"Born probabilities must have finite positive mass, got {total}")
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    outcomes = cdf.searchsorted(rng.random(shots), side="right")
+    if noise is None:
+        return outcomes
+    if noise.n_qubits != n:
+        raise ValueError(f"readout noise covers {noise.n_qubits} qubits, the register {n}")
+    flips = rng.random((shots, n)) < np.take(noise._thresholds, outcomes ^ twirl, axis=0)
+    return outcomes ^ (flips @ (1 << (n - 1 - np.arange(n))))
 
 
 def _z_eigenvalues(outcomes: np.ndarray, mask: int) -> np.ndarray:
@@ -368,7 +389,8 @@ def sample(
     noise: Optional[ReadoutNoiseModel] = None,
     seed: int = 0,
 ) -> ShotCounts:
-    """Born-rule sampling of all qubits after rotating into ``basis``."""
+    """Born-rule sampling of all qubits after rotating into ``basis``: the
+    ``_sample_outcomes`` of ``np.random.default_rng(seed)``, counted."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     n = basis.n_qubits
@@ -376,10 +398,9 @@ def sample(
         raise ValueError(f"state dimension {state.size} does not match basis {basis.letters}")
     rng = np.random.default_rng(seed)
     probs = np.abs(_rotate_to_basis(state, basis, n)) ** 2
-    fp = noise.flip_probs() if noise is not None else None
-    bits = _sample_bits(probs / probs.sum(), n, shots, fp, rng)
-    outcomes, counts = np.unique(_pack(bits), return_counts=True)
-    return ShotCounts(outcomes, counts, basis)
+    counts = np.bincount(_sample_outcomes(probs, n, shots, noise, rng), minlength=1 << n)
+    outcomes = np.flatnonzero(counts)
+    return ShotCounts(outcomes, counts[outcomes], basis)
 
 
 # -- grouped sampled expectations ------------------------------------------------

@@ -333,6 +333,12 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(state, PauliWord("XZ"), 100, noise=noise, seed=1)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_noise_model_of_another_width_is_rejected(self, width):
+        noise = ReadoutNoiseModel.uniform(width, 0.05)
+        with pytest.raises(ValueError, match=f"covers {width} qubits"):
+            sample(evolve(ghz(2), []), PauliWord("ZZ"), 100, noise=noise, seed=1)
+
     def test_deterministic_given_seed(self):
         state = evolve(ghz(3), [])
         a = sample(state, PauliWord("ZZZ"), 500, seed=9)
