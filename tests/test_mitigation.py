@@ -1,5 +1,6 @@
 """Readout calibration, subspace inversion, and twirled readout estimation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestTwirledBits:
         assert got.shape == (shots,)
         for shot, batch in enumerate(batch_of_each_shot(shots)):
             assert got[shot] == pack(1 - masks[batch])
+
+    # register width -> sha256 of 3000 twirled noisy outcomes
+    PINNED_WIDE = {
+        10: "a27433efdd2a0c47ea40c6ad2112f1f0",
+        12: "8f7338f5556b69007dbff0c683689917",
+        17: "9f2f96f661abb7449831986fe85faa6b",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED_WIDE))
+    def test_wide_registers_are_pinned(self, n):
+        noise = ReadoutNoiseModel.from_flip_probs(np.linspace(0.01, 0.3, n), np.linspace(0.25, 0.02, n))
+        got = _twirled_bits(self.random_state(n, 200 + n), n, 3000, noise, np.random.default_rng(300 + n))
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:32] == self.PINNED_WIDE[n]
 
     def test_twirl_cancels_without_noise(self):
         n = 3

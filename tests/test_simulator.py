@@ -323,6 +323,25 @@ class TestSample:
         assert counts.outcomes.dtype == np.int64 and counts.counts.dtype == np.int64
         assert histogram(counts) == self.PINNED_HISTOGRAMS[basis][noisy]
 
+    # basis -> (distinct outcomes, sha256 of outcomes and counts) of 3000 noisy
+    # shots; the widths put the readout flips across several blocks of qubits
+    PINNED_WIDE = {
+        "XYZIXYZIXY": (875, "a394fd860594548b2fd2aa4e993a55a8"),
+        "ZXYZIXYZIYXZ": (1938, "c7e58112af3662803e8a67a75aadb55e"),
+        "YZXIZYXZIZXYZIYXZ": (2945, "3865b09e065110ccc9b0ceebfb1301bd"),
+    }
+
+    @pytest.mark.parametrize("basis", sorted(PINNED_WIDE, key=len))
+    def test_wide_noisy_histograms_are_pinned(self, basis):
+        n = len(basis)
+        rng = np.random.default_rng(100 + n)
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        noise = ReadoutNoiseModel.from_flip_probs(np.linspace(0.01, 0.3, n), np.linspace(0.25, 0.02, n))
+        counts = sample(state, PauliWord(basis), 3000, noise=noise, seed=60 + n)
+        digest = hashlib.sha256(counts.outcomes.tobytes() + counts.counts.tobytes()).hexdigest()[:32]
+        assert (counts.outcomes.size, digest) == self.PINNED_WIDE[basis]
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_state_without_finite_mass_is_rejected(self, bad, noisy):
