@@ -4,7 +4,8 @@ Two schemes: assignment-matrix inversion restricted to the subspace of
 observed outcomes (direct solve below 500 distinct outcomes, preconditioned
 GMRES above), and twirled readout estimation, where random X masks
 symmetrize the readout channel and a calibration pass on the empty circuit
-measures the attenuation factor to divide out.
+measures the attenuation factor to divide out.  ``scipy.sparse.linalg`` is
+imported by the GMRES branch when it runs, not with this module.
 
 Quasi-probabilities are renormalized to unit sum (restriction to the observed
 subspace can lose the unobserved probability mass) and are never clipped;
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .pauli import PauliTerm, PauliWord, QubitHamiltonian
 from .simulator import (
@@ -67,6 +67,10 @@ def _solve_assignment(A: np.ndarray, p: np.ndarray) -> np.ndarray:
     diag = np.diag(A).copy()
     if (np.abs(diag) < 1e-12).any():
         raise ValueError("restricted assignment matrix has a vanishing diagonal")
+    # imported on first use: scipy.sparse.linalg takes a quarter of a second
+    # to load, and only histograms past DIRECT_SOLVE_LIMIT outcomes need it
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     precond = LinearOperator(A.shape, matvec=lambda v: v / diag)
     x, info = gmres(A, p, rtol=1e-10, atol=0.0, restart=50, M=precond)
     if info != 0:

@@ -5,6 +5,8 @@ the standard gain schedules, which needs only objective values, and a bounded
 limited-memory quasi-Newton method (scipy L-BFGS-B), which takes a function
 returning the value and its exact gradient together.  Both record an
 evaluation trace and are deterministic given their seed and inputs.
+``scipy.optimize`` is imported by the quasi-Newton driver when it runs, so a
+process that never calls it (exact DMET, resources, SPSA) does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -181,6 +182,10 @@ def bounded_quasi_newton(
     v0, _ = wrapped(x0)
     trace.record(0, v0, x0, time.perf_counter() - start)
     state["k"] = 1
+    # imported on first use: scipy.optimize takes a fifth of a second to load,
+    # and runs without quasi-Newton VQE never need it
+    from scipy.optimize import minimize
+
     result = minimize(
         wrapped,
         x0,

@@ -234,6 +234,8 @@ def exact_expectation(state: np.ndarray, h: QubitHamiltonian) -> float:
 
 # -- readout noise ---------------------------------------------------------------
 
+_FLIP_BLOCK = 8  # qubits per readout-flip table, 2^8 rows
+
 @dataclass(frozen=True)
 class ReadoutNoiseModel:
     """Per-qubit confusion matrices, columns indexed by the true bit.
@@ -263,14 +265,21 @@ class ReadoutNoiseModel:
         return out
 
     @cached_property
-    def _thresholds(self) -> np.ndarray:
-        """Read-only (2^n, n) table: each qubit's flip probability given its
-        bit in each basis index, p(1|0) or p(0|1)."""
-        n = self.n_qubits
-        bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1
-        out = self._stacked[np.arange(n), 1 - bits, bits]
-        out.flags.writeable = False
-        return out
+    def _flip_tables(self) -> tuple:
+        """The qubits in consecutive blocks of at most ``_FLIP_BLOCK``, qubit 0
+        first, as (first qubit, end qubit, read-only (2^w, w) table) for a
+        block of w qubits: row b holds each block qubit's flip probability,
+        p(1|0) or p(0|1), given its bit in b, the block's bits of a basis index.
+        Blocks keep the tables at 2^w rows where one table would need 2^n."""
+        blocks = []
+        for lo in range(0, self.n_qubits, _FLIP_BLOCK):
+            hi = min(lo + _FLIP_BLOCK, self.n_qubits)
+            w = hi - lo
+            bits = (np.arange(1 << w)[:, None] >> (w - 1 - np.arange(w))) & 1
+            table = self._stacked[np.arange(lo, hi), 1 - bits, bits]
+            table.flags.writeable = False
+            blocks.append((lo, hi, table))
+        return tuple(blocks)
 
     def flip_probs(self) -> np.ndarray:
         """(n, 2) array of [p(1|0), p(0|1)] per qubit."""
@@ -323,11 +332,21 @@ class ShotCounts:
         return int(self.counts.sum())
 
 
+def _positive_mass(total):
+    """``total``, a Born probability mass; ValueError unless finite and positive."""
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"Born probabilities must have finite positive mass, got {total}")
+    return total
+
+
 def _rotate_to_basis(state: np.ndarray, basis: PauliWord, n: int) -> np.ndarray:
     """``state`` rotated so that Z measures ``basis``: H on each X qubit,
-    S-dagger then H on each Y qubit; an all-I/Z basis returns ``state``."""
+    S-dagger then H on each Y qubit; an all-I/Z basis returns ``state``.
+    Raises ValueError unless ``state`` has finite, positive mass."""
     if not set(basis.letters) - {"I", "Z"}:
         return state
+    # checked before rotating: H would turn inf into nan with a RuntimeWarning
+    _positive_mass(np.vdot(state, state).real)
     out = state.astype(complex)
     for q, letter in enumerate(basis.letters):
         if letter in "XY":
@@ -355,9 +374,7 @@ def _sample_outcomes(
     (one, or one per shot), is applied before the flips and undone after them.
     Raises ValueError unless ``probs`` has finite, positive mass.
     """
-    total = probs.sum()
-    if not (math.isfinite(total) and total > 0):
-        raise ValueError(f"Born probabilities must have finite positive mass, got {total}")
+    total = _positive_mass(probs.sum())
     cdf = np.cumsum(probs / total)
     cdf /= cdf[-1]
     outcomes = cdf.searchsorted(rng.random(shots), side="right")
@@ -365,7 +382,12 @@ def _sample_outcomes(
         return outcomes
     if noise.n_qubits != n:
         raise ValueError(f"readout noise covers {noise.n_qubits} qubits, the register {n}")
-    flips = rng.random((shots, n)) < np.take(noise._thresholds, outcomes ^ twirl, axis=0)
+    uniforms = rng.random((shots, n))
+    twirled = outcomes ^ twirl
+    flips = np.empty((shots, n), dtype=bool)
+    for lo, hi, table in noise._flip_tables:
+        rows = (twirled >> (n - hi)) & ((1 << (hi - lo)) - 1)
+        np.less(uniforms[:, lo:hi], np.take(table, rows, axis=0), out=flips[:, lo:hi])
     return outcomes ^ (flips @ (1 << (n - 1 - np.arange(n))))
 
 

@@ -2,7 +2,10 @@
 
 import hashlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -453,3 +456,39 @@ class TestOracleCommand:
         text = read(outdir / "oracle_result.txt")
         energy = float(re.search(r"ground_energy=([-\d.e]+)", text).group(1))
         assert energy == pytest.approx(meta["fci_energy"], abs=1e-8)
+
+
+# Runs in a fresh interpreter: after each stage, which of the two SciPy
+# subpackages that only some verbs use has been loaded.
+FOOTPRINT_SCRIPT = """
+import json, sys
+import vqemb.cli as cli
+out, h2_resources = sys.argv[1:]
+HEAVY = ("scipy.optimize", "scipy.sparse.linalg")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
+report = {"import": loaded()}
+for verb, config in (("dmet", "configs/h4_dmet.yaml"), ("resources", h2_resources),
+                     ("vqe", "configs/h2_vqe_lbfgs.yaml")):
+    assert cli.main([verb, "--config", config, "--out", f"{out}/{verb}"]) == 0, verb
+    report[verb] = loaded()
+print(json.dumps(report))
+"""
+
+
+class TestImportFootprint:
+    def test_heavy_scipy_loads_only_where_used(self, tmp_path):
+        cfg = tmp_path / "h2_resources.yaml"
+        cfg.write_text(H2 + "resources: {windows: [0]}\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), str(cfg)],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["import"] == report["dmet"] == report["resources"] == []
+        # L-BFGS-B needs scipy.optimize, so the check above is not vacuous
+        assert "scipy.optimize" in report["vqe"]

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from vqemb import mitigation
 from vqemb.mitigation import (
     DIRECT_SOLVE_LIMIT,
     M3GroupEstimator,
@@ -128,13 +128,13 @@ class TestM3:
 
     def test_many_outcomes_take_the_gmres_branch(self, monkeypatch):
         # past DIRECT_SOLVE_LIMIT distinct outcomes A x = p is solved by GMRES
-        calls, gmres = [], mitigation.gmres
+        calls, gmres = [], scipy.sparse.linalg.gmres
 
         def counted_gmres(*args, **kwargs):
             calls.append(1)
             return gmres(*args, **kwargs)
 
-        monkeypatch.setattr(mitigation, "gmres", counted_gmres)
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", counted_gmres)
         n = 10
         rng = np.random.default_rng(14)
         state = rng.normal(size=1 << n)
@@ -234,6 +234,15 @@ class TestTwirledBits:
 
 
 class TestTrex:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+    def test_rotated_state_without_finite_mass_is_rejected(self, bad):
+        state = evolve(ghz(2), []) if bad != "zero" else np.zeros(4)
+        if bad != "zero":
+            state[3] = float(bad)
+        noise = ReadoutNoiseModel.uniform(2, 0.05)
+        with pytest.raises(ValueError, match="finite positive mass"):
+            TrexGroupEstimator(1000).estimate_group(state, PauliWord("XZ"), [(1.0, 0b11)], 100, noise, 1)
+
     def test_standalone_is_the_group_estimator(self):
         noise = ReadoutNoiseModel.uniform(4, 0.03)
         for observable, cal_shots in (("ZZZZ", None), ("ZIZI", 3000), ("IIII", None)):

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-import vqemb.optimize as optimize_mod
 from vqemb.optimize import (
     InfeasibleIterateError,
     NonFiniteObjectiveError,
@@ -123,7 +123,7 @@ class TestBoundedQuasiNewton:
         def rogue_minimize(fun, x0, callback, **kwargs):
             callback(np.array([3.0]))
 
-        monkeypatch.setattr(optimize_mod, "minimize", rogue_minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", rogue_minimize)
         with pytest.raises(InfeasibleIterateError, match="feasible box") as info:
             bounded_quasi_newton(sphere_vg, [0.0], [(-1, 1)])
         assert info.value.x.tolist() == [3.0]

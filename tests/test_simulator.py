@@ -275,6 +275,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="sum to 1"):
             ReadoutNoiseModel((((0.9, 0.1), (0.2, 0.9)),))
 
+    def test_flip_tables_stay_small_on_wide_registers(self):
+        # one (2^n, n) table of doubles would take 167.8 MB at 20 qubits
+        noise = ReadoutNoiseModel.uniform(20, 0.05)
+        assert sum(table.nbytes for _, _, table in noise._flip_tables) < 1 << 20
+
     def test_text_round_trip(self):
         noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05], [0.01, 0.03])
         again = ReadoutNoiseModel.from_text(noise.to_text())
