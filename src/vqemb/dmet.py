@@ -14,9 +14,14 @@ E_pq on the (N/2, N/2) occupation-basis determinants, or a
 hardware-efficient-ansatz VQE.  Both hand their state to the same
 occupation-basis RDM code.  An embedding builds its sector operator once: the
 chemical potential only shifts the fragment diagonal, H(mu) = H(0) - mu
-diag(n_F), with n_F the fragment occupation of each determinant.  Every other
+diag(n_F), with n_F the fragment occupation of each determinant, so the
+eigenpairs of one ``eigh`` also give the exact slope dN_F/dmu.  Every other
 solve (a VQE, or an active window) runs once in the RHF orbitals of the
 mu-shifted embedding.
+
+When the orbital reversal i -> n-1-i maps the integrals and the RHF density
+onto themselves, a fragment whose mirror image is an earlier fragment is
+neither embedded nor solved: it reuses that fragment's solution at every mu.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ from .optimize import NonFiniteObjectiveError
 from .pauli import VECTOR_QUBIT_CAP, _check_cap
 from .simulator import evolve
 from .vqe import EstimatorSpec, OptimizerSpec
+
+
+class DegenerateGroundStateError(ValueError):
+    """An embedding's sector ground state is degenerate, so its RDMs are arbitrary."""
 
 
 class DmetConvergenceError(RuntimeError):
@@ -362,6 +371,7 @@ class FragmentSolution:
     energy: float
     n_electrons: float
     vqe_parameters: Optional[np.ndarray] = None
+    slope: Optional[float] = None  # exact dN_F/dmu; None for VQE and windowed solves
 
 
 def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
@@ -370,10 +380,32 @@ def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.nda
     return _rdms(E, np.linalg.eigh(H)[1][:, 0], ints.n_orbitals)
 
 
-def _solve_embedding_sector(e: EmbeddingProblem, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-FCI RDMs of the whole embedding at ``mu`` from its cached operator."""
+# a sector ground state closer than this (Ha) to the next root is degenerate
+_GAP_TOL = 1e-8
+
+
+def _solve_embedding_sector(
+    e: EmbeddingProblem, mu: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sector-FCI RDMs of the whole embedding at ``mu`` from its cached operator,
+    and the slope dN_F/dmu.
+
+    H(mu) = H(0) - mu diag(n_F) and N_F = <diag(n_F)>, so first-order
+    perturbation theory on the eigenpairs (E_k, V_k) gives the slope exactly:
+    2 sum_{k>0} (V_k^T (n_F * c_0))^2 / (E_k - E_0).  A degenerate ground state
+    raises ``DegenerateGroundStateError``.
+    """
     E, H, n_frag = e.sector_operator
-    return _rdms(E, np.linalg.eigh(H - np.diag(mu * n_frag))[1][:, 0], e.n_orbitals)
+    evals, evecs = np.linalg.eigh(H - np.diag(mu * n_frag))
+    gaps = evals[1:] - evals[0]
+    if gaps.size and gaps[0] < _GAP_TOL:
+        raise DegenerateGroundStateError(
+            f"degenerate embedding ground state: the gap to the next root is "
+            f"{gaps[0]:.3e} Ha, below {_GAP_TOL:g}"
+        )
+    c0 = evecs[:, 0]
+    slope = 2.0 * float(np.sum((evecs[:, 1:].T @ (n_frag * c0)) ** 2 / gaps))
+    return (*_rdms(E, c0, e.n_orbitals), slope)
 
 
 def _solve_embedding_vqe(
@@ -461,13 +493,15 @@ def solve_fragment(
     """Correlated solve of one embedding at the given chemical potential.
 
     The exact solver without a window diagonalizes the embedding's cached
-    sector operator; every other solve runs in the RHF orbitals of the
-    mu-shifted embedding (``_solve_in_rhf_basis``).
+    sector operator and also returns the slope dN_F/dmu; every other solve
+    runs in the RHF orbitals of the mu-shifted embedding
+    (``_solve_in_rhf_basis``).
     """
     if isinstance(solver, str) and solver != "exact":
         raise ValueError(f"unknown fragment solver {solver!r}")
+    slope = vqe_result = None
     if solver == "exact" and window is None:
-        gamma, Gamma, vqe_result = (*_solve_embedding_sector(e, mu), None)
+        gamma, Gamma, slope = _solve_embedding_sector(e, mu)
     else:
         def inner(ints):
             if solver == "exact":
@@ -480,6 +514,7 @@ def solve_fragment(
         energy=democratic_fragment_energy(gamma, Gamma, e),
         n_electrons=float(np.trace(gamma[: e.n_fragment, : e.n_fragment])),
         vqe_parameters=None if vqe_result is None else vqe_result.parameters,
+        slope=slope,
     )
 
 
@@ -494,6 +529,8 @@ class DmetResult:
     n_electrons: int
     trace: list  # (mu, electron-count mismatch) per evaluation
     converged: bool
+    solved_as: list  # per fragment, the index of the fragment whose solve it reuses
+    fragment_solves: int  # solve_fragment calls over the whole mu loop
 
     @property
     def electron_mismatch(self) -> float:
@@ -506,18 +543,55 @@ class DmetResult:
             f"n_electrons={self.n_electrons}",
             f"electron_mismatch={self.electron_mismatch!r}",
             f"converged={'true' if self.converged else 'false'}",
+            f"fragment_solves={self.fragment_solves}",
         ]
-        for i, (en, ne) in enumerate(zip(self.fragment_energies, self.fragment_electrons)):
-            lines.append(f"fragment {i} energy={en!r} electrons={ne!r}")
+        for i, (en, ne, j) in enumerate(
+            zip(self.fragment_energies, self.fragment_electrons, self.solved_as)
+        ):
+            lines.append(f"fragment {i} energy={en!r} electrons={ne!r} solved_as={j}")
         for mu, f in self.trace:
             lines.append(f"mu_step mu={mu!r} mismatch={f!r}")
         return "\n".join(lines) + "\n"
 
 
 # Newton steps (and, after them, bisection steps) on mu, and the central
-# finite-difference step of the electron-count derivative.
+# finite-difference step of the electron-count derivative, which only VQE and
+# windowed solves need: the exact sector solve returns its slope.
 _MU_MAX_STEPS = 30
 _MU_FD_STEP = 1e-4
+
+# the reversal i -> n-1-i is a symmetry when it maps h and g onto themselves to
+# the first tolerance and the RHF density to the second
+_MIRROR_INTEGRAL_TOL = 1e-12
+_MIRROR_DENSITY_TOL = 1e-10
+
+
+def _mirror_representatives(
+    m: MolecularIntegrals, mf: MeanField, fragments: Sequence[tuple]
+) -> list[int]:
+    """For each fragment, the index of the fragment whose solve stands for it.
+
+    A fragment whose reversal image is an earlier fragment reuses that
+    fragment's solve when the reversal is a symmetry of the integrals and of
+    the RHF density; every other fragment stands for itself.
+    """
+    def mirrored(a, tol):
+        return float(np.max(np.abs(np.flip(a) - a))) <= tol
+
+    reps = list(range(len(fragments)))
+    if not (
+        mirrored(m.one_body, _MIRROR_INTEGRAL_TOL)
+        and mirrored(m.two_body, _MIRROR_INTEGRAL_TOL)
+        and mirrored(mf.density, _MIRROR_DENSITY_TOL)
+    ):
+        return reps
+    index = {f: i for i, f in enumerate(fragments)}
+    last = m.n_orbitals - 1
+    for i, f in enumerate(fragments):
+        j = index.get(tuple(sorted(last - k for k in f)))
+        if j is not None and j < i:
+            reps[i] = j
+    return reps
 
 
 def run_dmet(
@@ -531,32 +605,44 @@ def run_dmet(
     """One-shot embedding with Newton-Raphson matching of the electron count.
 
     A single global chemical potential shifts every fragment's diagonal until
-    the summed fragment electron counts match the molecule; the derivative
-    comes from central finite differences, with a bisection fallback on a
-    bracketed interval if Newton steps stop improving.  A fragment solve's
-    SCF or non-finite-objective failure propagates with the fragment index and
-    mu added to its message.
+    the summed fragment electron counts match the molecule.  The derivative is
+    the sum of the exact sector solves' slopes; VQE and windowed solves carry
+    none, so there it comes from central finite differences.  A bisection
+    fallback on a bracketed interval takes over if Newton steps stop
+    improving.  Each mirror class of fragments (``_mirror_representatives``)
+    is embedded and solved once per mu, and VQE warm starts follow the
+    representative.  A fragment solve's SCF, non-finite-objective or
+    degenerate-ground-state failure propagates with the fragment index and mu
+    added to its message.
     """
     fragmentation.validate_cover(m.n_orbitals)
-    embeddings = [build_embedding(m, mf, f) for f in fragmentation.fragments]
-    for e in embeddings:  # every embedding fits its solver before the first solve
+    fragments = fragmentation.fragments
+    solved_as = _mirror_representatives(m, mf, fragments)
+    embeddings = {i: build_embedding(m, mf, fragments[i]) for i in sorted(set(solved_as))}
+    for e in embeddings.values():  # every embedding fits its solver before the first solve
         if window is not None:
             check_window(e.n_orbitals, e.n_electrons, window)
         elif solver == "exact":
             e.sector_operator
     warm: dict[int, np.ndarray] = {}
+    n_solves = 0
 
     def evaluate(mu: float):
-        sols = []
-        for i, e in enumerate(embeddings):
+        nonlocal n_solves
+        solved = {}
+        for i, e in embeddings.items():
             try:
                 sol = solve_fragment(e, solver, mu=mu, window=window, x0=warm.get(i))
-            except (ScfConvergenceError, NonFiniteObjectiveError) as exc:
+            except (
+                ScfConvergenceError, NonFiniteObjectiveError, DegenerateGroundStateError
+            ) as exc:
                 exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
                 raise
             if sol.vqe_parameters is not None:
                 warm[i] = sol.vqe_parameters
-            sols.append(sol)
+            solved[i] = sol
+        n_solves += len(solved)
+        sols = [solved[j] for j in solved_as]
         mismatch = float(sum(s.n_electrons for s in sols)) - m.n_electrons
         return mismatch, sols
 
@@ -570,10 +656,13 @@ def run_dmet(
 
     steps = 0
     while abs(mismatch) > mu_tol and steps < _MU_MAX_STEPS:
-        f_plus, _ = evaluate(mu + _MU_FD_STEP)
-        f_minus, _ = evaluate(mu - _MU_FD_STEP)
-        history.extend([(mu + _MU_FD_STEP, f_plus), (mu - _MU_FD_STEP, f_minus)])
-        deriv = (f_plus - f_minus) / (2.0 * _MU_FD_STEP)
+        if all(s.slope is not None for s in sols):
+            deriv = sum(s.slope for s in sols)
+        else:
+            f_plus, _ = evaluate(mu + _MU_FD_STEP)
+            f_minus, _ = evaluate(mu - _MU_FD_STEP)
+            history.extend([(mu + _MU_FD_STEP, f_plus), (mu - _MU_FD_STEP, f_minus)])
+            deriv = (f_plus - f_minus) / (2.0 * _MU_FD_STEP)
         if abs(deriv) < 1e-14 or not math.isfinite(deriv):
             break
         mu_next = mu - mismatch / deriv
@@ -597,6 +686,8 @@ def run_dmet(
         n_electrons=m.n_electrons,
         trace=trace,
         converged=abs(mismatch) <= mu_tol,
+        solved_as=solved_as,
+        fragment_solves=n_solves,
     )
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -417,6 +418,19 @@ class TestDmetCommand:
         monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
         assert run(["dmet", "--config", CONFIGS / "h2_dmet_vqe.yaml", "--out", outdir]) == 1
         assert "fragment 0" in capsys.readouterr().err
+        assert not (outdir / "dmet_result.txt").exists()
+
+    def test_degenerate_fragment_exits_1_naming_the_gap(self, outdir, capsys, monkeypatch):
+        # two electrons on two equal non-interacting levels: four degenerate ground states
+        degenerate = dmet_mod.EmbeddingProblem(
+            one_body_bare=-np.eye(2), env_fold=np.zeros((2, 2)), two_body=np.zeros((2,) * 4),
+            n_fragment=1, n_electrons=2, core_energy=0.0,
+        )
+        monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: degenerate)
+        assert run(["dmet", "--config", CONFIGS / "h4_dmet.yaml", "--out", outdir]) == 1
+        err = capsys.readouterr().err
+        assert "error: DegenerateGroundStateError: fragment 0 at mu=0.0: degenerate" in err
+        assert "gap to the next root" in err
         assert not (outdir / "dmet_result.txt").exists()
 
 

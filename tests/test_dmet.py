@@ -10,7 +10,9 @@ import pytest
 import vqemb.dmet as dmet_mod
 from vqemb.chem import MolecularIntegrals, ScfConvergenceError, restricted_hartree_fock
 from vqemb.dmet import (
+    DegenerateGroundStateError,
     DmetConvergenceError,
+    EmbeddingProblem,
     FragmentSolution,
     Fragmentation,
     VqeFragmentSolver,
@@ -73,6 +75,27 @@ def _stub_mismatch(monkeypatch, n_fragments, n_electrons, mismatch):
         return FragmentSolution(energy=0.0, n_electrons=(n_electrons + mismatch(mu)) / n_fragments)
 
     monkeypatch.setattr(dmet_mod, "solve_fragment", solve)
+
+
+def degenerate_levels():
+    """Two electrons on two equal non-interacting levels: four degenerate ground states."""
+    n = 2
+    return EmbeddingProblem(
+        one_body_bare=-np.eye(n), env_fold=np.zeros((n, n)), two_body=np.zeros((n,) * 4),
+        n_fragment=1, n_electrons=2, core_energy=0.0,
+    )
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``vqemb.dmet.<name>`` so that each call appends its arguments to the returned list."""
+    calls, original = [], getattr(dmet_mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dmet_mod, name, counting)
+    return calls
 
 
 def _jw_expectation(n_modes, ops, state):
@@ -264,7 +287,7 @@ class TestSectorOperatorCache:
                 ints = e.solver_integrals(mu)
                 energy, state = sector_ground_state(ints)
                 ref_gamma, ref_Gamma = spin_summed_rdms(state, e.n_orbitals)
-                gamma, Gamma = dmet_mod._solve_embedding_sector(e, mu)
+                gamma, Gamma, _ = dmet_mod._solve_embedding_sector(e, mu)
                 assert np.allclose(gamma, ref_gamma, rtol=0, atol=1e-10)
                 assert np.allclose(Gamma, ref_Gamma, rtol=0, atol=1e-10)
                 # H(mu) = H(0) - mu diag(n_F) has the eigenvalue of the rebuilt H(mu)
@@ -290,11 +313,109 @@ class TestSectorOperatorCache:
         monkeypatch.setattr(dmet_mod, "_excitation_operators", counting)
         fragments = H10_FRAGMENTS["2+3+3+2"]
         res = run_dmet(h10[0], h10_mf, Fragmentation(fragments))
-        assert len(res.trace) == 2  # mu = 0, two difference points, one Newton step: 4 solves each
-        assert len(built) == len(fragments)
+        assert len(res.trace) == 2  # mu = 0 and one Newton step on the analytic slope
+        # one per mirror class: [8, 9] reuses [0, 1] and [5, 6, 7] reuses [2, 3, 4]
+        assert len(built) == 2
+
+
+class TestMuSlope:
+    @pytest.mark.parametrize(
+        "system,fragments",
+        [("h4", ((0, 1), (2, 3), (0,), (1,), (2,), (3,))),
+         ("h10", H10_FRAGMENTS["5x2"] + ((2, 3, 4), (5, 6, 7)))],
+    )
+    def test_analytic_slope_matches_central_difference(self, system, fragments, request):
+        m, _ = request.getfixturevalue(system)
+        mf = request.getfixturevalue(f"{system}_mf")
+        step = 1e-4
+        for fragment in fragments:
+            e = build_embedding(m, mf, fragment)
+            for mu in (0.0, 0.05):
+                slope = solve_fragment(e, "exact", mu).slope
+                plus = solve_fragment(e, "exact", mu + step).n_electrons
+                minus = solve_fragment(e, "exact", mu - step).n_electrons
+                assert slope > 0
+                assert slope == pytest.approx((plus - minus) / (2 * step), abs=1e-6)
+
+    def test_vqe_and_windowed_solves_carry_no_slope(self, h2, h2_mf, h4, h4_mf):
+        windowed = solve_fragment(build_embedding(h4[0], h4_mf, (0, 1)), "exact", window=1)
+        assert windowed.slope is None
+        solver = VqeFragmentSolver(
+            optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
+        )
+        assert solve_fragment(build_embedding(h2[0], h2_mf, (0,)), solver).slope is None
+
+    def test_exact_newton_steps_need_no_probes(self, h4, h4_mf, monkeypatch):
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        res = run_dmet(h4[0], h4_mf, Fragmentation(((0,), (1,), (2,), (3,))))
+        assert res.converged and len(res.trace) > 1
+        # [3] and [2] reuse [0] and [1]
+        assert res.fragment_solves == len(solves) == 2 * len(res.trace)
+
+
+class TestMirrorClasses:
+    @pytest.mark.parametrize("name,classes", [("5x2", 3), ("2+3+3+2", 2)])
+    def test_one_solve_per_class_per_mu(self, h10, h10_mf, monkeypatch, name, classes):
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        builds = _count_calls(monkeypatch, "build_embedding")
+        fragments = H10_FRAGMENTS[name]
+        res = run_dmet(h10[0], h10_mf, Fragmentation(fragments))
+        assert len(builds) == classes
+        assert res.fragment_solves == len(solves) == classes * len(res.trace)
+        n = len(fragments)
+        assert res.solved_as == [min(i, n - 1 - i) for i in range(n)]
+        for i in range(n):  # a reused solve is the same numbers, not nearly equal ones
+            assert res.fragment_energies[i] == res.fragment_energies[n - 1 - i]
+            assert res.fragment_electrons[i] == res.fragment_electrons[n - 1 - i]
+
+    def test_broken_symmetry_solves_every_fragment(self, h4, monkeypatch):
+        m, _ = h4
+        h = m.one_body.copy()
+        h[0, 0] += 1e-9
+        perturbed = MolecularIntegrals(m.n_orbitals, m.n_electrons, m.core_energy, h, m.two_body)
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        mf = restricted_hartree_fock(perturbed)
+        res = run_dmet(perturbed, mf, Fragmentation(((0, 1), (2, 3))))
+        assert res.converged
+        assert res.solved_as == [0, 1]
+        assert res.fragment_solves == len(solves) == 2 * len(res.trace)
+
+    def test_fragmentation_without_a_mirror_pair_solves_every_fragment(
+        self, h4, h4_mf, monkeypatch
+    ):
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        builds = _count_calls(monkeypatch, "build_embedding")
+        res = run_dmet(h4[0], h4_mf, Fragmentation(((0,), (1,), (2, 3))))
+        assert res.converged
+        assert res.solved_as == [0, 1, 2] and len(builds) == 3
+        assert res.fragment_solves == len(solves) == 3 * len(res.trace)
+
+    def test_vqe_run_reuses_the_mirror_solve(self, h2, h2_mf, monkeypatch):
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        solver = VqeFragmentSolver(
+            optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
+            initial="random", initial_seed=5,
+        )
+        res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
+        assert res.solved_as == [0, 0]
+        assert res.fragment_solves == len(solves)
+        assert res.fragment_energies[0] == res.fragment_energies[1]
 
 
 class TestSolveFragment:
+    def test_degenerate_ground_state_raises_naming_the_gap(self):
+        e = degenerate_levels()
+        gap = r"gap to the next root is 0\.000e\+00 Ha"
+        with pytest.raises(DegenerateGroundStateError, match=gap):
+            dmet_mod._solve_embedding_sector(e, 0.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            solve_fragment(e, "exact")
+
+    def test_degenerate_fragment_stops_the_run_naming_the_fragment(self, h2, h2_mf, monkeypatch):
+        monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: degenerate_levels())
+        with pytest.raises(DegenerateGroundStateError, match=r"^fragment 0 at mu=0\.0: degenerate"):
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))))
+
     def test_non_interacting_energy(self):
         levels = MolecularIntegrals(
             2, 2, 0.0, np.diag([-1.5, 0.5]), np.zeros((2, 2, 2, 2))
@@ -491,3 +612,12 @@ class TestRunDmet:
         res = run_dmet(h2[0], h2_mf, Fragmentation(((0, 1),)))
         text = res.to_text()
         assert "total_energy=" in text and "mu_step" in text
+
+    def test_result_text_shows_the_solves_and_which_fragment_reuses_which(self, h10, h10_mf):
+        res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS["5x2"]))
+        lines = res.to_text().splitlines()
+        assert "fragment_solves=6" in lines
+        fragment_lines = [l for l in lines if l.startswith("fragment ")]
+        assert [l.rsplit(" ", 1)[1] for l in fragment_lines] == [
+            "solved_as=0", "solved_as=1", "solved_as=2", "solved_as=1", "solved_as=0"
+        ]
