@@ -1,6 +1,7 @@
 """Bath construction, embedding Hamiltonians, fragment solvers, and the
 chemical-potential loop."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import vqemb.dmet as dmet_mod
+from vqemb.ansatz import HeaConfig, build_hea
 from vqemb.chem import MolecularIntegrals, ScfConvergenceError, restricted_hartree_fock
 from vqemb.dmet import (
     DegenerateGroundStateError,
@@ -27,11 +29,15 @@ from vqemb.dmet import (
 )
 from vqemb.mapping import (
     JORDAN_WIGNER,
+    PARITY,
     MappingSpec,
     build_fermionic_hamiltonian,
+    decode_statevector,
+    hartree_fock_bitstring,
     map_to_qubits,
 )
 from vqemb.optimize import NonFiniteObjectiveError
+from vqemb.simulator import evolve
 from vqemb.vqe import EstimatorSpec, OptimizerSpec
 
 from fermion_terms import fermion_operator
@@ -316,6 +322,50 @@ class TestSectorOperatorCache:
         assert len(res.trace) == 2  # mu = 0 and one Newton step on the analytic slope
         # one per mirror class: [8, 9] reuses [0, 1] and [5, 6, 7] reuses [2, 3, 4]
         assert len(built) == 2
+
+
+def _digest(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()[:32]
+
+
+class TestSectorPins:
+    """The sector Hamiltonian and the RDMs, bit for bit (sha256 of their bytes)."""
+
+    # (fragment, mu) -> (H of the H10 embedding, gamma and Gamma at its ground state)
+    PINNED = {
+        ((0, 1), 0.0): ("21384e6a0563bd9e8fc3063075ccfb7a", "118835a140280bf253421f2cd810eda8"),
+        ((0, 1), 0.05): ("ff60ca60d61b1d119658b0de159909dc", "65e6e64f5a0f8adf78e1b2035dd7bc39"),
+        ((2, 3, 4), 0.0): ("a55252d366c42d2d9b2fcb3dd9fce82e", "a27ef820fa225c3c72cf643d0e74ab16"),
+        ((2, 3, 4), 0.05): ("d66dca0bb03565c02857eb08d509fd66", "67b9590d31a00a026489cc714a05bad9"),
+    }
+
+    @pytest.mark.parametrize("fragment,mu", list(PINNED), ids=lambda v: str(v))
+    def test_h10_sector_hamiltonian_and_rdms(self, h10, h10_mf, fragment, mu):
+        e = build_embedding(h10[0], h10_mf, fragment)
+        _, E, H = dmet_mod._sector_hamiltonian(e.solver_integrals(mu))
+        # LAPACK's last bits depend on its thread count, so the ground state is
+        # rounded to float32 and its largest component made positive
+        c0 = np.linalg.eigh(H)[1][:, 0].astype(np.float32).astype(float)
+        c0 *= np.sign(c0[np.argmax(np.abs(c0))])
+        h_digest, rdm_digest = self.PINNED[fragment, mu]
+        assert _digest(H) == h_digest
+        assert _digest(*dmet_mod._rdms(E, c0, e.n_orbitals)) == rdm_digest
+
+    def test_rdms_of_a_decoded_parity_state(self, h4):
+        m = h4[0]
+        spec = MappingSpec(PARITY, two_qubit_reduction=True, n_electrons=m.n_electrons)
+        bits = hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
+        circuit = build_hea(HeaConfig(len(bits), 2), bits)
+        params = np.random.default_rng(7).uniform(-np.pi, np.pi, circuit.n_parameters)
+        state = decode_statevector(evolve(circuit, params), 2 * m.n_orbitals, spec)
+        assert state.dtype == complex
+        assert _digest(*spin_summed_rdms(state, m.n_orbitals)) == "2656e7bbb06f677e477db25baf9ae702"
+
+    def test_rdms_of_a_complex_state_on_every_sector(self):
+        rng = np.random.default_rng(3)
+        state = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state /= np.linalg.norm(state)
+        assert _digest(*spin_summed_rdms(state, 3)) == "640f4b9ee42ae3efaa26306207fc3936"
 
 
 class TestMuSlope:
