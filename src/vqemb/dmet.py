@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import vqe as vqe_mod
 from .ansatz import HeaConfig, build_hea
@@ -134,7 +133,7 @@ class EmbeddingProblem:
         )
 
     @cached_property
-    def sector_operator(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    def sector_operator(self) -> tuple[ExcitationTable, np.ndarray, np.ndarray]:
         """(E_pq table, H at mu = 0, fragment occupation n_F) on the (N/2, N/2) sector.
 
         E_ii counts the electrons in orbital i, so H(mu) = H - mu diag(n_F).
@@ -225,15 +224,25 @@ def build_embedding(
 
 # -- exact solves in the occupation basis ------------------------------------------
 
-def _excitation_operators(n_spatial: int, indices: np.ndarray) -> sp.csr_matrix:
+# (op, row, col, value): the nonzero <row|E_op|col> with op = p n + q, sorted
+# by (op, row, col), int64 keys and float values
+ExcitationTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _excitation_operators(n_spatial: int, indices: np.ndarray) -> ExcitationTable:
     """Spin-summed E_pq = sum_s a+_ps a_qs over sorted occupation-basis indices.
 
     Mode 2p + s (s = 0 alpha, 1 beta) sits on bit 2n-1-(2p+s), mode 0 on the
     most significant bit, and a ladder operator's sign is the parity of the
     occupied lower modes, as in ``decode_statevector``.  The index set must be
     closed under every E_pq (a union of (N_alpha, N_beta) sectors).  Returns
-    the n^2 matrices stacked into one (n^2 d) x d matrix: row (p n + q) d + i,
-    column j holds <i|E_pq|j>.
+    the table (op, row, col, value): one entry per nonzero <row|E_op|col>,
+    op = p n + q and row, col positions in ``indices``, sorted by (op, row,
+    col), with the alpha and beta entries of each E_pp diagonal summed to 2.
+    That is the canonical compressed-sparse-row layout of the n^2 stacked
+    matrices, so a sum over entries in table order adds each output element's
+    terms in the order a CSR product would.  Every value is +-1 or 2, and
+    each (op, row) has at most two entries, one per spin, columns ascending.
     """
     n_modes = 2 * n_spatial
     pos = n_modes - 1 - np.arange(n_modes)
@@ -246,11 +255,11 @@ def _excitation_operators(n_spatial: int, indices: np.ndarray) -> sp.csr_matrix:
     op, cre, ann, v = op[k], cre[k], ann[k], indices[col]
     moved = v ^ bit[ann]
     parity = np.bitwise_count(v & below[ann]) + np.bitwise_count(moved & below[cre])
-    rows = op * indices.size + np.searchsorted(indices, moved | bit[cre])
-    return sp.csr_matrix(
-        (1.0 - 2.0 * (parity & 1), (rows, col)),
-        shape=(n_spatial**2 * indices.size, indices.size),
-    )
+    d = indices.size
+    key = (op * d + np.searchsorted(indices, moved | bit[cre])) * d + col
+    key, entry = np.unique(key, return_inverse=True)
+    value = np.bincount(entry, weights=1.0 - 2.0 * (parity & 1))
+    return key // (d * d), key // d % d, key % d, value
 
 
 def _sector_labels(n_spatial: int) -> np.ndarray:
@@ -260,12 +269,18 @@ def _sector_labels(n_spatial: int) -> np.ndarray:
     return np.bitwise_count(idx & alpha) * (n_spatial + 1) + np.bitwise_count(idx & ~alpha)
 
 
-def _sector_hamiltonian(m: MolecularIntegrals) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
+def _sector_hamiltonian(m: MolecularIntegrals) -> tuple[np.ndarray, ExcitationTable, np.ndarray]:
     """The closed-shell (N/2, N/2) sector: its indices, E_pq table and Hamiltonian.
 
     H = sum h'_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs with h' = h - 1/2 sum_r (pr|rq),
     without the core energy.  The cap and the electron count are checked
-    before anything is built.
+    before anything is built.  Both contractions walk the table in its
+    (op, row, col) order, so each element of H adds its terms in the order
+    of the CSR products: sum_pq w_pq E_pq over pq, and E_pq X over each
+    row's (at most two) columns, ascending.  Every value is +-1 or 2, so the
+    products are exact and H is the same to the bit.  A row of E_pq X starts
+    from its first product rather than from 0 + it, which can differ only in
+    the sign of a zero, and no -0 survives being added to H.
     """
     n = m.n_orbitals
     _check_cap(2 * n, VECTOR_QUBIT_CAP, "exact-solver")
@@ -274,13 +289,34 @@ def _sector_hamiltonian(m: MolecularIntegrals) -> tuple[np.ndarray, sp.csr_matri
     labels = _sector_labels(n)
     sel = np.flatnonzero(labels == m.n_electrons // 2 * (n + 2))  # N_alpha = N_beta = N/2
     d = sel.size
-    E = _excitation_operators(n, sel)
-    flat_T = E.reshape(n * n, d * d).T  # column pq: E_pq flattened
+    E = op, row, col, val = _excitation_operators(n, sel)
+    flat = row * d + col
+
+    def weighted_sum(w):  # sum_pq w_pq E_pq, flattened
+        return np.bincount(flat, weights=val * w[op], minlength=d * d)
+
     h = m.one_body - 0.5 * np.einsum("prrq->pq", m.two_body)
-    H = (flat_T @ h.ravel()).reshape(d, d)
-    # one E_pq block at a time: the transient stays a few d x d arrays
+    H = weighted_sum(h.ravel()).reshape(d, d)
+    # the entries of each (op, row) run lower column first; paired: a second follows
+    same = (op[1:] == op[:-1]) & (row[1:] == row[:-1])
+    lead = np.flatnonzero(np.append(True, ~same))
+    paired = np.append(same, False)
+    lead_at = np.searchsorted(op[lead], np.arange(n * n + 1))
+    # one E_pq block at a time, X freed before the row update: the transient
+    # stays under three d x d arrays, so repeated builds reuse the heap pages
     for pq, g_pq in enumerate(m.two_body.reshape(n * n, n * n)):
-        H += 0.5 * (E[pq * d:(pq + 1) * d] @ (flat_T @ g_pq).reshape(d, d))
+        X = weighted_sum(g_pq).reshape(d, d)
+        a = lead[lead_at[pq]:lead_at[pq + 1]]  # one entry per row E_pq reaches
+        two = np.flatnonzero(paired[a])
+        b = a[two] + 1
+        Y = np.take(X, col[a], axis=0)
+        Y *= val[a, None]
+        Z = np.take(X, col[b], axis=0)
+        Z *= val[b, None]
+        Y[two] += Z
+        Y *= 0.5
+        del X, Z
+        H[row[a]] += Y
     if not np.allclose(H, H.T, atol=1e-10):
         raise ValueError("sector Hamiltonian is not Hermitian")
     return sel, E, H
@@ -323,9 +359,26 @@ def spin_summed_rdms(state: np.ndarray, n_spatial: int) -> tuple[np.ndarray, np.
     return _rdms(_excitation_operators(n, sel), psi[sel], n)
 
 
-def _rdms(E: sp.csr_matrix, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``spin_summed_rdms`` of the vector ``psi`` on the indices ``E`` was built over."""
-    D = (E @ psi).reshape(n * n, -1)  # row pq: E_pq psi
+def _rdms(E: ExcitationTable, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``spin_summed_rdms`` of the vector ``psi`` on the indices ``E`` was built over.
+
+    Row pq of D is E_pq psi, summed over the table in its order: each element
+    adds its terms onto zero in ascending column order, as a CSR product
+    does, so the RDMs are the same to the bit.  The table is real, so a
+    complex psi takes its real and imaginary parts separately.
+    """
+    op, row, col, val = E
+    target = op * psi.size + row
+
+    def apply(x):
+        return np.bincount(target, weights=val * x[col], minlength=n * n * psi.size)
+
+    if np.iscomplexobj(psi):
+        D = np.empty(n * n * psi.size, dtype=psi.dtype)
+        D.real, D.imag = apply(psi.real), apply(psi.imag)
+    else:
+        D = apply(psi)
+    D = D.reshape(n * n, -1)  # row pq: E_pq psi
     gamma = (D @ psi.conj()).real.reshape(n, n)
     pair = (D.conj() @ D.T).real.reshape(n, n, n, n)  # (E_qp psi)^+ (E_rs psi) at [q, p, r, s]
     Gamma = pair.transpose(1, 0, 2, 3) - np.einsum("qr,ps->pqrs", np.eye(n), gamma)
@@ -374,14 +427,33 @@ class FragmentSolution:
     slope: Optional[float] = None  # exact dN_F/dmu; None for VQE and windowed solves
 
 
-def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-FCI RDMs of the embedding Hamiltonian, in the given basis."""
-    _, E, H = _sector_hamiltonian(ints)
-    return _rdms(E, np.linalg.eigh(H)[1][:, 0], ints.n_orbitals)
-
-
 # a sector ground state closer than this (Ha) to the next root is degenerate
 _GAP_TOL = 1e-8
+
+
+def _sector_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a sector Hamiltonian whose ground state is not degenerate.
+
+    A gap to the next root below ``_GAP_TOL`` raises
+    ``DegenerateGroundStateError``, since the RDMs of the ground state would
+    then depend on how ``eigh`` mixes the degenerate roots.
+    """
+    evals, evecs = np.linalg.eigh(H)
+    if evals.size > 1 and evals[1] - evals[0] < _GAP_TOL:
+        raise DegenerateGroundStateError(
+            f"degenerate embedding ground state: the gap to the next root is "
+            f"{evals[1] - evals[0]:.3e} Ha, below {_GAP_TOL:g}"
+        )
+    return evals, evecs
+
+
+def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
+    """Sector-FCI RDMs of the embedding Hamiltonian, in the given basis.
+
+    A degenerate ground state raises ``DegenerateGroundStateError``.
+    """
+    _, E, H = _sector_hamiltonian(ints)
+    return _rdms(E, _sector_eigh(H)[1][:, 0], ints.n_orbitals)
 
 
 def _solve_embedding_sector(
@@ -396,14 +468,9 @@ def _solve_embedding_sector(
     raises ``DegenerateGroundStateError``.
     """
     E, H, n_frag = e.sector_operator
-    evals, evecs = np.linalg.eigh(H - np.diag(mu * n_frag))
-    gaps = evals[1:] - evals[0]
-    if gaps.size and gaps[0] < _GAP_TOL:
-        raise DegenerateGroundStateError(
-            f"degenerate embedding ground state: the gap to the next root is "
-            f"{gaps[0]:.3e} Ha, below {_GAP_TOL:g}"
-        )
+    evals, evecs = _sector_eigh(H - np.diag(mu * n_frag))
     c0 = evecs[:, 0]
+    gaps = evals[1:] - evals[0]
     slope = 2.0 * float(np.sum((evecs[:, 1:].T @ (n_frag * c0)) ** 2 / gaps))
     return (*_rdms(E, c0, e.n_orbitals), slope)
 

@@ -433,6 +433,23 @@ class TestDmetCommand:
         assert "gap to the next root" in err
         assert not (outdir / "dmet_result.txt").exists()
 
+    def test_degenerate_windowed_fragment_exits_1_naming_the_gap(
+        self, tmp_path, outdir, capsys, monkeypatch
+    ):
+        # zero integrals on two orbitals and two electrons: four degenerate ground states
+        zero = dmet_mod.EmbeddingProblem(
+            one_body_bare=np.zeros((2, 2)), env_fold=np.zeros((2, 2)), two_body=np.zeros((2,) * 4),
+            n_fragment=1, n_electrons=2, core_energy=0.0,
+        )
+        monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: zero)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(H4 + "dmet: {fragments: [[0, 1], [2, 3]], window: 1}\n")
+        assert run(["dmet", "--config", cfg, "--out", outdir]) == 1
+        err = capsys.readouterr().err
+        assert "error: DegenerateGroundStateError: fragment 0 at mu=0.0: degenerate" in err
+        assert "gap to the next root" in err
+        assert not (outdir / "dmet_result.txt").exists()
+
 
 class TestResourcesCommand:
     def test_width_row(self, outdir, capsys):
@@ -472,19 +489,23 @@ class TestOracleCommand:
         assert energy == pytest.approx(meta["fci_energy"], abs=1e-8)
 
 
-# Runs in a fresh interpreter: after each stage, which of the two SciPy
-# subpackages that only some verbs use has been loaded.
+# Runs in a fresh interpreter: after each stage, which SciPy modules have
+# been loaded.
 FOOTPRINT_SCRIPT = """
 import json, sys
 import vqemb.cli as cli
 out, h2_resources = sys.argv[1:]
-HEAVY = ("scipy.optimize", "scipy.sparse.linalg")
-loaded = lambda: [m for m in HEAVY if m in sys.modules]
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 report = {"import": loaded()}
-for verb, config in (("dmet", "configs/h4_dmet.yaml"), ("resources", h2_resources),
-                     ("vqe", "configs/h2_vqe_lbfgs.yaml")):
-    assert cli.main([verb, "--config", config, "--out", f"{out}/{verb}"]) == 0, verb
-    report[verb] = loaded()
+for stage, verb, config in (
+    ("dmet", "dmet", "configs/h4_dmet.yaml"),
+    ("resources", "resources", h2_resources),
+    ("oracle", "oracle", "configs/h2_vqe_lbfgs.yaml"),
+    ("spsa", "vqe", "configs/h2_vqe_sampled.yaml"),
+    ("quasi_newton", "vqe", "configs/h2_vqe_lbfgs.yaml"),
+):
+    assert cli.main([verb, "--config", config, "--out", f"{out}/{stage}"]) == 0, stage
+    report[stage] = loaded()
 print(json.dumps(report))
 """
 
@@ -503,6 +524,8 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["import"] == report["dmet"] == report["resources"] == []
-        # L-BFGS-B needs scipy.optimize, so the check above is not vacuous
-        assert "scipy.optimize" in report["vqe"]
+        # the exact sector solves and the shot-based SPSA path need no SciPy at all
+        for stage in ("import", "dmet", "resources", "oracle", "spsa"):
+            assert report[stage] == [], stage
+        # L-BFGS-B needs scipy.optimize, so the checks above are not vacuous
+        assert "scipy.optimize" in report["quasi_newton"]

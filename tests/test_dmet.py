@@ -351,6 +351,24 @@ class TestSectorPins:
         assert _digest(H) == h_digest
         assert _digest(*dmet_mod._rdms(E, c0, e.n_orbitals)) == rdm_digest
 
+    @pytest.mark.parametrize("n,sectors", [(2, "all"), (3, "all"), (4, (2, 2)), (6, (3, 3))])
+    def test_excitation_table_layout(self, n, sectors):
+        labels = dmet_mod._sector_labels(n)
+        if sectors == "all":
+            indices = np.arange(labels.size)
+        else:
+            indices = np.flatnonzero(labels == sectors[0] * (n + 1) + sectors[1])
+        d = indices.size
+        op, row, col, val = dmet_mod._excitation_operators(n, indices)
+        assert all(a.dtype == np.int64 for a in (op, row, col)) and val.dtype == np.float64
+        key = (op * d + row) * d + col
+        assert np.all(np.diff(key) > 0)  # sorted by (op, row, col), no duplicates
+        assert set(np.unique(val)) <= {-1.0, 1.0, 2.0}
+        p, q = np.divmod(op, n)
+        assert np.all((val != 2.0) | ((p == q) & (row == col)))
+        assert np.bincount(op * d + row).max() <= 2  # one entry per spin
+        assert op.min() == 0 and op.max() == n * n - 1
+
     def test_rdms_of_a_decoded_parity_state(self, h4):
         m = h4[0]
         spec = MappingSpec(PARITY, two_qubit_reduction=True, n_electrons=m.n_electrons)
@@ -461,10 +479,24 @@ class TestSolveFragment:
         with pytest.raises(ValueError, match="degenerate"):
             solve_fragment(e, "exact")
 
+    def test_degenerate_windowed_ground_state_raises_naming_the_gap(self):
+        # zero integrals on two orbitals and two electrons: all four determinants are ground states
+        zero = EmbeddingProblem(
+            one_body_bare=np.zeros((2, 2)), env_fold=np.zeros((2, 2)), two_body=np.zeros((2,) * 4),
+            n_fragment=1, n_electrons=2, core_energy=0.0,
+        )
+        gap = r"gap to the next root is 0\.000e\+00 Ha"
+        with pytest.raises(DegenerateGroundStateError, match=gap):
+            dmet_mod._solve_embedding_exact(zero.solver_integrals())
+        with pytest.raises(DegenerateGroundStateError, match=gap):
+            solve_fragment(zero, "exact", window=1)
+
     def test_degenerate_fragment_stops_the_run_naming_the_fragment(self, h2, h2_mf, monkeypatch):
         monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: degenerate_levels())
         with pytest.raises(DegenerateGroundStateError, match=r"^fragment 0 at mu=0\.0: degenerate"):
             run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))))
+        with pytest.raises(DegenerateGroundStateError, match=r"^fragment 0 at mu=0\.0: degenerate"):
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), window=1)
 
     def test_non_interacting_energy(self):
         levels = MolecularIntegrals(
