@@ -325,7 +325,8 @@ class TestSectorOperatorCache:
 
 
 def _digest(*arrays):
-    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()[:32]
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    return hashlib.sha256(data).hexdigest()[:32]
 
 
 class TestSectorPins:
