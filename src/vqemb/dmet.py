@@ -362,10 +362,10 @@ def spin_summed_rdms(state: np.ndarray, n_spatial: int) -> tuple[np.ndarray, np.
 def _rdms(E: ExcitationTable, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``spin_summed_rdms`` of the vector ``psi`` on the indices ``E`` was built over.
 
-    Row pq of D is E_pq psi, summed over the table in its order: each element
-    adds its terms onto zero in ascending column order, as a CSR product
-    does, so the RDMs are the same to the bit.  The table is real, so a
-    complex psi takes its real and imaginary parts separately.
+    Row pq of D is E_pq psi, summed over the table: each element adds at
+    most two exact terms, one per spin, onto zero, in ascending column order
+    as a CSR product does, so the RDMs are the same to the bit.  The table
+    is real, so a complex psi takes its real and imaginary parts separately.
     """
     op, row, col, val = E
     target = op * psi.size + row
