@@ -72,14 +72,17 @@ def test_criterion_1_oracle_identity(h2):
         e_parity, _ = map_to_qubits(f, MappingSpec(PARITY)).ground_state_energy()
         reduced = map_to_qubits(f, MappingSpec(PARITY, two_qubit_reduction=True, n_electrons=2))
         e_reduced, _ = reduced.ground_state_energy()
+        e_sector = full_ci_ground_energy(m)
     assert abs(e_jw - meta["fci_energy"]) < 1e-8
     assert abs(e_parity - e_jw) < 1e-10
     assert abs(e_reduced - e_jw) < 1e-10
+    assert abs(e_sector - e_jw) < 1e-10
     report(
         "criterion 1 (oracle identity)",
         f"|JW - FCI| = {abs(e_jw - meta['fci_energy']):.2e}, "
         f"|parity - JW| = {abs(e_parity - e_jw):.2e}, "
-        f"|reduced - JW| = {abs(e_reduced - e_jw):.2e}, {clock.elapsed:.1f}s",
+        f"|reduced - JW| = {abs(e_reduced - e_jw):.2e}, "
+        f"|sector - JW| = {abs(e_sector - e_jw):.2e}, {clock.elapsed:.1f}s",
     )
 
 

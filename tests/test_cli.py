@@ -16,8 +16,9 @@ import yaml
 import vqemb.cli as cli_mod
 import vqemb.dmet as dmet_mod
 import vqemb.vqe as vqe_mod
-from vqemb.chem import ScfConvergenceError
+from vqemb.chem import ScfConvergenceError, active_space
 from vqemb.cli import CONFIG_KEYS, build_parser, load_config, main
+from vqemb.dmet import full_ci_ground_energy
 from vqemb.pauli import QubitHamiltonian
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +26,7 @@ CONFIGS = ROOT / "configs"
 H2 = f"system: {{fcidump: {ROOT}/fixtures/h2.fcidump}}\n"
 H4 = f"system: {{fcidump: {ROOT}/fixtures/h4.fcidump}}\n"
 H10 = f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump}}\n"
+CHAIN5 = f"system: {{hamiltonian: {ROOT}/fixtures/chain5.ham"  # the mapping is left open
 
 # id -> (verb, config text, the section.key the error must name)
 BAD_CONFIGS = {
@@ -72,6 +74,12 @@ BAD_CONFIGS = {
     "h10-halves-over-exact-cap": (
         "dmet", H10 + "dmet: {fragments: [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]}\n", "dmet.fragments",
     ),
+    # a qubit Hamiltonian has no orbitals to window or to map, and one system only
+    "hamiltonian-with-window": ("oracle", CHAIN5 + ", window: 2}\n", "system.window"),
+    "hamiltonian-with-fcidump": (
+        "oracle", CHAIN5 + f", fcidump: {ROOT}/fixtures/h2.fcidump}}\n", "system.fcidump",
+    ),
+    "hamiltonian-with-mapping": ("oracle", CHAIN5 + "}\nmapping: {kind: parity}\n", "mapping"),
 }
 
 # id -> (verb, config text, the section.key and value the error must name):
@@ -89,6 +97,10 @@ WINDOWS_PAST_RANGE = {
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def no_dense_matrix(self):
+    raise AssertionError("the dense matrix was built")
 
 
 def read(path):
@@ -340,6 +352,11 @@ class TestDeparamCommand:
         assert run(["deparam", "--config", CONFIGS / "chain5_deparam.yaml", "--out", outdir]) == 0
         assert calls == [5]
 
+    def test_molecule_deparam_builds_no_dense_matrix(self, outdir, monkeypatch):
+        monkeypatch.setattr(QubitHamiltonian, "to_matrix", no_dense_matrix)
+        config = CONFIGS / "h2_vqe_lbfgs.yaml"  # reduced parity, one layer
+        assert run(["deparam", "--config", config, "--out", outdir]) == 0
+
     def test_register_past_the_dense_cap_exits_2_before_any_solve(self, tmp_path, outdir,
                                                                   monkeypatch):
         def refused(*args, **kwargs):
@@ -487,6 +504,35 @@ class TestOracleCommand:
         text = read(outdir / "oracle_result.txt")
         energy = float(re.search(r"ground_energy=([-\d.e]+)", text).group(1))
         assert energy == pytest.approx(meta["fci_energy"], abs=1e-8)
+
+    def test_molecule_oracle_is_full_ci_without_a_dense_matrix(self, tmp_path, outdir, h10,
+                                                                h10_mf, monkeypatch):
+        # H10 window 3 under Jordan-Wigner is 12 qubits: a 4,096 x 4,096 dense
+        # matrix, against 400 determinants in the (3, 3) sector
+        monkeypatch.setattr(QubitHamiltonian, "to_matrix", no_dense_matrix)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump, window: 3}}\n"
+                       "mapping: {kind: jordan_wigner}\n")
+        assert run(["oracle", "--config", cfg, "--out", outdir]) == 0
+        text = read(outdir / "oracle_result.txt")
+        assert "n_qubits=12\n" in text
+        energy = float(re.search(r"ground_energy=(\S+)", text).group(1))
+        active, _ = active_space(h10[0], h10_mf, 3)
+        assert abs(energy - full_ci_ground_energy(active)) < 1e-12
+
+    def test_odd_electron_count_has_no_oracle(self, tmp_path, outdir, capsys):
+        # full CI is closed-shell; the dense matrix would give the two-electron energy
+        fcidump = tmp_path / "h2_odd.fcidump"
+        fcidump.write_text(read(ROOT / "fixtures" / "h2.fcidump").replace("NELEC=2", "NELEC=1"))
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"system: {{fcidump: {fcidump}}}\nmapping: {{kind: jordan_wigner}}\n"
+                       "optimizer: {kind: spsa, iterations: 5, seed: 11}\n")
+        for verb in ("oracle", "deparam"):
+            assert run([verb, "--config", cfg, "--out", outdir]) == 2, verb
+            assert "system.fcidump" in capsys.readouterr().err, verb
+            assert not outdir.exists(), verb
+        assert run(["vqe", "--config", cfg, "--out", outdir]) == 0
+        assert "oracle_energy=" not in read(outdir / "vqe_result.txt")
 
 
 # Runs in a fresh interpreter: after each stage, which SciPy modules have

@@ -10,7 +10,12 @@ import pytest
 
 import vqemb.dmet as dmet_mod
 from vqemb.ansatz import HeaConfig, build_hea
-from vqemb.chem import MolecularIntegrals, ScfConvergenceError, restricted_hartree_fock
+from vqemb.chem import (
+    MolecularIntegrals,
+    ScfConvergenceError,
+    active_space,
+    restricted_hartree_fock,
+)
 from vqemb.dmet import (
     DegenerateGroundStateError,
     DmetConvergenceError,
@@ -173,7 +178,32 @@ class TestFragmentHamiltonian:
         assert np.allclose(np.diag(delta)[2:], 0.0)
 
 
+# (system, active-space window or None for all orbitals, encoding): every case
+# up to 10 qubits, which leaves out H10 window 3 under the two 12-qubit encodings
+ENCODINGS = {
+    "jordan_wigner": (JORDAN_WIGNER, False), "parity": (PARITY, False),
+    "parity_reduced": (PARITY, True),
+}
+ORACLE_CASES = [
+    (system, window, encoding)
+    for system, windows in (("h2", (None, 1)), ("h4", (None, 1, 2)), ("h10", (1, 2, 3)))
+    for window in windows
+    for encoding in ENCODINGS
+    if (system, window) != ("h10", 3) or encoding == "parity_reduced"
+]
+
+
 class TestSectorSolver:
+    @pytest.mark.parametrize("system, window, encoding", ORACLE_CASES,
+                             ids=lambda v: "full" if v is None else str(v))
+    def test_full_ci_equals_the_dense_oracle(self, system, window, encoding, request):
+        m = request.getfixturevalue(system)[0]
+        if window is not None:
+            m, _ = active_space(m, request.getfixturevalue(f"{system}_mf"), window)
+        spec = MappingSpec(*ENCODINGS[encoding], n_electrons=m.n_electrons)
+        dense, _ = map_to_qubits(build_fermionic_hamiltonian(m), spec).ground_state_energy()
+        assert abs(full_ci_ground_energy(m) - dense) < 1e-13
+
     def test_matches_dense_oracle(self, h2):
         m, meta = h2
         h = map_to_qubits(build_fermionic_hamiltonian(m), MappingSpec(JORDAN_WIGNER))
