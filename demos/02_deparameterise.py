@@ -39,7 +39,7 @@ baseline = solve(problem, reference=oracle)
 print(f"baseline VQE: {baseline.energy:.8f}  rel err {baseline.relative_error:.2e}  "
       f"({circuit.n_parameters} parameters)")
 
-report = deparameterise(problem, tolerance=1e-2, baseline=baseline)
+report = deparameterise(problem, oracle, tolerance=1e-2, baseline=baseline)
 print(f"\n{'step':>4} {'gate':>4} {'angle':>9} {'energy':>12} {'rel err':>9} {'params':>7}")
 for i, step in enumerate(report.steps, start=1):
     tag = " (virtual identity)" if step.virtual_identity else ""

@@ -2,8 +2,9 @@
 
 Statevector VQE with hardware-efficient ansatzes and gate deparameterisation,
 DMET with exact or VQE fragment solvers, readout-error mitigation, and
-active-space resource estimation, all checkable against a dense
-exact-diagonalization oracle at desk scale.
+active-space resource estimation, all checkable at desk scale against an
+exact oracle: full CI in the determinant basis for a molecule, dense
+diagonalization for a bare qubit Hamiltonian.
 """
 
 from .ansatz import DeparamReport, HeaConfig, build_hea, deparameterise

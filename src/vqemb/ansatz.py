@@ -140,6 +140,7 @@ def _freeze_gate(circuit: Circuit, gate_index: int, angle: float) -> Circuit:
 
 def deparameterise(
     problem: "vqe_mod.VqeProblem",
+    oracle_energy: float,
     tolerance: float = 1e-2,
     baseline: Optional["vqe_mod.VqeResult"] = None,
 ) -> DeparamReport:
@@ -148,11 +149,10 @@ def deparameterise(
     Each step tries every remaining free rotation at its nearest candidate
     angle, re-optimizes the rest warm-started from the current optimum, and
     accepts the freeze closest in energy to the baseline, provided the
-    relative error against the dense-diagonalization ground energy, computed
-    first, stays within the tolerance.  Returns an empty report when no
-    freeze is admissible.
+    relative error against ``oracle_energy``, the exact ground energy of the
+    problem's Hamiltonian, stays within the tolerance.  Returns an empty
+    report when no freeze is admissible.
     """
-    oracle_energy, _ = problem.hamiltonian.ground_state_energy()
     if baseline is None:
         baseline = vqe_mod.solve(problem)
 

@@ -167,6 +167,14 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
         ("estimator", "mitigation"): overrides.mitigation,
         ("output", "dir"): overrides.out,
     })
+    system = cfg["system"]
+    if "hamiltonian" in system:  # a qubit Hamiltonian is a whole system, already mapped
+        if "fcidump" in system:
+            raise ConfigError("system.fcidump: give system.hamiltonian or system.fcidump, not both")
+        if "window" in system:
+            raise ConfigError("system.window: a qubit Hamiltonian has no orbitals to window")
+        if cfg["mapping"]:
+            raise ConfigError("mapping: a qubit Hamiltonian is not mapped again")
     vqe = cfg["vqe"]
     if "seed" in vqe:
         vqe["initial_seed"] = vqe.pop("seed")
@@ -205,11 +213,17 @@ def _molecule(cfg: dict, needed: str = "system.fcidump"):
 
 
 def _load_problem_hamiltonian(cfg: dict):
-    """Qubit Hamiltonian plus ansatz reference bits from the configured system."""
+    """Qubit Hamiltonian, ansatz reference bits and the exact ground energy's function.
+
+    A molecule's exact energy is full CI of the same (windowed) integrals from
+    the sector solver, which refuses more than 14 spin orbitals and an odd
+    electron count with a config error naming system.fcidump; only a bare
+    qubit Hamiltonian is diagonalized as a dense matrix.
+    """
     system = cfg["system"]
     if "hamiltonian" in system:
         h = QubitHamiltonian.from_text(system["hamiltonian"].read_text())
-        return h, [0] * h.n_qubits
+        return h, [0] * h.n_qubits, lambda: h.ground_state_energy()[0]
     m = _molecule(cfg, "system.fcidump or system.hamiltonian")
     if "window" in system:
         try:
@@ -218,29 +232,37 @@ def _load_problem_hamiltonian(cfg: dict):
             raise ConfigError(f"system.window: {system['window']} is too wide: {exc}") from exc
     spec = MappingSpec(**cfg["mapping"], n_electrons=m.n_electrons)
     h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
-    return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
+
+    def full_ci() -> float:
+        try:
+            return full_ci_ground_energy(m)
+        except ValueError as exc:  # past the sector cap, or an odd electron count
+            raise ConfigError(f"system.fcidump: no exact energy: {exc}") from exc
+
+    return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec), full_ci
 
 
 def _oracle(exact) -> Optional[float]:
-    """The energy ``exact()`` returns, or None past the cap of its exact method."""
+    """The energy ``exact()`` returns, or None for a system its exact method refuses."""
     try:
         return exact()
-    except ExactCapError:
+    except (ConfigError, ExactCapError):
         return None
 
 
-def _build_problem(cfg: dict) -> VqeProblem:
-    h, bits = _load_problem_hamiltonian(cfg)
+def _build_problem(cfg: dict):
+    """The VQE problem of the configured system, and its exact energy's function."""
+    h, bits, exact = _load_problem_hamiltonian(cfg)
     circuit = build_hea(HeaConfig(h.n_qubits, **cfg["ansatz"]), bits)
     try:
-        return VqeProblem(h, circuit, **cfg["vqe"])
+        return VqeProblem(h, circuit, **cfg["vqe"]), exact
     except ValueError as exc:  # the settings passed load_config; only the noise width is left
         raise ConfigError(str(exc)) from exc
 
 
 def cmd_vqe(cfg: dict) -> int:
-    problem = _build_problem(cfg)
-    oracle = _oracle(lambda: problem.hamiltonian.ground_state_energy()[0])
+    problem, exact = _build_problem(cfg)
+    oracle = _oracle(exact)
     result = solve(problem, reference=oracle)
     out = cfg["output"]["dir"]
     header = "" if oracle is None else f"oracle_energy={oracle!r}\n"
@@ -260,8 +282,8 @@ def cmd_vqe(cfg: dict) -> int:
 
 
 def cmd_deparam(cfg: dict) -> int:
-    problem = _build_problem(cfg)
-    report = deparameterise(problem, **cfg["deparam"])  # the oracle comes before any solve
+    problem, exact = _build_problem(cfg)
+    report = deparameterise(problem, exact(), **cfg["deparam"])  # the oracle before any solve
     out = cfg["output"]["dir"]
     write_atomic(out / "deparam_report.txt", report.to_text())
 
@@ -365,8 +387,8 @@ def cmd_resources(cfg: dict) -> int:
 
 
 def cmd_oracle(cfg: dict) -> int:
-    h, _ = _load_problem_hamiltonian(cfg)
-    energy, _ = h.ground_state_energy()
+    h, _, exact = _load_problem_hamiltonian(cfg)
+    energy = exact()
     text = f"n_qubits={h.n_qubits}\nn_terms={len(h)}\nground_energy={energy!r}\n"
     write_atomic(cfg["output"]["dir"] / "oracle_result.txt", text)
     print(text, end="")
@@ -393,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("deparam", "greedily freeze ansatz rotations at standard angles"),
         ("dmet", "run a density-matrix embedding calculation"),
         ("resources", "estimate width/terms for active-space windows"),
-        ("oracle", "exact ground energy by dense diagonalization"),
+        ("oracle", "exact ground energy: full CI of a molecule, or a qubit Hamiltonian's "
+                   "dense diagonalization"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="YAML run configuration")

@@ -96,13 +96,6 @@ def build_fermionic_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     ))
 
 
-def total_number_operator(n_modes: int) -> FermionOperator:
-    """Sum of occupation-number operators over all spin-orbitals."""
-    modes = np.arange(n_modes)
-    ladder = np.stack([2 * modes + 1, 2 * modes], 1)
-    return FermionOperator(n_modes, ((np.ones(n_modes, dtype=complex), ladder),))
-
-
 def _block_permutation(n_modes: int) -> list[int]:
     """Interleaved mode index -> block-ordered position (alpha block first)."""
     half = n_modes // 2

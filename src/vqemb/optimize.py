@@ -54,14 +54,6 @@ class OptimizerTrace:
         i = int(np.argmin(self.values))
         return self.values[i], self.parameters[i]
 
-    def best_so_far(self) -> list[float]:
-        """Running minimum of the objective series."""
-        out, best = [], math.inf
-        for v in self.values:
-            best = min(best, v)
-            out.append(best)
-        return out
-
     def to_csv(self, include_parameters: bool = False) -> str:
         header = "iteration,objective"
         if include_parameters:

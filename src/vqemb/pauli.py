@@ -11,9 +11,10 @@ sum in occurrence order from zero, merged coefficients below the one drop
 tolerance ``_DROP_TOL`` are dropped, and the words are kept in letter order
 (I < X < Y < Z, qubit 0 first).
 
-The dense matrix and exact diagonalization reach ``MATRIX_QUBIT_CAP`` (12)
-qubits, ``PauliExpectation`` and the DMET sector solver ``VECTOR_QUBIT_CAP``
-(14); a call past its cap raises ``ExactCapError`` before it allocates.
+The dense oracle serves bare qubit Hamiltonians up to ``MATRIX_QUBIT_CAP``
+(12) qubits; a molecule's is the DMET sector solver's full CI, which with
+``PauliExpectation`` reaches ``VECTOR_QUBIT_CAP`` (14).  A call past its cap
+raises ``ExactCapError`` before it allocates.
 """
 
 from __future__ import annotations
@@ -309,20 +310,9 @@ def _apply(h: QubitHamiltonian, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_word(word: PauliWord, vec: np.ndarray) -> np.ndarray:
-    """Apply a Pauli word to a statevector (qubit 0 = most significant bit)."""
-    vec = _state_vector(vec, word.n_qubits, dtype=complex)
-    return _apply(QubitHamiltonian(word.n_qubits, [PauliTerm(1.0, word)]), vec)
-
-
 def _qubitwise_commute(xa: int, za: int, xb: int, zb: int) -> bool:
     """True when two words' masks agree wherever both words act."""
     return ((xa ^ xb) | (za ^ zb)) & (xa | za) & (xb | zb) == 0
-
-
-def words_qubitwise_commute(a: PauliWord, b: PauliWord) -> bool:
-    """True when on every qubit the letters are equal or one is identity."""
-    return _qubitwise_commute(*_masks(a.letters), *_masks(b.letters))
 
 
 class PauliExpectation:

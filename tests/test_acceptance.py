@@ -126,7 +126,7 @@ def test_criterion_3_deparameterisation():
         initial="random", initial_seed=2, restarts=3,
     )
     with Stopwatch(300) as clock:
-        rep = deparameterise(problem, tolerance=1e-2)
+        rep = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
     removed = len(rep.steps)
     assert removed >= 5, f"only {removed} of 10 parameters removed"
     candidates = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)

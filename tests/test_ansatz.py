@@ -103,7 +103,7 @@ class TestDeparameterise:
         h = QubitHamiltonian.from_dict(1, {"Z": -1.0})
         circ = build_hea(HeaConfig(1, 0), [0])
         problem = VqeProblem(h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"))
-        report = deparameterise(problem, tolerance=1e-6)
+        report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-6)
         assert len(report.steps) == 1
         assert report.steps[0].angle == 0.0
         assert report.steps[0].virtual_identity
@@ -120,7 +120,7 @@ class TestDeparameterise:
             h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
             initial="random", initial_seed=1, restarts=2,
         )
-        report = deparameterise(problem, tolerance=1e-2)
+        report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
         for step in report.steps:
             assert step.relative_error <= 1e-2
         assert all(
@@ -135,7 +135,7 @@ class TestDeparameterise:
             h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
             initial="random", initial_seed=3, restarts=2,
         )
-        report = deparameterise(problem, tolerance=1e-2)
+        report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
         counts = [s.params_after for s in report.steps]
         assert counts == sorted(counts, reverse=True)
         if report.steps:
@@ -148,12 +148,12 @@ class TestDeparameterise:
             h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
             initial="random", initial_seed=5,
         )
-        report = deparameterise(problem, tolerance=0.0)
+        report = deparameterise(problem, h.ground_state_energy()[0], tolerance=0.0)
         assert len(report.steps) <= 1
 
     def test_report_text_round_trip_fields(self):
         h = QubitHamiltonian.from_dict(1, {"Z": -1.0})
         circ = build_hea(HeaConfig(1, 0), [0])
         problem = VqeProblem(h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"))
-        text = deparameterise(problem, tolerance=1e-6).to_text()
+        text = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-6).to_text()
         assert "baseline_energy=" in text and "step gate=" in text

@@ -231,17 +231,16 @@ class TestExitCodes:
         assert run(["oracle", "--config", cfg, "--out", outdir]) == 2
 
     def test_dense_oracle_past_its_cap_exits_2_before_building(self, tmp_path, outdir,
-                                                               monkeypatch):
-        # H10 window 4 under reduced parity is 14 qubits: its complex matrix
-        # alone would take 4.3 GB
-        def refused(self):
-            raise AssertionError("the dense matrix was built")
-
-        monkeypatch.setattr(QubitHamiltonian, "to_matrix", refused)
+                                                               monkeypatch, capsys):
+        # H10 window 4 is 8 orbitals, 16 spin orbitals: past the sector
+        # solver's cap of 14, so full CI is refused before anything is built.
+        # Under reduced parity its 14-qubit dense matrix alone would take 4.3 GB.
+        monkeypatch.setattr(QubitHamiltonian, "to_matrix", no_dense_matrix)
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump, window: 4}}\n"
                        "mapping: {kind: parity, two_qubit_reduction: true}\n")
         assert run(["oracle", "--config", cfg, "--out", outdir]) == 2
+        assert "system.fcidump" in capsys.readouterr().err
 
 
 def _load(argv):

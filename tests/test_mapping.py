@@ -18,7 +18,6 @@ from vqemb.mapping import (
     decode_statevector,
     hartree_fock_bitstring,
     map_to_qubits,
-    total_number_operator,
 )
 from vqemb.pauli import QubitHamiltonian
 
@@ -300,7 +299,11 @@ class TestJordanWigner:
         m, _ = h2
         spec = MappingSpec(JORDAN_WIGNER)
         h = map_to_qubits(build_fermionic_hamiltonian(m), spec).to_matrix()
-        num = map_to_qubits(total_number_operator(2 * m.n_orbitals), spec).to_matrix()
+        modes = np.arange(2 * m.n_orbitals)  # sum of a+_j a_j over every spin-orbital
+        number = FermionOperator(modes.size, (
+            (np.ones(modes.size, dtype=complex), np.stack([2 * modes + 1, 2 * modes], 1)),
+        ))
+        num = map_to_qubits(number, spec).to_matrix()
         assert np.linalg.norm(h @ num - num @ h) < 1e-10
 
 
