@@ -26,7 +26,7 @@ CONFIGS = ROOT / "configs"
 H2 = f"system: {{fcidump: {ROOT}/fixtures/h2.fcidump}}\n"
 H4 = f"system: {{fcidump: {ROOT}/fixtures/h4.fcidump}}\n"
 H10 = f"system: {{fcidump: {ROOT}/fixtures/h10.fcidump}}\n"
-CHAIN5 = f"system: {{hamiltonian: {ROOT}/fixtures/chain5.ham"  # the mapping is left open
+CHAIN5 = f"system: {{hamiltonian: {ROOT}/fixtures/chain5.ham"  # the braces stay open for more keys
 
 # id -> (verb, config text, the section.key the error must name)
 BAD_CONFIGS = {
@@ -351,10 +351,12 @@ class TestDeparamCommand:
         assert run(["deparam", "--config", CONFIGS / "chain5_deparam.yaml", "--out", outdir]) == 0
         assert calls == [5]
 
-    def test_molecule_deparam_builds_no_dense_matrix(self, outdir, monkeypatch):
+    def test_molecule_vqe_and_deparam_build_no_dense_matrix(self, outdir, monkeypatch):
         monkeypatch.setattr(QubitHamiltonian, "to_matrix", no_dense_matrix)
         config = CONFIGS / "h2_vqe_lbfgs.yaml"  # reduced parity, one layer
-        assert run(["deparam", "--config", config, "--out", outdir]) == 0
+        for verb in ("vqe", "deparam"):
+            assert run([verb, "--config", config, "--out", outdir / verb]) == 0, verb
+        assert "oracle_energy=" in read(outdir / "vqe" / "vqe_result.txt")
 
     def test_register_past_the_dense_cap_exits_2_before_any_solve(self, tmp_path, outdir,
                                                                   monkeypatch):
