@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import vqemb.vqe as vqe_mod
 from vqemb.ansatz import (
     DEFAULT_CANDIDATE_ANGLES,
     HeaConfig,
@@ -25,6 +26,18 @@ def field_chain(n, g):
     for q in range(n - 1):
         terms["I" * q + "ZZ" + "I" * (n - 2 - q)] = -g
     return QubitHamiltonian.from_dict(n, terms)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``vqemb.vqe.<name>`` so that each call appends its arguments to the returned list."""
+    calls, original = [], getattr(vqe_mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vqe_mod, name, counting)
+    return calls
 
 
 class TestBuildHea:
@@ -140,6 +153,21 @@ class TestDeparameterise:
         assert counts == sorted(counts, reverse=True)
         if report.steps:
             assert report.steps[-1].params_after == report.final_circuit.n_parameters
+
+    def test_each_trial_runs_once_from_its_warm_start(self, monkeypatch):
+        # the baseline runs every configured restart; a trial only its warm start
+        solves = _count_calls(monkeypatch, "solve")
+        runs = _count_calls(monkeypatch, "bounded_quasi_newton")
+        h = field_chain(3, 0.2)
+        problem = VqeProblem(
+            h, build_hea(HeaConfig(3, 1), [0] * 3), EstimatorSpec("exact"),
+            OptimizerSpec("quasi_newton"), initial="random", initial_seed=3, restarts=3,
+        )
+        report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
+        # a trial with no free rotation left is evaluated, not optimized
+        optimized = [args for args in solves[1:] if args[0].circuit.n_parameters]
+        assert report.steps and optimized
+        assert len(runs) == problem.restarts + len(optimized)
 
     def test_zero_tolerance_stops_early(self):
         h = field_chain(2, 0.5)

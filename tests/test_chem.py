@@ -164,6 +164,10 @@ class TestParse:
         with pytest.raises(ValueError, match="header"):
             parse_fcidump("NORB=2\n")
 
+    def test_open_shell_refused(self):
+        with pytest.raises(ValueError, match="MS2=2"):
+            parse_fcidump("&FCI NORB=2,NELEC=2,MS2=2\n/\n")
+
     def test_bytes_accepted(self, fixtures_dir):
         m = parse_fcidump((fixtures_dir / "h2.fcidump").read_bytes())
         assert m.n_orbitals == 2

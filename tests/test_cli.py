@@ -193,6 +193,28 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
         assert not outdir.exists()  # nothing written, not even a partial result
 
+    @pytest.mark.parametrize("verb", sorted(cli_mod.COMMANDS))
+    @pytest.mark.parametrize("header", ["MS2=2", "NELEC=1"])
+    def test_open_shell_fcidump_is_refused_on_load(self, tmp_path, outdir, capsys, monkeypatch,
+                                                   verb, header):
+        # every verb is closed-shell: the header is checked before any SCF or mapping
+        def too_late(*args):
+            raise AssertionError("ran before the closed-shell check")
+
+        for name in ("restricted_hartree_fock", "map_to_qubits"):
+            monkeypatch.setattr(cli_mod, name, too_late)
+        key = header.split("=")[0]
+        fcidump = tmp_path / "h2_open.fcidump"
+        fcidump.write_text(re.sub(rf"{key}=\d+", header, read(ROOT / "fixtures" / "h2.fcidump")))
+        extra = {"dmet": "dmet: {fragments: [[0], [1]]}\n",
+                 "resources": "resources: {windows: [0]}\n"}.get(verb, "")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"system: {{fcidump: {fcidump}}}\n{extra}")
+        assert run([verb, "--config", cfg, "--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert "config error: system.fcidump" in err and header in err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("case", sorted(WINDOWS_PAST_RANGE))
     def test_window_past_orbital_range_exits_2(self, tmp_path, outdir, capsys, case):
         verb, text, name, value = WINDOWS_PAST_RANGE[case]

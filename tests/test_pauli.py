@@ -257,6 +257,13 @@ class TestApplyAndExpectation:
         v = np.array([0.5, -0.5, 0.5, 0.5])
         assert ev(v) == 0.0 and np.array_equal(ev.apply(v), np.zeros(4))
 
+    def test_complex_vector_rejected(self):
+        # every simulated state is real; a complex one has no evaluator here
+        ev = PauliExpectation(QubitHamiltonian.from_dict(1, {"X": 1.0}))
+        for evaluate in (ev, ev.apply):
+            with pytest.raises(ValueError, match="real"):
+                evaluate(np.array([1.0, 1.0j]) / np.sqrt(2))
+
     def test_non_hermitian_rejected_at_construction(self):
         with pytest.raises(ValueError, match="Hermitian"):
             PauliExpectation(QubitHamiltonian.from_dict(1, {"X": 1.0j}))
