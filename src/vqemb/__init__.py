@@ -36,7 +36,7 @@ from .mapping import (
 )
 from .mitigation import calibrate, m3_mitigate, trex_expectation
 from .optimize import OptimizerTrace, bounded_quasi_newton, spsa
-from .pauli import PauliTerm, PauliWord, QubitHamiltonian, multiply
+from .pauli import PauliTerm, PauliWord, QubitHamiltonian
 from .resources import ResourceEstimate, estimate
 from .simulator import (
     Circuit,
@@ -49,7 +49,6 @@ from .simulator import (
     ShotCounts,
     energy_and_gradient,
     evolve,
-    exact_expectation,
     sample,
     sampled_expectation,
 )

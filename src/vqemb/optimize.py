@@ -54,17 +54,9 @@ class OptimizerTrace:
         i = int(np.argmin(self.values))
         return self.values[i], self.parameters[i]
 
-    def to_csv(self, include_parameters: bool = False) -> str:
-        header = "iteration,objective"
-        if include_parameters:
-            width = len(self.parameters[0]) if self.parameters else 0
-            header += "," + ",".join(f"p{i}" for i in range(width))
-        rows = [header]
-        for i, (it, v) in enumerate(zip(self.iterations, self.values)):
-            row = f"{it},{v!r}"
-            if include_parameters:
-                row += "," + ",".join(repr(float(p)) for p in self.parameters[i])
-            rows.append(row)
+    def to_csv(self) -> str:
+        rows = ["iteration,objective"]
+        rows += [f"{it},{v!r}" for it, v in zip(self.iterations, self.values)]
         return "\n".join(rows) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Pauli-word algebra, qubit Hamiltonians, and the dense diagonalization oracle.
+"""Pauli words, qubit Hamiltonians, their real-statevector evaluator and dense oracle.
 
 A Hamiltonian is a weighted sum of Pauli words (tensor products over
 {I, X, Y, Z}).  A word is written as a string with qubit 0 leftmost and
@@ -35,8 +35,7 @@ VECTOR_QUBIT_CAP = 14
 # Words whose merged coefficient is smaller than this in magnitude are dropped.
 _DROP_TOL = 1e-12
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k
-_PHASE_ARRAY = np.array(_PHASES)
+_PHASE_ARRAY = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # i**k
 
 MASK_QUBIT_CAP = 63  # masks are int64, so qubit 0 sits at most on bit 62
 _LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)  # x bit + 2 * z bit
@@ -79,13 +78,6 @@ def _words(x: np.ndarray, z: np.ndarray, n: int) -> list[str]:
     return [raw[i * n:(i + 1) * n] for i in range(len(x))]
 
 
-def _mul_phase(xa, za, xb, zb) -> np.ndarray:
-    """Power of i (mod 4) in P(xa, za) P(xb, zb) = i^k P(xa ^ xb, za ^ zb), elementwise."""
-    count = np.bitwise_count  # uint8 counts: wrapping mod 256 keeps the value mod 4
-    return (count(xa & za) + count(xb & zb) - count((xa ^ xb) & (za ^ zb))
-            + 2 * count(za & xb)) & 3
-
-
 def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
     """Sum the coefficients of equal words, each sum in occurrence order.
 
@@ -126,22 +118,8 @@ class PauliWord:
     def n_qubits(self) -> int:
         return len(self.letters)
 
-    def support(self) -> tuple[int, ...]:
-        """Qubit indices carrying a non-identity letter."""
-        return tuple(q for q, c in enumerate(self.letters) if c != "I")
-
     def __str__(self) -> str:
         return self.letters
-
-
-def multiply(a: PauliWord, b: PauliWord) -> tuple[complex, PauliWord]:
-    """Product of two equal-length words: matrix(a) @ matrix(b) = phase * matrix(word)."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"length mismatch: {a.n_qubits} vs {b.n_qubits}")
-    _check_register(a.n_qubits)
-    xa, za, xb, zb = (np.array([m]) for m in (*_masks(a.letters), *_masks(b.letters)))
-    k = int(_mul_phase(xa, za, xb, zb)[0])
-    return _PHASES[k], PauliWord(_words(xa ^ xb, za ^ zb, a.n_qubits)[0])
 
 
 @dataclass(frozen=True)
@@ -231,11 +209,6 @@ class QubitHamiltonian:
         evals, evecs = np.linalg.eigh(self.to_matrix())
         return float(evals[0]), evecs[:, 0]
 
-    def expectation(self, state: np.ndarray) -> complex:
-        """<state|H|state> without building the dense matrix."""
-        vec = _state_vector(state, self.n_qubits, dtype=complex)
-        return complex(np.vdot(vec, _apply(self, vec)))
-
     # -- text serialization ------------------------------------------------
 
     def to_text(self) -> str:
@@ -263,11 +236,13 @@ class QubitHamiltonian:
         return cls(n, terms)
 
 
-def _state_vector(state, n_qubits: int, dtype=None) -> np.ndarray:
-    """``state`` as a flat array, checked against a register of ``n_qubits``."""
-    vec = np.asarray(state, dtype=dtype).ravel()
+def _state_vector(state, n_qubits: int) -> np.ndarray:
+    """``state`` as a flat real array, checked against a register of ``n_qubits``."""
+    vec = np.asarray(state).ravel()
     if vec.size != 1 << n_qubits:
         raise ValueError(f"state dimension {vec.size} does not match {n_qubits} qubits")
+    if np.iscomplexobj(vec):
+        raise ValueError("state is complex; only real statevectors are evaluated")
     return vec
 
 
@@ -301,15 +276,6 @@ def _weight_rows(h: QubitHamiltonian, real: bool):
         yield mask, row
 
 
-def _apply(h: QubitHamiltonian, vec: np.ndarray) -> np.ndarray:
-    """H v for a complex vector, one weight row at a time."""
-    idx = np.arange(vec.size)
-    out = np.zeros(vec.size, dtype=complex)
-    for x, row in _weight_rows(h, real=False):
-        out += row * vec[idx ^ x]
-    return out
-
-
 def _qubitwise_commute(xa: int, za: int, xb: int, zb: int) -> bool:
     """True when two words' masks agree wherever both words act."""
     return ((xa ^ xb) | (za ^ zb)) & (xa | za) & (xb | zb) == 0
@@ -320,9 +286,10 @@ class PauliExpectation:
 
     For a real vector v, <v|H|v> = <v|Re H|v> and Re(H v) = (Re H) v, so only
     the real weight rows are kept: terms with the same X mask share one
-    gather and one summed row.  Complex vectors are applied through the
-    complex rows, one at a time.  The Hamiltonian must be Hermitian, which is
-    checked once here.
+    gather and one summed row.  Every circuit here prepares a real state, so
+    a complex vector is refused with ``ValueError``; the dense ``to_matrix``
+    is the reference for anything else.  The Hamiltonian must be Hermitian,
+    which is checked once here.
     """
 
     def __init__(self, h: QubitHamiltonian):
@@ -330,7 +297,6 @@ class PauliExpectation:
         if not h.is_hermitian():
             raise ValueError("Hamiltonian is not Hermitian (a merged coefficient is complex)")
         self.n_qubits = h.n_qubits
-        self._hamiltonian = h
         dim = 1 << h.n_qubits
         idx = np.arange(dim)
         rows = list(_weight_rows(h, real=True))
@@ -344,6 +310,4 @@ class PauliExpectation:
 
     def __call__(self, state: np.ndarray) -> float:
         vec = _state_vector(state, self.n_qubits)
-        if np.iscomplexobj(vec):
-            return float(np.vdot(vec, _apply(self._hamiltonian, vec)).real)
         return float(vec @ self.apply(vec))

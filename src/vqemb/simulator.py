@@ -224,14 +224,6 @@ def energy_and_gradient(
     return energy, grad
 
 
-def exact_expectation(state: np.ndarray, h: QubitHamiltonian) -> float:
-    """<state|H|state>; raises if a Hermitian value does not come out real."""
-    value = h.expectation(state)
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary part {value.imag:.3e}; Hamiltonian not Hermitian?")
-    return float(value.real)
-
-
 # -- readout noise ---------------------------------------------------------------
 
 _FLIP_BLOCK = 8  # qubits per readout-flip table, 2^8 rows

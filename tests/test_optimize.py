@@ -132,7 +132,3 @@ class TestTraceCsv:
         assert lines[0] == "iteration,objective"
         assert len(lines) == 11
 
-    def test_csv_with_parameters(self):
-        _, trace = spsa(sphere, np.ones(2), iterations=2, seed=1)
-        lines = trace.to_csv(include_parameters=True).strip().splitlines()
-        assert lines[0] == "iteration,objective,p0,p1"

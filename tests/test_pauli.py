@@ -1,4 +1,4 @@
-"""Pauli algebra, Hamiltonian simplification, and the dense oracle."""
+"""Pauli words, Hamiltonian simplification, the real-vector evaluator and the dense oracle."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from vqemb.pauli import (
     QubitHamiltonian,
     _masks,
     _qubitwise_commute,
-    multiply,
 )
 
 PAULI_MATS = {
@@ -43,51 +42,11 @@ def dense(h):
 words = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
 
-def random_hamiltonian(rng, n, n_terms, hermitian=False):
-    """Random words with complex coefficients, or real ones when ``hermitian``."""
+def random_hamiltonian(rng, n, n_terms):
+    """Random words with real coefficients."""
     letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(n_terms)]
-    coeffs = rng.normal(size=n_terms) + (0.0 if hermitian else 1j * rng.normal(size=n_terms))
+    coeffs = rng.normal(size=n_terms)
     return QubitHamiltonian(n, [PauliTerm(complex(c), PauliWord(w)) for c, w in zip(coeffs, letters)])
-
-
-class TestMultiply:
-    def test_single_qubit_identities(self):
-        phase, word = multiply(PauliWord("X"), PauliWord("X"))
-        assert phase == 1 and word.letters == "I"
-        phase, word = multiply(PauliWord("X"), PauliWord("Y"))
-        assert phase == 1j and word.letters == "Z"
-        phase, word = multiply(PauliWord("Y"), PauliWord("X"))
-        assert phase == -1j and word.letters == "Z"
-
-    def test_two_qubit_against_dense_product(self):
-        a, b = PauliWord("XZ"), PauliWord("ZX")
-        phase, word = multiply(a, b)
-        product = kron_matrix("XZ") @ kron_matrix("ZX")
-        assert np.allclose(product, phase * kron_matrix(word.letters))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            multiply(PauliWord("X"), PauliWord("XX"))
-
-    @given(a=words, b=words)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_dense_product(self, a, b):
-        n = min(len(a), len(b))
-        a, b = a[:n], b[:n]
-        phase, word = multiply(PauliWord(a), PauliWord(b))
-        assert np.allclose(kron_matrix(a) @ kron_matrix(b), phase * kron_matrix(word.letters))
-
-    @given(a=words, b=words, c=words)
-    @settings(max_examples=100, deadline=None)
-    def test_associative(self, a, b, c):
-        n = min(len(a), len(b), len(c))
-        a, b, c = PauliWord(a[:n]), PauliWord(b[:n]), PauliWord(c[:n])
-        p1, ab = multiply(a, b)
-        p2, left = multiply(ab, c)
-        q1, bc = multiply(b, c)
-        q2, right = multiply(a, bc)
-        assert left == right
-        assert p1 * p2 == pytest.approx(q1 * q2)
 
 
 class TestSimplify:
@@ -232,16 +191,6 @@ class TestApplyAndExpectation:
             mat = QubitHamiltonian.from_dict(len(w), {w: 1.0}).to_matrix()
             assert np.allclose(mat @ v, kron_matrix(w) @ v, atol=1e-12)
 
-    def test_expectation_matches_dense(self):
-        rng = np.random.default_rng(6)
-        letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(12)]
-        h = QubitHamiltonian(4, [PauliTerm(complex(rng.normal()), PauliWord(w)) for w in letters])
-        v = rng.normal(size=16) + 1j * rng.normal(size=16)
-        v /= np.linalg.norm(v)
-        expected = np.vdot(v, dense(h) @ v)
-        assert h.expectation(v) == pytest.approx(expected, abs=1e-10)
-        assert PauliExpectation(h)(v) == pytest.approx(expected.real, abs=1e-10)
-
     def test_real_kernel_matches_dense_real_part(self):
         rng = np.random.default_rng(9)
         letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(20)]
@@ -268,25 +217,12 @@ class TestApplyAndExpectation:
         with pytest.raises(ValueError, match="Hermitian"):
             PauliExpectation(QubitHamiltonian.from_dict(1, {"X": 1.0j}))
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_complex_vectors_match_dense(self, n):
-        # E_pq-like operators are not Hermitian, so the expectation is complex
-        rng = np.random.default_rng(40 + n)
-        for hermitian in (False, True):
-            h = random_hamiltonian(rng, n, 3 * n, hermitian)
-            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            v /= np.linalg.norm(v)
-            expected = np.vdot(v, dense(h) @ v)
-            assert abs(h.expectation(v) - expected) < 1e-12
-        assert abs(expected.imag) < 1e-12
-        assert abs(PauliExpectation(h)(v) - expected.real) < 1e-12
-
     def test_real_table_and_matrix_match_the_per_term_loops(self):
         # the former per-term loops, kept as references: same sums in the
         # same order, so the tables and the matrix are bit-identical
         rng = np.random.default_rng(12)
         for n in (1, 2, 4, 6):
-            h = random_hamiltonian(rng, n, 4 * n, hermitian=True)
+            h = random_hamiltonian(rng, n, 4 * n)
             h = QubitHamiltonian(n, h.terms + h.terms[: n + 1])  # repeated words
             idx = np.arange(2**n)
             rows, mat = {}, np.zeros((2**n, 2**n), dtype=complex)

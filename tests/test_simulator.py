@@ -28,7 +28,6 @@ from vqemb.simulator import (
     ShotCounts,
     energy_and_gradient,
     evolve,
-    exact_expectation,
     group_qubitwise,
     sample,
     sampled_expectation,
@@ -44,6 +43,18 @@ def ghz(n):
     gates = [RyGate(0, FrozenSlot(math.pi / 2))]
     gates += [CnotGate(q, q + 1) for q in range(n - 1)]
     return Circuit(n, gates)
+
+
+def dense_expectation(state, h):
+    """<state|H|state> from the dense matrix, which must come out real."""
+    value = np.vdot(state, h.to_matrix() @ state)
+    assert abs(value.imag) < 1e-10
+    return float(value.real)
+
+
+def support(word):
+    """Qubits on which a Pauli word acts."""
+    return tuple(q for q, c in enumerate(word.letters) if c != "I")
 
 
 class TestCircuit:
@@ -196,7 +207,7 @@ class TestAdjointGradient:
         for _ in range(3):
             params = rng.uniform(-math.pi, math.pi, size=circuit.n_parameters)
             energy, grad = energy_and_gradient(circuit, params, evaluator)
-            assert energy == pytest.approx(exact_expectation(evolve(circuit, params), h), abs=1e-12)
+            assert energy == pytest.approx(dense_expectation(evolve(circuit, params), h), abs=1e-12)
             assert np.abs(grad - central_differences(circuit, params, evaluator)).max() < 1e-7
 
     def test_chain5_with_frozen_slots(self):
@@ -255,19 +266,19 @@ class TestAdjointGradient:
 
 class TestExactExpectation:
     def test_z_eigenstates(self):
-        h = QubitHamiltonian.from_dict(1, {"Z": 1.0})
-        assert exact_expectation(zero_state(1), h) == pytest.approx(1.0)
+        ev = PauliExpectation(QubitHamiltonian.from_dict(1, {"Z": 1.0}))
+        assert ev(zero_state(1)) == pytest.approx(1.0)
         one = evolve(Circuit(1, [PauliXGate(0)]), [])
-        assert exact_expectation(one, h) == pytest.approx(-1.0)
+        assert ev(one) == pytest.approx(-1.0)
 
     def test_matches_dense(self):
+        # a simulated state is real: PauliExpectation evaluates no other kind
         rng = np.random.default_rng(2)
         letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(10)]
         h = QubitHamiltonian.from_dict(4, {w: float(rng.normal()) for w in letters})
-        v = rng.normal(size=16) + 1j * rng.normal(size=16)
+        v = rng.normal(size=16)
         v /= np.linalg.norm(v)
-        dense = h.to_matrix()
-        assert exact_expectation(v, h) == pytest.approx(np.real(np.vdot(v, dense @ v)), abs=1e-10)
+        assert PauliExpectation(h)(v) == pytest.approx(dense_expectation(v, h), abs=1e-10)
 
 
 class TestNoiseModel:
@@ -383,7 +394,7 @@ class TestGrouping:
                     if mask >> (4 - q) & 1:
                         assert basis.letters[q] != "I"
         # every member's letters agree with the group basis on its support
-        term_letters = {t.word.support(): t.word for t in h.terms}
+        term_letters = {support(t.word): t.word for t in h.terms}
 
     def test_array_hamiltonian_is_grouped_from_its_masks(self):
         rng = np.random.default_rng(6)
@@ -393,11 +404,11 @@ class TestGrouping:
         constant, groups = group_qubitwise(h)
         assert h._terms is None
         # the same members, read from the PauliTerm objects
-        expected = [(c.real, sum(1 << (4 - q) for q in t.word.support()))
-                    for c, t in zip(h.coeffs.tolist(), h.terms) if t.word.support()]
+        expected = [(c.real, sum(1 << (4 - q) for q in support(t.word)))
+                    for c, t in zip(h.coeffs.tolist(), h.terms) if support(t.word)]
         assert sorted(m for _, members in groups for m in members) == sorted(expected)
         assert constant == sum(c.real for c, t in zip(h.coeffs.tolist(), h.terms)
-                               if not t.word.support())
+                               if not support(t.word))
 
     def test_identity_only(self):
         h = QubitHamiltonian.from_dict(2, {"II": 1.25})
@@ -454,7 +465,7 @@ class TestSampledExpectation:
         gates += [CnotGate(q, q + 1) for q in range(3)]
         c = Circuit(4, gates)
         params = rng.uniform(-2, 2, size=p)
-        exact = exact_expectation(evolve(c, params), h)
+        exact = dense_expectation(evolve(c, params), h)
         value, err = sampled_expectation(c, params, h, shots=20000, seed=77)
         assert abs(value - exact) < 5 * max(err, 1e-12)
 
