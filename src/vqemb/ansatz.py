@@ -146,12 +146,13 @@ def deparameterise(
 ) -> DeparamReport:
     """Greedily freeze rotations to standardized angles.
 
+    The baseline, unless given, solves ``problem`` with all its restarts.
     Each step tries every remaining free rotation at its nearest candidate
-    angle, re-optimizes the rest warm-started from the current optimum, and
-    accepts the freeze closest in energy to the baseline, provided the
-    relative error against ``oracle_energy``, the exact ground energy of the
-    problem's Hamiltonian, stays within the tolerance.  Returns an empty
-    report when no freeze is admissible.
+    angle, re-optimizes the rest in one run warm-started from the current
+    optimum, and accepts the freeze closest in energy to the baseline,
+    provided the relative error against ``oracle_energy``, the exact ground
+    energy of the problem's Hamiltonian, stays within the tolerance.  Returns
+    an empty report when no freeze is admissible.
     """
     if baseline is None:
         baseline = vqe_mod.solve(problem)
@@ -166,7 +167,7 @@ def deparameterise(
             angle = nearest_candidate(params[slot_index], DEFAULT_CANDIDATE_ANGLES)
             trial_circuit = _freeze_gate(circuit, gate_index, angle)
             warm = np.delete(params, slot_index)
-            trial_problem = replace(problem, circuit=trial_circuit)
+            trial_problem = replace(problem, circuit=trial_circuit, restarts=1)
             result = vqe_mod.solve(trial_problem, x0=warm)
             trials.append((abs(result.energy - baseline.energy), gate_index, angle, result))
         trials.sort(key=lambda t: (t[0], t[1]))

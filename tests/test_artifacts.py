@@ -1,5 +1,6 @@
 """Every committed ``out/`` directory is reproduced byte for byte by its CLI command."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,13 @@ def test_committed_artifacts_reproduce(name, tmp_path, monkeypatch, capsys):
     assert expected and sorted(p.name for p in out.iterdir()) == expected
     for file_name in expected:
         assert (out / file_name).read_bytes() == (committed / file_name).read_bytes(), file_name
+
+
+def test_chain5_report_passes_the_benchmark_check(monkeypatch):
+    # perfbench/checks.py imports its sibling ``workloads`` by bare name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_checks", ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    checks.check_deparam((ROOT / "out" / "chain5_deparam" / "deparam_report.txt").read_text(),
+                         (ROOT / "fixtures" / "chain5.ham").read_text())
