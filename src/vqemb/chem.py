@@ -69,7 +69,8 @@ _HEADER_RE = re.compile(r"&FCI(.*)", re.IGNORECASE | re.DOTALL)
 def parse_fcidump(text) -> MolecularIntegrals:
     """Parse FCIDUMP text (str or bytes) into MolecularIntegrals.
 
-    Header: ``&FCI NORB=n,NELEC=m,MS2=s`` closed by ``/`` or ``&END``.  Body:
+    Header: ``&FCI NORB=n,NELEC=m,MS2=0`` closed by ``/`` or ``&END``; any
+    other MS2 is refused, since every method here is closed-shell.  Body:
     ``value i j k l`` with 1-based indices; ``k = l = 0`` marks a one-electron
     integral, all-zero indices the constant energy, anything else the chemist
     two-electron integral (ij|kl) expanded to its 8-fold symmetry images.
@@ -94,7 +95,9 @@ def parse_fcidump(text) -> MolecularIntegrals:
 
     n = header_int("NORB")
     nelec = header_int("NELEC")
-    header_int("MS2")
+    ms2 = header_int("MS2")
+    if ms2 != 0:
+        raise ValueError(f"FCIDUMP header has MS2={ms2}; only closed shells (MS2=0) are supported")
 
     raws = [raw for raw in body.splitlines() if raw.strip()]
     values, index, error = [], [], None

@@ -207,18 +207,26 @@ def write_atomic(path: Path, text: str):
 
 
 def _molecule(cfg: dict, needed: str = "system.fcidump"):
+    """The integrals of ``system.fcidump``, refused unless they describe a closed shell."""
     if "fcidump" not in cfg["system"]:
         raise ConfigError(f"config needs {needed}")
-    return parse_fcidump(cfg["system"]["fcidump"].read_text())
+    try:
+        m = parse_fcidump(cfg["system"]["fcidump"].read_text())
+    except ValueError as exc:
+        raise ConfigError(f"system.fcidump: {exc}") from exc
+    if m.n_electrons % 2:
+        raise ConfigError(f"system.fcidump: NELEC={m.n_electrons} is odd; "
+                          "only closed shells are supported")
+    return m
 
 
 def _load_problem_hamiltonian(cfg: dict):
     """Qubit Hamiltonian, ansatz reference bits and the exact ground energy's function.
 
     A molecule's exact energy is full CI of the same (windowed) integrals from
-    the sector solver, which refuses more than 14 spin orbitals and an odd
-    electron count with a config error naming system.fcidump; only a bare
-    qubit Hamiltonian is diagonalized as a dense matrix.
+    the sector solver, which refuses more than 14 spin orbitals with a config
+    error naming system.fcidump; only a bare qubit Hamiltonian is diagonalized
+    as a dense matrix.
     """
     system = cfg["system"]
     if "hamiltonian" in system:
@@ -236,7 +244,7 @@ def _load_problem_hamiltonian(cfg: dict):
     def full_ci() -> float:
         try:
             return full_ci_ground_energy(m)
-        except ValueError as exc:  # past the sector cap, or an odd electron count
+        except ValueError as exc:  # past the sector cap
             raise ConfigError(f"system.fcidump: no exact energy: {exc}") from exc
 
     return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec), full_ci
