@@ -355,7 +355,9 @@ def cmd_dmet(cfg: dict) -> int:
         result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)
     except WindowError as exc:
         raise ConfigError(f"dmet.window: {dmet['window']} is too wide: {exc}") from exc
-    except ExactCapError as exc:
+    except ExactCapError as exc:  # with a window, the active register is what is capped
+        if "window" in dmet:
+            raise ConfigError(f"dmet.window: {dmet['window']} is too wide: {exc}") from exc
         raise ConfigError(f"dmet.fragments: an embedding is too wide: {exc}") from exc
 
     lines = [result.to_text().rstrip()]

@@ -12,12 +12,12 @@ Fragment problems are solved per electron-number sector: a dense
 diagonalization of the Hamiltonian built from spin-summed excitation operators
 E_pq on the (N/2, N/2) occupation-basis determinants, or a
 hardware-efficient-ansatz VQE.  Both hand their state to the same
-occupation-basis RDM code.  An embedding builds its sector operator once: the
-chemical potential only shifts the fragment diagonal, H(mu) = H(0) - mu
-diag(n_F), with n_F the fragment occupation of each determinant, so the
-eigenpairs of one ``eigh`` also give the exact slope dN_F/dmu.  Every other
-solve (a VQE, or an active window) runs once in the RHF orbitals of the
-mu-shifted embedding.
+occupation-basis RDM code.  Every exact solve, windowed or not, uses one
+sector operator per embedding: mu only enters the one-body term, so
+H(mu) = H(0) - mu N_F, and the eigenpairs of one ``eigh`` also give the
+exact slope dN_F/dmu.  A window is fixed at the embedding's mu = 0 RHF
+orbitals.  Only a VQE solve reruns RHF at each mu and takes slope probes:
+in a basis fixed at mu = 0, H10 VQE-DMET did not converge.
 
 When the orbital reversal i -> n-1-i maps the integrals and the RHF density
 onto themselves, a fragment whose mirror image is an earlier fragment is
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -132,16 +131,35 @@ class EmbeddingProblem:
             two_body=self.two_body,
         )
 
-    @cached_property
-    def sector_operator(self) -> tuple[ExcitationTable, np.ndarray, np.ndarray]:
-        """(E_pq table, H at mu = 0, fragment occupation n_F) on the (N/2, N/2) sector.
+    def sector_operator(self, window: Optional[int] = None) -> tuple:
+        """(E_pq table, H at mu = 0, N_F, orbitals) on the (N/2, N/2) sector, cached per window.
 
-        E_ii counts the electrons in orbital i, so H(mu) = H - mu diag(n_F).
+        H(mu) = H - mu N_F, where N_F = sum_pq (n_F)_pq E_pq counts the
+        fragment's electrons, held as its nonzero (row, col, value) entries.
+        Without a window the basis is the embedding's own, orbitals is None
+        and N_F is diagonal.  A window is fixed at the embedding's mu = 0 RHF
+        orbitals, orbitals = (C, active, frozen) from ``_rhf_basis`` and
+        n_F = (C_F^T C_F)[active, active]: mu enters only the one-body term,
+        so the frozen-core fold does not depend on it.  A window's cap is
+        checked before its SCF.
         """
-        sel, E, H = _sector_hamiltonian(self.solver_integrals())
-        n_modes, n_frag_modes = 2 * self.n_orbitals, 2 * self.n_fragment
-        fragment_modes = ((1 << n_frag_modes) - 1) << (n_modes - n_frag_modes)
-        return E, H, np.bitwise_count(sel & fragment_modes)
+        cache = self.__dict__.setdefault("_sector_operators", {})
+        if window in cache:
+            return cache[window]
+        ints, orbitals = self.solver_integrals(), None
+        C_F = np.eye(self.n_fragment, self.n_orbitals)  # the fragment rows of the basis
+        if window is not None:
+            _check_cap(4 * window, VECTOR_QUBIT_CAP, "exact-solver")
+            ints, orbitals = _rhf_basis(ints, window)
+            C_F = orbitals[0][: self.n_fragment, orbitals[1]]
+        sel, E, H = _sector_hamiltonian(ints)
+        n_F = (C_F.T @ C_F).ravel()  # summed over the table in its order, as H is
+        op, row, col, val = E
+        k, d = np.flatnonzero(n_F[op]), sel.size
+        key, entry = np.unique(row[k] * d + col[k], return_inverse=True)
+        N_F = key // d, key % d, np.bincount(entry, weights=val[k] * n_F[op[k]])
+        cache[window] = E, H, N_F, orbitals
+        return cache[window]
 
 
 # singular values of D[env, frag] at or below this carry no bath orbital
@@ -161,26 +179,18 @@ def make_bath(mf: MeanField, fragment: Sequence[int]) -> tuple[np.ndarray, np.nd
     env = [i for i in range(n) if i not in frag]
     D = mf.density
 
-    basis_cols = []
-    for i in frag:
-        e = np.zeros(n)
-        e[i] = 1.0
-        basis_cols.append(e)
+    basis_cols = list(np.eye(n)[frag])  # the fragment unit vectors
 
     if env:
         block = D[np.ix_(env, frag)]
         u, s, _ = np.linalg.svd(block, full_matrices=False)
-        kept = u[:, s > _BATH_TOL]
-        for col in kept.T:
-            v = np.zeros(n)
-            v[env] = col
-            basis_cols.append(v)
         p_env = np.zeros((n, n))
         p_env[env, env] = 1.0
         p_bath = np.zeros((n, n))
-        for col in kept.T:
+        for col in u[:, s > _BATH_TOL].T:
             v = np.zeros(n)
             v[env] = col
+            basis_cols.append(v)
             p_bath += np.outer(v, v)
         q = p_env - p_bath
         env_density = q @ D @ q
@@ -424,7 +434,7 @@ class FragmentSolution:
     energy: float
     n_electrons: float
     vqe_parameters: Optional[np.ndarray] = None
-    slope: Optional[float] = None  # exact dN_F/dmu; None for VQE and windowed solves
+    slope: Optional[float] = None  # exact dN_F/dmu of every exact solve; None for VQE
 
 
 # a sector ground state closer than this (Ha) to the next root is degenerate
@@ -447,87 +457,21 @@ def _sector_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _solve_embedding_exact(ints: MolecularIntegrals) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-FCI RDMs of the embedding Hamiltonian, in the given basis.
-
-    A degenerate ground state raises ``DegenerateGroundStateError``.
-    """
-    _, E, H = _sector_hamiltonian(ints)
-    return _rdms(E, _sector_eigh(H)[1][:, 0], ints.n_orbitals)
-
-
-def _solve_embedding_sector(
-    e: EmbeddingProblem, mu: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sector-FCI RDMs of the whole embedding at ``mu`` from its cached operator,
-    and the slope dN_F/dmu.
-
-    H(mu) = H(0) - mu diag(n_F) and N_F = <diag(n_F)>, so first-order
-    perturbation theory on the eigenpairs (E_k, V_k) gives the slope exactly:
-    2 sum_{k>0} (V_k^T (n_F * c_0))^2 / (E_k - E_0).  A degenerate ground state
-    raises ``DegenerateGroundStateError``.
-    """
-    E, H, n_frag = e.sector_operator
-    evals, evecs = _sector_eigh(H - np.diag(mu * n_frag))
-    c0 = evecs[:, 0]
-    gaps = evals[1:] - evals[0]
-    slope = 2.0 * float(np.sum((evecs[:, 1:].T @ (n_frag * c0)) ** 2 / gaps))
-    return (*_rdms(E, c0, e.n_orbitals), slope)
-
-
-def _solve_embedding_vqe(
-    ints: MolecularIntegrals,
-    solver: VqeFragmentSolver,
-    x0: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, "vqe_mod.VqeResult"]:
-    """VQE RDMs of the embedding Hamiltonian in the given basis.
-
-    The reference bits fill the lowest orbitals, so the basis should be the
-    mean-field orbitals of ``ints``.
-    """
-    spec = solver.mapping
-    if spec.two_qubit_reduction:
-        spec = replace(spec, n_electrons=ints.n_electrons)
-    h_q = map_to_qubits(build_fermionic_hamiltonian(ints), spec)
-    bits = hartree_fock_bitstring(ints.n_orbitals, ints.n_electrons, spec)
-    circuit = build_hea(HeaConfig(h_q.n_qubits, solver.layers), bits)
-    problem = vqe_mod.VqeProblem(
-        hamiltonian=h_q,
-        circuit=circuit,
-        estimator=solver.estimator,
-        optimizer=solver.optimizer,
-        initial=solver.initial,
-        initial_seed=solver.initial_seed,
-        restarts=solver.restarts,
-    )
-    result = vqe_mod.solve(problem, x0=x0)
-    state = decode_statevector(
-        evolve(circuit, result.parameters), 2 * ints.n_orbitals, spec
-    )
-    return (*spin_summed_rdms(state, ints.n_orbitals), result)
-
-
-def _solve_in_rhf_basis(
-    ints: MolecularIntegrals, window: Optional[int], inner_solve
-) -> tuple[np.ndarray, np.ndarray, Optional["vqe_mod.VqeResult"]]:
-    """Solve in the RHF orbitals of ``ints``: all of them, or an active window.
-
-    ``inner_solve(integral set)`` returns RDMs in the RHF (active) basis plus
-    an optional VQE result.  Frozen occupied orbitals are padded at mean
-    field, and the RDMs come back in the basis of ``ints``.
-    """
+def _rhf_basis(ints: MolecularIntegrals, window: Optional[int]) -> tuple[MolecularIntegrals, tuple]:
+    """``ints`` in its RHF orbitals C, or in an active window of them, and (C, active, frozen)."""
     mf = restricted_hartree_fock(ints)
     C = mf.orbital_coeffs
-    n = ints.n_orbitals
     if window is None:
         h_mo, g_mo = transform_integrals(ints.one_body, ints.two_body, C)
-        acts = replace(ints, one_body=h_mo, two_body=g_mo)
-        active, frozen = list(range(n)), []
-    else:
-        acts, info = active_space(ints, mf, window)
-        active, frozen = list(info.active_orbitals), list(info.frozen_occupied)
-    gamma_a, Gamma_a, extra = inner_solve(acts)
+        return replace(ints, one_body=h_mo, two_body=g_mo), (C, list(range(ints.n_orbitals)), [])
+    acts, info = active_space(ints, mf, window)
+    return acts, (C, list(info.active_orbitals), list(info.frozen_occupied))
 
+
+def _from_rhf_basis(gamma_a: np.ndarray, Gamma_a: np.ndarray, orbitals: tuple) -> tuple:
+    """Active-space RDMs in the basis of C, frozen orbitals padded at mean field."""
+    C, active, frozen = orbitals
+    n = C.shape[0]
     D = np.zeros((n, n))
     D[frozen, frozen] = 2.0
     g_full = np.zeros((n, n))
@@ -544,7 +488,58 @@ def _solve_in_rhf_basis(
 
     gamma = C @ gamma_mo @ C.T
     Gamma = np.einsum("pa,qb,rc,sd,abcd->pqrs", C, C, C, C, Gamma_mo, optimize=True)
-    return gamma, Gamma, extra
+    return gamma, Gamma
+
+
+def _solve_embedding_sector(e: EmbeddingProblem, mu: float, window: Optional[int] = None) -> tuple:
+    """Sector-FCI RDMs of the embedding at ``mu``, in its basis, and the slope dN_F/dmu.
+
+    H(mu) = H(0) - mu N_F, so first-order perturbation theory on the
+    eigenpairs (E_k, V_k) gives the slope exactly:
+    2 sum_{k>0} (V_k^T N_F c_0)^2 / (E_k - E_0).  A degenerate ground state
+    raises ``DegenerateGroundStateError``.
+    """
+    E, H, (row, col, value), orbitals = e.sector_operator(window)
+    H = H.copy()
+    H[row, col] -= mu * value
+    evals, evecs = _sector_eigh(H)
+    c0 = evecs[:, 0]
+    n_c0 = np.bincount(row, weights=value * c0[col], minlength=c0.size)
+    slope = 2.0 * float(np.sum((evecs[:, 1:].T @ n_c0) ** 2 / (evals[1:] - evals[0])))
+    if orbitals is None:
+        return (*_rdms(E, c0, e.n_orbitals), slope)
+    return (*_from_rhf_basis(*_rdms(E, c0, len(orbitals[1])), orbitals), slope)
+
+
+def _solve_embedding_vqe(
+    ints: MolecularIntegrals,
+    window: Optional[int],
+    solver: VqeFragmentSolver,
+    x0: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, "vqe_mod.VqeResult"]:
+    """VQE RDMs of ``ints``, solved in its RHF orbitals (or a window of them).
+
+    A warm start ``x0`` is one optimizer run; a cold start runs every restart.
+    """
+    acts, orbitals = _rhf_basis(ints, window)
+    spec = solver.mapping
+    if spec.two_qubit_reduction:
+        spec = replace(spec, n_electrons=acts.n_electrons)
+    h_q = map_to_qubits(build_fermionic_hamiltonian(acts), spec)
+    bits = hartree_fock_bitstring(acts.n_orbitals, acts.n_electrons, spec)
+    circuit = build_hea(HeaConfig(h_q.n_qubits, solver.layers), bits)
+    problem = vqe_mod.VqeProblem(
+        hamiltonian=h_q,
+        circuit=circuit,
+        estimator=solver.estimator,
+        optimizer=solver.optimizer,
+        initial=solver.initial,
+        initial_seed=solver.initial_seed,
+        restarts=1 if x0 is not None else solver.restarts,
+    )
+    result = vqe_mod.solve(problem, x0=x0)
+    state = decode_statevector(evolve(circuit, result.parameters), 2 * acts.n_orbitals, spec)
+    return (*_from_rhf_basis(*spin_summed_rdms(state, acts.n_orbitals), orbitals), result)
 
 
 Solver = Union[str, VqeFragmentSolver]
@@ -559,23 +554,17 @@ def solve_fragment(
 ) -> FragmentSolution:
     """Correlated solve of one embedding at the given chemical potential.
 
-    The exact solver without a window diagonalizes the embedding's cached
-    sector operator and also returns the slope dN_F/dmu; every other solve
-    runs in the RHF orbitals of the mu-shifted embedding
-    (``_solve_in_rhf_basis``).
+    The exact solver diagonalizes the embedding's cached sector operator and
+    returns the slope dN_F/dmu; a VQE solve runs in the RHF orbitals of the
+    mu-shifted embedding.
     """
     if isinstance(solver, str) and solver != "exact":
         raise ValueError(f"unknown fragment solver {solver!r}")
     slope = vqe_result = None
-    if solver == "exact" and window is None:
-        gamma, Gamma, slope = _solve_embedding_sector(e, mu)
+    if solver == "exact":
+        gamma, Gamma, slope = _solve_embedding_sector(e, mu, window)
     else:
-        def inner(ints):
-            if solver == "exact":
-                return (*_solve_embedding_exact(ints), None)
-            return _solve_embedding_vqe(ints, solver, x0=x0)
-
-        gamma, Gamma, vqe_result = _solve_in_rhf_basis(e.solver_integrals(mu), window, inner)
+        gamma, Gamma, vqe_result = _solve_embedding_vqe(e.solver_integrals(mu), window, solver, x0)
 
     return FragmentSolution(
         energy=democratic_fragment_energy(gamma, Gamma, e),
@@ -622,8 +611,8 @@ class DmetResult:
 
 
 # Newton steps (and, after them, bisection steps) on mu, and the central
-# finite-difference step of the electron-count derivative, which only VQE and
-# windowed solves need: the exact sector solve returns its slope.
+# finite-difference step of the electron-count derivative, which only VQE
+# solves need (module docstring): every exact solve returns its slope.
 _MU_MAX_STEPS = 30
 _MU_FD_STEP = 1e-4
 
@@ -673,24 +662,33 @@ def run_dmet(
 
     A single global chemical potential shifts every fragment's diagonal until
     the summed fragment electron counts match the molecule.  The derivative is
-    the sum of the exact sector solves' slopes; VQE and windowed solves carry
-    none, so there it comes from central finite differences.  A bisection
-    fallback on a bracketed interval takes over if Newton steps stop
-    improving.  Each mirror class of fragments (``_mirror_representatives``)
-    is embedded and solved once per mu, and VQE warm starts follow the
-    representative.  A fragment solve's SCF, non-finite-objective or
-    degenerate-ground-state failure propagates with the fragment index and mu
-    added to its message.
+    the sum of the exact solves' slopes; VQE solves carry none, so there it
+    comes from central finite differences.  A bisection fallback on a
+    bracketed interval takes over if Newton steps stop improving.  Each
+    mirror class of fragments (``_mirror_representatives``) is embedded and
+    solved once per mu, and VQE warm starts follow the representative.  Every
+    exact operator is built before the first solve.  A fragment's SCF,
+    non-finite-objective or degenerate-ground-state failure propagates with
+    the fragment index and mu added to its message.
     """
     fragmentation.validate_cover(m.n_orbitals)
     fragments = fragmentation.fragments
     solved_as = _mirror_representatives(m, mf, fragments)
     embeddings = {i: build_embedding(m, mf, fragments[i]) for i in sorted(set(solved_as))}
+
+    def named(i: int, mu: float, call):  # a fragment's failure names the fragment and mu
+        try:
+            return call()
+        except (ScfConvergenceError, NonFiniteObjectiveError, DegenerateGroundStateError) as exc:
+            exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
+            raise
+
     for e in embeddings.values():  # every embedding fits its solver before the first solve
         if window is not None:
             check_window(e.n_orbitals, e.n_electrons, window)
-        elif solver == "exact":
-            e.sector_operator
+    if solver == "exact":
+        for i, e in embeddings.items():
+            named(i, 0.0, lambda: e.sector_operator(window))
     warm: dict[int, np.ndarray] = {}
     n_solves = 0
 
@@ -698,13 +696,9 @@ def run_dmet(
         nonlocal n_solves
         solved = {}
         for i, e in embeddings.items():
-            try:
-                sol = solve_fragment(e, solver, mu=mu, window=window, x0=warm.get(i))
-            except (
-                ScfConvergenceError, NonFiniteObjectiveError, DegenerateGroundStateError
-            ) as exc:
-                exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
-                raise
+            sol = named(
+                i, mu, lambda: solve_fragment(e, solver, mu=mu, window=window, x0=warm.get(i))
+            )
             if sol.vqe_parameters is not None:
                 warm[i] = sol.vqe_parameters
             solved[i] = sol

@@ -74,6 +74,11 @@ BAD_CONFIGS = {
     "h10-halves-over-exact-cap": (
         "dmet", H10 + "dmet: {fragments: [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]}\n", "dmet.fragments",
     ),
+    # window 4 keeps 8 of each 10-orbital embedding's orbitals: 16 qubits
+    "h10-window-over-exact-cap": (
+        "dmet", H10 + "dmet: {fragments: [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]], window: 4}\n",
+        "dmet.window: 4 is too wide: 16 qubits",
+    ),
     # a qubit Hamiltonian has no orbitals to window or to map, and one system only
     "hamiltonian-with-window": ("oracle", CHAIN5 + ", window: 2}\n", "system.window"),
     "hamiltonian-with-fcidump": (
@@ -563,11 +568,12 @@ class TestOracleCommand:
 FOOTPRINT_SCRIPT = """
 import json, sys
 import vqemb.cli as cli
-out, h2_resources = sys.argv[1:]
+out, h2_resources, h4_windowed = sys.argv[1:]
 loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 report = {"import": loaded()}
 for stage, verb, config in (
     ("dmet", "dmet", "configs/h4_dmet.yaml"),
+    ("windowed_dmet", "dmet", h4_windowed),
     ("resources", "resources", h2_resources),
     ("oracle", "oracle", "configs/h2_vqe_lbfgs.yaml"),
     ("spsa", "vqe", "configs/h2_vqe_sampled.yaml"),
@@ -583,8 +589,10 @@ class TestImportFootprint:
     def test_heavy_scipy_loads_only_where_used(self, tmp_path):
         cfg = tmp_path / "h2_resources.yaml"
         cfg.write_text(H2 + "resources: {windows: [0]}\n")
+        windowed = tmp_path / "h4_windowed_dmet.yaml"
+        windowed.write_text(H4 + "dmet: {fragments: [[0, 1], [2, 3]], window: 1}\n")
         proc = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), str(cfg)],
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), str(cfg), str(windowed)],
             cwd=ROOT,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             capture_output=True,
@@ -594,7 +602,7 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
         # the exact sector solves and the shot-based SPSA path need no SciPy at all
-        for stage in ("import", "dmet", "resources", "oracle", "spsa"):
+        for stage in ("import", "dmet", "windowed_dmet", "resources", "oracle", "spsa"):
             assert report[stage] == [], stage
         # L-BFGS-B needs scipy.optimize, so the checks above are not vacuous
         assert "scipy.optimize" in report["quasi_newton"]

@@ -354,6 +354,79 @@ class TestSectorOperatorCache:
         assert len(built) == 2
 
 
+class TestWindowedSectorOperator:
+    @pytest.mark.parametrize(
+        "system,fragments,window",
+        [("h4", ((0, 1), (0,)), 1),
+         ("h10", H10_FRAGMENTS["5x2"][:3], 1),
+         ("h10", H10_FRAGMENTS["5x2"][:3], 2),
+         ("h10", H10_FRAGMENTS["2+3+3+2"][:2], 2)],
+        ids=["h4-window1", "h10-5x2-window1", "h10-5x2-window2", "h10-2+3+3+2-window2"],
+    )
+    def test_windowed_solve_matches_a_fresh_rebuild(self, system, fragments, window, request):
+        m, _ = request.getfixturevalue(system)
+        mf = request.getfixturevalue(f"{system}_mf")
+        for fragment in fragments:
+            e = build_embedding(m, mf, fragment)
+            n, F = e.n_orbitals, e.n_fragment
+            rhf = restricted_hartree_fock(e.solver_integrals())
+            C = rhf.orbital_coeffs
+            for mu in (0.0, 0.05):
+                acts, info = active_space(e.solver_integrals(mu), rhf, window)
+                _, state = sector_ground_state(acts)
+                # the active state with every frozen orbital doubly occupied, on
+                # the full register of the RHF orbitals (mode 0 on the top bit)
+                lo, hi = info.active_orbitals[0], info.active_orbitals[-1] + 1
+                frozen_bits = ((1 << 2 * lo) - 1) << 2 * (n - lo)
+                full = np.zeros(1 << 2 * n)
+                full[frozen_bits | np.arange(state.size) << 2 * (n - hi)] = state
+                gamma_mo, Gamma_mo = spin_summed_rdms(full, n)
+                gamma = C @ gamma_mo @ C.T
+                Gamma = np.einsum("pa,qb,rc,sd,abcd->pqrs", C, C, C, C, Gamma_mo)
+                sol = solve_fragment(e, "exact", mu, window)
+                assert sol.energy == pytest.approx(
+                    democratic_fragment_energy(gamma, Gamma, e), abs=1e-10
+                )
+                assert sol.n_electrons == pytest.approx(np.trace(gamma[:F, :F]), abs=1e-10)
+
+    def test_one_rhf_per_embedding_and_no_probes(self, h10, h10_mf, monkeypatch):
+        rhf = _count_calls(monkeypatch, "restricted_hartree_fock")
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS["5x2"]), window=2)
+        assert res.converged
+        assert len(rhf) == 3  # one per mirror class, at mu = 0
+        assert res.fragment_solves == len(solves) == 6 == 3 * len(res.trace)
+
+    @pytest.mark.parametrize(
+        "name,window,total_energy,mu,steps",
+        [("5x2", 1, -5.380716561319, -0.011648605195, 3),
+         ("2+3+3+2", 2, -5.436288174842, -0.001559892309, 2)],
+    )
+    def test_h10_windowed_runs_are_pinned(
+        self, h10, h10_mf, name, window, total_energy, mu, steps
+    ):
+        res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS[name]), window=window)
+        assert res.converged
+        assert res.total_energy == pytest.approx(total_energy, abs=1e-9)
+        assert res.mu == pytest.approx(mu, abs=1e-9)
+        assert len(res.trace) == steps
+
+    def test_cap_is_checked_before_the_scf(self, h10, h10_mf, monkeypatch):
+        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
+        halves = Fragmentation(((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+        with pytest.raises(ValueError, match="16 qubits exceeds the exact-solver cap of 14"):
+            run_dmet(h10[0], h10_mf, halves, window=4)
+
+    def test_scf_failure_names_the_fragment_before_the_first_solve(
+        self, h4, h4_mf, monkeypatch
+    ):
+        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        with pytest.raises(ScfConvergenceError, match=r"^fragment 0 at mu=0\.0: forced failure$"):
+            run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), window=1)
+        assert solves == []
+
+
 def _digest(*arrays):
     data = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
     return hashlib.sha256(data).hexdigest()[:32]
@@ -418,27 +491,33 @@ class TestSectorPins:
 
 
 class TestMuSlope:
+    H4_FRAGMENTS = ((0, 1), (2, 3), (0,), (1,), (2,), (3,))
+    H10_MIXED = H10_FRAGMENTS["5x2"] + ((2, 3, 4), (5, 6, 7))
+
     @pytest.mark.parametrize(
-        "system,fragments",
-        [("h4", ((0, 1), (2, 3), (0,), (1,), (2,), (3,))),
-         ("h10", H10_FRAGMENTS["5x2"] + ((2, 3, 4), (5, 6, 7)))],
+        "system,fragments,window",
+        [pytest.param("h4", H4_FRAGMENTS, None, id="h4-fragments0"),
+         pytest.param("h10", H10_MIXED, None, id="h10-fragments1"),
+         pytest.param("h4", H4_FRAGMENTS, 1, id="h4-window1"),
+         pytest.param("h10", H10_MIXED, 1, id="h10-window1"),
+         pytest.param("h10", H10_MIXED, 2, id="h10-window2")],
     )
-    def test_analytic_slope_matches_central_difference(self, system, fragments, request):
+    def test_analytic_slope_matches_central_difference(self, system, fragments, window, request):
         m, _ = request.getfixturevalue(system)
         mf = request.getfixturevalue(f"{system}_mf")
         step = 1e-4
         for fragment in fragments:
             e = build_embedding(m, mf, fragment)
             for mu in (0.0, 0.05):
-                slope = solve_fragment(e, "exact", mu).slope
-                plus = solve_fragment(e, "exact", mu + step).n_electrons
-                minus = solve_fragment(e, "exact", mu - step).n_electrons
+                slope = solve_fragment(e, "exact", mu, window).slope
+                plus = solve_fragment(e, "exact", mu + step, window).n_electrons
+                minus = solve_fragment(e, "exact", mu - step, window).n_electrons
                 assert slope > 0
                 assert slope == pytest.approx((plus - minus) / (2 * step), abs=1e-6)
 
-    def test_vqe_and_windowed_solves_carry_no_slope(self, h2, h2_mf, h4, h4_mf):
+    def test_windowed_solves_carry_a_slope_and_vqe_solves_none(self, h2, h2_mf, h4, h4_mf):
         windowed = solve_fragment(build_embedding(h4[0], h4_mf, (0, 1)), "exact", window=1)
-        assert windowed.slope is None
+        assert windowed.slope > 0
         solver = VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
         )
@@ -517,8 +596,6 @@ class TestSolveFragment:
             n_fragment=1, n_electrons=2, core_energy=0.0,
         )
         gap = r"gap to the next root is 0\.000e\+00 Ha"
-        with pytest.raises(DegenerateGroundStateError, match=gap):
-            dmet_mod._solve_embedding_exact(zero.solver_integrals())
         with pytest.raises(DegenerateGroundStateError, match=gap):
             solve_fragment(zero, "exact", window=1)
 
@@ -646,6 +723,23 @@ class TestRunDmet:
             assert windowed.total_energy == pytest.approx(plain.total_energy, abs=1e-10)
             assert windowed.mu == pytest.approx(plain.mu, abs=1e-10)
             assert len(windowed.trace) == len(plain.trace)
+
+    def test_warm_started_vqe_resolves_run_once(self, h4, h4_mf, monkeypatch):
+        runs, run = [], dmet_mod.vqe_mod.bounded_quasi_newton
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(dmet_mod.vqe_mod, "bounded_quasi_newton", counting)
+        solver = VqeFragmentSolver(
+            layers=1, initial="random", initial_seed=5, restarts=3,
+            optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
+        )
+        res = run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver)
+        assert res.fragment_solves == 10
+        # the cold first solve runs its 3 restarts; every warm re-solve runs once
+        assert len(runs) == 3 + (res.fragment_solves - 1)
 
     @pytest.mark.parametrize("failure", ["scf", "non-finite"])
     def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
