@@ -11,6 +11,7 @@ from vqemb.pauli import (
     PauliTerm,
     PauliWord,
     QubitHamiltonian,
+    _DROP_TOL,
     _masks,
     _qubitwise_commute,
 )
@@ -110,6 +111,85 @@ class TestCanonicalForm:
             for s in (h.simplify(), h):  # construction already canonicalises
                 assert s.x.tolist() == self.X and s.z.tolist() == self.Z, name
                 assert [repr(c) for c in s.coeffs.tolist()] == self.COEFFS, name
+
+
+def reference_canonical(n, x, z, coeffs):
+    """Pure-Python canonical form: (letters, coefficient) pairs in letter order.
+
+    Sums each word's coefficients in occurrence order from zero in a dict,
+    drops sums below the drop tolerance and sorts the letter strings with
+    I < X < Y < Z, qubit 0 first.
+    """
+    acc = {}
+    for xi, zi, c in zip(x, z, coeffs):
+        w = "".join("IXZY"[((xi >> b) & 1) + 2 * ((zi >> b) & 1)] for b in range(n - 1, -1, -1))
+        acc[w] = acc.get(w, 0j) + complex(c)
+    rank = str.maketrans("IXYZ", "0123")
+    return sorted(((w, c) for w, c in acc.items() if abs(c) >= _DROP_TOL),
+                  key=lambda wc: wc[0].translate(rank))
+
+
+class TestFromArraysLimbBoundaries:
+    """``from_arrays`` on both sides of each packed sort limb's capacity."""
+
+    @staticmethod
+    def words(rng, n):
+        """Words sharing long prefixes, each differing from a template in a few qubits."""
+        templates = [rng.integers(0, 1 << n, size=2, dtype=np.int64).tolist() for _ in range(3)]
+        pool = [(0, 0), ((1 << n) - 1, (1 << n) - 1)]  # the identity and all-Y
+        for _ in range(60):
+            x, z = templates[rng.integers(3)]
+            for bit in rng.choice(n, size=min(n, rng.integers(1, 3)), replace=False).tolist():
+                x ^= int(rng.integers(2)) << bit
+                z ^= int(rng.integers(2)) << bit
+            pool.append((x, z))
+        for bit in {0, n - 1, max(n - 31, 0), min(31, n - 1), min(32, n - 1)}:
+            pool += [(1 << bit, 0), (0, 1 << bit), (1 << bit, 1 << bit)]
+        return pool
+
+    @pytest.mark.parametrize("n", [1, 30, 31, 32, 62, 63])
+    def test_matches_the_reference_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        pool = self.words(rng, n)
+        rows = [(pool[i], complex(rng.normal(), rng.normal()))
+                for i in rng.integers(len(pool), size=300).tolist()]
+        special = [pool[i] for i in rng.choice(len(pool), size=5, replace=False).tolist()]
+        # order-dependent sums (1e16 + 1.0 rounds away the 1.0), a cancellation,
+        # a word below the drop tolerance, and negative zeros
+        rows += [(special[0], 1e16), (special[0], 1.0), (special[0], -1e16), (special[0], 3.0),
+                 (special[1], 0.4), (special[1], -0.4),
+                 (special[2], 1e-13),
+                 (special[3], -0.0), (special[4], complex(0.5, -0.0))]
+        order = rng.permutation(len(rows))
+        rows = [rows[i] for i in order.tolist()]
+        x = [w[0] for w, _ in rows]
+        z = [w[1] for w, _ in rows]
+        coeffs = [c for _, c in rows]
+        h = QubitHamiltonian.from_arrays(n, x, z, coeffs)
+        ref = reference_canonical(n, x, z, coeffs)
+        assert [t.word.letters for t in h.terms] == [w for w, _ in ref]
+        assert [repr(c) for c in h.coeffs.tolist()] == [repr(c) for _, c in ref]
+        assert h.to_text() == "nqubits=%d\n" % n + "".join(
+            f"{c.real!r} {c.imag!r} {w}\n" for w, c in ref)
+
+
+class TestFromArraysInput:
+    @pytest.mark.parametrize("x,z", [([8], [0]), ([-1], [0]), ([0], [4]), ([0, 1], [4, 0]),
+                                     ([0], [-(1 << 63)])])
+    def test_mask_outside_the_register_is_refused(self, x, z):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^2\)"):
+            QubitHamiltonian.from_arrays(2, x, z, [1.0] * len(x))
+
+    def test_mask_at_the_widest_register_is_kept(self):
+        top = (1 << 63) - 1
+        h = QubitHamiltonian.from_arrays(63, [top], [top], [1.0])
+        assert h.terms[0].word.letters == "Y" * 63
+
+    @pytest.mark.parametrize("x,z,coeffs", [([0, 1], [0, 1], [1.0]), ([0, 1], [0], [1.0, 2.0]),
+                                            ([0], [0, 1], [1.0, 2.0])])
+    def test_unequal_lengths_are_refused(self, x, z, coeffs):
+        with pytest.raises(ValueError, match="lengths"):
+            QubitHamiltonian.from_arrays(2, x, z, coeffs)
 
 
 class TestToMatrix:
