@@ -179,7 +179,7 @@ def map_to_qubits(f: FermionOperator, spec: MappingSpec) -> QubitHamiltonian:
             chunk = slice(lo, lo + _TERM_CHUNK)
             # unnamed, the products are freed once concatenated, before the merge
             x, z, c = _merge(*map(np.concatenate, zip(
-                (x, z, c), _expand(coeffs[chunk], ladder[chunk], table))))
+                (x, z, c), _expand(coeffs[chunk], ladder[chunk], table))), n)
 
     if spec.two_qubit_reduction:
         return _reduce_two_qubits(x, z, c, n, spec.n_electrons)

@@ -39,6 +39,9 @@ _PHASE_ARRAY = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # i**k
 
 MASK_QUBIT_CAP = 63  # masks are int64, so qubit 0 sits at most on bit 62
 _LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)  # x bit + 2 * z bit
+_LIMB_QUBITS = 31  # qubits a packed int64 sort key holds at 2 bits each, sign bit clear
+_SHUFFLE = ((16, 0x00000000FFFF0000), (8, 0x0000FF000000FF00), (4, 0x00F000F000F000F0),
+            (2, 0x0C0C0C0C0C0C0C0C), (1, 0x2222222222222222))  # 64-bit outer perfect shuffle
 
 
 class ExactCapError(ValueError):
@@ -78,15 +81,36 @@ def _words(x: np.ndarray, z: np.ndarray, n: int) -> list[str]:
     return [raw[i * n:(i + 1) * n] for i in range(len(x))]
 
 
-def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
-    """Sum the coefficients of equal words, each sum in occurrence order.
+def _sort_limbs(x: np.ndarray, z: np.ndarray, n: int, letters: bool = False) -> list:
+    """Packed int64 sort keys of words, most significant limb first.
 
-    Words come out in (x, z) mask order; the sums start from zero, as a dict
+    Mask order packs ``(x << n) | z`` into one limb up to 31 qubits and keeps
+    the two limbs ``x, z`` past that.  Letter order gives each qubit a 2-bit
+    code (I=0, X=1, Y=2, Z=3), qubit 0 most significant, 31 qubits a limb.
+    """
+    if not letters:
+        return [x, z] if n > _LIMB_QUBITS else [(x << n) | z]
+    y, limbs = x ^ z, []
+    for hi in range(n, 0, -_LIMB_QUBITS):  # the limb of mask bits [lo, hi)
+        lo, field = max(hi - _LIMB_QUBITS, 0), (1 << min(hi, _LIMB_QUBITS)) - 1
+        key = ((z >> lo) & field) << 32 | (y >> lo) & field
+        for shift, mask in _SHUFFLE:  # interleave: z bit i to bit 2i+1, y bit i to 2i
+            t = (key ^ (key >> shift)) & mask
+            key ^= t ^ (t << shift)
+        limbs.append(key)
+    return limbs or [np.zeros_like(x)]
+
+
+def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, n: int):
+    """Sum the coefficients of equal ``n``-qubit words, each sum in occurrence order.
+
+    One stable ``np.lexsort`` over the mask-order limbs of ``_sort_limbs`` puts
+    the words in (x, z) mask order; the sums start from zero, as a dict
     accumulator ``acc.get(w, 0.0) + c`` would.
     """
     if len(x) == 0:
         return x, z, coeffs
-    order = np.lexsort((z, x))  # stable: equal words keep their occurrence order
+    order = np.lexsort(_sort_limbs(x, z, n)[::-1])  # stable: equal words keep their occurrence order
     xs, zs = x[order], z[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
@@ -97,11 +121,8 @@ def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
 
 
 def _lexicographic_order(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """Permutation sorting words by their letters (I < X < Y < Z, qubit 0 first)."""
-    shifts = np.arange(n - 1, -1, -1)
-    zb = (z[None, :] >> shifts[:, None]) & 1
-    codes = 2 * zb + (((x ^ z)[None, :] >> shifts[:, None]) & 1)
-    return np.lexsort(codes[::-1]) if n else np.arange(len(x))
+    """Permutation sorting distinct words by their letters (I < X < Y < Z, qubit 0 first)."""
+    return np.lexsort(_sort_limbs(x, z, n, letters=True)[::-1])
 
 
 @dataclass(frozen=True)
@@ -152,14 +173,18 @@ class QubitHamiltonian:
 
     @classmethod
     def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "QubitHamiltonian":
-        """Hamiltonian from index-space mask arrays and their coefficients."""
+        """Hamiltonian from index-space masks, each in [0, 2^n), and their coefficients."""
         h = cls(n_qubits)
-        h._store(np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64),
-                 np.asarray(coeffs, dtype=complex))
+        x, z, coeffs = np.asarray(x, np.int64), np.asarray(z, np.int64), np.asarray(coeffs, complex)
+        if not len(x) == len(z) == len(coeffs):
+            raise ValueError(f"x, z and coeffs have lengths {len(x)}, {len(z)} and {len(coeffs)}")
+        if len(x) and (min(x.min(), z.min()) < 0 or int(max(x.max(), z.max())) >> h.n_qubits):
+            raise ValueError(f"a mask lies outside [0, 2^{h.n_qubits}) for {h.n_qubits} qubits")
+        h._store(x, z, coeffs)
         return h
 
     def _store(self, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> None:
-        x, z, c = _merge(x, z, coeffs)
+        x, z, c = _merge(x, z, coeffs, self.n_qubits)
         kept = np.abs(c) >= _DROP_TOL
         x, z, c = x[kept], z[kept], c[kept]
         order = _lexicographic_order(x, z, self.n_qubits)

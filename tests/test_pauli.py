@@ -13,6 +13,7 @@ from vqemb.pauli import (
     QubitHamiltonian,
     _DROP_TOL,
     _masks,
+    _merge,
     _qubitwise_commute,
 )
 
@@ -171,6 +172,15 @@ class TestFromArraysLimbBoundaries:
         assert [repr(c) for c in h.coeffs.tolist()] == [repr(c) for _, c in ref]
         assert h.to_text() == "nqubits=%d\n" % n + "".join(
             f"{c.real!r} {c.imag!r} {w}\n" for w, c in ref)
+
+    @pytest.mark.parametrize("n", [1, 30, 31, 32, 62, 63])
+    def test_merge_returns_words_in_mask_order(self, n):
+        # the two-qubit reduction sums words that meet after tapering in this order
+        rng = np.random.default_rng(100 + n)
+        pool = self.words(rng, n)
+        x, z = np.array([pool[i] for i in rng.integers(len(pool), size=200).tolist()]).T
+        xs, zs, _ = _merge(x, z, np.ones(len(x), dtype=complex), n)
+        assert list(zip(xs.tolist(), zs.tolist())) == sorted(set(zip(x.tolist(), z.tolist())))
 
 
 class TestFromArraysInput:
