@@ -9,7 +9,9 @@ convention puts qubit 0 on the most significant bit, i.e.
 A Hamiltonian is canonical from construction: like words are merged, each
 sum in occurrence order from zero, merged coefficients below the one drop
 tolerance ``_DROP_TOL`` are dropped, and the words are kept in letter order
-(I < X < Y < Z, qubit 0 first).
+(I < X < Y < Z, qubit 0 first).  Both steps are one stable ``np.lexsort`` on
+packed int64 keys: the merge on ``(x << n) | z`` (the two keys x, z past 31
+qubits), the letter order on 2 bits a qubit, 31 qubits a key.
 
 The dense oracle serves bare qubit Hamiltonians up to ``MATRIX_QUBIT_CAP``
 (12) qubits; a molecule's is the DMET sector solver's full CI, which with
@@ -104,9 +106,9 @@ def _sort_limbs(x: np.ndarray, z: np.ndarray, n: int, letters: bool = False) -> 
 def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, n: int):
     """Sum the coefficients of equal ``n``-qubit words, each sum in occurrence order.
 
-    One stable ``np.lexsort`` over the mask-order limbs of ``_sort_limbs`` puts
-    the words in (x, z) mask order; the sums start from zero, as a dict
-    accumulator ``acc.get(w, 0.0) + c`` would.
+    One stable ``np.lexsort`` on the mask-order limbs of ``_sort_limbs`` (one
+    up to 31 qubits, two past that) puts the words in (x, z) mask order; the
+    sums start from zero, as a dict accumulator ``acc.get(w, 0.0) + c`` would.
     """
     if len(x) == 0:
         return x, z, coeffs
@@ -121,7 +123,10 @@ def _merge(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, n: int):
 
 
 def _lexicographic_order(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """Permutation sorting distinct words by their letters (I < X < Y < Z, qubit 0 first)."""
+    """Permutation sorting distinct words by their letters (I < X < Y < Z, qubit 0 first).
+
+    One ``np.lexsort`` on the letter limbs: one up to 31 qubits, three at 63.
+    """
     return np.lexsort(_sort_limbs(x, z, n, letters=True)[::-1])
 
 

@@ -173,6 +173,10 @@ class TestFromArraysLimbBoundaries:
         assert h.to_text() == "nqubits=%d\n" % n + "".join(
             f"{c.real!r} {c.imag!r} {w}\n" for w, c in ref)
 
+    def test_zero_qubit_register_merges_its_identities(self):
+        h = QubitHamiltonian.from_arrays(0, [0, 0], [0, 0], [1.0, 2.0])
+        assert h.to_text() == "nqubits=0\n3.0 0.0 \n"
+
     @pytest.mark.parametrize("n", [1, 30, 31, 32, 62, 63])
     def test_merge_returns_words_in_mask_order(self, n):
         # the two-qubit reduction sums words that meet after tapering in this order
