@@ -194,6 +194,23 @@ class TestFromArraysInput:
         with pytest.raises(ValueError, match=r"outside \[0, 2\^2\)"):
             QubitHamiltonian.from_arrays(2, x, z, [1.0] * len(x))
 
+    @pytest.mark.parametrize("x,z", [([1.7], [0.2]), ([True], [0]), ([0], [np.float64(1.0)]),
+                                     ([0], [1 << 64]), ([1 << 63, -1], [0, 0])])
+    def test_mask_that_is_not_an_integer_is_refused(self, x, z):
+        # 2^64 becomes an object array and [2^63, -1] a float64 one
+        with pytest.raises(ValueError, match="masks must be integers"):
+            QubitHamiltonian.from_arrays(2, x, z, [1.0] * len(x))
+
+    @pytest.mark.parametrize("n", [2, 63])
+    def test_mask_past_int64_is_refused(self, n):
+        # 2^63 becomes a uint64 array, outside every register
+        with pytest.raises(ValueError, match=rf"outside \[0, 2\^{n}\)"):
+            QubitHamiltonian.from_arrays(n, [1 << 63], [0], [1.0])
+
+    def test_empty_lists_are_accepted(self):
+        h = QubitHamiltonian.from_arrays(2, [], [], [])
+        assert len(h) == 0 and h.to_text() == "nqubits=2\n"
+
     def test_mask_at_the_widest_register_is_kept(self):
         top = (1 << 63) - 1
         h = QubitHamiltonian.from_arrays(63, [top], [top], [1.0])
