@@ -27,7 +27,7 @@ from .mapping import MappingSpec, build_fermionic_hamiltonian, hartree_fock_bits
 from .pauli import ExactCapError, QubitHamiltonian
 from .resources import estimate, format_table, to_csv
 from .simulator import Circuit, ReadoutNoiseModel
-from .vqe import EstimatorSpec, OptimizerSpec, VqeProblem, relative_error, solve
+from .vqe import EstimatorSpec, NoiseWidthError, OptimizerSpec, VqeProblem, relative_error, solve
 
 
 class ConfigError(Exception):
@@ -262,10 +262,7 @@ def _build_problem(cfg: dict):
     """The VQE problem of the configured system, and its exact energy's function."""
     h, bits, exact = _load_problem_hamiltonian(cfg)
     circuit = build_hea(HeaConfig(h.n_qubits, **cfg["ansatz"]), bits)
-    try:
-        return VqeProblem(h, circuit, **cfg["vqe"]), exact
-    except ValueError as exc:  # the settings passed load_config; only the noise width is left
-        raise ConfigError(str(exc)) from exc
+    return VqeProblem(h, circuit, **cfg["vqe"]), exact  # load_config left only the noise width
 
 
 def cmd_vqe(cfg: dict) -> int:
@@ -446,7 +443,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ExactCapError) as exc:  # a register too wide for an exact method
+    # a register too wide for an exact method, or not as wide as the noise model
+    except (ConfigError, ExactCapError, NoiseWidthError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures exit 1 with a diagnostic

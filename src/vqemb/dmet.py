@@ -53,7 +53,7 @@ from .mapping import (
     map_to_qubits,
 )
 from .optimize import NonFiniteObjectiveError
-from .pauli import VECTOR_QUBIT_CAP, _check_cap
+from .pauli import VECTOR_QUBIT_CAP, _check_cap, _state_vector
 from .simulator import evolve
 from .vqe import EstimatorSpec, OptimizerSpec
 
@@ -351,46 +351,34 @@ def full_ci_ground_energy(m: MolecularIntegrals) -> float:
 
 
 def spin_summed_rdms(state: np.ndarray, n_spatial: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spin-summed one- and two-particle density matrices of a JW statevector.
+    """Spin-summed one- and two-particle density matrices of a real JW statevector.
 
     gamma[p, q] = <E_pq> = sum_s <a+_ps a_qs>;
     Gamma[p, q, r, s] = <E_pq E_rs> - delta_qr gamma[p, s]
                       = sum_st <a+_ps a+_rt a_st a_qs> (chemist pairing), so
     the energy contraction is sum(h * gamma) + 0.5 * sum(g * Gamma).  The
-    state may leave the particle-number sector; complex states give the real
-    parts.
+    state may leave the particle-number sector.  It is read through the check
+    ``PauliExpectation`` uses, so a complex vector raises ``ValueError``.
     """
     n = n_spatial
-    psi = np.asarray(state).ravel()
-    if psi.size != 1 << 2 * n:
-        raise ValueError(f"state dimension {psi.size} does not match {n} spatial orbitals")
+    psi = _state_vector(state, 2 * n)
     labels = _sector_labels(n)
     sel = np.flatnonzero(np.isin(labels, labels[psi != 0]))  # every sector psi touches
     return _rdms(_excitation_operators(n, sel), psi[sel], n)
 
 
 def _rdms(E: ExcitationTable, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``spin_summed_rdms`` of the vector ``psi`` on the indices ``E`` was built over.
+    """``spin_summed_rdms`` of the real vector ``psi`` on the indices ``E`` was built over.
 
     Row pq of D is E_pq psi, summed over the table: each element adds at
     most two exact terms, one per spin, onto zero, in ascending column order
-    as a CSR product does, so the RDMs are the same to the bit.  The table
-    is real, so a complex psi takes its real and imaginary parts separately.
+    as a CSR product does, so the RDMs are the same to the bit.
     """
     op, row, col, val = E
-    target = op * psi.size + row
-
-    def apply(x):
-        return np.bincount(target, weights=val * x[col], minlength=n * n * psi.size)
-
-    if np.iscomplexobj(psi):
-        D = np.empty(n * n * psi.size, dtype=psi.dtype)
-        D.real, D.imag = apply(psi.real), apply(psi.imag)
-    else:
-        D = apply(psi)
+    D = np.bincount(op * psi.size + row, weights=val * psi[col], minlength=n * n * psi.size)
     D = D.reshape(n * n, -1)  # row pq: E_pq psi
-    gamma = (D @ psi.conj()).real.reshape(n, n)
-    pair = (D.conj() @ D.T).real.reshape(n, n, n, n)  # (E_qp psi)^+ (E_rs psi) at [q, p, r, s]
+    gamma = (D @ psi).reshape(n, n)
+    pair = (D @ D.T).reshape(n, n, n, n)  # (E_qp psi) . (E_rs psi) at [q, p, r, s]
     Gamma = pair.transpose(1, 0, 2, 3) - np.einsum("qr,ps->pqrs", np.eye(n), gamma)
     return gamma, Gamma
 
@@ -667,7 +655,8 @@ def run_dmet(
     bracketed interval takes over if Newton steps stop improving.  Each
     mirror class of fragments (``_mirror_representatives``) is embedded and
     solved once per mu, and VQE warm starts follow the representative.  Every
-    exact operator is built before the first solve.  A fragment's SCF,
+    exact operator is built, and every VQE register checked against the
+    readout noise model's width, before the first solve.  A fragment's SCF,
     non-finite-objective or degenerate-ground-state failure propagates with
     the fragment index and mu added to its message.
     """
@@ -686,6 +675,10 @@ def run_dmet(
     for e in embeddings.values():  # every embedding fits its solver before the first solve
         if window is not None:
             check_window(e.n_orbitals, e.n_electrons, window)
+        if isinstance(solver, VqeFragmentSolver):  # two qubits an active orbital, less tapering
+            n_active = e.n_orbitals if window is None else 2 * window
+            n_qubits = 2 * (n_active - solver.mapping.two_qubit_reduction)
+            vqe_mod.check_noise_width(solver.estimator.noise, n_qubits)
     if solver == "exact":
         for i, e in embeddings.items():
             named(i, 0.0, lambda: e.sector_operator(window))

@@ -219,30 +219,26 @@ def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np
 
     Both encodings permute computational basis states; the parity encoding's
     block order also brings the fermionic sign of reordering the occupied
-    modes.  Tapered registers are first expanded by reinserting the two
-    parity bits fixed by the electron-number sector.  Qubit/mode 0 sits on
-    the most significant bit throughout.
+    modes.  On a tapered register each nonzero amplitude's index gains the
+    two parity bits fixed by the electron-number sector.  Qubit/mode 0 sits
+    on the most significant bit throughout.  The result keeps the input's
+    dtype, and a Jordan-Wigner state is returned as it is.
     """
+    state = np.asarray(state)
+    n_qubits = n_modes - 2 * spec.two_qubit_reduction
+    if state.size != 1 << n_qubits:
+        raise ValueError(f"state dimension {state.size} does not match {n_qubits} qubits")
     if spec.kind == JORDAN_WIGNER:
-        return np.asarray(state, dtype=complex)
+        return state
     half = n_modes // 2
-    state = np.asarray(state, dtype=complex)
+    idx = np.flatnonzero(state)
+    amplitudes = state[idx]
     if spec.two_qubit_reduction:
-        if state.size != 1 << (n_modes - 2):
-            raise ValueError("state dimension does not match the reduced register")
         # reduced qubits before half-1 move up past the alpha-parity bit (bit half)
         # and the rest past the total-parity bit (bit 0)
-        idx = np.arange(state.size)
         low = (1 << (half - 1)) - 1
-        full = ((idx & ~low) << 2) | (idx & low) << 1
-        full |= ((spec.n_electrons // 2) % 2) << half | spec.n_electrons % 2
-        expanded = np.zeros(1 << n_modes, dtype=complex)
-        expanded[full] = state
-        state = expanded
-    elif state.size != 1 << n_modes:
-        raise ValueError("state dimension does not match the register")
-
-    idx = np.flatnonzero(state)
+        idx = ((idx & ~low) << 2) | (idx & low) << 1
+        idx |= ((spec.n_electrons // 2) % 2) << half | spec.n_electrons % 2
     occ = idx ^ (idx >> 1)  # block-ordered occupations: parity prefix differences
     target = np.zeros_like(idx)
     for mode, pos in enumerate(_block_permutation(n_modes)):
@@ -255,8 +251,8 @@ def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np
     for b in range(half):
         below = (1 << (half - 1 - b)) - 1  # alpha orbitals after b
         inversions += ((beta >> (half - 1 - b)) & 1) * np.bitwise_count(alpha & below)
-    out = np.zeros_like(state)
-    out[target] = state[idx] * (1.0 - 2.0 * (inversions & 1))
+    out = np.zeros(1 << n_modes, dtype=state.dtype)
+    out[target] = amplitudes * (1.0 - 2.0 * (inversions & 1))
     return out
 
 

@@ -180,12 +180,16 @@ class QubitHamiltonian:
     def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "QubitHamiltonian":
         """Hamiltonian from index-space masks, each in [0, 2^n), and their coefficients."""
         h = cls(n_qubits)
-        x, z, coeffs = np.asarray(x, np.int64), np.asarray(z, np.int64), np.asarray(coeffs, complex)
+        x, z, coeffs = np.asarray(x), np.asarray(z), np.asarray(coeffs, complex)
         if not len(x) == len(z) == len(coeffs):
             raise ValueError(f"x, z and coeffs have lengths {len(x)}, {len(z)} and {len(coeffs)}")
-        if len(x) and (min(x.min(), z.min()) < 0 or int(max(x.max(), z.max())) >> h.n_qubits):
-            raise ValueError(f"a mask lies outside [0, 2^{h.n_qubits}) for {h.n_qubits} qubits")
-        h._store(x, z, coeffs)
+        if len(x):  # np.asarray([]) is float64, so only masks that exist are typed
+            if not {x.dtype.kind, z.dtype.kind} <= set("iu"):
+                raise ValueError(f"masks must be integers, not {x.dtype} and {z.dtype}")
+            n = h.n_qubits
+            if min(int(x.min()), int(z.min())) < 0 or max(int(x.max()), int(z.max())) >> n:
+                raise ValueError(f"a mask lies outside [0, 2^{n}) for {n} qubits")
+        h._store(x.astype(np.int64, copy=False), z.astype(np.int64, copy=False), coeffs)
         return h
 
     def _store(self, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> None:

@@ -69,6 +69,18 @@ def check_optimizer_fits_estimator(estimator: EstimatorSpec, optimizer: Optimize
         )
 
 
+class NoiseWidthError(ValueError):
+    """A readout noise model whose width is not that of the register it reads."""
+
+
+def check_noise_width(noise: Optional[ReadoutNoiseModel], n_qubits: int):
+    if noise is not None and noise.n_qubits != n_qubits:
+        raise NoiseWidthError(
+            f"estimator.noise: the noise model acts on {noise.n_qubits} qubits "
+            f"but the register has {n_qubits} qubits"
+        )
+
+
 @dataclass(frozen=True)
 class VqeProblem:
     hamiltonian: QubitHamiltonian
@@ -85,12 +97,7 @@ class VqeProblem:
                 f"circuit acts on {self.circuit.n_qubits} qubits but the "
                 f"Hamiltonian has {self.hamiltonian.n_qubits}"
             )
-        noise = self.estimator.noise
-        if noise is not None and noise.n_qubits != self.hamiltonian.n_qubits:
-            raise ValueError(
-                f"estimator.noise: the noise model acts on {noise.n_qubits} qubits "
-                f"but the register has {self.hamiltonian.n_qubits} qubits"
-            )
+        check_noise_width(self.estimator.noise, self.hamiltonian.n_qubits)
         if self.initial not in ("zeros", "random"):
             raise ValueError(f"unknown initial-parameter policy {self.initial!r}")
         if self.initial == "random" and self.initial_seed is None:

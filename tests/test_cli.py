@@ -230,11 +230,13 @@ class TestExitCodes:
         assert f"config error: {name}: {value} " in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("verb", ["vqe", "deparam"])
+    @pytest.mark.parametrize("verb", ["vqe", "deparam", "dmet"])
     @pytest.mark.parametrize("mitigation", ["m3", "trex"])
     def test_noise_model_wider_than_register_exits_2(self, tmp_path, outdir, capsys, verb, mitigation):
-        # reduced parity puts H2 on 2 qubits; the noise file models 4
+        # reduced parity puts H2, and each of its one-orbital fragments with
+        # its bath orbital, on 2 qubits; the noise file models 4
         doc = yaml.safe_load((CONFIGS / "h2_vqe_sampled.yaml").read_text())
+        doc["dmet"] = {"fragments": [[0], [1]], "solver": "vqe"}
         doc["estimator"].update(noise=str(ROOT / "fixtures/noise_4q_2pct.txt"), mitigation=mitigation)
         doc["system"]["fcidump"] = str(ROOT / doc["system"]["fcidump"])
         cfg = tmp_path / "c.yaml"

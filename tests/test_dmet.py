@@ -42,8 +42,9 @@ from vqemb.mapping import (
     map_to_qubits,
 )
 from vqemb.optimize import NonFiniteObjectiveError
-from vqemb.simulator import evolve
-from vqemb.vqe import EstimatorSpec, OptimizerSpec
+from vqemb.pauli import PauliExpectation, QubitHamiltonian
+from vqemb.simulator import ReadoutNoiseModel, evolve
+from vqemb.vqe import EstimatorSpec, NoiseWidthError, OptimizerSpec
 
 from fermion_terms import fermion_operator
 
@@ -272,11 +273,11 @@ class TestSectorSolver:
 
     @pytest.mark.parametrize("n_spatial", [2, 3])
     def test_rdms_of_random_fock_vectors(self, n_spatial):
-        # complex amplitudes on every basis state, so every particle-number
+        # real amplitudes on every basis state, so every particle-number
         # sector and every off-sector coherence contributes
         n_modes = 2 * n_spatial
         rng = np.random.default_rng(n_spatial)
-        state = rng.normal(size=1 << n_modes) + 1j * rng.normal(size=1 << n_modes)
+        state = rng.normal(size=1 << n_modes)
         state /= np.linalg.norm(state)
         gamma, Gamma = spin_summed_rdms(state, n_spatial)
         orbitals = range(n_spatial)
@@ -480,14 +481,29 @@ class TestSectorPins:
         circuit = build_hea(HeaConfig(len(bits), 2), bits)
         params = np.random.default_rng(7).uniform(-np.pi, np.pi, circuit.n_parameters)
         state = decode_statevector(evolve(circuit, params), 2 * m.n_orbitals, spec)
-        assert state.dtype == complex
-        assert _digest(*spin_summed_rdms(state, m.n_orbitals)) == "2656e7bbb06f677e477db25baf9ae702"
+        assert state.dtype == float
+        assert _digest(*spin_summed_rdms(state, m.n_orbitals)) == "8cbff97b27bd25694ee65fa69e133a0b"
 
-    def test_rdms_of_a_complex_state_on_every_sector(self):
+    def test_rdms_of_a_real_state_on_every_sector(self):
         rng = np.random.default_rng(3)
-        state = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state = rng.normal(size=64)
         state /= np.linalg.norm(state)
-        assert _digest(*spin_summed_rdms(state, 3)) == "640f4b9ee42ae3efaa26306207fc3936"
+        assert _digest(*spin_summed_rdms(state, 3)) == "506618c7d6ecac8edcc6b3b0135c33f8"
+
+    def test_complex_state_is_refused_as_the_evaluator_refuses_it(self):
+        # every circuit state is real; the RDMs read a state through the same check
+        state = np.full(16, 0.25 + 0.0j)
+        ev = PauliExpectation(QubitHamiltonian.from_dict(4, {"ZIII": 1.0}))
+        messages = []
+        for read in (ev, lambda v: spin_summed_rdms(v, 2)):
+            with pytest.raises(ValueError, match="complex") as info:
+                read(state)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_state_of_the_wrong_size_is_refused(self):
+        with pytest.raises(ValueError, match="state dimension 8 does not match 4 qubits"):
+            spin_summed_rdms(np.ones(8), 2)
 
 
 class TestMuSlope:
@@ -581,6 +597,18 @@ class TestMirrorClasses:
 
 
 class TestSolveFragment:
+    @pytest.mark.parametrize("mapping", [MappingSpec(JORDAN_WIGNER), MappingSpec(PARITY),
+                                         MappingSpec(PARITY, two_qubit_reduction=True)],
+                             ids=["jw", "parity", "reduced-parity"])
+    def test_vqe_solve_hands_a_real_state_to_the_rdms(self, h4, h4_mf, monkeypatch, mapping):
+        calls = _count_calls(monkeypatch, "spin_summed_rdms")
+        solver = VqeFragmentSolver(
+            optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
+            mapping=mapping,
+        )
+        solve_fragment(build_embedding(h4[0], h4_mf, (0, 1)), solver)
+        assert len(calls) == 1 and calls[0][0].dtype == np.float64
+
     def test_degenerate_ground_state_raises_naming_the_gap(self):
         e = degenerate_levels()
         gap = r"gap to the next root is 0\.000e\+00 Ha"
@@ -740,6 +768,24 @@ class TestRunDmet:
         assert res.fragment_solves == 10
         # the cold first solve runs its 3 restarts; every warm re-solve runs once
         assert len(runs) == 3 + (res.fragment_solves - 1)
+
+    @pytest.mark.parametrize("window,reduced,width", [(None, True, 6), (None, False, 8),
+                                                      (1, True, 2), (1, False, 4)])
+    def test_noise_width_is_checked_before_the_first_solve(
+        self, h4, h4_mf, monkeypatch, window, reduced, width
+    ):
+        # each H4 embedding has 4 orbitals: 8 spin orbitals, 4 in a window of 1
+        solves = _count_calls(monkeypatch, "solve_fragment")
+        noise = ReadoutNoiseModel.uniform(width + 2, 0.02)
+        solver = VqeFragmentSolver(
+            estimator=EstimatorSpec("sampled", shots=100, noise=noise, seed=1),
+            optimizer=OptimizerSpec("spsa", iterations=1, seed=1),
+            mapping=MappingSpec(PARITY, two_qubit_reduction=reduced),
+        )
+        message = f"acts on {width + 2} qubits but the register has {width} qubits"
+        with pytest.raises(NoiseWidthError, match=message):
+            run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver, window=window)
+        assert solves == []
 
     @pytest.mark.parametrize("failure", ["scf", "non-finite"])
     def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
