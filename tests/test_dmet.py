@@ -681,6 +681,18 @@ class TestSolveFragment:
             solve_fragment(e, solver)
 
 
+class TestVqeFragmentSolver:
+    @pytest.mark.parametrize("settings,message", [
+        ({"initial": "bogus"}, "unknown initial-parameter policy 'bogus'"),
+        ({"initial": "random"}, "random initial parameters require a seed"),
+        ({"restarts": 2}, "multi-start requires an initial seed"),
+        ({"estimator": EstimatorSpec("sampled", seed=1)}, "quasi-Newton optimizer needs exact"),
+    ], ids=["unknown-initial", "random-without-seed", "restarts-without-seed", "sampled-lbfgs"])
+    def test_bad_settings_are_refused_at_construction(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            VqeFragmentSolver(**settings)
+
+
 class TestRunDmet:
     def test_whole_molecule_identity(self, h2, h4, h2_mf, h4_mf):
         for (m, _), mf in (((h2[0], None), h2_mf), ((h4[0], None), h4_mf)):
