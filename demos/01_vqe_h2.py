@@ -8,18 +8,14 @@ quasi-Newton driver.  Energies are compared against the dense
 exact-diagonalization oracle and the convergence curve is written as SVG.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from vqemb import (
     EstimatorSpec,
-    HeaConfig,
     MappingSpec,
     OptimizerSpec,
-    VqeProblem,
-    build_fermionic_hamiltonian,
-    build_hea,
-    hartree_fock_bitstring,
-    map_to_qubits,
+    molecular_problem,
     parse_fcidump,
     restricted_hartree_fock,
     solve,
@@ -33,26 +29,20 @@ integrals = parse_fcidump((ROOT / "fixtures" / "h2.fcidump").read_text())
 mf = restricted_hartree_fock(integrals)
 print(f"Hartree-Fock energy:     {mf.hf_energy:.8f} Ha")
 
-spec = MappingSpec("parity", two_qubit_reduction=True, n_electrons=integrals.n_electrons)
-hamiltonian = map_to_qubits(build_fermionic_hamiltonian(integrals), spec)
+# the mapped Hamiltonian and the one-layer ansatz over the Hartree-Fock bits, in one call
+problem, _ = molecular_problem(
+    integrals, MappingSpec("parity", two_qubit_reduction=True), layers=1,
+    estimator=EstimatorSpec("exact"), optimizer=OptimizerSpec("spsa", iterations=100, seed=11),
+)
+hamiltonian, circuit = problem.hamiltonian, problem.circuit
 oracle, _ = hamiltonian.ground_state_energy()
 print(f"exact ground energy:     {oracle:.8f} Ha  ({hamiltonian.n_qubits} qubits, {len(hamiltonian)} terms)")
-
-bits = hartree_fock_bitstring(integrals.n_orbitals, integrals.n_electrons, spec)
-circuit = build_hea(HeaConfig(hamiltonian.n_qubits, layers=1), bits)
 print(f"ansatz: {circuit.n_parameters} free rotations over {circuit.n_qubits} qubits")
 
-spsa_run = solve(
-    VqeProblem(hamiltonian, circuit, EstimatorSpec("exact"),
-               OptimizerSpec("spsa", iterations=100, seed=11)),
-    reference=oracle,
-)
+spsa_run = solve(problem, reference=oracle)
 print(f"SPSA (100 iterations):   {spsa_run.energy:.8f} Ha  rel err {spsa_run.relative_error:.2e}")
 
-newton_run = solve(
-    VqeProblem(hamiltonian, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton")),
-    reference=oracle,
-)
+newton_run = solve(replace(problem, optimizer=OptimizerSpec("quasi_newton")), reference=oracle)
 print(f"quasi-Newton:            {newton_run.energy:.8f} Ha  rel err {newton_run.relative_error:.2e}")
 
 OUT.mkdir(exist_ok=True)

@@ -7,7 +7,7 @@ exact oracle: full CI in the determinant basis for a molecule, dense
 diagonalization for a bare qubit Hamiltonian.
 """
 
-from .ansatz import DeparamReport, HeaConfig, build_hea, deparameterise
+from .ansatz import DeparamReport, HeaConfig, build_hea, deparameterise, molecular_problem
 from .chem import (
     MeanField,
     MolecularIntegrals,

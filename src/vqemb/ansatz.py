@@ -1,4 +1,5 @@
-"""Hardware-efficient ansatz construction and greedy gate deparameterisation.
+"""Hardware-efficient ansatz construction, the VQE problem of a molecule, and greedy
+gate deparameterisation.
 
 The ansatz is X gates realizing a reference bitstring, then L repetitions of
 [an Ry on every qubit, a linear CNOT chain], then a closing Ry layer; the
@@ -20,6 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import vqe as vqe_mod
+from .chem import MolecularIntegrals
+from .mapping import MappingSpec, build_fermionic_hamiltonian, hartree_fock_bitstring, map_to_qubits
 from .simulator import Circuit, CnotGate, FreeSlot, FrozenSlot, PauliXGate, RyGate
 
 DEFAULT_CANDIDATE_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
@@ -61,6 +64,20 @@ def build_hea(cfg: HeaConfig, hf_bits: Sequence[int]) -> Circuit:
         gates.append(RyGate(q, FreeSlot(param)))
         param += 1
     return Circuit(cfg.n_qubits, gates)
+
+
+def molecular_problem(m: MolecularIntegrals, mapping: MappingSpec = MappingSpec(), layers: int = 1,
+                      **settings) -> tuple["vqe_mod.VqeProblem", MappingSpec]:
+    """A molecule's mapped Hamiltonian under a ``layers``-layer HEA over its Hartree-Fock bits.
+
+    Returns the VQE problem, whose other fields are ``settings``, and the spec it was mapped
+    under, which carries ``m.n_electrons`` for two-qubit reduction and ``decode_statevector``.
+    """
+    spec = replace(mapping, n_electrons=m.n_electrons)
+    h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
+    bits = hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec)
+    circuit = build_hea(HeaConfig(h.n_qubits, layers), bits)
+    return vqe_mod.VqeProblem(h, circuit, **settings), spec
 
 
 @dataclass(frozen=True)

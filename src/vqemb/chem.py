@@ -169,16 +169,12 @@ def write_fcidump(m: MolecularIntegrals, thresh: float = 0.0) -> str:
     """Serialize integrals to FCIDUMP text (symmetry-unique records only)."""
     n = m.n_orbitals
     lines = [f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0", "/"]
-    emitted = set()
     for i in range(n):
         for j in range(i + 1):
             for k in range(n):
                 for l in range(k + 1):
                     if (i, j) < (k, l):
                         continue
-                    if (i, j, k, l) in emitted:
-                        continue
-                    emitted.add((i, j, k, l))
                     v = float(m.two_body[i, j, k, l])
                     if abs(v) > thresh:
                         lines.append(f"{v!r} {i+1} {j+1} {k+1} {l+1}")

@@ -20,14 +20,15 @@ from typing import Optional
 import yaml
 
 from . import svg
-from .ansatz import HeaConfig, build_hea, deparameterise
+from .ansatz import HeaConfig, build_hea, deparameterise, molecular_problem
 from .chem import WindowError, active_space, check_window, parse_fcidump, restricted_hartree_fock
 from .dmet import Fragmentation, VqeFragmentSolver, full_ci_ground_energy, run_dmet
-from .mapping import MappingSpec, build_fermionic_hamiltonian, hartree_fock_bitstring, map_to_qubits
+from .mapping import MappingSpec
 from .pauli import ExactCapError, QubitHamiltonian
 from .resources import estimate, format_table, to_csv
-from .simulator import Circuit, ReadoutNoiseModel
-from .vqe import EstimatorSpec, NoiseWidthError, OptimizerSpec, VqeProblem, relative_error, solve
+from .simulator import ReadoutNoiseModel
+from .vqe import (EstimatorSpec, NoiseWidthError, OptimizerSpec, VqeProblem, check_settings,
+                  relative_error, solve)
 
 
 class ConfigError(Exception):
@@ -182,11 +183,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
         MappingSpec(**cfg["mapping"])  # each verb builds the spec it feeds
         vqe["estimator"] = EstimatorSpec(**cfg.pop("estimator"))
         vqe["optimizer"] = OptimizerSpec(**cfg.pop("optimizer"))
-        # VqeProblem checks the VQE settings together; a stand-in as wide as
-        # any noise model runs its checks now, the register's width later
-        noise = vqe["estimator"].noise
-        width = 1 if noise is None else noise.n_qubits
-        VqeProblem(QubitHamiltonian(width), Circuit(width), **vqe)
+        check_settings(**vqe)  # the noise width waits for the register
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg["output"]["dir"] = Path(cfg["output"].get("dir", "out"))
@@ -220,26 +217,26 @@ def _molecule(cfg: dict, needed: str = "system.fcidump"):
     return m
 
 
-def _load_problem_hamiltonian(cfg: dict):
-    """Qubit Hamiltonian, ansatz reference bits and the exact ground energy's function.
+def _build_problem(cfg: dict):
+    """The VQE problem of the configured system, and its exact energy's function.
 
     A molecule's exact energy is full CI of the same (windowed) integrals from
     the sector solver, which refuses more than 14 spin orbitals with a config
     error naming system.fcidump; only a bare qubit Hamiltonian is diagonalized
-    as a dense matrix.
+    as a dense matrix, its ansatz starting from all zeros.
     """
     system = cfg["system"]
     if "hamiltonian" in system:
         h = QubitHamiltonian.from_text(system["hamiltonian"].read_text())
-        return h, [0] * h.n_qubits, lambda: h.ground_state_energy()[0]
+        circuit = build_hea(HeaConfig(h.n_qubits, **cfg["ansatz"]), [0] * h.n_qubits)
+        return VqeProblem(h, circuit, **cfg["vqe"]), lambda: h.ground_state_energy()[0]
     m = _molecule(cfg, "system.fcidump or system.hamiltonian")
     if "window" in system:
         try:
             m, _ = active_space(m, restricted_hartree_fock(m), system["window"])
         except WindowError as exc:
             raise ConfigError(f"system.window: {system['window']} is too wide: {exc}") from exc
-    spec = MappingSpec(**cfg["mapping"], n_electrons=m.n_electrons)
-    h = map_to_qubits(build_fermionic_hamiltonian(m), spec)
+    problem, _ = molecular_problem(m, MappingSpec(**cfg["mapping"]), **cfg["ansatz"], **cfg["vqe"])
 
     def full_ci() -> float:
         try:
@@ -247,7 +244,7 @@ def _load_problem_hamiltonian(cfg: dict):
         except ValueError as exc:  # past the sector cap
             raise ConfigError(f"system.fcidump: no exact energy: {exc}") from exc
 
-    return h, hartree_fock_bitstring(m.n_orbitals, m.n_electrons, spec), full_ci
+    return problem, full_ci
 
 
 def _oracle(exact) -> Optional[float]:
@@ -256,13 +253,6 @@ def _oracle(exact) -> Optional[float]:
         return exact()
     except (ConfigError, ExactCapError):
         return None
-
-
-def _build_problem(cfg: dict):
-    """The VQE problem of the configured system, and its exact energy's function."""
-    h, bits, exact = _load_problem_hamiltonian(cfg)
-    circuit = build_hea(HeaConfig(h.n_qubits, **cfg["ansatz"]), bits)
-    return VqeProblem(h, circuit, **cfg["vqe"]), exact  # load_config left only the noise width
 
 
 def cmd_vqe(cfg: dict) -> int:
@@ -394,8 +384,8 @@ def cmd_resources(cfg: dict) -> int:
 
 
 def cmd_oracle(cfg: dict) -> int:
-    h, _, exact = _load_problem_hamiltonian(cfg)
-    energy = exact()
+    problem, exact = _build_problem(cfg)
+    h, energy = problem.hamiltonian, exact()
     text = f"n_qubits={h.n_qubits}\nn_terms={len(h)}\nground_energy={energy!r}\n"
     write_atomic(cfg["output"]["dir"] / "oracle_result.txt", text)
     print(text, end="")

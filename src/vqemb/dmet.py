@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import vqe as vqe_mod
-from .ansatz import HeaConfig, build_hea
+from .ansatz import molecular_problem
 from .chem import (
     MeanField,
     MolecularIntegrals,
@@ -44,18 +44,11 @@ from .chem import (
     restricted_hartree_fock,
     transform_integrals,
 )
-from .mapping import (
-    PARITY,
-    MappingSpec,
-    build_fermionic_hamiltonian,
-    decode_statevector,
-    hartree_fock_bitstring,
-    map_to_qubits,
-)
+from .mapping import PARITY, MappingSpec, decode_statevector
 from .optimize import NonFiniteObjectiveError
 from .pauli import VECTOR_QUBIT_CAP, _check_cap, _state_vector
 from .simulator import evolve
-from .vqe import EstimatorSpec, OptimizerSpec
+from .vqe import EstimatorSpec, OptimizerSpec, check_settings
 
 
 class DegenerateGroundStateError(ValueError):
@@ -416,6 +409,10 @@ class VqeFragmentSolver:
     initial_seed: Optional[int] = None
     restarts: int = 1
 
+    def __post_init__(self):
+        check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
+                       self.restarts)
+
 
 @dataclass
 class FragmentSolution:
@@ -510,23 +507,14 @@ def _solve_embedding_vqe(
     A warm start ``x0`` is one optimizer run; a cold start runs every restart.
     """
     acts, orbitals = _rhf_basis(ints, window)
-    spec = solver.mapping
-    if spec.two_qubit_reduction:
-        spec = replace(spec, n_electrons=acts.n_electrons)
-    h_q = map_to_qubits(build_fermionic_hamiltonian(acts), spec)
-    bits = hartree_fock_bitstring(acts.n_orbitals, acts.n_electrons, spec)
-    circuit = build_hea(HeaConfig(h_q.n_qubits, solver.layers), bits)
-    problem = vqe_mod.VqeProblem(
-        hamiltonian=h_q,
-        circuit=circuit,
-        estimator=solver.estimator,
-        optimizer=solver.optimizer,
-        initial=solver.initial,
-        initial_seed=solver.initial_seed,
+    problem, spec = molecular_problem(
+        acts, solver.mapping, solver.layers, estimator=solver.estimator,
+        optimizer=solver.optimizer, initial=solver.initial, initial_seed=solver.initial_seed,
         restarts=1 if x0 is not None else solver.restarts,
     )
     result = vqe_mod.solve(problem, x0=x0)
-    state = decode_statevector(evolve(circuit, result.parameters), 2 * acts.n_orbitals, spec)
+    state = evolve(problem.circuit, result.parameters)
+    state = decode_statevector(state, 2 * acts.n_orbitals, spec)
     return (*_from_rhf_basis(*spin_summed_rdms(state, acts.n_orbitals), orbitals), result)
 
 

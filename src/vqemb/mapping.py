@@ -182,16 +182,21 @@ def map_to_qubits(f: FermionOperator, spec: MappingSpec) -> QubitHamiltonian:
                 (x, z, c), _expand(coeffs[chunk], ladder[chunk], table))), n)
 
     if spec.two_qubit_reduction:
-        return _reduce_two_qubits(x, z, c, n, spec.n_electrons)
+        return _reduce_two_qubits(x, z, c, n, _reduced_electrons(spec))
     return QubitHamiltonian.from_arrays(n, x, z, c)
+
+
+def _reduced_electrons(spec: MappingSpec) -> int:
+    """The electron count whose parities a two-qubit reduction fixes."""
+    if spec.n_electrons is None:
+        raise ValueError("two-qubit reduction needs the electron count on the mapping spec")
+    if spec.n_electrons % 2:
+        raise ValueError("two-qubit reduction assumes a closed-shell (even) electron count")
+    return spec.n_electrons
 
 
 def _reduce_two_qubits(x, z, c, n, n_electrons) -> QubitHamiltonian:
     """Remove the alpha-parity and total-parity qubits of a block-parity register."""
-    if n_electrons is None:
-        raise ValueError("two-qubit reduction needs the electron count on the mapping spec")
-    if n_electrons % 2:
-        raise ValueError("two-qubit reduction assumes a closed-shell (even) electron count")
     half = n // 2
     kept = np.abs(c) >= _DROP_TOL
     x, z, c = x[kept], z[kept], c[kept]
@@ -234,11 +239,12 @@ def decode_statevector(state: np.ndarray, n_modes: int, spec: MappingSpec) -> np
     idx = np.flatnonzero(state)
     amplitudes = state[idx]
     if spec.two_qubit_reduction:
+        n_electrons = _reduced_electrons(spec)
         # reduced qubits before half-1 move up past the alpha-parity bit (bit half)
         # and the rest past the total-parity bit (bit 0)
         low = (1 << (half - 1)) - 1
         idx = ((idx & ~low) << 2) | (idx & low) << 1
-        idx |= ((spec.n_electrons // 2) % 2) << half | spec.n_electrons % 2
+        idx |= ((n_electrons // 2) % 2) << half | n_electrons % 2
     occ = idx ^ (idx >> 1)  # block-ordered occupations: parity prefix differences
     target = np.zeros_like(idx)
     for mode, pos in enumerate(_block_permutation(n_modes)):
@@ -260,6 +266,8 @@ def hartree_fock_bitstring(
     n_spatial: int, n_electrons: int, spec: MappingSpec
 ) -> list[int]:
     """Qubit-register bits preparing the Hartree-Fock (aufbau) state under a mapping."""
+    if spec.n_electrons not in (None, n_electrons):
+        raise ValueError(f"the mapping spec is for {spec.n_electrons} electrons, not {n_electrons}")
     n_modes = 2 * n_spatial
     if n_electrons > n_modes:
         raise ValueError(f"{n_electrons} electrons exceed {n_modes} spin-orbitals")

@@ -7,11 +7,12 @@ and k+1 virtual orbitals, so the Jordan-Wigner width grows as 4k + 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
+from .ansatz import molecular_problem
 from .chem import MeanField, MolecularIntegrals, active_space
-from .mapping import MappingSpec, build_fermionic_hamiltonian, map_to_qubits
+from .mapping import MappingSpec
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,14 @@ def estimate(
     spec: MappingSpec = MappingSpec(),
 ) -> list[ResourceEstimate]:
     """Width and post-simplification term count for each HOMO-k/LUMO+k window."""
+    kind = spec.kind + ("_reduced" if spec.two_qubit_reduction else "")
     out = []
     for k in windows:
         if k < 0:
             raise ValueError("window must be >= 0")
         reduced, _ = active_space(m, mf, window=k + 1)
-        window_spec = spec
-        if spec.two_qubit_reduction:
-            window_spec = replace(spec, n_electrons=reduced.n_electrons)
-        h = map_to_qubits(build_fermionic_hamiltonian(reduced), window_spec)
-        out.append(
-            ResourceEstimate(
-                window=k,
-                circuit_width=h.n_qubits,
-                hamiltonian_terms=len(h),
-                mapping_kind=spec.kind + ("_reduced" if spec.two_qubit_reduction else ""),
-            )
-        )
+        h = molecular_problem(reduced, spec)[0].hamiltonian
+        out.append(ResourceEstimate(k, h.n_qubits, len(h), kind))
     return out
 
 

@@ -60,8 +60,17 @@ class OptimizerSpec:
             raise ValueError("SPSA requires a seed")
 
 
-def check_optimizer_fits_estimator(estimator: EstimatorSpec, optimizer: OptimizerSpec):
-    """Quasi-Newton needs exact gradients, which shot-based energies do not have."""
+def check_settings(estimator: EstimatorSpec, optimizer: OptimizerSpec, initial: str = "zeros",
+                   initial_seed: Optional[int] = None, restarts: int = 1):
+    """The checks that need the VQE settings alone: a known start policy, the seed a random
+    start or multi-start needs, and an optimizer the estimator can serve (quasi-Newton needs
+    exact gradients, which shot-based energies do not have)."""
+    if initial not in ("zeros", "random"):
+        raise ValueError(f"unknown initial-parameter policy {initial!r}")
+    if initial == "random" and initial_seed is None:
+        raise ValueError("random initial parameters require a seed")
+    if restarts > 1 and initial_seed is None:
+        raise ValueError("multi-start requires an initial seed")
     if estimator.kind == "sampled" and optimizer.kind == "quasi_newton":
         raise ValueError(
             "the quasi-Newton optimizer needs exact gradients; "
@@ -98,13 +107,8 @@ class VqeProblem:
                 f"Hamiltonian has {self.hamiltonian.n_qubits}"
             )
         check_noise_width(self.estimator.noise, self.hamiltonian.n_qubits)
-        if self.initial not in ("zeros", "random"):
-            raise ValueError(f"unknown initial-parameter policy {self.initial!r}")
-        if self.initial == "random" and self.initial_seed is None:
-            raise ValueError("random initial parameters require a seed")
-        if self.restarts > 1 and self.initial_seed is None:
-            raise ValueError("multi-start requires an initial seed")
-        check_optimizer_fits_estimator(self.estimator, self.optimizer)
+        check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
+                       self.restarts)
 
 
 @dataclass

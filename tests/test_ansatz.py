@@ -11,7 +11,17 @@ from vqemb.ansatz import (
     HeaConfig,
     build_hea,
     deparameterise,
+    molecular_problem,
     nearest_candidate,
+)
+from vqemb.dmet import _rhf_basis, build_embedding
+from vqemb.mapping import (
+    JORDAN_WIGNER,
+    PARITY,
+    MappingSpec,
+    build_fermionic_hamiltonian,
+    hartree_fock_bitstring,
+    map_to_qubits,
 )
 from vqemb.pauli import QubitHamiltonian
 from vqemb.simulator import CnotGate, PauliXGate, evolve
@@ -86,6 +96,41 @@ class TestBuildHea:
     def test_bit_length_checked(self):
         with pytest.raises(ValueError, match="length"):
             build_hea(HeaConfig(3, 1), [0, 1])
+
+
+class TestMolecularProblem:
+    @pytest.fixture(params=["h2", "h4-embedding"])
+    def integrals(self, request, h4, h4_mf):
+        if request.param == "h2":
+            return request.getfixturevalue("h2")[0]
+        # the H4 embedding of orbitals 0 and 1 in its own RHF orbitals, as a VQE solve sees it
+        return _rhf_basis(build_embedding(h4[0], h4_mf, (0, 1)).solver_integrals(), None)[0]
+
+    @pytest.mark.parametrize("mapping", [MappingSpec(JORDAN_WIGNER), MappingSpec(PARITY),
+                                         MappingSpec(PARITY, two_qubit_reduction=True)],
+                             ids=["jw", "parity", "reduced-parity"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_the_hand_assembled_chain(self, integrals, mapping, layers):
+        m = integrals
+        settings = {"initial": "random", "initial_seed": 3, "restarts": 2}
+        problem, spec = molecular_problem(m, mapping, layers, **settings)
+        hand_spec = mapping  # counted only where the reduction reads the count
+        if mapping.two_qubit_reduction:
+            hand_spec = MappingSpec(PARITY, True, n_electrons=m.n_electrons)
+        h = map_to_qubits(build_fermionic_hamiltonian(m), hand_spec)
+        bits = hartree_fock_bitstring(m.n_orbitals, m.n_electrons, hand_spec)
+        circuit = build_hea(HeaConfig(h.n_qubits, layers), bits)
+        assert problem.hamiltonian.to_text() == h.to_text()
+        assert problem.circuit.n_qubits == circuit.n_qubits
+        assert problem.circuit.gates == circuit.gates
+        x_qubits = [g.qubit for g in problem.circuit.gates if isinstance(g, PauliXGate)]
+        assert x_qubits == [q for q, b in enumerate(bits) if b] and any(bits)
+        assert spec == MappingSpec(mapping.kind, mapping.two_qubit_reduction, m.n_electrons)
+        assert (problem.initial, problem.initial_seed, problem.restarts) == ("random", 3, 2)
+
+    def test_settings_are_checked_by_the_problem(self, h2):
+        with pytest.raises(ValueError, match="multi-start requires an initial seed"):
+            molecular_problem(h2[0], restarts=2)
 
 
 class TestNearestCandidate:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import vqemb.ansatz as ansatz_mod
 import vqemb.cli as cli_mod
 import vqemb.dmet as dmet_mod
 import vqemb.vqe as vqe_mod
@@ -140,6 +141,22 @@ class TestExitCodes:
         )
         assert run(["vqe", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("verb", ["vqe", "dmet"])
+    @pytest.mark.parametrize("vqe,message", [
+        ("{initial: bogus}", "unknown initial-parameter policy 'bogus'"),
+        ("{initial: random}", "random initial parameters require a seed"),
+        ("{restarts: 2}", "multi-start requires an initial seed"),
+    ], ids=["unknown-initial", "random-without-seed", "restarts-without-seed"])
+    def test_vqe_settings_are_checked_on_load(self, tmp_path, outdir, capsys, monkeypatch,
+                                             verb, vqe, message):
+        monkeypatch.setattr(cli_mod, "parse_fcidump", None)  # refused before the system is read
+        dmet = "dmet: {fragments: [[0], [1]], solver: vqe}\n" if verb == "dmet" else ""
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"system: {{fcidump: {ROOT}/fixtures/h2.fcidump}}\nvqe: {vqe}\n{dmet}")
+        assert run([verb, "--config", cfg, "--out", outdir]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_sampled_needs_seed(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(
@@ -206,8 +223,8 @@ class TestExitCodes:
         def too_late(*args):
             raise AssertionError("ran before the closed-shell check")
 
-        for name in ("restricted_hartree_fock", "map_to_qubits"):
-            monkeypatch.setattr(cli_mod, name, too_late)
+        monkeypatch.setattr(cli_mod, "restricted_hartree_fock", too_late)
+        monkeypatch.setattr(ansatz_mod, "map_to_qubits", too_late)  # the molecular builder's
         key = header.split("=")[0]
         fcidump = tmp_path / "h2_open.fcidump"
         fcidump.write_text(re.sub(rf"{key}=\d+", header, read(ROOT / "fixtures" / "h2.fcidump")))

@@ -362,6 +362,15 @@ class TestHartreeFockBitstring:
         with pytest.raises(ValueError, match="exceed"):
             hartree_fock_bitstring(1, 3, MappingSpec(JORDAN_WIGNER))
 
+    @pytest.mark.parametrize("kind,reduced", [(JORDAN_WIGNER, False), (PARITY, False),
+                                              (PARITY, True)])
+    def test_spec_for_another_electron_count_is_refused(self, kind, reduced):
+        with pytest.raises(ValueError, match="the mapping spec is for 4 electrons, not 2"):
+            hartree_fock_bitstring(2, 2, MappingSpec(kind, reduced, n_electrons=4))
+        # no count on the spec, or the same count, gives the bits it always gave
+        plain = hartree_fock_bitstring(2, 2, MappingSpec(kind, reduced))
+        assert hartree_fock_bitstring(2, 2, MappingSpec(kind, reduced, n_electrons=2)) == plain
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -401,6 +410,14 @@ class TestDecodeStatevector:
         decoded = decode_statevector(v_par, 2 * m.n_orbitals, spec)
         energy = np.vdot(decoded, h_jw.to_matrix() @ decoded).real
         assert energy == pytest.approx(e_par, abs=1e-10)
+
+    def test_reduced_spec_without_electron_count_is_refused(self):
+        # the same error the two-qubit reduction of the Hamiltonian gives
+        message = "two-qubit reduction needs the electron count on the mapping spec"
+        with pytest.raises(ValueError, match=message):
+            map_to_qubits(FermionOperator(4), MappingSpec(PARITY, True))
+        with pytest.raises(ValueError, match=message):
+            decode_statevector(np.ones(4) / 2, 4, MappingSpec(PARITY, True))
 
 
 class TestArrayMapping:
