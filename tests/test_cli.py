@@ -247,7 +247,7 @@ class TestExitCodes:
         assert f"config error: {name}: {value} " in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("verb", ["vqe", "deparam", "dmet"])
+    @pytest.mark.parametrize("verb", ["vqe", "deparam", "dmet", "oracle"])
     @pytest.mark.parametrize("mitigation", ["m3", "trex"])
     def test_noise_model_wider_than_register_exits_2(self, tmp_path, outdir, capsys, verb, mitigation):
         # reduced parity puts H2, and each of its one-orbital fragments with
