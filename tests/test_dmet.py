@@ -687,7 +687,9 @@ class TestVqeFragmentSolver:
         ({"initial": "random"}, "random initial parameters require a seed"),
         ({"restarts": 2}, "multi-start requires an initial seed"),
         ({"estimator": EstimatorSpec("sampled", seed=1)}, "quasi-Newton optimizer needs exact"),
-    ], ids=["unknown-initial", "random-without-seed", "restarts-without-seed", "sampled-lbfgs"])
+        ({"layers": -1}, "layers must be >= 0"),
+    ], ids=["unknown-initial", "random-without-seed", "restarts-without-seed", "sampled-lbfgs",
+            "negative-layers"])
     def test_bad_settings_are_refused_at_construction(self, settings, message):
         with pytest.raises(ValueError, match=message):
             VqeFragmentSolver(**settings)
