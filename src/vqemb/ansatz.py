@@ -32,6 +32,11 @@ DEFAULT_CANDIDATE_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
 VIRTUAL_IDENTITY_ANGLES = (0.0, math.pi, -math.pi)
 
 
+def check_layers(layers: int):
+    if layers < 0:
+        raise ValueError("layers must be >= 0")
+
+
 @dataclass(frozen=True)
 class HeaConfig:
     """Layer count and register size; the entangler is a linear CNOT chain."""
@@ -40,8 +45,7 @@ class HeaConfig:
     layers: int = 1
 
     def __post_init__(self):
-        if self.layers < 0:
-            raise ValueError("layers must be >= 0")
+        check_layers(self.layers)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
 
@@ -184,8 +188,7 @@ def deparameterise(
             angle = nearest_candidate(params[slot_index], DEFAULT_CANDIDATE_ANGLES)
             trial_circuit = _freeze_gate(circuit, gate_index, angle)
             warm = np.delete(params, slot_index)
-            trial_problem = replace(problem, circuit=trial_circuit, restarts=1)
-            result = vqe_mod.solve(trial_problem, x0=warm)
+            result = vqe_mod.solve(replace(problem, circuit=trial_circuit), x0=warm)
             trials.append((abs(result.energy - baseline.energy), gate_index, angle, result))
         trials.sort(key=lambda t: (t[0], t[1]))
         deviation, gate_index, angle, result = trials[0]

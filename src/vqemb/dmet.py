@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import vqe as vqe_mod
-from .ansatz import molecular_problem
+from .ansatz import check_layers, molecular_problem
 from .chem import (
     MeanField,
     MolecularIntegrals,
@@ -410,6 +410,7 @@ class VqeFragmentSolver:
     restarts: int = 1
 
     def __post_init__(self):
+        check_layers(self.layers)
         check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
                        self.restarts)
 
@@ -502,15 +503,12 @@ def _solve_embedding_vqe(
     solver: VqeFragmentSolver,
     x0: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, "vqe_mod.VqeResult"]:
-    """VQE RDMs of ``ints``, solved in its RHF orbitals (or a window of them).
-
-    A warm start ``x0`` is one optimizer run; a cold start runs every restart.
-    """
+    """VQE RDMs of ``ints``, solved in its RHF orbitals (or a window of them)."""
     acts, orbitals = _rhf_basis(ints, window)
     problem, spec = molecular_problem(
         acts, solver.mapping, solver.layers, estimator=solver.estimator,
         optimizer=solver.optimizer, initial=solver.initial, initial_seed=solver.initial_seed,
-        restarts=1 if x0 is not None else solver.restarts,
+        restarts=solver.restarts,
     )
     result = vqe_mod.solve(problem, x0=x0)
     state = evolve(problem.circuit, result.parameters)

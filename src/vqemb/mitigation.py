@@ -1,11 +1,10 @@
 """Readout-error mitigation.
 
 Two schemes: assignment-matrix inversion restricted to the subspace of
-observed outcomes (direct solve below 500 distinct outcomes, preconditioned
-GMRES above), and twirled readout estimation, where random X masks
-symmetrize the readout channel and a calibration pass on the empty circuit
-measures the attenuation factor to divide out.  ``scipy.sparse.linalg`` is
-imported by the GMRES branch when it runs, not with this module.
+observed outcomes, solved directly on the dense restricted matrix, and
+twirled readout estimation, where random X masks symmetrize the readout
+channel and a calibration pass on the empty circuit measures the attenuation
+factor to divide out.
 
 Quasi-probabilities are renormalized to unit sum (restriction to the observed
 subspace can lose the unobserved probability mass) and are never clipped;
@@ -32,7 +31,6 @@ from .simulator import (
     zero_state,
 )
 
-DIRECT_SOLVE_LIMIT = 500
 _TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
@@ -59,23 +57,10 @@ def _restricted_matrix(outcomes: np.ndarray, n: int, cal: ReadoutNoiseModel) -> 
 
 
 def _solve_assignment(A: np.ndarray, p: np.ndarray) -> np.ndarray:
-    if len(p) < DIRECT_SOLVE_LIMIT:
-        try:
-            return np.linalg.solve(A, p)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"singular restricted assignment matrix: {exc}") from exc
-    diag = np.diag(A).copy()
-    if (np.abs(diag) < 1e-12).any():
-        raise ValueError("restricted assignment matrix has a vanishing diagonal")
-    # imported on first use: scipy.sparse.linalg takes a quarter of a second
-    # to load, and only histograms past DIRECT_SOLVE_LIMIT outcomes need it
-    from scipy.sparse.linalg import LinearOperator, gmres
-
-    precond = LinearOperator(A.shape, matvec=lambda v: v / diag)
-    x, info = gmres(A, p, rtol=1e-10, atol=0.0, restart=50, M=precond)
-    if info != 0:
-        raise ValueError(f"iterative assignment solve did not converge (info={info})")
-    return x
+    try:
+        return np.linalg.solve(A, p)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular restricted assignment matrix: {exc}") from exc
 
 
 def _subspace_inversion(counts: ShotCounts, cal: ReadoutNoiseModel):

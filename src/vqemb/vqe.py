@@ -216,9 +216,9 @@ def solve(
 ) -> VqeResult:
     """Minimize the estimated energy over the circuit's free parameters.
 
-    ``x0`` overrides the initial point of the first restart (warm start).
-    ``reference`` fills in the relative-error field.  Deterministic for
-    fixed seeds.
+    ``x0`` is a warm start: one optimizer run from it, whatever
+    ``problem.restarts`` says.  ``reference`` fills in the relative-error
+    field.  Deterministic for fixed seeds.
     """
     if problem.circuit.n_parameters == 0:
         trace = OptimizerTrace()
@@ -231,8 +231,8 @@ def solve(
     run = _optimizer_runner(problem)
     init_rng = np.random.default_rng(problem.initial_seed)
     best = None
-    for r in range(problem.restarts):
-        start = x0 if (x0 is not None and r == 0) else _initial_vector(problem, r, init_rng)
+    for r in range(1 if x0 is not None else problem.restarts):
+        start = x0 if x0 is not None else _initial_vector(problem, r, init_rng)
         params, trace = run(start)
         energy, best_params = trace.best()
         if best is None or energy < best.energy:

@@ -12,8 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # out/ directory -> (verb, config) that writes it
 ARTIFACTS = {
     "chain5_deparam": ("deparam", "configs/chain5_deparam.yaml"),
-    "det1": ("vqe", "configs/h2_vqe_spsa.yaml"),
-    "det2": ("vqe", "configs/h2_vqe_spsa.yaml"),
     "h10_resources": ("resources", "configs/h10_resources.yaml"),
     "h2_dmet_vqe": ("dmet", "configs/h2_dmet_vqe.yaml"),
     "h2_vqe_sampled": ("vqe", "configs/h2_vqe_sampled.yaml"),
@@ -21,6 +19,11 @@ ARTIFACTS = {
     "h4_dmet": ("dmet", "configs/h4_dmet.yaml"),
     "oracle_h2": ("oracle", "configs/h2_vqe_lbfgs.yaml"),
 }
+
+
+def test_every_out_directory_has_its_command():
+    # a directory missing from ARTIFACTS would go unchecked
+    assert sorted(p.name for p in (ROOT / "out").iterdir()) == sorted(ARTIFACTS)
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))

@@ -586,19 +586,36 @@ class TestOracleCommand:
 # been loaded.
 FOOTPRINT_SCRIPT = """
 import json, sys
+import numpy as np
 import vqemb.cli as cli
+from vqemb.mitigation import M3GroupEstimator
+from vqemb.pauli import PauliWord
+from vqemb.simulator import ReadoutNoiseModel, sample
 out, h2_resources, h4_windowed = sys.argv[1:]
 loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def cli_run(verb, config):
+    return lambda stage: cli.main([verb, "--config", config, "--out", f"{out}/{stage}"]) == 0
+
+def m3_many_outcomes(stage):
+    n = 10
+    state = np.random.default_rng(14).normal(size=1 << n)
+    state /= np.linalg.norm(state)
+    noise, basis = ReadoutNoiseModel.uniform(n, 0.02), PauliWord("Z" * n)
+    M3GroupEstimator(noise).estimate_group(state, basis, [(1.0, (1 << n) - 1)], 4000, noise, 15)
+    return sample(state, basis, 4000, noise, 15).outcomes.size > 500
+
 report = {"import": loaded()}
-for stage, verb, config in (
-    ("dmet", "dmet", "configs/h4_dmet.yaml"),
-    ("windowed_dmet", "dmet", h4_windowed),
-    ("resources", "resources", h2_resources),
-    ("oracle", "oracle", "configs/h2_vqe_lbfgs.yaml"),
-    ("spsa", "vqe", "configs/h2_vqe_sampled.yaml"),
-    ("quasi_newton", "vqe", "configs/h2_vqe_lbfgs.yaml"),
+for stage, run in (
+    ("dmet", cli_run("dmet", "configs/h4_dmet.yaml")),
+    ("windowed_dmet", cli_run("dmet", h4_windowed)),
+    ("resources", cli_run("resources", h2_resources)),
+    ("oracle", cli_run("oracle", "configs/h2_vqe_lbfgs.yaml")),
+    ("spsa", cli_run("vqe", "configs/h2_vqe_sampled.yaml")),
+    ("m3_many_outcomes", m3_many_outcomes),
+    ("quasi_newton", cli_run("vqe", "configs/h2_vqe_lbfgs.yaml")),
 ):
-    assert cli.main([verb, "--config", config, "--out", f"{out}/{stage}"]) == 0, stage
+    assert run(stage), stage
     report[stage] = loaded()
 print(json.dumps(report))
 """
@@ -620,8 +637,10 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        # the exact sector solves and the shot-based SPSA path need no SciPy at all
-        for stage in ("import", "dmet", "windowed_dmet", "resources", "oracle", "spsa"):
+        # the exact sector solves, the shot-based SPSA path and M3 past 500 distinct
+        # outcomes need no SciPy at all
+        for stage in ("import", "dmet", "windowed_dmet", "resources", "oracle", "spsa",
+                      "m3_many_outcomes"):
             assert report[stage] == [], stage
         # L-BFGS-B needs scipy.optimize, so the checks above are not vacuous
         assert "scipy.optimize" in report["quasi_newton"]

@@ -5,10 +5,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from vqemb.mitigation import (
-    DIRECT_SOLVE_LIMIT,
     M3GroupEstimator,
     TrexGroupEstimator,
     _restricted_matrix,
@@ -26,6 +24,7 @@ from vqemb.simulator import (
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
+    _member_values,
     evolve,
     group_qubitwise,
     sample,
@@ -126,28 +125,32 @@ class TestM3:
             )
             assert mean == pytest.approx(sum(quasi[b] * parity[b] for b in quasi), abs=1e-12)
 
-    def test_many_outcomes_take_the_gmres_branch(self, monkeypatch):
-        # past DIRECT_SOLVE_LIMIT distinct outcomes A x = p is solved by GMRES
-        calls, gmres = [], scipy.sparse.linalg.gmres
-
-        def counted_gmres(*args, **kwargs):
-            calls.append(1)
-            return gmres(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", counted_gmres)
+    @pytest.mark.parametrize("flip", [0.02, 0.30])
+    def test_many_outcomes_are_solved_directly(self, flip):
+        # A x = p and A^T w = v are one np.linalg.solve each, however many
+        # distinct outcomes there are
         n = 10
         rng = np.random.default_rng(14)
         state = rng.normal(size=1 << n)
-        noise = ReadoutNoiseModel.uniform(n, 0.02)
-        counts = sample(state / np.linalg.norm(state), PauliWord("Z" * n), 4000, noise, seed=15)
-        assert counts.outcomes.size > DIRECT_SOLVE_LIMIT
+        state /= np.linalg.norm(state)
+        noise = ReadoutNoiseModel.uniform(n, flip)
+        basis = PauliWord("Z" * n)
+        counts = sample(state, basis, 4000, noise, seed=15)
+        assert counts.outcomes.size > 500
+        A = _restricted_matrix(counts.outcomes, n, noise)
+        p = counts.counts / counts.shots
+        x = np.linalg.solve(A, p)
         quasi = m3_mitigate(counts, noise)
-        assert calls == [1]
-        x = np.linalg.solve(_restricted_matrix(counts.outcomes, n, noise),
-                            counts.counts / counts.shots)
         assert list(quasi) == counts.outcomes.tolist()
-        assert np.abs(np.array(list(quasi.values())) - x / x.sum()).max() < 1e-10
+        assert list(quasi.values()) == (x / x.sum()).tolist()
 
+        members = [(0.7, 0b1100000011), (-0.3, 0b0000000001), (1.1, (1 << n) - 1)]
+        w = np.linalg.solve(A.T, _member_values(counts.outcomes, members))
+        s = x.sum()
+        mean = float(w @ p) / s
+        var = max(float(p @ (w * w)) - float(w @ p) ** 2, 0.0) / 4000 / (s * s)
+        got = M3GroupEstimator(noise).estimate_group(state, basis, members, 4000, noise, 15)
+        assert got == (mean, var)
 
 def pack(bits):
     """Basis index of each row of a (shots, n) bit matrix, or of one (n,) row."""

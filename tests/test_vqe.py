@@ -12,6 +12,7 @@ from vqemb.mapping import (
     hartree_fock_bitstring,
     map_to_qubits,
 )
+from vqemb import vqe as vqe_mod
 from vqemb.pauli import QubitHamiltonian
 from vqemb.vqe import EstimatorSpec, OptimizerSpec, VqeProblem, relative_error, solve
 
@@ -99,6 +100,26 @@ class TestSolve:
             initial="random", initial_seed=8, restarts=4,
         ))
         assert multi.energy <= single.energy + 1e-12
+
+    def test_warm_start_is_one_run_whatever_the_restarts(self, h2_reduced, monkeypatch):
+        h, circuit, _, _ = h2_reduced
+        starts, run = [], vqe_mod.bounded_quasi_newton
+
+        def counted(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            return run(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(vqe_mod, "bounded_quasi_newton", counted)
+        problem = VqeProblem(
+            h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
+            initial="random", initial_seed=8, restarts=3,
+        )
+        x0 = np.full(circuit.n_parameters, 0.1)
+        result = solve(problem, x0=x0)
+        assert len(starts) == 1 and np.allclose(starts[0], x0, rtol=0, atol=1e-15)
+        assert result.restart_index == 0
+        solve(problem)
+        assert len(starts) == 1 + problem.restarts
 
     def test_sampled_estimator_requires_seed(self, h2_reduced):
         with pytest.raises(ValueError, match="seed"):
