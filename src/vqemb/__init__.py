@@ -19,6 +19,7 @@ from .chem import (
 from .dmet import (
     DmetResult,
     EmbeddingProblem,
+    ExactFragmentSolver,
     Fragmentation,
     VqeFragmentSolver,
     build_embedding,

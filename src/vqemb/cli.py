@@ -22,7 +22,8 @@ import yaml
 from . import svg
 from .ansatz import HeaConfig, build_hea, deparameterise, molecular_problem
 from .chem import WindowError, active_space, check_window, parse_fcidump, restricted_hartree_fock
-from .dmet import Fragmentation, VqeFragmentSolver, full_ci_ground_energy, run_dmet
+from .dmet import (ExactFragmentSolver, Fragmentation, VqeFragmentSolver, full_ci_ground_energy,
+                   run_dmet)
 from .mapping import MappingSpec
 from .pauli import ExactCapError, QubitHamiltonian
 from .resources import estimate, format_table, to_csv
@@ -334,9 +335,13 @@ def cmd_dmet(cfg: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"mapping: {exc} (the VQE fragment solver's default is "
                               "parity with two-qubit reduction)") from exc
-    elif cfg["mapping"]:
-        raise ConfigError("mapping: only the VQE fragment solver reads it, "
-                          "and dmet.solver is exact")
+    else:  # --seed, --shots and --mitigation set keys of estimator, optimizer and vqe.seed
+        unread = ["mapping"] * bool(cfg["mapping"]) + [f"ansatz.{k}" for k in cfg["ansatz"]]
+        unread += [f"vqe.{k}" for k in ("initial", "restarts") if k in cfg["vqe"]]
+        if unread:
+            raise ConfigError(f"{unread[0]}: only the VQE fragment solver reads it, "
+                              "and dmet.solver is exact")
+        dmet["solver"] = ExactFragmentSolver()
     # run_dmet checks every embedding against its solver before the first solve
     try:
         result = run_dmet(m, restricted_hartree_fock(m), fragments, **dmet)

@@ -8,16 +8,19 @@ fragment-environment cross terms), implemented as the first-index restricted
 contraction, which equals the symmetric weighting because the integrals and
 real-wavefunction RDMs carry the full 8-fold permutational symmetry.
 
-Fragment problems are solved per electron-number sector: a dense
-diagonalization of the Hamiltonian built from spin-summed excitation operators
-E_pq on the (N/2, N/2) occupation-basis determinants, or a
-hardware-efficient-ansatz VQE.  Both hand their state to the same
-occupation-basis RDM code.  Every exact solve, windowed or not, uses one
-sector operator per embedding: mu only enters the one-body term, so
-H(mu) = H(0) - mu N_F, and the eigenpairs of one ``eigh`` also give the
-exact slope dN_F/dmu.  A window is fixed at the embedding's mu = 0 RHF
-orbitals.  Only a VQE solve reruns RHF at each mu and takes slope probes:
-in a basis fixed at mu = 0, H10 VQE-DMET did not converge.
+Every fragment solver has two methods: ``prepare(e, window)`` runs once per
+embedding before the first solve, makes every cap and width check, and
+returns what the solver reuses across mu; ``solve(e, prepared, mu, x0)``
+returns the ``FragmentSolution`` at one mu.  ``ExactFragmentSolver``
+diagonalizes the (N/2, N/2) sector Hamiltonian built from spin-summed
+excitation operators E_pq on the occupation-basis determinants, and
+``VqeFragmentSolver`` runs a hardware-efficient-ansatz VQE.  Both hand their
+state to the same occupation-basis RDM code.  The exact ``prepare`` builds
+one sector operator per embedding, windowed or not: mu only enters the
+one-body term, so H(mu) = H(0) - mu N_F, and the eigenpairs of one ``eigh``
+also give the exact slope dN_F/dmu.  A window is fixed at the embedding's
+mu = 0 RHF orbitals.  Only a VQE solve reruns RHF at each mu and takes slope
+probes: in a basis fixed at mu = 0, H10 VQE-DMET did not converge.
 
 When the orbital reversal i -> n-1-i maps the integrals and the RHF density
 onto themselves, a fragment whose mirror image is an earlier fragment is
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,36 +126,6 @@ class EmbeddingProblem:
             one_body=h,
             two_body=self.two_body,
         )
-
-    def sector_operator(self, window: Optional[int] = None) -> tuple:
-        """(E_pq table, H at mu = 0, N_F, orbitals) on the (N/2, N/2) sector, cached per window.
-
-        H(mu) = H - mu N_F, where N_F = sum_pq (n_F)_pq E_pq counts the
-        fragment's electrons, held as its nonzero (row, col, value) entries.
-        Without a window the basis is the embedding's own, orbitals is None
-        and N_F is diagonal.  A window is fixed at the embedding's mu = 0 RHF
-        orbitals, orbitals = (C, active, frozen) from ``_rhf_basis`` and
-        n_F = (C_F^T C_F)[active, active]: mu enters only the one-body term,
-        so the frozen-core fold does not depend on it.  A window's cap is
-        checked before its SCF.
-        """
-        cache = self.__dict__.setdefault("_sector_operators", {})
-        if window in cache:
-            return cache[window]
-        ints, orbitals = self.solver_integrals(), None
-        C_F = np.eye(self.n_fragment, self.n_orbitals)  # the fragment rows of the basis
-        if window is not None:
-            _check_cap(4 * window, VECTOR_QUBIT_CAP, "exact-solver")
-            ints, orbitals = _rhf_basis(ints, window)
-            C_F = orbitals[0][: self.n_fragment, orbitals[1]]
-        sel, E, H = _sector_hamiltonian(ints)
-        n_F = (C_F.T @ C_F).ravel()  # summed over the table in its order, as H is
-        op, row, col, val = E
-        k, d = np.flatnonzero(n_F[op]), sel.size
-        key, entry = np.unique(row[k] * d + col[k], return_inverse=True)
-        N_F = key // d, key % d, np.bincount(entry, weights=val[k] * n_F[op[k]])
-        cache[window] = E, H, N_F, orbitals
-        return cache[window]
 
 
 # singular values of D[env, frag] at or below this carry no bath orbital
@@ -397,30 +370,19 @@ def democratic_fragment_energy(
 
 # -- fragment solvers ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VqeFragmentSolver:
-    """VQE configuration template for embedded fragments."""
-
-    layers: int = 1
-    optimizer: OptimizerSpec = OptimizerSpec()
-    estimator: EstimatorSpec = EstimatorSpec()
-    mapping: MappingSpec = MappingSpec(PARITY, two_qubit_reduction=True)
-    initial: str = "zeros"
-    initial_seed: Optional[int] = None
-    restarts: int = 1
-
-    def __post_init__(self):
-        check_layers(self.layers)
-        check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
-                       self.restarts)
-
-
 @dataclass
 class FragmentSolution:
     energy: float
     n_electrons: float
     vqe_parameters: Optional[np.ndarray] = None
     slope: Optional[float] = None  # exact dN_F/dmu of every exact solve; None for VQE
+
+    @classmethod
+    def of(cls, e: EmbeddingProblem, gamma: np.ndarray, Gamma: np.ndarray, **extra):
+        """The fragment's democratic energy and electron count from RDMs in the embedding basis."""
+        F = e.n_fragment
+        return cls(democratic_fragment_energy(gamma, Gamma, e), float(np.trace(gamma[:F, :F])),
+                   **extra)
 
 
 # a sector ground state closer than this (Ha) to the next root is degenerate
@@ -477,15 +439,15 @@ def _from_rhf_basis(gamma_a: np.ndarray, Gamma_a: np.ndarray, orbitals: tuple) -
     return gamma, Gamma
 
 
-def _solve_embedding_sector(e: EmbeddingProblem, mu: float, window: Optional[int] = None) -> tuple:
+def _solve_embedding_sector(e: EmbeddingProblem, prepared: tuple, mu: float) -> tuple:
     """Sector-FCI RDMs of the embedding at ``mu``, in its basis, and the slope dN_F/dmu.
 
-    H(mu) = H(0) - mu N_F, so first-order perturbation theory on the
-    eigenpairs (E_k, V_k) gives the slope exactly:
-    2 sum_{k>0} (V_k^T N_F c_0)^2 / (E_k - E_0).  A degenerate ground state
-    raises ``DegenerateGroundStateError``.
+    ``prepared`` is ``ExactFragmentSolver.prepare``'s.  H(mu) = H(0) - mu N_F,
+    so first-order perturbation theory on the eigenpairs (E_k, V_k) gives the
+    slope exactly: 2 sum_{k>0} (V_k^T N_F c_0)^2 / (E_k - E_0).  A degenerate
+    ground state raises ``DegenerateGroundStateError``.
     """
-    E, H, (row, col, value), orbitals = e.sector_operator(window)
+    E, H, (row, col, value), orbitals = prepared
     H = H.copy()
     H[row, col] -= mu * value
     evals, evecs = _sector_eigh(H)
@@ -497,55 +459,92 @@ def _solve_embedding_sector(e: EmbeddingProblem, mu: float, window: Optional[int
     return (*_from_rhf_basis(*_rdms(E, c0, len(orbitals[1])), orbitals), slope)
 
 
-def _solve_embedding_vqe(
-    ints: MolecularIntegrals,
-    window: Optional[int],
-    solver: VqeFragmentSolver,
-    x0: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, "vqe_mod.VqeResult"]:
-    """VQE RDMs of ``ints``, solved in its RHF orbitals (or a window of them)."""
-    acts, orbitals = _rhf_basis(ints, window)
-    problem, spec = molecular_problem(
-        acts, solver.mapping, solver.layers, estimator=solver.estimator,
-        optimizer=solver.optimizer, initial=solver.initial, initial_seed=solver.initial_seed,
-        restarts=solver.restarts,
-    )
-    result = vqe_mod.solve(problem, x0=x0)
-    state = evolve(problem.circuit, result.parameters)
-    state = decode_statevector(state, 2 * acts.n_orbitals, spec)
-    return (*_from_rhf_basis(*spin_summed_rdms(state, acts.n_orbitals), orbitals), result)
+@dataclass(frozen=True)
+class ExactFragmentSolver:
+    """Sector full CI of an embedding: one operator per embedding, one ``eigh`` per mu."""
+
+    def prepare(self, e: EmbeddingProblem, window: Optional[int] = None) -> tuple:
+        """(E_pq table, H at mu = 0, N_F, orbitals) on the (N/2, N/2) sector.
+
+        H(mu) = H - mu N_F, where N_F = sum_pq (n_F)_pq E_pq counts the
+        fragment's electrons, held as its nonzero (row, col, value) entries.
+        Without a window the basis is the embedding's own, orbitals is None
+        and N_F is diagonal.  A window is fixed at the embedding's mu = 0 RHF
+        orbitals, orbitals = (C, active, frozen) from ``_rhf_basis`` and
+        n_F = (C_F^T C_F)[active, active]: mu enters only the one-body term,
+        so the frozen-core fold does not depend on it.  A window's cap is
+        checked before its SCF.
+        """
+        ints, orbitals = e.solver_integrals(), None
+        C_F = np.eye(e.n_fragment, e.n_orbitals)  # the fragment rows of the basis
+        if window is not None:
+            _check_cap(4 * window, VECTOR_QUBIT_CAP, "exact-solver")
+            ints, orbitals = _rhf_basis(ints, window)
+            C_F = orbitals[0][: e.n_fragment, orbitals[1]]
+        sel, E, H = _sector_hamiltonian(ints)
+        n_F = (C_F.T @ C_F).ravel()  # summed over the table in its order, as H is
+        op, row, col, val = E
+        k, d = np.flatnonzero(n_F[op]), sel.size
+        key, entry = np.unique(row[k] * d + col[k], return_inverse=True)
+        N_F = key // d, key % d, np.bincount(entry, weights=val[k] * n_F[op[k]])
+        return E, H, N_F, orbitals
+
+    def solve(self, e: EmbeddingProblem, prepared: tuple, mu: float,
+              x0: Optional[np.ndarray] = None) -> FragmentSolution:
+        """The sector ground state at ``mu``, with its slope; an exact solve has no ``x0``."""
+        gamma, Gamma, slope = _solve_embedding_sector(e, prepared, mu)
+        return FragmentSolution.of(e, gamma, Gamma, slope=slope)
 
 
-Solver = Union[str, VqeFragmentSolver]
+@dataclass(frozen=True)
+class VqeFragmentSolver:
+    """VQE configuration template for embedded fragments."""
+
+    layers: int = 1
+    optimizer: OptimizerSpec = OptimizerSpec()
+    estimator: EstimatorSpec = EstimatorSpec()
+    mapping: MappingSpec = MappingSpec(PARITY, two_qubit_reduction=True)
+    initial: str = "zeros"
+    initial_seed: Optional[int] = None
+    restarts: int = 1
+
+    def __post_init__(self):
+        check_layers(self.layers)
+        check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
+                       self.restarts)
+
+    def prepare(self, e: EmbeddingProblem, window: Optional[int] = None) -> Optional[int]:
+        """The window, once the readout noise model is checked against the register's width."""
+        n_active = e.n_orbitals if window is None else 2 * window
+        # two qubits an active orbital, less the tapered pair
+        vqe_mod.check_noise_width(self.estimator.noise,
+                                  2 * (n_active - self.mapping.two_qubit_reduction))
+        return window
+
+    def solve(self, e: EmbeddingProblem, prepared: Optional[int], mu: float,
+              x0: Optional[np.ndarray] = None) -> FragmentSolution:
+        """VQE in the RHF orbitals of the mu-shifted embedding (or a window of them) from ``x0``."""
+        acts, orbitals = _rhf_basis(e.solver_integrals(mu), prepared)
+        problem, spec = molecular_problem(
+            acts, self.mapping, self.layers, estimator=self.estimator, optimizer=self.optimizer,
+            initial=self.initial, initial_seed=self.initial_seed, restarts=self.restarts,
+        )
+        result = vqe_mod.solve(problem, x0=x0)
+        state = evolve(problem.circuit, result.parameters)
+        state = decode_statevector(state, 2 * acts.n_orbitals, spec)
+        gamma, Gamma = _from_rhf_basis(*spin_summed_rdms(state, acts.n_orbitals), orbitals)
+        return FragmentSolution.of(e, gamma, Gamma, vqe_parameters=result.parameters)
 
 
 def solve_fragment(
     e: EmbeddingProblem,
-    solver: Solver = "exact",
+    solver=ExactFragmentSolver(),
     mu: float = 0.0,
     window: Optional[int] = None,
     x0: Optional[np.ndarray] = None,
 ) -> FragmentSolution:
-    """Correlated solve of one embedding at the given chemical potential.
-
-    The exact solver diagonalizes the embedding's cached sector operator and
-    returns the slope dN_F/dmu; a VQE solve runs in the RHF orbitals of the
-    mu-shifted embedding.
-    """
-    if isinstance(solver, str) and solver != "exact":
-        raise ValueError(f"unknown fragment solver {solver!r}")
-    slope = vqe_result = None
-    if solver == "exact":
-        gamma, Gamma, slope = _solve_embedding_sector(e, mu, window)
-    else:
-        gamma, Gamma, vqe_result = _solve_embedding_vqe(e.solver_integrals(mu), window, solver, x0)
-
-    return FragmentSolution(
-        energy=democratic_fragment_energy(gamma, Gamma, e),
-        n_electrons=float(np.trace(gamma[: e.n_fragment, : e.n_fragment])),
-        vqe_parameters=None if vqe_result is None else vqe_result.parameters,
-        slope=slope,
-    )
+    """One solve of one embedding at ``mu``: ``solver.prepare``, then ``solver.solve``."""
+    return solver.solve(e, solver.prepare(e, window), mu, x0)
 
 
 # -- the chemical-potential loop -----------------------------------------------------
@@ -560,7 +559,7 @@ class DmetResult:
     trace: list  # (mu, electron-count mismatch) per evaluation
     converged: bool
     solved_as: list  # per fragment, the index of the fragment whose solve it reuses
-    fragment_solves: int  # solve_fragment calls over the whole mu loop
+    fragment_solves: int  # solver.solve calls over the whole mu loop
 
     @property
     def electron_mismatch(self) -> float:
@@ -628,7 +627,7 @@ def run_dmet(
     m: MolecularIntegrals,
     mf: MeanField,
     fragmentation: Fragmentation,
-    solver: Solver = "exact",
+    solver=ExactFragmentSolver(),
     mu_tol: float = 1e-6,
     window: Optional[int] = None,
 ) -> DmetResult:
@@ -640,11 +639,12 @@ def run_dmet(
     comes from central finite differences.  A bisection fallback on a
     bracketed interval takes over if Newton steps stop improving.  Each
     mirror class of fragments (``_mirror_representatives``) is embedded and
-    solved once per mu, and VQE warm starts follow the representative.  Every
-    exact operator is built, and every VQE register checked against the
-    readout noise model's width, before the first solve.  A fragment's SCF,
-    non-finite-objective or degenerate-ground-state failure propagates with
-    the fragment index and mu added to its message.
+    solved once per mu, and VQE warm starts follow the representative.  A
+    solver is any object with ``prepare(e, window)`` and ``solve(e, prepared,
+    mu, x0)`` returning a ``FragmentSolution``: every window is checked, then
+    ``solver.prepare`` runs once per representative, before the first solve.
+    A fragment's SCF, non-finite-objective or degenerate-ground-state failure
+    propagates with the fragment index and mu added to its message.
     """
     fragmentation.validate_cover(m.n_orbitals)
     fragments = fragmentation.fragments
@@ -658,16 +658,10 @@ def run_dmet(
             exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
             raise
 
-    for e in embeddings.values():  # every embedding fits its solver before the first solve
-        if window is not None:
+    if window is not None:
+        for e in embeddings.values():
             check_window(e.n_orbitals, e.n_electrons, window)
-        if isinstance(solver, VqeFragmentSolver):  # two qubits an active orbital, less tapering
-            n_active = e.n_orbitals if window is None else 2 * window
-            n_qubits = 2 * (n_active - solver.mapping.two_qubit_reduction)
-            vqe_mod.check_noise_width(solver.estimator.noise, n_qubits)
-    if solver == "exact":
-        for i, e in embeddings.items():
-            named(i, 0.0, lambda: e.sector_operator(window))
+    prepared = {i: named(i, 0.0, lambda: solver.prepare(e, window)) for i, e in embeddings.items()}
     warm: dict[int, np.ndarray] = {}
     n_solves = 0
 
@@ -675,9 +669,7 @@ def run_dmet(
         nonlocal n_solves
         solved = {}
         for i, e in embeddings.items():
-            sol = named(
-                i, mu, lambda: solve_fragment(e, solver, mu=mu, window=window, x0=warm.get(i))
-            )
+            sol = named(i, mu, lambda: solver.solve(e, prepared[i], mu, warm.get(i)))
             if sol.vqe_parameters is not None:
                 warm[i] = sol.vqe_parameters
             solved[i] = sol

@@ -62,9 +62,24 @@ BAD_CONFIGS = {
     "unknown-key": ("vqe", H2 + "estimator: {shot: 5}\n", "estimator.shot"),
     "seed-as-word": ("vqe", H2 + "vqe: {seed: abc}\n", "vqe.seed"),
     "negative-layers": ("vqe", H2 + "ansatz: {layers: -1}\n", "ansatz.layers"),
-    # the exact fragment solver maps nothing
+    # the exact fragment solver maps nothing and runs no VQE
     "mapping-with-exact-dmet": (
         "dmet", H4 + "mapping: {kind: parity}\ndmet: {fragments: [[0, 1], [2, 3]]}\n", "mapping",
+    ),
+    "ansatz-with-exact-dmet": (
+        "dmet", H4 + "ansatz: {layers: 7}\ndmet: {fragments: [[0, 1], [2, 3]]}\n",
+        "ansatz.layers",
+    ),
+    "initial-with-exact-dmet": (
+        "dmet", H4 + "vqe: {initial: random, seed: 3}\ndmet: {fragments: [[0, 1], [2, 3]]}\n",
+        "vqe.initial",
+    ),
+    "restarts-with-exact-dmet": (
+        "dmet", H4 + "vqe: {restarts: 2, seed: 3}\ndmet: {fragments: [[0, 1], [2, 3]]}\n",
+        "vqe.restarts",
+    ),
+    "unknown-dmet-solver": (
+        "dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], solver: ccsd}\n", "dmet.solver",
     ),
     # a key left out keeps the VQE fragment solver's default, two-qubit reduction
     "jordan-wigner-over-reduced-parity": (
@@ -447,6 +462,14 @@ class TestDmetCommand:
         result = read(outdir / "dmet_result.txt")
         assert "relative_error_e3=" in result
         assert (outdir / "dmet_mu_trace.csv").exists()
+
+    def test_exact_solver_runs_under_the_flags_every_verb_takes(self, outdir):
+        # --seed, --shots and --mitigation set estimator, optimizer and vqe.seed keys
+        argv = ["dmet", "--config", CONFIGS / "h4_dmet.yaml", "--out", outdir,
+                "--seed", "3", "--shots", "100", "--mitigation", "m3"]
+        assert run(argv) == 0
+        committed = read(ROOT / "out" / "h4_dmet" / "dmet_result.txt")
+        assert read(outdir / "dmet_result.txt") == committed
 
     def test_vqe_and_exact_rows_comparable(self, tmp_path):
         out_e, out_v = tmp_path / "e", tmp_path / "v"

@@ -3,7 +3,9 @@ chemical-potential loop."""
 
 import hashlib
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from vqemb.dmet import (
     DegenerateGroundStateError,
     DmetConvergenceError,
     EmbeddingProblem,
+    ExactFragmentSolver,
     FragmentSolution,
     Fragmentation,
     VqeFragmentSolver,
@@ -53,6 +56,7 @@ H10_FRAGMENTS = {
     "5x2": ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)),
     "2+3+3+2": ((0, 1), (2, 3, 4), (5, 6, 7), (8, 9)),
 }
+EXACT = ExactFragmentSolver()
 
 
 def hubbard_chain(n, t=1.0, u=2.0, n_electrons=None):
@@ -80,13 +84,39 @@ def _failing_rhf(*args, **kwargs):
     raise ScfConvergenceError("forced failure", density_change=1.0)
 
 
-def _stub_mismatch(monkeypatch, n_fragments, n_electrons, mismatch):
-    """Every fragment solve returns an equal share of n_electrons + mismatch(mu)."""
+@dataclass(frozen=True)
+class MismatchSolver:
+    """A fragment solver whose every solve returns an equal share of n_electrons + mismatch(mu)."""
 
-    def solve(e, solver, mu, window, x0):
-        return FragmentSolution(energy=0.0, n_electrons=(n_electrons + mismatch(mu)) / n_fragments)
+    n_fragments: int
+    n_electrons: int
+    mismatch: Callable[[float], float]
 
-    monkeypatch.setattr(dmet_mod, "solve_fragment", solve)
+    def prepare(self, e, window):
+        return None
+
+    def solve(self, e, prepared, mu, x0):
+        share = (self.n_electrons + self.mismatch(mu)) / self.n_fragments
+        return FragmentSolution(energy=0.0, n_electrons=share)
+
+
+class CountingSolver:
+    """Hands each call to ``solver``, logged as ("prepare", window) or ("solve", mu)."""
+
+    def __init__(self, solver=EXACT):
+        self.solver, self.calls = solver, []
+
+    @property
+    def solves(self):
+        return [mu for kind, mu in self.calls if kind == "solve"]
+
+    def prepare(self, e, window):
+        self.calls.append(("prepare", window))
+        return self.solver.prepare(e, window)
+
+    def solve(self, e, prepared, mu, x0):
+        self.calls.append(("solve", mu))
+        return self.solver.solve(e, prepared, mu, x0)
 
 
 def degenerate_levels():
@@ -308,23 +338,24 @@ class TestSectorSolver:
             sector_ground_state(m)
 
 
-class TestSectorOperatorCache:
+class TestPreparedSectorOperator:
     @pytest.mark.parametrize(
         "system,fragments",
         [("h4", ((0, 1), (2, 3))), ("h10", H10_FRAGMENTS["5x2"]), ("h10", H10_FRAGMENTS["2+3+3+2"])],
         ids=["h4", "h10-5x2", "h10-2+3+3+2"],
     )
-    def test_cached_solve_matches_a_fresh_build(self, system, fragments, request):
+    def test_prepared_solve_matches_a_fresh_build(self, system, fragments, request):
         m, _ = request.getfixturevalue(system)
         mf = request.getfixturevalue(f"{system}_mf")
         for fragment in fragments:
             e = build_embedding(m, mf, fragment)
             F = e.n_fragment
+            prepared = EXACT.prepare(e)
             for mu in (0.0, 1e-4, -1e-4, 0.05):
                 ints = e.solver_integrals(mu)
                 energy, state = sector_ground_state(ints)
                 ref_gamma, ref_Gamma = spin_summed_rdms(state, e.n_orbitals)
-                gamma, Gamma, _ = dmet_mod._solve_embedding_sector(e, mu)
+                gamma, Gamma, _ = dmet_mod._solve_embedding_sector(e, prepared, mu)
                 assert np.allclose(gamma, ref_gamma, rtol=0, atol=1e-10)
                 assert np.allclose(Gamma, ref_Gamma, rtol=0, atol=1e-10)
                 # H(mu) = H(0) - mu diag(n_F) has the eigenvalue of the rebuilt H(mu)
@@ -334,7 +365,7 @@ class TestSectorOperatorCache:
                     + 0.5 * float(np.einsum("pqrs,pqrs->", ints.two_body, Gamma))
                 )
                 assert e_rdm == pytest.approx(energy, abs=1e-10)
-                sol = solve_fragment(e, "exact", mu)
+                sol = EXACT.solve(e, prepared, mu)
                 ref = democratic_fragment_energy(ref_gamma, ref_Gamma, e)
                 assert sol.energy == pytest.approx(ref, abs=1e-10)
                 assert sol.n_electrons == pytest.approx(np.trace(ref_gamma[:F, :F]), abs=1e-10)
@@ -372,6 +403,7 @@ class TestWindowedSectorOperator:
             n, F = e.n_orbitals, e.n_fragment
             rhf = restricted_hartree_fock(e.solver_integrals())
             C = rhf.orbital_coeffs
+            prepared = EXACT.prepare(e, window)
             for mu in (0.0, 0.05):
                 acts, info = active_space(e.solver_integrals(mu), rhf, window)
                 _, state = sector_ground_state(acts)
@@ -384,7 +416,7 @@ class TestWindowedSectorOperator:
                 gamma_mo, Gamma_mo = spin_summed_rdms(full, n)
                 gamma = C @ gamma_mo @ C.T
                 Gamma = np.einsum("pa,qb,rc,sd,abcd->pqrs", C, C, C, C, Gamma_mo)
-                sol = solve_fragment(e, "exact", mu, window)
+                sol = EXACT.solve(e, prepared, mu)
                 assert sol.energy == pytest.approx(
                     democratic_fragment_energy(gamma, Gamma, e), abs=1e-10
                 )
@@ -392,11 +424,11 @@ class TestWindowedSectorOperator:
 
     def test_one_rhf_per_embedding_and_no_probes(self, h10, h10_mf, monkeypatch):
         rhf = _count_calls(monkeypatch, "restricted_hartree_fock")
-        solves = _count_calls(monkeypatch, "solve_fragment")
-        res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS["5x2"]), window=2)
+        solver = CountingSolver()
+        res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS["5x2"]), solver, window=2)
         assert res.converged
         assert len(rhf) == 3  # one per mirror class, at mu = 0
-        assert res.fragment_solves == len(solves) == 6 == 3 * len(res.trace)
+        assert res.fragment_solves == len(solver.solves) == 6 == 3 * len(res.trace)
 
     @pytest.mark.parametrize(
         "name,window,total_energy,mu,steps",
@@ -422,10 +454,10 @@ class TestWindowedSectorOperator:
         self, h4, h4_mf, monkeypatch
     ):
         monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
-        solves = _count_calls(monkeypatch, "solve_fragment")
+        solver = CountingSolver()
         with pytest.raises(ScfConvergenceError, match=r"^fragment 0 at mu=0\.0: forced failure$"):
-            run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), window=1)
-        assert solves == []
+            run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver, window=1)
+        assert solver.solves == []
 
 
 def _digest(*arrays):
@@ -524,75 +556,77 @@ class TestMuSlope:
         step = 1e-4
         for fragment in fragments:
             e = build_embedding(m, mf, fragment)
+            prepared = EXACT.prepare(e, window)
             for mu in (0.0, 0.05):
-                slope = solve_fragment(e, "exact", mu, window).slope
-                plus = solve_fragment(e, "exact", mu + step, window).n_electrons
-                minus = solve_fragment(e, "exact", mu - step, window).n_electrons
+                slope = EXACT.solve(e, prepared, mu).slope
+                plus = EXACT.solve(e, prepared, mu + step).n_electrons
+                minus = EXACT.solve(e, prepared, mu - step).n_electrons
                 assert slope > 0
                 assert slope == pytest.approx((plus - minus) / (2 * step), abs=1e-6)
 
     def test_windowed_solves_carry_a_slope_and_vqe_solves_none(self, h2, h2_mf, h4, h4_mf):
-        windowed = solve_fragment(build_embedding(h4[0], h4_mf, (0, 1)), "exact", window=1)
+        windowed = solve_fragment(build_embedding(h4[0], h4_mf, (0, 1)), EXACT, window=1)
         assert windowed.slope > 0
         solver = VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
         )
         assert solve_fragment(build_embedding(h2[0], h2_mf, (0,)), solver).slope is None
 
-    def test_exact_newton_steps_need_no_probes(self, h4, h4_mf, monkeypatch):
-        solves = _count_calls(monkeypatch, "solve_fragment")
-        res = run_dmet(h4[0], h4_mf, Fragmentation(((0,), (1,), (2,), (3,))))
+    def test_exact_newton_steps_need_no_probes(self, h4, h4_mf):
+        solver = CountingSolver()
+        res = run_dmet(h4[0], h4_mf, Fragmentation(((0,), (1,), (2,), (3,))), solver)
         assert res.converged and len(res.trace) > 1
         # [3] and [2] reuse [0] and [1]
-        assert res.fragment_solves == len(solves) == 2 * len(res.trace)
+        assert res.fragment_solves == len(solver.solves) == 2 * len(res.trace)
 
 
 class TestMirrorClasses:
     @pytest.mark.parametrize("name,classes", [("5x2", 3), ("2+3+3+2", 2)])
     def test_one_solve_per_class_per_mu(self, h10, h10_mf, monkeypatch, name, classes):
-        solves = _count_calls(monkeypatch, "solve_fragment")
+        solver = CountingSolver()
         builds = _count_calls(monkeypatch, "build_embedding")
         fragments = H10_FRAGMENTS[name]
-        res = run_dmet(h10[0], h10_mf, Fragmentation(fragments))
+        res = run_dmet(h10[0], h10_mf, Fragmentation(fragments), solver)
         assert len(builds) == classes
-        assert res.fragment_solves == len(solves) == classes * len(res.trace)
+        assert res.fragment_solves == len(solver.solves) == classes * len(res.trace)
+        kinds = [kind for kind, _ in solver.calls]  # one prepare per class, all before any solve
+        assert kinds == ["prepare"] * classes + ["solve"] * res.fragment_solves
         n = len(fragments)
         assert res.solved_as == [min(i, n - 1 - i) for i in range(n)]
         for i in range(n):  # a reused solve is the same numbers, not nearly equal ones
             assert res.fragment_energies[i] == res.fragment_energies[n - 1 - i]
             assert res.fragment_electrons[i] == res.fragment_electrons[n - 1 - i]
 
-    def test_broken_symmetry_solves_every_fragment(self, h4, monkeypatch):
+    def test_broken_symmetry_solves_every_fragment(self, h4):
         m, _ = h4
         h = m.one_body.copy()
         h[0, 0] += 1e-9
         perturbed = MolecularIntegrals(m.n_orbitals, m.n_electrons, m.core_energy, h, m.two_body)
-        solves = _count_calls(monkeypatch, "solve_fragment")
+        solver = CountingSolver()
         mf = restricted_hartree_fock(perturbed)
-        res = run_dmet(perturbed, mf, Fragmentation(((0, 1), (2, 3))))
+        res = run_dmet(perturbed, mf, Fragmentation(((0, 1), (2, 3))), solver)
         assert res.converged
         assert res.solved_as == [0, 1]
-        assert res.fragment_solves == len(solves) == 2 * len(res.trace)
+        assert res.fragment_solves == len(solver.solves) == 2 * len(res.trace)
 
     def test_fragmentation_without_a_mirror_pair_solves_every_fragment(
         self, h4, h4_mf, monkeypatch
     ):
-        solves = _count_calls(monkeypatch, "solve_fragment")
+        solver = CountingSolver()
         builds = _count_calls(monkeypatch, "build_embedding")
-        res = run_dmet(h4[0], h4_mf, Fragmentation(((0,), (1,), (2, 3))))
+        res = run_dmet(h4[0], h4_mf, Fragmentation(((0,), (1,), (2, 3))), solver)
         assert res.converged
         assert res.solved_as == [0, 1, 2] and len(builds) == 3
-        assert res.fragment_solves == len(solves) == 3 * len(res.trace)
+        assert res.fragment_solves == len(solver.solves) == 3 * len(res.trace)
 
-    def test_vqe_run_reuses_the_mirror_solve(self, h2, h2_mf, monkeypatch):
-        solves = _count_calls(monkeypatch, "solve_fragment")
-        solver = VqeFragmentSolver(
+    def test_vqe_run_reuses_the_mirror_solve(self, h2, h2_mf):
+        solver = CountingSolver(VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
             initial="random", initial_seed=5,
-        )
+        ))
         res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
         assert res.solved_as == [0, 0]
-        assert res.fragment_solves == len(solves)
+        assert res.fragment_solves == len(solver.solves)
         assert res.fragment_energies[0] == res.fragment_energies[1]
 
 
@@ -613,9 +647,9 @@ class TestSolveFragment:
         e = degenerate_levels()
         gap = r"gap to the next root is 0\.000e\+00 Ha"
         with pytest.raises(DegenerateGroundStateError, match=gap):
-            dmet_mod._solve_embedding_sector(e, 0.0)
+            dmet_mod._solve_embedding_sector(e, EXACT.prepare(e), 0.0)
         with pytest.raises(ValueError, match="degenerate"):
-            solve_fragment(e, "exact")
+            solve_fragment(e, EXACT)
 
     def test_degenerate_windowed_ground_state_raises_naming_the_gap(self):
         # zero integrals on two orbitals and two electrons: all four determinants are ground states
@@ -625,7 +659,7 @@ class TestSolveFragment:
         )
         gap = r"gap to the next root is 0\.000e\+00 Ha"
         with pytest.raises(DegenerateGroundStateError, match=gap):
-            solve_fragment(zero, "exact", window=1)
+            solve_fragment(zero, EXACT, window=1)
 
     def test_degenerate_fragment_stops_the_run_naming_the_fragment(self, h2, h2_mf, monkeypatch):
         monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: degenerate_levels())
@@ -640,21 +674,21 @@ class TestSolveFragment:
         )
         mf = restricted_hartree_fock(levels)
         e = build_embedding(levels, mf, (0, 1))
-        sol = solve_fragment(e, "exact")
+        sol = solve_fragment(e, EXACT)
         assert sol.energy == pytest.approx(-3.0, abs=1e-8)
         assert sol.n_electrons == pytest.approx(2.0, abs=1e-8)
 
     def test_whole_molecule_electron_count(self, h4, h4_mf):
         m, _ = h4
         e = build_embedding(m, h4_mf, (0, 1, 2, 3))
-        sol = solve_fragment(e, "exact")
+        sol = solve_fragment(e, EXACT)
         assert sol.n_electrons == pytest.approx(m.n_electrons, abs=1e-10)
 
     def test_exact_vs_vqe_two_orbital_embedding(self, h2, h2_mf):
         m, _ = h2
         e = build_embedding(m, h2_mf, (0,))
         assert e.n_orbitals == 2
-        exact = solve_fragment(e, "exact")
+        exact = solve_fragment(e, EXACT)
         solver = VqeFragmentSolver(
             layers=1,
             optimizer=OptimizerSpec("quasi_newton"),
@@ -665,11 +699,6 @@ class TestSolveFragment:
         via_vqe = solve_fragment(e, solver)
         assert abs(via_vqe.energy - exact.energy) < 2e-3
         assert via_vqe.n_electrons == pytest.approx(exact.n_electrons, abs=1e-3)
-
-    def test_unknown_solver_rejected(self, h2, h2_mf):
-        e = build_embedding(h2[0], h2_mf, (0,))
-        with pytest.raises(ValueError, match="unknown fragment solver"):
-            solve_fragment(e, "ccsd")
 
     def test_vqe_failure_without_fallback_raises(self, h2, h2_mf, monkeypatch):
         monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
@@ -785,21 +814,18 @@ class TestRunDmet:
 
     @pytest.mark.parametrize("window,reduced,width", [(None, True, 6), (None, False, 8),
                                                       (1, True, 2), (1, False, 4)])
-    def test_noise_width_is_checked_before_the_first_solve(
-        self, h4, h4_mf, monkeypatch, window, reduced, width
-    ):
+    def test_noise_width_is_checked_before_the_first_solve(self, h4, h4_mf, window, reduced, width):
         # each H4 embedding has 4 orbitals: 8 spin orbitals, 4 in a window of 1
-        solves = _count_calls(monkeypatch, "solve_fragment")
         noise = ReadoutNoiseModel.uniform(width + 2, 0.02)
-        solver = VqeFragmentSolver(
+        solver = CountingSolver(VqeFragmentSolver(
             estimator=EstimatorSpec("sampled", shots=100, noise=noise, seed=1),
             optimizer=OptimizerSpec("spsa", iterations=1, seed=1),
             mapping=MappingSpec(PARITY, two_qubit_reduction=reduced),
-        )
+        ))
         message = f"acts on {width + 2} qubits but the register has {width} qubits"
         with pytest.raises(NoiseWidthError, match=message):
             run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver, window=window)
-        assert solves == []
+        assert solver.solves == []
 
     @pytest.mark.parametrize("failure", ["scf", "non-finite"])
     def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
@@ -821,7 +847,7 @@ class TestRunDmet:
     def test_bisection_finishes_when_newton_diverges(self, h2, h2_mf, monkeypatch):
         # Newton on a cube root doubles the distance to the root every step
         root = 0.1
-        _stub_mismatch(monkeypatch, 2, h2[0].n_electrons, lambda mu: np.cbrt(mu - root))
+        solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: np.cbrt(mu - root))
         bisections = []
         bisect = dmet_mod._bisect_mu
 
@@ -830,17 +856,17 @@ class TestRunDmet:
             return bisect(*args)
 
         monkeypatch.setattr(dmet_mod, "_bisect_mu", counting)
-        res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), mu_tol=1e-2)
+        res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver, mu_tol=1e-2)
         assert len(bisections) == 1
         assert max(abs(mu - root) for mu, _ in res.trace) > 100  # Newton walked away
         assert res.converged
         assert abs(res.electron_mismatch) <= 1e-2
         assert abs(res.mu - root) <= 1e-6
 
-    def test_bisection_without_a_sign_change_raises_with_the_trace(self, h2, h2_mf, monkeypatch):
-        _stub_mismatch(monkeypatch, 2, h2[0].n_electrons, lambda mu: 1.0 + (mu - 0.5) ** 2)
+    def test_bisection_without_a_sign_change_raises_with_the_trace(self, h2, h2_mf):
+        solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: 1.0 + (mu - 0.5) ** 2)
         with pytest.raises(DmetConvergenceError, match="no bracketing interval") as info:
-            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))))
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver)
         trace = info.value.trace
         assert trace[0] == (0.0, 1.25)
         assert len(trace) > 1 and all(f >= 1.0 for _, f in trace)
