@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vqemb.chem import parse_fcidump, restricted_hartree_fock
+from vqemb.chem import MolecularIntegrals, parse_fcidump, restricted_hartree_fock
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,6 +43,19 @@ def h4_mf(h4):
 @pytest.fixture(scope="session")
 def h10_mf(h10):
     return restricted_hartree_fock(h10[0])
+
+
+@pytest.fixture(scope="session")
+def hubbard_ring():
+    """Six-site half-filled Hubbard ring at U/t = 8: hopping -1 between ring neighbours."""
+    n = 6
+    h = np.zeros((n, n))
+    for i in range(n):
+        h[i, (i + 1) % n] = h[(i + 1) % n, i] = -1.0
+    g = np.zeros((n,) * 4)
+    for i in range(n):
+        g[i, i, i, i] = 8.0
+    return MolecularIntegrals(n, n, 0.0, h, g)
 
 
 @pytest.fixture(scope="session")

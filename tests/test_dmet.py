@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+import vqemb.chem as chem_mod
 import vqemb.dmet as dmet_mod
 from vqemb.ansatz import HeaConfig, build_hea
 from vqemb.chem import (
@@ -794,6 +795,31 @@ class TestRunDmet:
             assert windowed.total_energy == pytest.approx(plain.total_energy, abs=1e-10)
             assert windowed.mu == pytest.approx(plain.mu, abs=1e-10)
             assert len(windowed.trace) == len(plain.trace)
+
+    def test_windowed_ring_at_strong_coupling_matches_the_unwindowed_run(self, hubbard_ring):
+        # at U/t = 8 an SCF on an embedding does not converge; DMET needs none
+        m = hubbard_ring
+        frag = Fragmentation(((0, 1), (2, 3), (4, 5)))
+        mf = restricted_hartree_fock(m)
+        plain = run_dmet(m, mf, frag)
+        assert plain.total_energy == pytest.approx(-1.9759390677, abs=1e-9)
+        windowed = run_dmet(m, mf, frag, window=2)  # every embedding has 4 orbitals: covered
+        assert plain.converged and windowed.converged
+        assert windowed.total_energy == pytest.approx(plain.total_energy, abs=1e-10)
+
+    def test_runs_need_no_scf_beyond_the_lattice_mean_field(self, h2, h2_mf, h4, h4_mf,
+                                                            monkeypatch):
+        # an SCF under either name dmet could call it by fails the run
+        monkeypatch.setattr(chem_mod, "restricted_hartree_fock", _failing_rhf)
+        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf, raising=False)
+        windowed = run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), window=1)
+        assert windowed.converged
+        solver = VqeFragmentSolver(  # configs/h2_dmet_vqe.yaml
+            layers=1, optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
+            initial="random", initial_seed=5,
+        )
+        via_vqe = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
+        assert via_vqe.converged
 
     def test_warm_started_vqe_resolves_run_once(self, h4, h4_mf, monkeypatch):
         runs, run = [], dmet_mod.vqe_mod.bounded_quasi_newton
