@@ -52,7 +52,7 @@ class MolecularIntegrals:
 
 @dataclass(frozen=True)
 class MeanField:
-    """Converged restricted Hartree-Fock solution."""
+    """Closed-shell mean field: an RHF solution, or an embedding's orbitals from its Fock matrix."""
 
     orbital_coeffs: np.ndarray   # columns are orbitals, energy-ascending
     orbital_energies: np.ndarray

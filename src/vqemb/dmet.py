@@ -18,9 +18,11 @@ excitation operators E_pq on the occupation-basis determinants, and
 state to the same occupation-basis RDM code.  The exact ``prepare`` builds
 one sector operator per embedding, windowed or not: mu only enters the
 one-body term, so H(mu) = H(0) - mu N_F, and the eigenpairs of one ``eigh``
-also give the exact slope dN_F/dmu.  A window is fixed at the embedding's
-mu = 0 RHF orbitals.  Only a VQE solve reruns RHF at each mu and takes slope
-probes: in a basis fixed at mu = 0, H10 VQE-DMET did not converge.
+also give the exact slope dN_F/dmu.  No SCF runs: the Schmidt embedding of
+the lattice RHF state holds its mean field, so the orbitals of an embedding
+at mu diagonalize ``e.fock`` (the lattice Fock matrix in its basis) - mu on
+the fragment.  A window is fixed at mu = 0.  Only a VQE solve takes the
+orbitals of its mu, and slope probes: fixed at mu = 0, it needs more solves.
 
 When the orbital reversal i -> n-1-i maps the integrals and the RHF density
 onto themselves, a fragment whose mirror image is an earlier fragment is
@@ -40,11 +42,10 @@ from .ansatz import check_layers, molecular_problem
 from .chem import (
     MeanField,
     MolecularIntegrals,
-    ScfConvergenceError,
     active_space,
     check_window,
     coulomb_exchange,
-    restricted_hartree_fock,
+    hf_energy_expression,
     transform_integrals,
 )
 from .mapping import PARITY, MappingSpec, decode_statevector
@@ -105,6 +106,7 @@ class EmbeddingProblem:
     one_body_bare: np.ndarray  # n_emb x n_emb rotated h
     env_fold: np.ndarray       # n_emb x n_emb rotated J - K/2 of the environment core
     two_body: np.ndarray       # n_emb^4
+    fock: np.ndarray           # n_emb x n_emb rotated lattice Fock matrix
     n_fragment: int
     n_electrons: int
     core_energy: float
@@ -115,10 +117,7 @@ class EmbeddingProblem:
 
     def solver_integrals(self, mu: float = 0.0) -> MolecularIntegrals:
         h = self.one_body_bare + self.env_fold
-        if mu != 0.0:
-            h = h.copy()
-            for i in range(self.n_fragment):
-                h[i, i] -= mu
+        h[np.diag_indices(self.n_fragment)] -= mu
         return MolecularIntegrals(
             n_orbitals=self.n_orbitals,
             n_electrons=self.n_electrons,
@@ -192,6 +191,7 @@ def build_embedding(
         one_body_bare=h_bare,
         env_fold=fold,
         two_body=g,
+        fock=basis.T @ (mf.orbital_coeffs * mf.orbital_energies) @ mf.orbital_coeffs.T @ basis,
         n_fragment=len(fragment),
         n_electrons=n_emb,
         core_energy=m.core_energy,
@@ -405,14 +405,15 @@ def _sector_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _rhf_basis(ints: MolecularIntegrals, window: Optional[int]) -> tuple[MolecularIntegrals, tuple]:
-    """``ints`` in its RHF orbitals C, or in an active window of them, and (C, active, frozen)."""
-    mf = restricted_hartree_fock(ints)
-    C = mf.orbital_coeffs
+def _rhf_basis(e: EmbeddingProblem, mu: float, window: Optional[int]) -> tuple:
+    """``e`` at ``mu`` in the orbitals C of ``e.fock`` at mu, or a window; (C, active, frozen)."""
+    ints, n = e.solver_integrals(mu), e.n_orbitals
+    eps, C = np.linalg.eigh(e.fock - mu * np.diag(np.arange(n) < e.n_fragment))
     if window is None:
         h_mo, g_mo = transform_integrals(ints.one_body, ints.two_body, C)
-        return replace(ints, one_body=h_mo, two_body=g_mo), (C, list(range(ints.n_orbitals)), [])
-    acts, info = active_space(ints, mf, window)
+        return replace(ints, one_body=h_mo, two_body=g_mo), (C, list(range(n)), [])
+    D = 2.0 * C[:, : e.n_electrons // 2] @ C[:, : e.n_electrons // 2].T
+    acts, info = active_space(ints, MeanField(C, eps, D, hf_energy_expression(ints, D)), window)
     return acts, (C, list(info.active_orbitals), list(info.frozen_occupied))
 
 
@@ -469,17 +470,15 @@ class ExactFragmentSolver:
         H(mu) = H - mu N_F, where N_F = sum_pq (n_F)_pq E_pq counts the
         fragment's electrons, held as its nonzero (row, col, value) entries.
         Without a window the basis is the embedding's own, orbitals is None
-        and N_F is diagonal.  A window is fixed at the embedding's mu = 0 RHF
-        orbitals, orbitals = (C, active, frozen) from ``_rhf_basis`` and
-        n_F = (C_F^T C_F)[active, active]: mu enters only the one-body term,
-        so the frozen-core fold does not depend on it.  A window's cap is
-        checked before its SCF.
+        and N_F is diagonal.  A window is fixed at the embedding's mu = 0
+        mean-field orbitals, orbitals = (C, active, frozen) from ``_rhf_basis``
+        and n_F = (C_F^T C_F)[active, active]: mu enters only the one-body
+        term, so the frozen-core fold does not depend on it.
         """
         ints, orbitals = e.solver_integrals(), None
         C_F = np.eye(e.n_fragment, e.n_orbitals)  # the fragment rows of the basis
         if window is not None:
-            _check_cap(4 * window, VECTOR_QUBIT_CAP, "exact-solver")
-            ints, orbitals = _rhf_basis(ints, window)
+            ints, orbitals = _rhf_basis(e, 0.0, window)
             C_F = orbitals[0][: e.n_fragment, orbitals[1]]
         sel, E, H = _sector_hamiltonian(ints)
         n_F = (C_F.T @ C_F).ravel()  # summed over the table in its order, as H is
@@ -523,8 +522,8 @@ class VqeFragmentSolver:
 
     def solve(self, e: EmbeddingProblem, prepared: Optional[int], mu: float,
               x0: Optional[np.ndarray] = None) -> FragmentSolution:
-        """VQE in the RHF orbitals of the mu-shifted embedding (or a window of them) from ``x0``."""
-        acts, orbitals = _rhf_basis(e.solver_integrals(mu), prepared)
+        """VQE from ``x0`` in the orbitals of the embedding at mu (or a window of them)."""
+        acts, orbitals = _rhf_basis(e, mu, prepared)
         problem, spec = molecular_problem(
             acts, self.mapping, self.layers, estimator=self.estimator, optimizer=self.optimizer,
             initial=self.initial, initial_seed=self.initial_seed, restarts=self.restarts,
@@ -643,8 +642,9 @@ def run_dmet(
     solver is any object with ``prepare(e, window)`` and ``solve(e, prepared,
     mu, x0)`` returning a ``FragmentSolution``: every window is checked, then
     ``solver.prepare`` runs once per representative, before the first solve.
-    A fragment's SCF, non-finite-objective or degenerate-ground-state failure
-    propagates with the fragment index and mu added to its message.
+    ``mf`` is the only mean field: no embedding runs an SCF.  A fragment's
+    non-finite-objective or degenerate-ground-state failure propagates with
+    the fragment index and mu added to its message.
     """
     fragmentation.validate_cover(m.n_orbitals)
     fragments = fragmentation.fragments
@@ -654,7 +654,7 @@ def run_dmet(
     def named(i: int, mu: float, call):  # a fragment's failure names the fragment and mu
         try:
             return call()
-        except (ScfConvergenceError, NonFiniteObjectiveError, DegenerateGroundStateError) as exc:
+        except (NonFiniteObjectiveError, DegenerateGroundStateError) as exc:
             exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
             raise
 

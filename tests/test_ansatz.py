@@ -103,8 +103,8 @@ class TestMolecularProblem:
     def integrals(self, request, h4, h4_mf):
         if request.param == "h2":
             return request.getfixturevalue("h2")[0]
-        # the H4 embedding of orbitals 0 and 1 in its own RHF orbitals, as a VQE solve sees it
-        return _rhf_basis(build_embedding(h4[0], h4_mf, (0, 1)).solver_integrals(), None)[0]
+        # the H4 embedding of orbitals 0 and 1 in its mean-field orbitals, as a VQE solve sees it
+        return _rhf_basis(build_embedding(h4[0], h4_mf, (0, 1)), 0.0, None)[0]
 
     @pytest.mark.parametrize("mapping", [MappingSpec(JORDAN_WIGNER), MappingSpec(PARITY),
                                          MappingSpec(PARITY, two_qubit_reduction=True)],

@@ -17,9 +17,10 @@ import vqemb.ansatz as ansatz_mod
 import vqemb.cli as cli_mod
 import vqemb.dmet as dmet_mod
 import vqemb.vqe as vqe_mod
-from vqemb.chem import ScfConvergenceError, active_space
+from vqemb.chem import active_space
 from vqemb.cli import CONFIG_KEYS, build_parser, load_config, main
 from vqemb.dmet import full_ci_ground_energy
+from vqemb.optimize import NonFiniteObjectiveError
 from vqemb.pauli import QubitHamiltonian
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -499,10 +500,10 @@ class TestDmetCommand:
         assert abs(energy - oracle) < 5e-3
 
     def test_vqe_fragment_failure_exits_1_naming_the_fragment(self, outdir, capsys, monkeypatch):
-        def failing_rhf(*args, **kwargs):
-            raise ScfConvergenceError("forced failure", density_change=1.0)
+        def nan_objective(*args, **kwargs):
+            raise NonFiniteObjectiveError(float("nan"), 3)
 
-        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", failing_rhf)
+        monkeypatch.setattr(dmet_mod.vqe_mod, "solve", nan_objective)
         assert run(["dmet", "--config", CONFIGS / "h2_dmet_vqe.yaml", "--out", outdir]) == 1
         assert "fragment 0" in capsys.readouterr().err
         assert not (outdir / "dmet_result.txt").exists()
@@ -511,7 +512,7 @@ class TestDmetCommand:
         # two electrons on two equal non-interacting levels: four degenerate ground states
         degenerate = dmet_mod.EmbeddingProblem(
             one_body_bare=-np.eye(2), env_fold=np.zeros((2, 2)), two_body=np.zeros((2,) * 4),
-            n_fragment=1, n_electrons=2, core_energy=0.0,
+            fock=-np.eye(2), n_fragment=1, n_electrons=2, core_energy=0.0,
         )
         monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: degenerate)
         assert run(["dmet", "--config", CONFIGS / "h4_dmet.yaml", "--out", outdir]) == 1
@@ -526,7 +527,7 @@ class TestDmetCommand:
         # zero integrals on two orbitals and two electrons: four degenerate ground states
         zero = dmet_mod.EmbeddingProblem(
             one_body_bare=np.zeros((2, 2)), env_fold=np.zeros((2, 2)), two_body=np.zeros((2,) * 4),
-            n_fragment=1, n_electrons=2, core_energy=0.0,
+            fock=np.zeros((2, 2)), n_fragment=1, n_electrons=2, core_energy=0.0,
         )
         monkeypatch.setattr(dmet_mod, "build_embedding", lambda *args: zero)
         cfg = tmp_path / "c.yaml"

@@ -14,9 +14,11 @@ import vqemb.chem as chem_mod
 import vqemb.dmet as dmet_mod
 from vqemb.ansatz import HeaConfig, build_hea
 from vqemb.chem import (
+    MeanField,
     MolecularIntegrals,
     ScfConvergenceError,
     active_space,
+    coulomb_exchange,
     restricted_hartree_fock,
 )
 from vqemb.dmet import (
@@ -125,19 +127,19 @@ def degenerate_levels():
     n = 2
     return EmbeddingProblem(
         one_body_bare=-np.eye(n), env_fold=np.zeros((n, n)), two_body=np.zeros((n,) * 4),
-        n_fragment=1, n_electrons=2, core_energy=0.0,
+        fock=-np.eye(n), n_fragment=1, n_electrons=2, core_energy=0.0,
     )
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap ``vqemb.dmet.<name>`` so that each call appends its arguments to the returned list."""
-    calls, original = [], getattr(dmet_mod, name)
+def _count_calls(monkeypatch, name, module=dmet_mod):
+    """Wrap ``module.<name>`` so that each call appends its arguments to the returned list."""
+    calls, original = [], getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dmet_mod, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -207,6 +209,29 @@ class TestFragmentHamiltonian:
         off = delta - np.diag(np.diag(delta))
         assert np.allclose(off, 0.0)
         assert np.allclose(np.diag(delta)[2:], 0.0)
+
+    @pytest.mark.parametrize(
+        "system,fragments",
+        [("h4", ((0, 1), (2, 3), (0,), (1,), (2,), (3,))), ("h10", H10_FRAGMENTS["5x2"]),
+         ("h10", H10_FRAGMENTS["2+3+3+2"])],
+        ids=["h4", "h10-5x2", "h10-2+3+3+2"],
+    )
+    def test_fock_is_the_mean_field_of_the_projected_density(self, system, fragments, request):
+        # the Schmidt embedding of the lattice RHF state holds its mean field: no SCF needed
+        m, _ = request.getfixturevalue(system)
+        mf = request.getfixturevalue(f"{system}_mf")
+        for fragment in fragments:
+            e = build_embedding(m, mf, fragment)
+            basis, _ = make_bath(mf, fragment)
+            P = basis.T @ mf.density @ basis
+            J, K = coulomb_exchange(e.two_body, P)
+            fock_at_P = e.one_body_bare + e.env_fold + J - 0.5 * K
+            assert np.allclose(e.fock, fock_at_P, rtol=0, atol=1e-8)
+            occupied = np.linalg.eigh(e.fock)[1][:, : e.n_electrons // 2]
+            aufbau = 2.0 * occupied @ occupied.T
+            assert np.allclose(aufbau, P, rtol=0, atol=1e-12)
+            scf = restricted_hartree_fock(e.solver_integrals()).density
+            assert np.allclose(aufbau, scf, rtol=0, atol=1e-8)
 
 
 # (system, active-space window or None for all orbitals, encoding): every case
@@ -402,14 +427,16 @@ class TestWindowedSectorOperator:
         for fragment in fragments:
             e = build_embedding(m, mf, fragment)
             n, F = e.n_orbitals, e.n_fragment
-            rhf = restricted_hartree_fock(e.solver_integrals())
-            C = rhf.orbital_coeffs
+            # the window is fixed at the orbitals of the embedding's Fock matrix at mu = 0;
+            # active_space reads only the orbitals and their energies
+            eps, C = np.linalg.eigh(e.fock)
+            orbitals = MeanField(C, eps, density=None, hf_energy=None)
             prepared = EXACT.prepare(e, window)
             for mu in (0.0, 0.05):
-                acts, info = active_space(e.solver_integrals(mu), rhf, window)
+                acts, info = active_space(e.solver_integrals(mu), orbitals, window)
                 _, state = sector_ground_state(acts)
                 # the active state with every frozen orbital doubly occupied, on
-                # the full register of the RHF orbitals (mode 0 on the top bit)
+                # the full register of those orbitals (mode 0 on the top bit)
                 lo, hi = info.active_orbitals[0], info.active_orbitals[-1] + 1
                 frozen_bits = ((1 << 2 * lo) - 1) << 2 * (n - lo)
                 full = np.zeros(1 << 2 * n)
@@ -424,16 +451,17 @@ class TestWindowedSectorOperator:
                 assert sol.n_electrons == pytest.approx(np.trace(gamma[:F, :F]), abs=1e-10)
 
     def test_one_rhf_per_embedding_and_no_probes(self, h10, h10_mf, monkeypatch):
-        rhf = _count_calls(monkeypatch, "restricted_hartree_fock")
+        rhf = _count_calls(monkeypatch, "restricted_hartree_fock", chem_mod)
         solver = CountingSolver()
         res = run_dmet(h10[0], h10_mf, Fragmentation(H10_FRAGMENTS["5x2"]), solver, window=2)
         assert res.converged
-        assert len(rhf) == 3  # one per mirror class, at mu = 0
+        # no SCF: every window reads its embedding's projected lattice Fock matrix
+        assert len(rhf) == 0 and not hasattr(dmet_mod, "restricted_hartree_fock")
         assert res.fragment_solves == len(solver.solves) == 6 == 3 * len(res.trace)
 
     @pytest.mark.parametrize(
         "name,window,total_energy,mu,steps",
-        [("5x2", 1, -5.380716561319, -0.011648605195, 3),
+        [("5x2", 1, -5.380716561319, -0.011648607310, 3),
          ("2+3+3+2", 2, -5.436288174842, -0.001559892309, 2)],
     )
     def test_h10_windowed_runs_are_pinned(
@@ -446,19 +474,14 @@ class TestWindowedSectorOperator:
         assert len(res.trace) == steps
 
     def test_cap_is_checked_before_the_scf(self, h10, h10_mf, monkeypatch):
-        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
+        # the cap on the active register is checked before anything is built
+        def no_build(*args):
+            raise AssertionError("built the excitation table past the cap")
+
+        monkeypatch.setattr(dmet_mod, "_excitation_operators", no_build)
         halves = Fragmentation(((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
         with pytest.raises(ValueError, match="16 qubits exceeds the exact-solver cap of 14"):
             run_dmet(h10[0], h10_mf, halves, window=4)
-
-    def test_scf_failure_names_the_fragment_before_the_first_solve(
-        self, h4, h4_mf, monkeypatch
-    ):
-        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
-        solver = CountingSolver()
-        with pytest.raises(ScfConvergenceError, match=r"^fragment 0 at mu=0\.0: forced failure$"):
-            run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver, window=1)
-        assert solver.solves == []
 
 
 def _digest(*arrays):
@@ -656,7 +679,7 @@ class TestSolveFragment:
         # zero integrals on two orbitals and two electrons: all four determinants are ground states
         zero = EmbeddingProblem(
             one_body_bare=np.zeros((2, 2)), env_fold=np.zeros((2, 2)), two_body=np.zeros((2,) * 4),
-            n_fragment=1, n_electrons=2, core_energy=0.0,
+            fock=np.zeros((2, 2)), n_fragment=1, n_electrons=2, core_energy=0.0,
         )
         gap = r"gap to the next root is 0\.000e\+00 Ha"
         with pytest.raises(DegenerateGroundStateError, match=gap):
@@ -700,15 +723,6 @@ class TestSolveFragment:
         via_vqe = solve_fragment(e, solver)
         assert abs(via_vqe.energy - exact.energy) < 2e-3
         assert via_vqe.n_electrons == pytest.approx(exact.n_electrons, abs=1e-3)
-
-    def test_vqe_failure_without_fallback_raises(self, h2, h2_mf, monkeypatch):
-        monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
-        e = build_embedding(h2[0], h2_mf, (0,))
-        solver = VqeFragmentSolver(
-            optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
-        )
-        with pytest.raises(ScfConvergenceError):
-            solve_fragment(e, solver)
 
 
 class TestVqeFragmentSolver:
@@ -853,17 +867,19 @@ class TestRunDmet:
             run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver, window=window)
         assert solver.solves == []
 
-    @pytest.mark.parametrize("failure", ["scf", "non-finite"])
-    def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
-        if failure == "scf":
-            monkeypatch.setattr(dmet_mod, "restricted_hartree_fock", _failing_rhf)
-            error, reason = ScfConvergenceError, "forced failure"
-        else:
-            def nan_objective(*args, **kwargs):
-                raise NonFiniteObjectiveError(float("nan"), 3)
+    # what a VQE fragment solve can raise: (error type, its arguments, its message); an
+    # exact solve's degenerate ground state is test_degenerate_fragment_stops_the_run_...'s
+    VQE_FAILURES = {"non-finite": (NonFiniteObjectiveError, (float("nan"), 3),
+                                   "non-finite objective value nan at iteration 3")}
 
-            monkeypatch.setattr(dmet_mod.vqe_mod, "solve", nan_objective)
-            error, reason = NonFiniteObjectiveError, "non-finite objective value nan at iteration 3"
+    @pytest.mark.parametrize("failure", list(VQE_FAILURES))
+    def test_fragment_failure_names_the_fragment_and_mu(self, h2, h2_mf, monkeypatch, failure):
+        error, args, reason = self.VQE_FAILURES[failure]
+
+        def failing(*_, **__):
+            raise error(*args)
+
+        monkeypatch.setattr(dmet_mod.vqe_mod, "solve", failing)
         solver = VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact")
         )
