@@ -102,7 +102,24 @@ BAD_CONFIGS = {
         "oracle", CHAIN5 + f", fcidump: {ROOT}/fixtures/h2.fcidump}}\n", "system.fcidump",
     ),
     "hamiltonian-with-mapping": ("oracle", CHAIN5 + "}\nmapping: {kind: parity}\n", "mapping"),
+    # a zero tolerance is one the chemical-potential loop can never reach
+    "mu-tol-zero": ("dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], mu_tol: 0}\n", "dmet.mu_tol"),
+    "no-windows": ("resources", H10 + "resources: {windows: []}\n", "resources.windows"),
 }
+
+# name -> a qubit Hamiltonian file that describes no system
+BAD_HAMILTONIANS = {
+    "invalid-letter": "nqubits=2\n-1.0 0.0 XQ\n",
+    "short-word": "nqubits=2\n-1.0 0.0 X\n",
+    "no-qubits": "nqubits=0\n",
+    "non-hermitian": "nqubits=2\n0.0 1.0 ZI\n",
+}
+# a row's fourth entry is written to bad.ham in the working directory
+BAD_CONFIGS.update({
+    f"hamiltonian-{name}-{verb}": (verb, "system: {hamiltonian: bad.ham}\n", "system.hamiltonian",
+                                   text)
+    for name, text in BAD_HAMILTONIANS.items() for verb in ("vqe", "deparam", "oracle")
+})
 
 # id -> (verb, config text, the section.key and value the error must name):
 # active-space windows wider than the orbitals on one side of H4's gap
@@ -223,8 +240,11 @@ class TestExitCodes:
         assert not (outdir / "vqe_result.txt").exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-    def test_bad_config_exits_2_naming_the_key(self, tmp_path, outdir, capsys, case):
-        verb, text, name = BAD_CONFIGS[case]
+    def test_bad_config_exits_2_naming_the_key(self, tmp_path, outdir, capsys, monkeypatch, case):
+        verb, text, name, *hamiltonian = BAD_CONFIGS[case]
+        monkeypatch.chdir(tmp_path)
+        for body in hamiltonian:
+            (tmp_path / "bad.ham").write_text(body)
         cfg = tmp_path / "c.yaml"
         cfg.write_text(text)
         assert run([verb, "--config", cfg, "--out", outdir]) == 2

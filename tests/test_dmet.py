@@ -913,6 +913,19 @@ class TestRunDmet:
         assert trace[0] == (0.0, 1.25)
         assert len(trace) > 1 and all(f >= 1.0 for _, f in trace)
 
+    def test_non_finite_mismatch_raises_with_the_trace(self, h2, h2_mf):
+        solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: float("nan"))
+        with pytest.raises(DmetConvergenceError) as info:
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver)
+        (mu, f), = info.value.trace
+        assert mu == 0.0 and np.isnan(f)
+
+    @pytest.mark.parametrize("mu_tol", [0.0, -1e-6, float("nan")])
+    def test_mu_tol_must_be_positive(self, h2, h2_mf, mu_tol):
+        solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: mu)
+        with pytest.raises(ValueError, match="mu_tol"):
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver, mu_tol=mu_tol)
+
     def test_windowed_reduction_is_sane(self, h4, h4_mf):
         m, _ = h4
         res = run_dmet(m, h4_mf, Fragmentation(((0, 1), (2, 3))), window=1)
