@@ -582,9 +582,9 @@ class DmetResult:
         return "\n".join(lines) + "\n"
 
 
-# Newton steps (and, after them, bisection steps) on mu, and the central
-# finite-difference step of the electron-count derivative, which only VQE
-# solves need (module docstring): every exact solve returns its slope.
+# Newton steps on mu, and the central finite-difference step of the
+# electron-count derivative, which only VQE solves need (module docstring):
+# every exact solve returns its slope.
 _MU_MAX_STEPS = 30
 _MU_FD_STEP = 1e-4
 
@@ -635,8 +635,11 @@ def run_dmet(
     A single global chemical potential shifts every fragment's diagonal until
     the summed fragment electron counts match the molecule.  The derivative is
     the sum of the exact solves' slopes; VQE solves carry none, so there it
-    comes from central finite differences.  A bisection fallback on a
-    bracketed interval takes over if Newton steps stop improving.  Each
+    comes from central finite differences.  Newton is the only matching: when
+    its steps end (at ``_MU_MAX_STEPS``, on a flat or non-finite slope, or on
+    a step past |mu| = 1e3) with |mismatch| > ``mu_tol`` or a non-finite
+    mismatch, ``DmetConvergenceError`` carries the (mu, mismatch) trace, so
+    every returned result is converged.  ``mu_tol`` must be positive.  Each
     mirror class of fragments (``_mirror_representatives``) is embedded and
     solved once per mu, and VQE warm starts follow the representative.  A
     solver is any object with ``prepare(e, window)`` and ``solve(e, prepared,
@@ -646,6 +649,8 @@ def run_dmet(
     non-finite-objective or degenerate-ground-state failure propagates with
     the fragment index and mu added to its message.
     """
+    if not 0 < mu_tol < math.inf:
+        raise ValueError(f"mu_tol must be a positive finite number, got {mu_tol!r}")
     fragmentation.validate_cover(m.n_orbitals)
     fragments = fragmentation.fragments
     solved_as = _mirror_representatives(m, mf, fragments)
@@ -678,13 +683,9 @@ def run_dmet(
         mismatch = float(sum(s.n_electrons for s in sols)) - m.n_electrons
         return mismatch, sols
 
-    trace: list[tuple[float, float]] = []
-    history: list[tuple[float, float]] = []
-
     mu = 0.0
     mismatch, sols = evaluate(mu)
-    trace.append((mu, mismatch))
-    history.append((mu, mismatch))
+    trace = [(mu, mismatch)]
 
     steps = 0
     while abs(mismatch) > mu_tol and steps < _MU_MAX_STEPS:
@@ -693,7 +694,6 @@ def run_dmet(
         else:
             f_plus, _ = evaluate(mu + _MU_FD_STEP)
             f_minus, _ = evaluate(mu - _MU_FD_STEP)
-            history.extend([(mu + _MU_FD_STEP, f_plus), (mu - _MU_FD_STEP, f_minus)])
             deriv = (f_plus - f_minus) / (2.0 * _MU_FD_STEP)
         if abs(deriv) < 1e-14 or not math.isfinite(deriv):
             break
@@ -703,11 +703,13 @@ def run_dmet(
         mu = mu_next
         mismatch, sols = evaluate(mu)
         trace.append((mu, mismatch))
-        history.append((mu, mismatch))
         steps += 1
 
-    if abs(mismatch) > mu_tol:
-        mu, mismatch, sols = _bisect_mu(evaluate, history, trace, mu_tol)
+    if not abs(mismatch) <= mu_tol:  # NaN included
+        raise DmetConvergenceError(
+            f"Newton steps on mu did not reach |mismatch| <= {mu_tol} after {steps} steps "
+            f"(last {mismatch:.3e})", trace,
+        )
 
     total = float(sum(s.energy for s in sols)) + m.core_energy
     return DmetResult(
@@ -720,30 +722,4 @@ def run_dmet(
         converged=abs(mismatch) <= mu_tol,
         solved_as=solved_as,
         fragment_solves=n_solves,
-    )
-
-
-def _bisect_mu(evaluate, history, trace, mu_tol):
-    """Bisection fallback on a sign-changing bracket from past evaluations."""
-    lo = max((p for p in history if p[1] < 0), key=lambda p: p[0], default=None)
-    hi = min((p for p in history if p[1] > 0), key=lambda p: p[0], default=None)
-    if lo is None or hi is None or lo[0] >= hi[0]:
-        raise DmetConvergenceError(
-            "chemical-potential matching diverged and no bracketing interval was found",
-            trace,
-        )
-    (a, fa), (b, fb) = lo, hi
-    mismatch, sols, mu = fa, None, a
-    for _ in range(_MU_MAX_STEPS):
-        mu = 0.5 * (a + b)
-        mismatch, sols = evaluate(mu)
-        trace.append((mu, mismatch))
-        if abs(mismatch) <= mu_tol:
-            return mu, mismatch, sols
-        if mismatch < 0:
-            a = mu
-        else:
-            b = mu
-    raise DmetConvergenceError(
-        f"bisection did not reach |mismatch| <= {mu_tol} (last {mismatch:.3e})", trace
     )

@@ -886,28 +886,17 @@ class TestRunDmet:
         with pytest.raises(error, match=rf"^fragment 0 at mu=0\.0: {reason}$"):
             run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
 
-    def test_bisection_finishes_when_newton_diverges(self, h2, h2_mf, monkeypatch):
+    def test_diverging_newton_raises_with_the_trace(self, h2, h2_mf):
         # Newton on a cube root doubles the distance to the root every step
         root = 0.1
         solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: np.cbrt(mu - root))
-        bisections = []
-        bisect = dmet_mod._bisect_mu
+        with pytest.raises(DmetConvergenceError, match="Newton steps on mu did not reach") as info:
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver, mu_tol=1e-2)
+        assert max(abs(mu - root) for mu, _ in info.value.trace) > 100  # Newton walked away
 
-        def counting(*args):
-            bisections.append(args)
-            return bisect(*args)
-
-        monkeypatch.setattr(dmet_mod, "_bisect_mu", counting)
-        res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver, mu_tol=1e-2)
-        assert len(bisections) == 1
-        assert max(abs(mu - root) for mu, _ in res.trace) > 100  # Newton walked away
-        assert res.converged
-        assert abs(res.electron_mismatch) <= 1e-2
-        assert abs(res.mu - root) <= 1e-6
-
-    def test_bisection_without_a_sign_change_raises_with_the_trace(self, h2, h2_mf):
+    def test_newton_without_a_root_raises_with_the_trace(self, h2, h2_mf):
         solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: 1.0 + (mu - 0.5) ** 2)
-        with pytest.raises(DmetConvergenceError, match="no bracketing interval") as info:
+        with pytest.raises(DmetConvergenceError, match="Newton steps on mu did not reach") as info:
             run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver)
         trace = info.value.trace
         assert trace[0] == (0.0, 1.25)
