@@ -105,6 +105,29 @@ BAD_CONFIGS = {
     # a zero tolerance is one the chemical-potential loop can never reach
     "mu-tol-zero": ("dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], mu_tol: 0}\n", "dmet.mu_tol"),
     "no-windows": ("resources", H10 + "resources: {windows: []}\n", "resources.windows"),
+    # keys the configured optimizer or estimator never reads
+    "iterations-with-quasi-newton": (
+        "vqe", H2 + "optimizer: {kind: quasi_newton, iterations: 1}\n", "optimizer.iterations",
+    ),
+    "iterations-with-default-optimizer": (
+        "vqe", H2 + "optimizer: {iterations: 1}\n", "optimizer.iterations",
+    ),
+    "max-iter-with-spsa": (
+        "vqe", H2 + "optimizer: {kind: spsa, iterations: 20, seed: 3, max_iter: 1}\n",
+        "optimizer.max_iter",
+    ),
+    "conv-tol-with-spsa": (
+        "vqe", H2 + "optimizer: {kind: spsa, iterations: 20, seed: 3, conv_tol: 0.5}\n",
+        "optimizer.conv_tol",
+    ),
+    "noise-with-exact-estimator": (
+        "vqe", H2 + "mapping: {kind: parity, two_qubit_reduction: true}\n"
+        f"estimator: {{kind: exact, noise: {ROOT}/fixtures/noise_2q_2pct.txt}}\n",
+        "estimator.noise",
+    ),
+    "calibration-shots-with-default-estimator": (
+        "vqe", H2 + "estimator: {calibration_shots: 5}\n", "estimator.calibration_shots",
+    ),
 }
 
 # name -> a qubit Hamiltonian file that describes no system

@@ -3,6 +3,7 @@ chemical-potential loop."""
 
 import hashlib
 import importlib.util
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -892,7 +893,12 @@ class TestRunDmet:
         solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: np.cbrt(mu - root))
         with pytest.raises(DmetConvergenceError, match="Newton steps on mu did not reach") as info:
             run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver, mu_tol=1e-2)
-        assert max(abs(mu - root) for mu, _ in info.value.trace) > 100  # Newton walked away
+        trace = info.value.trace
+        assert max(abs(mu - root) for mu, _ in trace) > 100  # Newton walked away
+        # the stop is the step it refused, not the step count
+        stop = re.search(r"after (\d+) steps .*before the step to mu = (\S+), past \|mu\| = 1e3",
+                         str(info.value))
+        assert stop and int(stop[1]) == len(trace) - 1 < 30 and abs(float(stop[2])) > 1e3
 
     def test_newton_without_a_root_raises_with_the_trace(self, h2, h2_mf):
         solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: 1.0 + (mu - 0.5) ** 2)
@@ -901,6 +907,17 @@ class TestRunDmet:
         trace = info.value.trace
         assert trace[0] == (0.0, 1.25)
         assert len(trace) > 1 and all(f >= 1.0 for _, f in trace)
+        assert "after 30 steps" in str(info.value) and "at the step limit" in str(info.value)
+        assert len(trace) == 31
+
+    def test_flat_mismatch_raises_naming_the_slope(self, h2, h2_mf):
+        # a constant mismatch has a zero slope, so Newton stops before its first step
+        solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: 0.5)
+        with pytest.raises(DmetConvergenceError, match="Newton steps on mu did not reach") as info:
+            run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver)
+        assert info.value.trace == ((0.0, 0.5),)
+        assert "after 0 steps" in str(info.value)
+        assert "on the slope d(mismatch)/d(mu) = 0.0, flat or not finite" in str(info.value)
 
     def test_non_finite_mismatch_raises_with_the_trace(self, h2, h2_mf):
         solver = MismatchSolver(2, h2[0].n_electrons, lambda mu: float("nan"))
@@ -908,6 +925,7 @@ class TestRunDmet:
             run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver)
         (mu, f), = info.value.trace
         assert mu == 0.0 and np.isnan(f)
+        assert "on a non-finite mismatch" in str(info.value)
 
     @pytest.mark.parametrize("mu_tol", [0.0, -1e-6, float("nan")])
     def test_mu_tol_must_be_positive(self, h2, h2_mf, mu_tol):
