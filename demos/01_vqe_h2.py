@@ -49,7 +49,7 @@ OUT.mkdir(exist_ok=True)
 xs = list(range(len(spsa_run.trace.values)))
 (OUT / "vqe_h2_convergence.svg").write_text(
     line_plot(
-        [("SPSA objective", xs, spsa_run.trace.values)],
+        "SPSA objective", xs, spsa_run.trace.values,
         title="VQE on H2 (parity, 2 qubits)",
         xlabel="evaluation",
         ylabel="energy (Ha)",

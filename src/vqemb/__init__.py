@@ -14,7 +14,6 @@ from .chem import (
     active_space,
     parse_fcidump,
     restricted_hartree_fock,
-    write_fcidump,
 )
 from .dmet import (
     DmetResult,

@@ -66,8 +66,8 @@ class MeanField:
 _HEADER_RE = re.compile(r"&FCI(.*)", re.IGNORECASE | re.DOTALL)
 
 
-def parse_fcidump(text) -> MolecularIntegrals:
-    """Parse FCIDUMP text (str or bytes) into MolecularIntegrals.
+def parse_fcidump(text: str) -> MolecularIntegrals:
+    """Parse FCIDUMP text into MolecularIntegrals.
 
     Header: ``&FCI NORB=n,NELEC=m,MS2=0`` closed by ``/`` or ``&END``; any
     other MS2 is refused, since every method here is closed-shell.  Body:
@@ -76,8 +76,6 @@ def parse_fcidump(text) -> MolecularIntegrals:
     two-electron integral (ij|kl) expanded to its 8-fold symmetry images.
     Fortran ``D`` exponents are accepted.  Conflicting duplicate records raise.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     m = _HEADER_RE.search(text)
     if m is None:
         raise ValueError("FCIDUMP header '&FCI' not found")
@@ -163,28 +161,6 @@ def parse_fcidump(text) -> MolecularIntegrals:
         two[image] = values[two_e]
 
     return MolecularIntegrals(n, nelec, core, one, two)
-
-
-def write_fcidump(m: MolecularIntegrals, thresh: float = 0.0) -> str:
-    """Serialize integrals to FCIDUMP text (symmetry-unique records only)."""
-    n = m.n_orbitals
-    lines = [f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0", "/"]
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(n):
-                for l in range(k + 1):
-                    if (i, j) < (k, l):
-                        continue
-                    v = float(m.two_body[i, j, k, l])
-                    if abs(v) > thresh:
-                        lines.append(f"{v!r} {i+1} {j+1} {k+1} {l+1}")
-    for i in range(n):
-        for j in range(i + 1):
-            v = float(m.one_body[i, j])
-            if abs(v) > thresh:
-                lines.append(f"{v!r} {i+1} {j+1} 0 0")
-    lines.append(f"{float(m.core_energy)!r} 0 0 0 0")
-    return "\n".join(lines) + "\n"
 
 
 # -- mean field ----------------------------------------------------------------

@@ -132,6 +132,15 @@ CONFIG_KEYS = {
 }
 
 
+# section -> kind -> the keys that kind never reads.  Seeds, shots and mitigation
+# are not listed: --seed, --shots and --mitigation set them under every verb.
+_UNREAD_KEYS = {
+    "estimator": (EstimatorSpec, {"exact": ("noise", "calibration_shots")}),
+    "optimizer": (OptimizerSpec, {"quasi_newton": ("iterations",),
+                                  "spsa": ("max_iter", "conv_tol")}),
+}
+
+
 def _check(data: dict, flags: dict) -> dict:
     """section -> key -> checked value, for the keys in ``data`` or set by ``flags``."""
     cfg = {section: {} for section in CONFIG_KEYS}
@@ -193,6 +202,11 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
             raise ConfigError("system.window: a qubit Hamiltonian has no orbitals to window")
         if cfg["mapping"]:
             raise ConfigError("mapping: a qubit Hamiltonian is not mapped again")
+    for section, (spec, unread) in _UNREAD_KEYS.items():
+        kind = cfg[section].get("kind", spec.kind)
+        for key in unread.get(kind, ()):
+            if key in cfg[section]:
+                raise ConfigError(f"{section}.{key}: the {kind} {section} does not read it")
     vqe = cfg["vqe"]
     if "seed" in vqe:
         vqe["initial_seed"] = vqe.pop("seed")
@@ -282,7 +296,7 @@ def cmd_vqe(cfg: dict) -> int:
     write_atomic(out / "vqe_trace.csv", result.trace.to_csv())
     xs = list(range(len(result.trace.values)))
     plot = svg.line_plot(
-        [("objective", xs, result.trace.values)],
+        "objective", xs, result.trace.values,
         title="VQE convergence",
         xlabel="evaluation",
         ylabel="energy (Ha)",
@@ -314,7 +328,7 @@ def cmd_deparam(cfg: dict) -> int:
     write_atomic(
         out / "deparam_params.svg",
         svg.line_plot(
-            [("trainable parameters", steps, params)],
+            "trainable parameters", steps, params,
             title="Parameter reduction",
             xlabel="step",
             ylabel="parameters",
@@ -323,7 +337,7 @@ def cmd_deparam(cfg: dict) -> int:
     write_atomic(
         out / "deparam_error.svg",
         svg.line_plot(
-            [("relative error", steps, errors)],
+            "relative error", steps, errors,
             title="Accuracy under deparameterisation",
             xlabel="step",
             ylabel="relative error",

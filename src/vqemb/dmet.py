@@ -638,10 +638,11 @@ def run_dmet(
     comes from central finite differences.  Newton is the only matching: when
     its steps end (at ``_MU_MAX_STEPS``, on a flat or non-finite slope, or on
     a step past |mu| = 1e3) with |mismatch| > ``mu_tol`` or a non-finite
-    mismatch, ``DmetConvergenceError`` carries the (mu, mismatch) trace, so
-    every returned result is converged.  ``mu_tol`` must be positive.  Each
-    mirror class of fragments (``_mirror_representatives``) is embedded and
-    solved once per mu, and VQE warm starts follow the representative.  A
+    mismatch, ``DmetConvergenceError`` names that stop and carries the (mu,
+    mismatch) trace, so every returned result is converged.  ``mu_tol`` must
+    be positive.  Each mirror class of fragments (``_mirror_representatives``)
+    is embedded and solved once per mu, and VQE warm starts follow the
+    representative.  A
     solver is any object with ``prepare(e, window)`` and ``solve(e, prepared,
     mu, x0)`` returning a ``FragmentSolution``: every window is checked, then
     ``solver.prepare`` runs once per representative, before the first solve.
@@ -687,7 +688,7 @@ def run_dmet(
     mismatch, sols = evaluate(mu)
     trace = [(mu, mismatch)]
 
-    steps = 0
+    steps, stop = 0, f"at the step limit of {_MU_MAX_STEPS}"
     while abs(mismatch) > mu_tol and steps < _MU_MAX_STEPS:
         if all(s.slope is not None for s in sols):
             deriv = sum(s.slope for s in sols)
@@ -696,9 +697,11 @@ def run_dmet(
             f_minus, _ = evaluate(mu - _MU_FD_STEP)
             deriv = (f_plus - f_minus) / (2.0 * _MU_FD_STEP)
         if abs(deriv) < 1e-14 or not math.isfinite(deriv):
+            stop = f"on the slope d(mismatch)/d(mu) = {deriv!r}, flat or not finite"
             break
         mu_next = mu - mismatch / deriv
         if not math.isfinite(mu_next) or abs(mu_next) > 1e3:
+            stop = f"before the step to mu = {mu_next!r}, past |mu| = 1e3"
             break
         mu = mu_next
         mismatch, sols = evaluate(mu)
@@ -706,9 +709,11 @@ def run_dmet(
         steps += 1
 
     if not abs(mismatch) <= mu_tol:  # NaN included
+        if not math.isfinite(mismatch):
+            stop = "on a non-finite mismatch"
         raise DmetConvergenceError(
             f"Newton steps on mu did not reach |mismatch| <= {mu_tol} after {steps} steps "
-            f"(last {mismatch:.3e})", trace,
+            f"(last {mismatch:.3e}), stopped {stop}", trace,
         )
 
     total = float(sum(s.energy for s in sols)) + m.core_energy

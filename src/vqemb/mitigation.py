@@ -162,7 +162,7 @@ class TrexGroupEstimator:
     redone for another register width.
     """
 
-    def __init__(self, cal_shots: int = 20000):
+    def __init__(self, cal_shots: int):
         self.cal_shots = cal_shots
         self._cal_width = None
         self._cal_outcomes = None

@@ -69,13 +69,13 @@ def _checked(f, x, iteration):
 
 _SPSA_ALPHA = 0.602  # step-size decay exponent (Spall's standard gain schedule)
 _SPSA_GAMMA = 0.101  # perturbation decay exponent
+_SPSA_C = 0.1  # perturbation scale c
 
 
 def spsa(
     f,
     x0,
     iterations: int = 100,
-    c: float = 0.1,
     seed: int = 0,
 ) -> tuple[np.ndarray, OptimizerTrace]:
     """SPSA with Rademacher perturbations and gain sequences
@@ -88,8 +88,6 @@ def spsa(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if c <= 0:
-        raise ValueError("perturbation scale c must be positive")
     x = np.array(x0, dtype=float)
     rng = np.random.default_rng(seed)
     A = iterations / 10.0
@@ -97,8 +95,8 @@ def spsa(
     magnitudes = []
     for _ in range(10):
         delta = rng.choice((-1.0, 1.0), size=x.shape)
-        df = _checked(f, x + c * delta, 0) - _checked(f, x - c * delta, 0)
-        magnitudes.append(abs(df) / (2.0 * c))
+        df = _checked(f, x + _SPSA_C * delta, 0) - _checked(f, x - _SPSA_C * delta, 0)
+        magnitudes.append(abs(df) / (2.0 * _SPSA_C))
     mean_mag = float(np.mean(magnitudes))
     a = 0.1 * (1.0 + A) ** _SPSA_ALPHA / mean_mag if mean_mag > 1e-12 else 0.1
 
@@ -106,7 +104,7 @@ def spsa(
     start = time.perf_counter()
     for k in range(iterations):
         ak = a / (k + 1.0 + A) ** _SPSA_ALPHA
-        ck = c / (k + 1.0) ** _SPSA_GAMMA
+        ck = _SPSA_C / (k + 1.0) ** _SPSA_GAMMA
         delta = rng.choice((-1.0, 1.0), size=x.shape)
         x_plus, x_minus = x + ck * delta, x - ck * delta
         f_plus = _checked(f, x_plus, k)

@@ -290,12 +290,6 @@ class ReadoutNoiseModel:
             ((1 - a, b), (a, 1 - b)) for a, b in zip(p10, p01)
         ))
 
-    def to_text(self) -> str:
-        lines = [f"nqubits={self.n_qubits}"]
-        for a, b in self.flip_probs():
-            lines.append(f"{float(a)!r} {float(b)!r}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "ReadoutNoiseModel":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]

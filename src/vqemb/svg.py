@@ -1,6 +1,6 @@
 """Minimal self-contained SVG line plots.
 
-Deterministic output: fixed viewport, fixed palette, `%.6g` number
+Deterministic output: fixed viewport, fixed colours, `%.6g` number
 formatting, no timestamps or generated ids, so identical inputs yield
 byte-identical files.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
@@ -20,17 +20,18 @@ def _fmt(v: float) -> str:
 
 
 def line_plot(
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    label: str,
+    xs: Sequence[float],
+    ys: Sequence[float],
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     hline: Optional[tuple[str, float]] = None,
 ) -> str:
-    """Render (label, xs, ys) series as an SVG document string."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
+    """Render one labelled (xs, ys) curve as an SVG document string."""
+    xs_all, ys_all = list(xs), list(ys)
     if hline is not None:
-        ys_all = ys_all + [hline[1]]
+        ys_all.append(hline[1])
     if not xs_all:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -78,26 +79,22 @@ def line_plot(
         )
 
     if hline is not None:
-        label, y = hline
+        hline_label, y = hline
         out.append(
             f'<line x1="{_ML}" y1="{py(y):.2f}" x2="{_W - _MR}" y2="{py(y):.2f}" '
             f'stroke="#555555" stroke-dasharray="6 4"/>'
         )
         out.append(
             f'<text x="{_W - _MR - 4}" y="{py(y) - 5:.2f}" text-anchor="end" '
-            f'fill="#555555">{label}</text>'
+            f'fill="#555555">{hline_label}</text>'
         )
 
-    for i, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
-        )
-        if label:
-            ly = _MT + 16 * (i + 1)
-            out.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-            out.append(f'<text x="{_W - 140}" y="{ly}">{label}</text>')
+    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    out.append(f'<polyline fill="none" stroke="{_COLOR}" stroke-width="1.5" points="{points}"/>')
+    if label:
+        ly = _MT + 16
+        out.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" y2="{ly - 4}" stroke="{_COLOR}" stroke-width="1.5"/>')
+        out.append(f'<text x="{_W - 140}" y="{ly}">{label}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

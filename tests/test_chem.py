@@ -11,7 +11,6 @@ from vqemb.chem import (
     active_space,
     parse_fcidump,
     restricted_hartree_fock,
-    write_fcidump,
 )
 from vqemb.dmet import full_ci_ground_energy
 
@@ -167,17 +166,6 @@ class TestParse:
     def test_open_shell_refused(self):
         with pytest.raises(ValueError, match="MS2=2"):
             parse_fcidump("&FCI NORB=2,NELEC=2,MS2=2\n/\n")
-
-    def test_bytes_accepted(self, fixtures_dir):
-        m = parse_fcidump((fixtures_dir / "h2.fcidump").read_bytes())
-        assert m.n_orbitals == 2
-
-    def test_round_trip_bit_exact(self, h2):
-        m, _ = h2
-        again = parse_fcidump(write_fcidump(m))
-        assert np.array_equal(m.one_body, again.one_body)
-        assert np.array_equal(m.two_body, again.two_body)
-        assert m.core_energy == again.core_energy
 
 
 class TestHartreeFock:
