@@ -128,6 +128,13 @@ BAD_CONFIGS = {
     "calibration-shots-with-default-estimator": (
         "vqe", H2 + "estimator: {calibration_shots: 5}\n", "estimator.calibration_shots",
     ),
+    # the calibration budget is a constant of vqemb.vqe, not a config key
+    "calibration-shots-with-sampled-estimator": (
+        "vqe", H2 + "mapping: {kind: parity, two_qubit_reduction: true}\n"
+        "estimator: {kind: sampled, shots: 100, seed: 1, calibration_shots: 5}\n"
+        "optimizer: {kind: spsa, iterations: 5, seed: 3}\n",
+        "estimator.calibration_shots",
+    ),
 }
 
 # name -> a qubit Hamiltonian file that describes no system

@@ -733,8 +733,9 @@ class TestVqeFragmentSolver:
         ({"restarts": 2}, "multi-start requires an initial seed"),
         ({"estimator": EstimatorSpec("sampled", seed=1)}, "quasi-Newton optimizer needs exact"),
         ({"layers": -1}, "layers must be >= 0"),
+        ({"restarts": 0}, "restarts must be >= 1, got 0"),
     ], ids=["unknown-initial", "random-without-seed", "restarts-without-seed", "sampled-lbfgs",
-            "negative-layers"])
+            "negative-layers", "no-restarts"])
     def test_bad_settings_are_refused_at_construction(self, settings, message):
         with pytest.raises(ValueError, match=message):
             VqeFragmentSolver(**settings)

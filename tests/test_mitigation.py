@@ -246,6 +246,12 @@ class TestTrex:
         with pytest.raises(ValueError, match="finite positive mass"):
             TrexGroupEstimator(1000).estimate_group(state, PauliWord("XZ"), [(1.0, 0b11)], 100, noise, 1)
 
+    @pytest.mark.parametrize("cal_shots", [0, -5])
+    def test_nonpositive_calibration_budget_rejected(self, cal_shots):
+        # an empty calibration would give a NaN attenuation
+        with pytest.raises(ValueError, match="cal_shots must be positive"):
+            TrexGroupEstimator(cal_shots)
+
     def test_standalone_is_the_group_estimator(self):
         noise = ReadoutNoiseModel.uniform(4, 0.03)
         for observable, cal_shots in (("ZZZZ", None), ("ZIZI", 3000), ("IIII", None)):

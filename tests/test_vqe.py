@@ -1,5 +1,8 @@
 """End-to-end VQE solves against the dense oracle."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,25 @@ class TestSolve:
         with pytest.raises(ValueError, match="exact gradients"):
             VqeProblem(h, circuit, EstimatorSpec("sampled", shots=100, seed=1),
                        OptimizerSpec("quasi_newton"))
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"iterations": 0}, "optimizer.iterations must be >= 1, got 0"),
+        ({"max_iter": 0}, "optimizer.max_iter must be >= 1, got 0"),
+        ({"conv_tol": -1.0}, "optimizer.conv_tol must be finite and >= 0, got -1.0"),
+        ({"conv_tol": math.nan}, "optimizer.conv_tol must be finite and >= 0, got nan"),
+        ({"conv_tol": math.inf}, "optimizer.conv_tol must be finite and >= 0, got inf"),
+    ], ids=["no-iterations", "no-max-iter", "negative-conv-tol", "nan-conv-tol", "inf-conv-tol"])
+    def test_bad_optimizer_settings_rejected(self, settings, message):
+        # without the check, max_iter=0 ends H2 at -0.883636 and conv_tol=-1 at -0.520567
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerSpec(**settings)
+
+    def test_zero_restarts_rejected(self, h2_reduced):
+        # without the check, solve runs no optimizer and returns None
+        h, circuit, _, _ = h2_reduced
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            VqeProblem(h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
+                       restarts=0)
 
     def test_qubit_count_mismatch_rejected(self, h2_reduced):
         h, _, _, _ = h2_reduced
