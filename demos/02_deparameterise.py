@@ -16,7 +16,7 @@ from vqemb import (
     VqeProblem,
     build_hea,
     deparameterise,
-    solve,
+    relative_error,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,11 +35,10 @@ problem = VqeProblem(
     initial_seed=2,
     restarts=3,
 )
-baseline = solve(problem, reference=oracle)
-print(f"baseline VQE: {baseline.energy:.8f}  rel err {baseline.relative_error:.2e}  "
+report = deparameterise(problem, oracle, tolerance=1e-2)
+print(f"baseline VQE: {report.baseline_energy:.8f}  "
+      f"rel err {relative_error(report.baseline_energy, oracle):.2e}  "
       f"({circuit.n_parameters} parameters)")
-
-report = deparameterise(problem, oracle, tolerance=1e-2, baseline=baseline)
 print(f"\n{'step':>4} {'gate':>4} {'angle':>9} {'energy':>12} {'rel err':>9} {'params':>7}")
 for i, step in enumerate(report.steps, start=1):
     tag = " (virtual identity)" if step.virtual_identity else ""

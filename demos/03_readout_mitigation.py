@@ -8,9 +8,9 @@ value within their error bars.
 
 import math
 
-from vqemb import ReadoutNoiseModel, calibrate, sampled_expectation, trex_expectation
-from vqemb.mitigation import M3GroupEstimator
-from vqemb.pauli import PauliWord, QubitHamiltonian
+from vqemb import ReadoutNoiseModel, calibrate, sampled_expectation
+from vqemb.mitigation import M3GroupEstimator, TrexGroupEstimator
+from vqemb.pauli import QubitHamiltonian
 from vqemb.simulator import Circuit, CnotGate, FrozenSlot, RyGate
 
 ghz = Circuit(4, [RyGate(0, FrozenSlot(math.pi / 2)),
@@ -33,8 +33,8 @@ m3_value, m3_err = sampled_expectation(
 print(f"subspace inversion:            {m3_value:+.4f} +- {m3_err:.4f}  "
       f"({abs(m3_value - 1) / m3_err:.1f} sigma from ideal)")
 
-trex_value, trex_err = trex_expectation(
-    ghz, [], PauliWord("ZZZZ"), shots, noise=noise, seed=42, cal_shots=20000
+trex_value, trex_err = sampled_expectation(
+    ghz, [], parity, shots, noise=noise, mitigator=TrexGroupEstimator(20000), seed=42
 )
 print(f"twirled readout:               {trex_value:+.4f} +- {trex_err:.4f}  "
       f"({abs(trex_value - 1) / trex_err:.1f} sigma from ideal)")

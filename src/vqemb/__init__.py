@@ -34,7 +34,7 @@ from .mapping import (
     hartree_fock_bitstring,
     map_to_qubits,
 )
-from .mitigation import calibrate, m3_mitigate, trex_expectation
+from .mitigation import calibrate, m3_mitigate
 from .optimize import OptimizerTrace, bounded_quasi_newton, spsa
 from .pauli import PauliTerm, PauliWord, QubitHamiltonian
 from .resources import ResourceEstimate, estimate

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,14 +132,15 @@ def _wrap_angle(theta: float) -> float:
     return out - math.pi
 
 
-def nearest_candidate(theta: float, candidates: Sequence[float]) -> float:
-    """Closest candidate on the circle; ties prefer smaller magnitude, then 0."""
+def nearest_candidate(theta: float) -> float:
+    """Closest of ``DEFAULT_CANDIDATE_ANGLES`` on the circle; ties prefer smaller
+    magnitude, then 0."""
     theta = _wrap_angle(theta)
 
     def keys(c):
         return (abs(_wrap_angle(theta - c)), abs(c), 0 if c >= 0 else 1)
 
-    return min(candidates, key=keys)
+    return min(DEFAULT_CANDIDATE_ANGLES, key=keys)
 
 
 def _freeze_gate(circuit: Circuit, gate_index: int, angle: float) -> Circuit:
@@ -163,11 +164,10 @@ def deparameterise(
     problem: "vqe_mod.VqeProblem",
     oracle_energy: float,
     tolerance: float = 1e-2,
-    baseline: Optional["vqe_mod.VqeResult"] = None,
 ) -> DeparamReport:
     """Greedily freeze rotations to standardized angles.
 
-    The baseline, unless given, solves ``problem`` with all its restarts.
+    The baseline solves ``problem`` with all its restarts.
     Each step tries every remaining free rotation at its nearest candidate
     angle, re-optimizes the rest in one run warm-started from the current
     optimum, and accepts the freeze closest in energy to the baseline,
@@ -175,9 +175,7 @@ def deparameterise(
     energy of the problem's Hamiltonian, stays within the tolerance.  Returns
     an empty report when no freeze is admissible.
     """
-    if baseline is None:
-        baseline = vqe_mod.solve(problem)
-
+    baseline = vqe_mod.solve(problem)
     circuit = problem.circuit
     params = np.array(baseline.parameters, dtype=float)
     steps: list[DeparamStep] = []
@@ -185,7 +183,7 @@ def deparameterise(
     while circuit.n_parameters > 0:
         trials = []
         for gate_index, slot_index in circuit.free_gates():
-            angle = nearest_candidate(params[slot_index], DEFAULT_CANDIDATE_ANGLES)
+            angle = nearest_candidate(params[slot_index])
             trial_circuit = _freeze_gate(circuit, gate_index, angle)
             warm = np.delete(params, slot_index)
             result = vqe_mod.solve(replace(problem, circuit=trial_circuit), x0=warm)

@@ -113,8 +113,7 @@ CONFIG_KEYS = {
     "mapping": {"kind": _str, "two_qubit_reduction": _bool},
     "ansatz": {"layers": _int(0)},
     "estimator": {
-        "kind": _str, "shots": _int(), "noise": _noise, "mitigation": _str,
-        "seed": _int(0), "calibration_shots": _int(),
+        "kind": _str, "shots": _int(), "noise": _noise, "mitigation": _str, "seed": _int(0),
     },
     "optimizer": {
         "kind": _str, "iterations": _int(1), "seed": _int(0),
@@ -135,7 +134,7 @@ CONFIG_KEYS = {
 # section -> kind -> the keys that kind never reads.  Seeds, shots and mitigation
 # are not listed: --seed, --shots and --mitigation set them under every verb.
 _UNREAD_KEYS = {
-    "estimator": (EstimatorSpec, {"exact": ("noise", "calibration_shots")}),
+    "estimator": (EstimatorSpec, {"exact": ("noise",)}),
     "optimizer": (OptimizerSpec, {"quasi_newton": ("iterations",),
                                   "spsa": ("max_iter", "conv_tol")}),
 }

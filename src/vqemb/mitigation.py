@@ -17,9 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliTerm, PauliWord, QubitHamiltonian
 from .simulator import (
-    Circuit,
     ReadoutNoiseModel,
     ShotCounts,
     _member_values,
@@ -27,7 +25,6 @@ from .simulator import (
     _sample_outcomes,
     _z_eigenvalues,
     sample,
-    sampled_expectation,
     zero_state,
 )
 
@@ -128,31 +125,6 @@ def _twirled_bits(
     return _sample_outcomes(np.abs(state) ** 2, n, shots, noise, rng, twirl=np.repeat(masks, sizes))
 
 
-def trex_expectation(
-    circuit: Circuit,
-    params,
-    observable: PauliWord,
-    shots: int,
-    noise: Optional[ReadoutNoiseModel] = None,
-    seed: int = 0,
-    cal_shots: Optional[int] = None,
-) -> tuple[float, float]:
-    """Twirled estimate of a diagonal (I/Z) observable, divided by the
-    calibrated attenuation of its Z support.
-
-    Returns (value, stderr); stderr combines the main and calibration passes.
-    This is ``sampled_expectation`` of the one-term Hamiltonian with a
-    ``TrexGroupEstimator`` calibrating on ``cal_shots`` (default ``shots``).
-    """
-    if set(observable.letters) - {"I", "Z"}:
-        raise ValueError("twirled readout estimation needs a diagonal (I/Z) observable")
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    h = QubitHamiltonian(observable.n_qubits, [PauliTerm(1.0, observable)])
-    estimator = TrexGroupEstimator(cal_shots if cal_shots is not None else shots)
-    return sampled_expectation(circuit, params, h, shots, noise, mitigator=estimator, seed=seed)
-
-
 class TrexGroupEstimator:
     """Group-estimation hook applying twirled readout to every term.
 
@@ -163,6 +135,8 @@ class TrexGroupEstimator:
     """
 
     def __init__(self, cal_shots: int):
+        if cal_shots <= 0:
+            raise ValueError("cal_shots must be positive")
         self.cal_shots = cal_shots
         self._cal_width = None
         self._cal_outcomes = None

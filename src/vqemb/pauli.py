@@ -36,6 +36,8 @@ MATRIX_QUBIT_CAP = 12
 VECTOR_QUBIT_CAP = 14
 # Words whose merged coefficient is smaller than this in magnitude are dropped.
 _DROP_TOL = 1e-12
+# A Hamiltonian is Hermitian when no merged coefficient has an imaginary part this large.
+_HERMITIAN_TOL = 1e-10
 
 _PHASE_ARRAY = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])  # i**k
 
@@ -232,8 +234,8 @@ class QubitHamiltonian:
             mat[idx, idx ^ x] = row
         return mat
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(np.abs(self.coeffs.imag) < tol))
+    def is_hermitian(self) -> bool:
+        return bool(np.all(np.abs(self.coeffs.imag) < _HERMITIAN_TOL))
 
     def ground_state_energy(self) -> tuple[float, np.ndarray]:
         """Minimum eigenvalue and a unit-norm eigenvector via dense eigh."""

@@ -21,6 +21,9 @@ from .simulator import (
     sampled_expectation,
 )
 
+# Calibration shots of the M3 assignment matrices and of the TREX attenuations.
+_CALIBRATION_SHOTS = 20000
+
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -31,7 +34,6 @@ class EstimatorSpec:
     noise: Optional[ReadoutNoiseModel] = None
     mitigation: str = "none"  # none | m3 | trex
     seed: Optional[int] = None
-    calibration_shots: int = 20000
 
     def __post_init__(self):
         if self.kind not in ("exact", "sampled"):
@@ -40,9 +42,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown mitigation kind {self.mitigation!r}")
         if self.kind == "sampled" and self.seed is None:
             raise ValueError("sampled estimation requires a seed")
-        for name in ("shots", "calibration_shots"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"estimator.{name} must be positive, got {getattr(self, name)}")
+        if self.shots <= 0:
+            raise ValueError(f"estimator.shots must be positive, got {self.shots}")
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,24 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.kind == "spsa" and self.seed is None:
             raise ValueError("SPSA requires a seed")
+        for name in ("iterations", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"optimizer.{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.conv_tol < math.inf:
+            raise ValueError(f"optimizer.conv_tol must be finite and >= 0, got {self.conv_tol}")
 
 
 def check_settings(estimator: EstimatorSpec, optimizer: OptimizerSpec, initial: str = "zeros",
                    initial_seed: Optional[int] = None, restarts: int = 1):
-    """The checks that need the VQE settings alone: a known start policy, the seed a random
-    start or multi-start needs, and an optimizer the estimator can serve (quasi-Newton needs
-    exact gradients, which shot-based energies do not have)."""
+    """The checks that need the VQE settings alone: a known start policy, at least one start,
+    the seed a random start or multi-start needs, and an optimizer the estimator can serve
+    (quasi-Newton needs exact gradients, which shot-based energies do not have)."""
     if initial not in ("zeros", "random"):
         raise ValueError(f"unknown initial-parameter policy {initial!r}")
     if initial == "random" and initial_seed is None:
         raise ValueError("random initial parameters require a seed")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if restarts > 1 and initial_seed is None:
         raise ValueError("multi-start requires an initial seed")
     if estimator.kind == "sampled" and optimizer.kind == "quasi_newton":
@@ -154,12 +162,12 @@ def build_objective(problem: VqeProblem):
             est.noise
             if est.noise is not None
             else ReadoutNoiseModel.uniform(problem.circuit.n_qubits, 0.0),
-            est.calibration_shots,
+            _CALIBRATION_SHOTS,
             seed=est.seed,
         )
         mitigator = mitigation.M3GroupEstimator(cal)
     elif est.mitigation == "trex":
-        mitigator = mitigation.TrexGroupEstimator(cal_shots=est.calibration_shots)
+        mitigator = mitigation.TrexGroupEstimator(cal_shots=_CALIBRATION_SHOTS)
 
     rng = np.random.default_rng(est.seed)
     grouped = group_qubitwise(problem.hamiltonian)

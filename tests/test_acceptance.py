@@ -27,7 +27,7 @@ from vqemb.mapping import (
     hartree_fock_bitstring,
     map_to_qubits,
 )
-from vqemb.mitigation import M3GroupEstimator, calibrate, m3_mitigate, trex_expectation
+from vqemb.mitigation import M3GroupEstimator, TrexGroupEstimator, calibrate, m3_mitigate
 from vqemb.pauli import PauliWord, QubitHamiltonian
 from vqemb.resources import estimate
 from vqemb.simulator import (
@@ -152,8 +152,8 @@ def test_criterion_4_mitigation_efficacy():
         m3_value, m3_err = sampled_expectation(
             ghz, [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), seed=42
         )
-        trex_value, trex_err = trex_expectation(
-            ghz, [], PauliWord("ZZZZ"), 10000, noise=noise, seed=42, cal_shots=20000
+        trex_value, trex_err = sampled_expectation(
+            ghz, [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000), seed=42
         )
         # zero-noise pass-throughs
         clean, _ = sampled_expectation(ghz, [], h, 10000, seed=5)
@@ -163,8 +163,8 @@ def test_criterion_4_mitigation_efficacy():
         )
         counts = ShotCounts(np.array([0b0000, 0b1111]), np.array([6, 4]), PauliWord("ZZZZ"))
         quasi = m3_mitigate(counts, ident_cal)
-        trex_clean, trex_clean_err = trex_expectation(
-            ghz, [], PauliWord("ZZZZ"), 10000, noise=None, seed=5
+        trex_clean, trex_clean_err = sampled_expectation(
+            ghz, [], h, 10000, noise=None, mitigator=TrexGroupEstimator(10000), seed=5
         )
     assert (1.0 - raw) > 5 * raw_err, "raw estimate is not significantly biased"
     assert abs(m3_value - 1.0) <= 3 * m3_err

@@ -138,21 +138,21 @@ class TestNearestCandidate:
         # -pi and +pi are the same rotation up to a global phase, so either
         # may come back for the pair; the rest must hit exactly
         for c in DEFAULT_CANDIDATE_ANGLES:
-            got = nearest_candidate(c, DEFAULT_CANDIDATE_ANGLES)
+            got = nearest_candidate(c)
             if abs(c) == math.pi:
                 assert abs(got) == math.pi
             else:
                 assert got == c
 
     def test_tie_prefers_zero(self):
-        assert nearest_candidate(math.pi / 4, DEFAULT_CANDIDATE_ANGLES) == 0.0
-        assert nearest_candidate(-math.pi / 4, DEFAULT_CANDIDATE_ANGLES) == 0.0
+        assert nearest_candidate(math.pi / 4) == 0.0
+        assert nearest_candidate(-math.pi / 4) == 0.0
 
     def test_wraps_large_angles(self):
-        assert nearest_candidate(2 * math.pi + 0.1, DEFAULT_CANDIDATE_ANGLES) == 0.0
+        assert nearest_candidate(2 * math.pi + 0.1) == 0.0
 
     def test_pi_region(self):
-        assert abs(nearest_candidate(3.0, DEFAULT_CANDIDATE_ANGLES)) == pytest.approx(math.pi)
+        assert abs(nearest_candidate(3.0)) == pytest.approx(math.pi)
 
 
 class TestDeparameterise:

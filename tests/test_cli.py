@@ -250,10 +250,7 @@ class TestExitCodes:
         assert run(["vqe", "--config", cfg, "--out", outdir]) == 2
         assert "grad_step" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "estimator",
-        [{"shots": 0}, {"shots": -5}, {"mitigation": "trex", "calibration_shots": 0}],
-    )
+    @pytest.mark.parametrize("estimator", [{"shots": 0}, {"shots": -5}])
     def test_nonpositive_shot_counts_are_config_errors(self, tmp_path, outdir, capsys, estimator):
         doc = yaml.safe_load((CONFIGS / "h2_vqe_sampled.yaml").read_text())
         doc["estimator"].update(estimator)

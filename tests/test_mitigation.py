@@ -13,7 +13,6 @@ from vqemb.mitigation import (
     _twirled_bits,
     calibrate,
     m3_mitigate,
-    trex_expectation,
 )
 from vqemb.pauli import PauliWord, QubitHamiltonian
 from vqemb.simulator import (
@@ -252,22 +251,12 @@ class TestTrex:
         with pytest.raises(ValueError, match="cal_shots must be positive"):
             TrexGroupEstimator(cal_shots)
 
-    def test_standalone_is_the_group_estimator(self):
-        noise = ReadoutNoiseModel.uniform(4, 0.03)
-        for observable, cal_shots in (("ZZZZ", None), ("ZIZI", 3000), ("IIII", None)):
-            h = QubitHamiltonian.from_dict(4, {observable: 1.0})
-            expected = sampled_expectation(
-                ghz(4), [], h, 2000, noise=noise,
-                mitigator=TrexGroupEstimator(cal_shots or 2000), seed=6,
-            )
-            got = trex_expectation(
-                ghz(4), [], PauliWord(observable), 2000, noise=noise, seed=6, cal_shots=cal_shots
-            )
-            assert got == expected
-
     def test_zero_noise_passthrough(self):
         # even-size GHZ: <Z...Z> = +1 (odd-weight parities vanish instead)
-        value, err = trex_expectation(ghz(4), [], PauliWord("ZZZZ"), 4000, noise=None, seed=1)
+        h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
+        value, err = sampled_expectation(
+            ghz(4), [], h, 4000, noise=None, mitigator=TrexGroupEstimator(4000), seed=1
+        )
         assert abs(value - 1.0) <= 5 * max(err, 1e-12)
 
     def test_attenuation_matches_analytic_model(self):
@@ -276,24 +265,21 @@ class TestTrex:
         p, n, shots = 0.05, 3, 200000
         noise = ReadoutNoiseModel.uniform(n, p)
         ones = Circuit(n, [PauliXGate(q) for q in range(n)])
-        value, err = trex_expectation(
-            ones, [], PauliWord("Z" * n), shots, noise=noise, seed=2, cal_shots=shots
+        h = QubitHamiltonian.from_dict(n, {"Z" * n: 1.0})
+        value, err = sampled_expectation(
+            ones, [], h, shots, noise=noise, mitigator=TrexGroupEstimator(shots), seed=2
         )
         assert value == pytest.approx(-1.0, abs=5 * err)
         raw = value * (1 - 2 * p) ** n
         assert raw == pytest.approx(-((1 - 2 * p) ** n), abs=5 * err)
 
-    def test_diagonal_observable_required(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            trex_expectation(ghz(2), [], PauliWord("XZ"), 100, seed=0)
-
     def test_ghz_mitigated_vs_raw(self):
         noise = ReadoutNoiseModel.uniform(4, 0.02)
-        value, err = trex_expectation(
-            ghz(4), [], PauliWord("ZZZZ"), 10000, noise=noise, seed=42, cal_shots=20000
+        h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
+        value, err = sampled_expectation(
+            ghz(4), [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000), seed=42
         )
         assert abs(value - 1.0) <= 3 * err
-        h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, seed=42)
         assert (1.0 - raw) > 5 * raw_err
 
