@@ -18,6 +18,7 @@ from vqemb.chem import (
     MeanField,
     MolecularIntegrals,
     ScfConvergenceError,
+    WindowError,
     active_space,
     coulomb_exchange,
     restricted_hartree_fock,
@@ -867,6 +868,25 @@ class TestRunDmet:
         message = f"acts on {width + 2} qubits but the register has {width} qubits"
         with pytest.raises(NoiseWidthError, match=message):
             run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver, window=window)
+        assert solver.solves == []
+
+    @pytest.mark.parametrize("solver", [EXACT, VqeFragmentSolver()], ids=["exact", "vqe"])
+    @pytest.mark.parametrize("call,window,error,message", [
+        ("run_dmet", 0, ValueError, "window must be >= 1"),
+        ("run_dmet", -1, ValueError, "window must be >= 1"),
+        ("run_dmet", 3, WindowError, "active-space window 3 exceeds the orbital range"),
+        ("solve_fragment", 3, WindowError, "active-space window 3 exceeds the orbital range"),
+    ], ids=["run-zero", "run-negative", "run-too-wide", "one-embedding-too-wide"])
+    def test_bad_window_is_refused_before_the_first_solve(
+        self, h4, h4_mf, solver, call, window, error, message
+    ):
+        # each H4 embedding has 4 orbitals and 4 electrons: windows 1 and 2 fit
+        solver = CountingSolver(solver)
+        with pytest.raises(error, match=message):
+            if call == "run_dmet":
+                run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver, window=window)
+            else:
+                solve_fragment(build_embedding(h4[0], h4_mf, (0, 1)), solver, window=window)
         assert solver.solves == []
 
     # what a VQE fragment solve can raise: (error type, its arguments, its message); an
