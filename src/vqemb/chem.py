@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -263,19 +264,22 @@ def check_window(n_orbitals: int, n_electrons: int, window: int):
 
 
 def active_space(
-    m: MolecularIntegrals, mf: MeanField, window: int
+    m: MolecularIntegrals, mf: MeanField, window: Optional[int] = None
 ) -> tuple[MolecularIntegrals, FrozenInfo]:
-    """Keep ``window`` occupied and ``window`` virtual orbitals around the gap.
+    """Rotate ``m`` into the mean-field orbitals and keep ``window`` occupied and
+    ``window`` virtual orbitals around the gap, or every orbital when it is None.
 
-    Integrals are first rotated into the mean-field orbital basis.  Frozen
-    occupied orbitals are folded into the active one-body term,
+    The one function that picks an orbital basis and checks a window: below 1
+    raises ValueError, wider than either side of the gap ``WindowError``.
+    Frozen occupied orbitals are folded into the active one-body term,
     h'_pq = h_pq + sum_i [2(pq|ii) - (pi|iq)], and into the constant energy.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    check_window(m.n_orbitals, m.n_electrons, window)
-    nocc = m.n_electrons // 2
-    lo, hi = nocc - window, nocc + window  # active orbitals are [lo, hi)
+    lo, hi = 0, m.n_orbitals  # active orbitals are [lo, hi)
+    if window is not None:
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        check_window(m.n_orbitals, m.n_electrons, window)
+        lo, hi = m.n_electrons // 2 - window, m.n_electrons // 2 + window
 
     eps = mf.orbital_energies
     if lo > 0 and abs(eps[lo] - eps[lo - 1]) < 1e-8:

@@ -9,8 +9,8 @@ contraction, which equals the symmetric weighting because the integrals and
 real-wavefunction RDMs carry the full 8-fold permutational symmetry.
 
 Every fragment solver has two methods: ``prepare(e, window)`` runs once per
-embedding before the first solve, makes every cap and width check, and
-returns what the solver reuses across mu; ``solve(e, prepared, mu, x0)``
+embedding before the first solve, makes every window, cap and width check,
+and returns what the solver reuses across mu; ``solve(e, prepared, mu, x0)``
 returns the ``FragmentSolution`` at one mu.  ``ExactFragmentSolver``
 diagonalizes the (N/2, N/2) sector Hamiltonian built from spin-summed
 excitation operators E_pq on the occupation-basis determinants, and
@@ -21,8 +21,10 @@ one-body term, so H(mu) = H(0) - mu N_F, and the eigenpairs of one ``eigh``
 also give the exact slope dN_F/dmu.  No SCF runs: the Schmidt embedding of
 the lattice RHF state holds its mean field, so the orbitals of an embedding
 at mu diagonalize ``e.fock`` (the lattice Fock matrix in its basis) - mu on
-the fragment.  A window is fixed at mu = 0.  Only a VQE solve takes the
-orbitals of its mu, and slope probes: fixed at mu = 0, it needs more solves.
+the fragment.  ``chem.active_space`` alone rotates an embedding into those
+orbitals and cuts a window of them, which it checks.  A window is fixed at
+mu = 0.  Only a VQE solve takes the orbitals of its mu, and slope probes:
+fixed at mu = 0, it needs more solves.
 
 When the orbital reversal i -> n-1-i maps the integrals and the RHF density
 onto themselves, a fragment whose mirror image is an earlier fragment is
@@ -32,7 +34,7 @@ neither embedded nor solved: it reuses that fragment's solution at every mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +45,6 @@ from .chem import (
     MeanField,
     MolecularIntegrals,
     active_space,
-    check_window,
     coulomb_exchange,
     hf_energy_expression,
     transform_integrals,
@@ -406,20 +407,18 @@ def _sector_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rhf_basis(e: EmbeddingProblem, mu: float, window: Optional[int]) -> tuple:
-    """``e`` at ``mu`` in the orbitals C of ``e.fock`` at mu, or a window; (C, active, frozen)."""
+    """(``active_space`` of ``e`` at ``mu`` in the orbitals C of ``e.fock`` at mu, (C, info))."""
     ints, n = e.solver_integrals(mu), e.n_orbitals
     eps, C = np.linalg.eigh(e.fock - mu * np.diag(np.arange(n) < e.n_fragment))
-    if window is None:
-        h_mo, g_mo = transform_integrals(ints.one_body, ints.two_body, C)
-        return replace(ints, one_body=h_mo, two_body=g_mo), (C, list(range(n)), [])
     D = 2.0 * C[:, : e.n_electrons // 2] @ C[:, : e.n_electrons // 2].T
     acts, info = active_space(ints, MeanField(C, eps, D, hf_energy_expression(ints, D)), window)
-    return acts, (C, list(info.active_orbitals), list(info.frozen_occupied))
+    return acts, (C, info)
 
 
 def _from_rhf_basis(gamma_a: np.ndarray, Gamma_a: np.ndarray, orbitals: tuple) -> tuple:
     """Active-space RDMs in the basis of C, frozen orbitals padded at mean field."""
-    C, active, frozen = orbitals
+    C, info = orbitals
+    active, frozen = info.active_orbitals, info.frozen_occupied
     n = C.shape[0]
     D = np.zeros((n, n))
     D[frozen, frozen] = 2.0
@@ -457,7 +456,7 @@ def _solve_embedding_sector(e: EmbeddingProblem, prepared: tuple, mu: float) -> 
     slope = 2.0 * float(np.sum((evecs[:, 1:].T @ n_c0) ** 2 / (evals[1:] - evals[0])))
     if orbitals is None:
         return (*_rdms(E, c0, e.n_orbitals), slope)
-    return (*_from_rhf_basis(*_rdms(E, c0, len(orbitals[1])), orbitals), slope)
+    return (*_from_rhf_basis(*_rdms(E, c0, len(orbitals[1].active_orbitals)), orbitals), slope)
 
 
 @dataclass(frozen=True)
@@ -471,15 +470,16 @@ class ExactFragmentSolver:
         fragment's electrons, held as its nonzero (row, col, value) entries.
         Without a window the basis is the embedding's own, orbitals is None
         and N_F is diagonal.  A window is fixed at the embedding's mu = 0
-        mean-field orbitals, orbitals = (C, active, frozen) from ``_rhf_basis``
-        and n_F = (C_F^T C_F)[active, active]: mu enters only the one-body
-        term, so the frozen-core fold does not depend on it.
+        mean-field orbitals, orbitals = (C, info) from ``_rhf_basis`` (whose
+        ``active_space`` refuses a bad window) and n_F = (C_F^T C_F)[active,
+        active]: mu enters only the one-body term, so the frozen-core fold does
+        not depend on it.
         """
         ints, orbitals = e.solver_integrals(), None
         C_F = np.eye(e.n_fragment, e.n_orbitals)  # the fragment rows of the basis
         if window is not None:
             ints, orbitals = _rhf_basis(e, 0.0, window)
-            C_F = orbitals[0][: e.n_fragment, orbitals[1]]
+            C_F = orbitals[0][: e.n_fragment, orbitals[1].active_orbitals]
         sel, E, H = _sector_hamiltonian(ints)
         n_F = (C_F.T @ C_F).ravel()  # summed over the table in its order, as H is
         op, row, col, val = E
@@ -513,8 +513,9 @@ class VqeFragmentSolver:
                        self.restarts)
 
     def prepare(self, e: EmbeddingProblem, window: Optional[int] = None) -> Optional[int]:
-        """The window, once the readout noise model is checked against the register's width."""
-        n_active = e.n_orbitals if window is None else 2 * window
+        """The window, once ``active_space`` has checked it and the readout noise
+        model is checked against the register's width."""
+        n_active = _rhf_basis(e, 0.0, window)[0].n_orbitals
         # two qubits an active orbital, less the tapered pair
         vqe_mod.check_noise_width(self.estimator.noise,
                                   2 * (n_active - self.mapping.two_qubit_reduction))
@@ -644,8 +645,8 @@ def run_dmet(
     is embedded and solved once per mu, and VQE warm starts follow the
     representative.  A
     solver is any object with ``prepare(e, window)`` and ``solve(e, prepared,
-    mu, x0)`` returning a ``FragmentSolution``: every window is checked, then
-    ``solver.prepare`` runs once per representative, before the first solve.
+    mu, x0)`` returning a ``FragmentSolution``: ``solver.prepare`` runs once
+    per representative, before the first solve, and makes every window check.
     ``mf`` is the only mean field: no embedding runs an SCF.  A fragment's
     non-finite-objective or degenerate-ground-state failure propagates with
     the fragment index and mu added to its message.
@@ -664,9 +665,6 @@ def run_dmet(
             exc.args = (f"fragment {i} at mu={mu!r}: {exc}",)
             raise
 
-    if window is not None:
-        for e in embeddings.values():
-            check_window(e.n_orbitals, e.n_electrons, window)
     prepared = {i: named(i, 0.0, lambda: solver.prepare(e, window)) for i, e in embeddings.items()}
     warm: dict[int, np.ndarray] = {}
     n_solves = 0

@@ -12,7 +12,6 @@ process that never calls it (exact DMET, resources, SPSA) does not load it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +41,11 @@ class OptimizerTrace:
     iterations: list = field(default_factory=list)
     values: list = field(default_factory=list)
     parameters: list = field(default_factory=list)
-    wall_times: list = field(default_factory=list)
 
-    def record(self, iteration: int, value: float, params: np.ndarray, t: float):
+    def record(self, iteration: int, value: float, params: np.ndarray):
         self.iterations.append(int(iteration))
         self.values.append(float(value))
         self.parameters.append(np.array(params, dtype=float))
-        self.wall_times.append(float(t))
 
     def best(self) -> tuple[float, np.ndarray]:
         i = int(np.argmin(self.values))
@@ -101,16 +98,15 @@ def spsa(
     a = 0.1 * (1.0 + A) ** _SPSA_ALPHA / mean_mag if mean_mag > 1e-12 else 0.1
 
     trace = OptimizerTrace()
-    start = time.perf_counter()
     for k in range(iterations):
         ak = a / (k + 1.0 + A) ** _SPSA_ALPHA
         ck = _SPSA_C / (k + 1.0) ** _SPSA_GAMMA
         delta = rng.choice((-1.0, 1.0), size=x.shape)
         x_plus, x_minus = x + ck * delta, x - ck * delta
         f_plus = _checked(f, x_plus, k)
-        trace.record(k, f_plus, x_plus, time.perf_counter() - start)
+        trace.record(k, f_plus, x_plus)
         f_minus = _checked(f, x_minus, k)
-        trace.record(k, f_minus, x_minus, time.perf_counter() - start)
+        trace.record(k, f_minus, x_minus)
         grad = (f_plus - f_minus) / (2.0 * ck) * delta
         x = x - ak * grad
     _, best_params = trace.best()
@@ -139,7 +135,6 @@ def bounded_quasi_newton(
         raise ValueError("initial point violates the bounds")
 
     trace = OptimizerTrace()
-    start = time.perf_counter()
     state = {"k": 0, "last": None}
 
     def wrapped(x):
@@ -158,11 +153,11 @@ def bounded_quasi_newton(
     def callback(xk):
         if (xk < lo - 1e-9).any() or (xk > hi + 1e-9).any():
             raise InfeasibleIterateError(np.array(xk), state["k"])
-        trace.record(state["k"], wrapped(xk)[0], xk, time.perf_counter() - start)
+        trace.record(state["k"], wrapped(xk)[0], xk)
         state["k"] += 1
 
     v0, _ = wrapped(x0)
-    trace.record(0, v0, x0, time.perf_counter() - start)
+    trace.record(0, v0, x0)
     state["k"] = 1
     # imported on first use: scipy.optimize takes a fifth of a second to load,
     # and runs without quasi-Newton VQE never need it
@@ -177,6 +172,6 @@ def bounded_quasi_newton(
         callback=callback,
         options={"ftol": conv_tol, "gtol": conv_tol, "maxcor": 10, "maxiter": max_iter},
     )
-    trace.record(state["k"], float(result.fun), result.x, time.perf_counter() - start)
+    trace.record(state["k"], float(result.fun), result.x)
     best_value, best_params = trace.best()
     return best_params, trace

@@ -231,7 +231,7 @@ def solve(
     if problem.circuit.n_parameters == 0:
         trace = OptimizerTrace()
         value = float(build_objective(problem)(np.zeros(0)))
-        trace.record(0, value, np.zeros(0), 0.0)
+        trace.record(0, value, np.zeros(0))
         result = VqeResult(value, np.zeros(0), trace)
         if reference is not None:
             result.relative_error = relative_error(value, reference)

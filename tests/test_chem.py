@@ -8,9 +8,11 @@ import pytest
 from vqemb.chem import (
     MolecularIntegrals,
     ScfConvergenceError,
+    WindowError,
     active_space,
     parse_fcidump,
     restricted_hartree_fock,
+    transform_integrals,
 )
 from vqemb.dmet import full_ci_ground_energy
 
@@ -212,13 +214,30 @@ class TestHartreeFock:
 class TestActiveSpace:
     def test_full_window_is_exact_rotation(self, h2, h2_mf):
         m, meta = h2
-        active, info = active_space(m, h2_mf, window=1)
-        assert active.n_orbitals == 2 and active.n_electrons == 2
-        assert info.frozen_occupied == ()
-        e_full = full_ci_ground_energy(m)
-        e_act = full_ci_ground_energy(active)
-        assert e_act == pytest.approx(e_full, abs=1e-8)
-        assert e_full == pytest.approx(meta["fci_energy"], abs=1e-8)
+        for window in (1, None):  # None keeps every orbital
+            active, info = active_space(m, h2_mf, window=window)
+            assert active.n_orbitals == 2 and active.n_electrons == 2
+            assert info.frozen_occupied == () and info.active_orbitals == (0, 1)
+            e_full = full_ci_ground_energy(m)
+            e_act = full_ci_ground_energy(active)
+            assert e_act == pytest.approx(e_full, abs=1e-8)
+            assert e_full == pytest.approx(meta["fci_energy"], abs=1e-8)
+        # with no window the integrals are the bare rotation, bit for bit
+        h, g = transform_integrals(m.one_body, m.two_body, h2_mf.orbital_coeffs)
+        assert np.array_equal(active.one_body, h) and np.array_equal(active.two_body, g)
+        assert active.core_energy == m.core_energy
+
+    def test_no_window_keeps_an_unbalanced_gap_whole(self):
+        # 1 occupied and 3 virtual orbitals: window 1 keeps 2 of them, window 2 is too wide
+        m = non_interacting([-1.0, 0.5, 1.0, 2.0], 2)
+        mf = restricted_hartree_fock(m)
+        with pytest.raises(WindowError, match="exceeds the orbital range"):
+            active_space(m, mf, window=2)
+        active, info = active_space(m, mf)
+        assert info.frozen_occupied == () and info.active_orbitals == (0, 1, 2, 3)
+        assert active.n_orbitals == 4 and active.n_electrons == 2
+        assert full_ci_ground_energy(active) == pytest.approx(-2.0, abs=1e-12)
+        assert full_ci_ground_energy(m) == pytest.approx(-2.0, abs=1e-12)
 
     def test_h4_full_window_identity(self, h4, h4_mf):
         m, meta = h4
