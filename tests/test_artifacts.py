@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import yaml
 
 from vqemb.cli import main
 
@@ -24,6 +25,14 @@ ARTIFACTS = {
 def test_every_out_directory_has_its_command():
     # a directory missing from ARTIFACTS would go unchecked
     assert sorted(p.name for p in (ROOT / "out").iterdir()) == sorted(ARTIFACTS)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.yaml")))
+def test_every_config_output_dir_is_pinned(config):
+    # running a shipped config must not write an out/ directory that no row checks
+    path = f"configs/{config}"
+    name = Path(yaml.safe_load((ROOT / path).read_text())["output"]["dir"]).name
+    assert name in ARTIFACTS and ARTIFACTS[name][1] == path
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
