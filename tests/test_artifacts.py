@@ -15,6 +15,7 @@ ARTIFACTS = {
     "chain5_deparam": ("deparam", "configs/chain5_deparam.yaml"),
     "h10_resources": ("resources", "configs/h10_resources.yaml"),
     "h2_dmet_vqe": ("dmet", "configs/h2_dmet_vqe.yaml"),
+    "h2_vqe_lbfgs": ("vqe", "configs/h2_vqe_lbfgs.yaml"),
     "h2_vqe_sampled": ("vqe", "configs/h2_vqe_sampled.yaml"),
     "h2_vqe_spsa": ("vqe", "configs/h2_vqe_spsa.yaml"),
     "h4_dmet": ("dmet", "configs/h4_dmet.yaml"),
