@@ -3,7 +3,7 @@
 Walks the full pipeline: parse FCIDUMP integrals, run restricted
 Hartree-Fock, map to qubits with the parity encoding plus two-qubit
 reduction, build a one-layer hardware-efficient ansatz from the
-Hartree-Fock bitstring, and optimize with both SPSA and the bounded
+Hartree-Fock bitstring, and optimize with both SPSA and the
 quasi-Newton driver.  Energies are compared against the dense
 exact-diagonalization oracle and the convergence curve is written as SVG.
 """

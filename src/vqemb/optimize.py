@@ -1,10 +1,12 @@
 """Classical optimizers for the variational loop.
 
 Two drivers: simultaneous-perturbation stochastic approximation (SPSA) with
-the standard gain schedules, which needs only objective values, and a bounded
-limited-memory quasi-Newton method (scipy L-BFGS-B), which takes a function
-returning the value and its exact gradient together.  Both record an
-evaluation trace and are deterministic given their seed and inputs.
+the standard gain schedules, which needs only objective values, and an
+unbounded limited-memory quasi-Newton method (scipy L-BFGS-B), which takes a
+function returning the value and its exact gradient together.  The VQE
+trains only Ry angles, so its energy is 2π-periodic in every parameter and
+the quasi-Newton search needs no box.  Both record an evaluation trace and
+are deterministic given their seed and inputs.
 ``scipy.optimize`` is imported by the quasi-Newton driver when it runs, so a
 process that never calls it (exact DMET, resources, SPSA) does not load it.
 """
@@ -22,15 +24,6 @@ class NonFiniteObjectiveError(RuntimeError):
 
     def __init__(self, value: float, iteration: int):
         super().__init__(f"non-finite objective value {value} at iteration {iteration}")
-        self.iteration = iteration
-
-
-class InfeasibleIterateError(RuntimeError):
-    """An accepted iterate lies outside the box bounds; carries the iterate."""
-
-    def __init__(self, x: np.ndarray, iteration: int):
-        super().__init__(f"iterate {x.tolist()} left the feasible box at iteration {iteration}")
-        self.x = x
         self.iteration = iteration
 
 
@@ -116,62 +109,44 @@ def spsa(
 def bounded_quasi_newton(
     f,
     x0,
-    bounds,
     conv_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, OptimizerTrace]:
-    """L-BFGS-B with box projection; ``f(x)`` returns ``(value, gradient)``.
+    """Unbounded L-BFGS-B; ``f(x)`` returns ``(value, gradient)``.
 
-    Terminates when the projected-gradient infinity norm or the relative
-    objective change drops below ``conv_tol``.  Raises
-    ``InfeasibleIterateError`` if an accepted iterate leaves the box.
+    Terminates when the gradient infinity norm or the relative objective
+    change drops below ``conv_tol``.  Trace row 0 is the start, each later
+    row an accepted iterate, and the last row the result.  The name is older
+    than the unbounded search; it stays because the benchmark tracer wraps
+    the driver by it, until a change to the benchmark renames both.
     """
-    x0 = np.array(x0, dtype=float)
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if lo.shape != x0.shape:
-        raise ValueError("bounds length does not match parameter count")
-    if (x0 < lo - 1e-12).any() or (x0 > hi + 1e-12).any():
-        raise ValueError("initial point violates the bounds")
-
     trace = OptimizerTrace()
-    state = {"k": 0, "last": None}
 
-    def wrapped(x):
-        """(value, gradient), evaluated once per distinct point in a row."""
-        x = np.asarray(x, dtype=float)
-        last = state["last"]
-        if last is None or not np.array_equal(last[0], x):
-            value, grad = f(x)
-            value = float(value)
-            grad = np.array(grad, dtype=float)
-            if not math.isfinite(value) or not np.isfinite(grad).all():
-                raise NonFiniteObjectiveError(value, state["k"])
-            last = state["last"] = (x.copy(), value, grad)
-        return last[1], last[2].copy()
+    def checked(x):
+        value, grad = f(x)
+        value = float(value)
+        grad = np.array(grad, dtype=float)
+        if not math.isfinite(value) or not np.isfinite(grad).all():
+            raise NonFiniteObjectiveError(value, len(trace.values))
+        if not trace.values:  # scipy's first call is at x0
+            trace.record(0, value, x)
+        return value, grad
 
-    def callback(xk):
-        if (xk < lo - 1e-9).any() or (xk > hi + 1e-9).any():
-            raise InfeasibleIterateError(np.array(xk), state["k"])
-        trace.record(state["k"], wrapped(xk)[0], xk)
-        state["k"] += 1
+    def callback(intermediate_result):
+        trace.record(len(trace.values), intermediate_result.fun, intermediate_result.x)
 
-    v0, _ = wrapped(x0)
-    trace.record(0, v0, x0)
-    state["k"] = 1
     # imported on first use: scipy.optimize takes a fifth of a second to load,
     # and runs without quasi-Newton VQE never need it
     from scipy.optimize import minimize
 
     result = minimize(
-        wrapped,
+        checked,
         x0,
         method="L-BFGS-B",
         jac=True,
-        bounds=list(zip(lo, hi)),
         callback=callback,
         options={"ftol": conv_tol, "gtol": conv_tol, "maxcor": 10, "maxiter": max_iter},
     )
-    trace.record(state["k"], float(result.fun), result.x)
-    best_value, best_params = trace.best()
+    trace.record(len(trace.values), float(result.fun), result.x)
+    _, best_params = trace.best()
     return best_params, trace

@@ -207,14 +207,9 @@ def _optimizer_runner(problem: VqeProblem):
     def energy_gradient(params):
         return energy_and_gradient(problem.circuit, params, evaluator)
 
-    def run(x0):
-        bounds = [(-2.0 * math.pi, 2.0 * math.pi)] * len(x0)
-        x0 = np.mod(np.asarray(x0, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
-        return bounded_quasi_newton(
-            energy_gradient, x0, bounds, conv_tol=opt.conv_tol, max_iter=opt.max_iter
-        )
-
-    return run
+    return lambda x0: bounded_quasi_newton(
+        energy_gradient, x0, conv_tol=opt.conv_tol, max_iter=opt.max_iter
+    )
 
 
 def solve(

@@ -851,7 +851,7 @@ class TestRunDmet:
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
         )
         res = run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver)
-        assert res.fragment_solves == 10
+        assert res.fragment_solves == 7
         # the cold first solve runs its 3 restarts; every warm re-solve runs once
         assert len(runs) == 3 + (res.fragment_solves - 1)
 

@@ -119,10 +119,18 @@ class TestSolve:
         )
         x0 = np.full(circuit.n_parameters, 0.1)
         result = solve(problem, x0=x0)
-        assert len(starts) == 1 and np.allclose(starts[0], x0, rtol=0, atol=1e-15)
+        assert len(starts) == 1 and np.array_equal(starts[0], x0)
         assert result.restart_index == 0
         solve(problem)
         assert len(starts) == 1 + problem.restarts
+
+    def test_warm_start_shifted_by_a_period_ends_at_the_same_energy(self, h2_reduced):
+        # every free parameter is an Ry angle: the energy is 2π-periodic in each
+        h, circuit, _, _ = h2_reduced
+        problem = VqeProblem(h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"))
+        x0 = np.full(circuit.n_parameters, 0.1)
+        shifted = solve(problem, x0=x0 + 2.0 * math.pi)
+        assert shifted.energy == pytest.approx(solve(problem, x0=x0).energy, abs=1e-10)
 
     def test_sampled_estimator_requires_seed(self, h2_reduced):
         with pytest.raises(ValueError, match="seed"):
