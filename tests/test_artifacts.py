@@ -36,6 +36,17 @@ def test_every_config_output_dir_is_pinned(config):
     assert name in ARTIFACTS and ARTIFACTS[name][1] == path
 
 
+def test_readme_commands_write_the_artifacts():
+    # each command the README shows writes a checked out/ directory, where its config says
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.splitlines() if line.startswith("vqemb ")]
+    assert commands
+    for _, verb, *flags in commands:
+        assert flags[:1] == ["--config"] and len(flags) == 2, flags
+        assert (verb, flags[1]) in ARTIFACTS.values()
+
+
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
 def test_committed_artifacts_reproduce(name, tmp_path, monkeypatch, capsys):
     verb, config = ARTIFACTS[name]

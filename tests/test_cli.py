@@ -135,6 +135,10 @@ BAD_CONFIGS = {
         "optimizer: {kind: spsa, iterations: 5, seed: 3}\n",
         "estimator.calibration_shots",
     ),
+    # one seed, vqe.seed, feeds every random stream of a run
+    "estimator-seed": ("vqe", H2 + "estimator: {seed: 1}\n", "estimator.seed"),
+    "optimizer-seed": ("vqe", H2 + "optimizer: {kind: spsa, seed: 1}\n", "optimizer.seed"),
+    "shots-with-exact-estimator": ("vqe", H2 + "estimator: {shots: 100}\n", "estimator.shots"),
 }
 
 # name -> a qubit Hamiltonian file that describes no system
@@ -265,6 +269,15 @@ class TestExitCodes:
         assert run(argv + ["--shots", "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
         assert not (outdir / "vqe_result.txt").exists()
+
+    def test_shots_flag_is_a_usage_error(self, outdir, capsys):
+        # estimator.shots is the one way to set the shot count
+        argv = ["vqe", "--config", CONFIGS / "h2_vqe_lbfgs.yaml", "--out", outdir, "--shots", "5"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "--shots" in capsys.readouterr().err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exits_2_naming_the_key(self, tmp_path, outdir, capsys, monkeypatch, case):
@@ -408,6 +421,21 @@ class TestVqeCommand:
         assert run(base + ["--out", out2]) == 0
         for name in ("vqe_trace.csv", "vqe_result.txt", "vqe_convergence.svg"):
             assert read(out1 / name) == read(out2 / name)
+
+    def test_seed_flag_is_vqe_seed(self, tmp_path, monkeypatch):
+        # vqe.seed is the one seed of a run, and --seed sets it
+        monkeypatch.chdir(ROOT)  # the config names its input files relative to the repo
+        doc = yaml.safe_load((CONFIGS / "h2_vqe_sampled.yaml").read_text())
+        for section in ("estimator", "optimizer"):
+            doc[section].pop("seed", None)
+        doc["vqe"] = {"seed": 5}
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run(["vqe", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        argv = ["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--seed", "5"]
+        assert run(argv + ["--out", tmp_path / "b"]) == 0
+        name = "vqe_result.txt"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_sampled_with_mitigation_runs(self, outdir):
         assert run(["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--out", outdir]) == 0
