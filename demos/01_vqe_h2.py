@@ -32,7 +32,7 @@ print(f"Hartree-Fock energy:     {mf.hf_energy:.8f} Ha")
 # the mapped Hamiltonian and the one-layer ansatz over the Hartree-Fock bits, in one call
 problem, _ = molecular_problem(
     integrals, MappingSpec("parity", two_qubit_reduction=True), layers=1,
-    estimator=EstimatorSpec("exact"), optimizer=OptimizerSpec("spsa", iterations=100, seed=11),
+    estimator=EstimatorSpec("exact"), optimizer=OptimizerSpec("spsa", iterations=100), seed=11,
 )
 hamiltonian, circuit = problem.hamiltonian, problem.circuit
 oracle, _ = hamiltonian.ground_state_energy()

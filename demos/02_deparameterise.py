@@ -32,7 +32,7 @@ problem = VqeProblem(
     EstimatorSpec("exact"),
     OptimizerSpec("quasi_newton"),
     initial="random",
-    initial_seed=2,
+    seed=2,
     restarts=3,
 )
 report = deparameterise(problem, oracle, tolerance=1e-2)

@@ -51,7 +51,7 @@ solver = VqeFragmentSolver(
     optimizer=OptimizerSpec("quasi_newton"),
     estimator=EstimatorSpec("exact"),
     initial="random",
-    initial_seed=3,
+    seed=3,
 )
 via_vqe = run_dmet(h2, mf2, frag2, solver=solver)
 print(f"\nH2 single-orbital fragments:")

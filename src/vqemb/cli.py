@@ -112,13 +112,8 @@ CONFIG_KEYS = {
     "system": {"fcidump": _path, "hamiltonian": _hamiltonian, "window": _int(1)},
     "mapping": {"kind": _str, "two_qubit_reduction": _bool},
     "ansatz": {"layers": _int(0)},
-    "estimator": {
-        "kind": _str, "shots": _int(), "noise": _noise, "mitigation": _str, "seed": _int(0),
-    },
-    "optimizer": {
-        "kind": _str, "iterations": _int(1), "seed": _int(0),
-        "conv_tol": _float(), "max_iter": _int(1),
-    },
+    "estimator": {"kind": _str, "shots": _int(), "noise": _noise, "mitigation": _str},
+    "optimizer": {"kind": _str, "iterations": _int(1), "conv_tol": _float(), "max_iter": _int(1)},
     "vqe": {"initial": _str, "seed": _int(0), "restarts": _int(1)},
     "deparam": {"tolerance": _float()},
     "dmet": {
@@ -131,10 +126,10 @@ CONFIG_KEYS = {
 }
 
 
-# section -> kind -> the keys that kind never reads.  Seeds, shots and mitigation
-# are not listed: --seed, --shots and --mitigation set them under every verb.
+# section -> kind -> the keys that kind never reads.  Mitigation is not listed:
+# --mitigation sets it under every verb.
 _UNREAD_KEYS = {
-    "estimator": (EstimatorSpec, {"exact": ("noise",)}),
+    "estimator": (EstimatorSpec, {"exact": ("noise", "shots")}),
     "optimizer": (OptimizerSpec, {"quasi_newton": ("iterations",),
                                   "spsa": ("max_iter", "conv_tol")}),
 }
@@ -186,10 +181,8 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
             raise ConfigError(f"config parse failure: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-    seed = overrides.seed
     cfg = _check(data, {
-        ("estimator", "seed"): seed, ("optimizer", "seed"): seed, ("vqe", "seed"): seed,
-        ("estimator", "shots"): overrides.shots,
+        ("vqe", "seed"): overrides.seed,
         ("estimator", "mitigation"): overrides.mitigation,
         ("output", "dir"): overrides.out,
     })
@@ -207,8 +200,6 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
             if key in cfg[section]:
                 raise ConfigError(f"{section}.{key}: the {kind} {section} does not read it")
     vqe = cfg["vqe"]
-    if "seed" in vqe:
-        vqe["initial_seed"] = vqe.pop("seed")
     try:
         MappingSpec(**cfg["mapping"])  # each verb builds the spec it feeds
         vqe["estimator"] = EstimatorSpec(**cfg.pop("estimator"))
@@ -364,7 +355,7 @@ def cmd_dmet(cfg: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"mapping: {exc} (the VQE fragment solver's default is "
                               "parity with two-qubit reduction)") from exc
-    else:  # --seed, --shots and --mitigation set keys of estimator, optimizer and vqe.seed
+    else:  # --seed and --mitigation set vqe.seed and estimator.mitigation under every verb
         unread = ["mapping"] * bool(cfg["mapping"]) + [f"ansatz.{k}" for k in cfg["ansatz"]]
         unread += [f"vqe.{k}" for k in ("initial", "restarts") if k in cfg["vqe"]]
         if unread:
@@ -448,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="YAML run configuration")
-        p.add_argument("--seed", type=int, help="override every configured seed")
+        p.add_argument("--seed", type=int, help="override vqe.seed, the one seed of a run")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--shots", type=int, help="override estimator shot count")
         p.add_argument("--mitigation", choices=["none", "m3", "trex"], help="override mitigation")
     return parser
 

@@ -504,13 +504,12 @@ class VqeFragmentSolver:
     estimator: EstimatorSpec = EstimatorSpec()
     mapping: MappingSpec = MappingSpec(PARITY, two_qubit_reduction=True)
     initial: str = "zeros"
-    initial_seed: Optional[int] = None
+    seed: Optional[int] = None
     restarts: int = 1
 
     def __post_init__(self):
         check_layers(self.layers)
-        check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
-                       self.restarts)
+        check_settings(self.estimator, self.optimizer, self.initial, self.seed, self.restarts)
 
     def prepare(self, e: EmbeddingProblem, window: Optional[int] = None) -> Optional[int]:
         """The window, once ``active_space`` has checked it and the readout noise
@@ -527,7 +526,7 @@ class VqeFragmentSolver:
         acts, orbitals = _rhf_basis(e, mu, prepared)
         problem, spec = molecular_problem(
             acts, self.mapping, self.layers, estimator=self.estimator, optimizer=self.optimizer,
-            initial=self.initial, initial_seed=self.initial_seed, restarts=self.restarts,
+            initial=self.initial, seed=self.seed, restarts=self.restarts,
         )
         result = vqe_mod.solve(problem, x0=x0)
         state = evolve(problem.circuit, result.parameters)

@@ -33,15 +33,12 @@ class EstimatorSpec:
     shots: int = 1000
     noise: Optional[ReadoutNoiseModel] = None
     mitigation: str = "none"  # none | m3 | trex
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("exact", "sampled"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.mitigation not in ("none", "m3", "trex"):
             raise ValueError(f"unknown mitigation kind {self.mitigation!r}")
-        if self.kind == "sampled" and self.seed is None:
-            raise ValueError("sampled estimation requires a seed")
         if self.shots <= 0:
             raise ValueError(f"estimator.shots must be positive, got {self.shots}")
 
@@ -50,15 +47,12 @@ class EstimatorSpec:
 class OptimizerSpec:
     kind: str = "quasi_newton"  # quasi_newton | spsa
     iterations: int = 100
-    seed: Optional[int] = None
     conv_tol: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
         if self.kind not in ("quasi_newton", "spsa"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.kind == "spsa" and self.seed is None:
-            raise ValueError("SPSA requires a seed")
         for name in ("iterations", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"optimizer.{name} must be >= 1, got {getattr(self, name)}")
@@ -67,18 +61,18 @@ class OptimizerSpec:
 
 
 def check_settings(estimator: EstimatorSpec, optimizer: OptimizerSpec, initial: str = "zeros",
-                   initial_seed: Optional[int] = None, restarts: int = 1):
+                   seed: Optional[int] = None, restarts: int = 1):
     """The checks that need the VQE settings alone: a known start policy, at least one start,
-    the seed a random start or multi-start needs, and an optimizer the estimator can serve
-    (quasi-Newton needs exact gradients, which shot-based energies do not have)."""
+    the seed that every random stream of the run reads (random starts, multi-start, shot
+    sampling, SPSA), and an optimizer the estimator can serve (quasi-Newton needs exact
+    gradients, which shot-based energies do not have)."""
     if initial not in ("zeros", "random"):
         raise ValueError(f"unknown initial-parameter policy {initial!r}")
-    if initial == "random" and initial_seed is None:
-        raise ValueError("random initial parameters require a seed")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if restarts > 1 and initial_seed is None:
-        raise ValueError("multi-start requires an initial seed")
+    if seed is None and (initial == "random" or restarts > 1 or estimator.kind == "sampled"
+                         or optimizer.kind == "spsa"):
+        raise ValueError("a random start, multi-start, sampled estimation or SPSA needs vqe.seed")
     if estimator.kind == "sampled" and optimizer.kind == "quasi_newton":
         raise ValueError(
             "the quasi-Newton optimizer needs exact gradients; "
@@ -105,7 +99,7 @@ class VqeProblem:
     estimator: EstimatorSpec = EstimatorSpec()
     optimizer: OptimizerSpec = OptimizerSpec()
     initial: str = "zeros"  # zeros | random
-    initial_seed: Optional[int] = None
+    seed: Optional[int] = None  # of every random stream: starts, shots, calibration, SPSA
     restarts: int = 1
 
     def __post_init__(self):
@@ -115,8 +109,7 @@ class VqeProblem:
                 f"Hamiltonian has {self.hamiltonian.n_qubits}"
             )
         check_noise_width(self.estimator.noise, self.hamiltonian.n_qubits)
-        check_settings(self.estimator, self.optimizer, self.initial, self.initial_seed,
-                       self.restarts)
+        check_settings(self.estimator, self.optimizer, self.initial, self.seed, self.restarts)
 
 
 @dataclass
@@ -163,13 +156,13 @@ def build_objective(problem: VqeProblem):
             if est.noise is not None
             else ReadoutNoiseModel.uniform(problem.circuit.n_qubits, 0.0),
             _CALIBRATION_SHOTS,
-            seed=est.seed,
+            seed=problem.seed,
         )
         mitigator = mitigation.M3GroupEstimator(cal)
     elif est.mitigation == "trex":
         mitigator = mitigation.TrexGroupEstimator(cal_shots=_CALIBRATION_SHOTS)
 
-    rng = np.random.default_rng(est.seed)
+    rng = np.random.default_rng(problem.seed)
     grouped = group_qubitwise(problem.hamiltonian)
 
     def objective(params):
@@ -200,7 +193,7 @@ def _optimizer_runner(problem: VqeProblem):
     opt = problem.optimizer
     if opt.kind == "spsa":
         objective = build_objective(problem)
-        return lambda x0: spsa(objective, x0, iterations=opt.iterations, seed=opt.seed)
+        return lambda x0: spsa(objective, x0, iterations=opt.iterations, seed=problem.seed)
     # quasi-Newton: VqeProblem admits it only with the exact estimator
     evaluator = PauliExpectation(problem.hamiltonian)
 
@@ -221,7 +214,9 @@ def solve(
 
     ``x0`` is a warm start: one optimizer run from it, whatever
     ``problem.restarts`` says.  ``reference`` fills in the relative-error
-    field.  Deterministic for fixed seeds.
+    field.  Deterministic for a fixed ``problem.seed``: the start draws, the
+    shot sampling with its M3 calibration, and SPSA each draw from their own
+    ``np.random.default_rng(problem.seed)``.
     """
     if problem.circuit.n_parameters == 0:
         trace = OptimizerTrace()
@@ -232,7 +227,7 @@ def solve(
             result.relative_error = relative_error(value, reference)
         return result
     run = _optimizer_runner(problem)
-    init_rng = np.random.default_rng(problem.initial_seed)
+    init_rng = np.random.default_rng(problem.seed)
     best = None
     for r in range(1 if x0 is not None else problem.restarts):
         start = x0 if x0 is not None else _initial_vector(problem, r, init_rng)

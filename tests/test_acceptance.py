@@ -101,7 +101,7 @@ def test_criterion_2_vqe_convergence(h2_problem_parts):
     with Stopwatch(60) as clock:
         spsa_result = solve(
             VqeProblem(h, circuit, EstimatorSpec("exact"),
-                       OptimizerSpec("spsa", iterations=100, seed=11)),
+                       OptimizerSpec("spsa", iterations=100), seed=11),
             reference=oracle,
         )
         qn_result = solve(
@@ -123,7 +123,7 @@ def test_criterion_3_deparameterisation():
     assert circuit.n_parameters == 10
     problem = VqeProblem(
         h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-        initial="random", initial_seed=2, restarts=3,
+        initial="random", seed=2, restarts=3,
     )
     with Stopwatch(300) as clock:
         rep = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
@@ -208,7 +208,7 @@ def test_criterion_5_dmet(h2, h4, h2_mf, h4_mf):
                 optimizer=OptimizerSpec("quasi_newton"),
                 estimator=EstimatorSpec("exact"),
                 initial="random",
-                initial_seed=seed,
+                seed=seed,
             )
             res = run_dmet(m2, h2_mf, frag2, solver=solver)
             deviations.append(abs(res.total_energy - exact2.total_energy))

@@ -112,7 +112,7 @@ class TestMolecularProblem:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_matches_the_hand_assembled_chain(self, integrals, mapping, layers):
         m = integrals
-        settings = {"initial": "random", "initial_seed": 3, "restarts": 2}
+        settings = {"initial": "random", "seed": 3, "restarts": 2}
         problem, spec = molecular_problem(m, mapping, layers, **settings)
         hand_spec = mapping  # counted only where the reduction reads the count
         if mapping.two_qubit_reduction:
@@ -126,10 +126,11 @@ class TestMolecularProblem:
         x_qubits = [g.qubit for g in problem.circuit.gates if isinstance(g, PauliXGate)]
         assert x_qubits == [q for q, b in enumerate(bits) if b] and any(bits)
         assert spec == MappingSpec(mapping.kind, mapping.two_qubit_reduction, m.n_electrons)
-        assert (problem.initial, problem.initial_seed, problem.restarts) == ("random", 3, 2)
+        assert (problem.initial, problem.seed, problem.restarts) == ("random", 3, 2)
 
     def test_settings_are_checked_by_the_problem(self, h2):
-        with pytest.raises(ValueError, match="multi-start requires an initial seed"):
+        with pytest.raises(ValueError,
+                           match="a random start, multi-start, sampled estimation or SPSA needs vqe.seed"):
             molecular_problem(h2[0], restarts=2)
 
 
@@ -176,7 +177,7 @@ class TestDeparameterise:
         circ = build_hea(HeaConfig(4, 1), [0] * 4)
         problem = VqeProblem(
             h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=1, restarts=2,
+            initial="random", seed=1, restarts=2,
         )
         report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
         for step in report.steps:
@@ -191,7 +192,7 @@ class TestDeparameterise:
         circ = build_hea(HeaConfig(3, 1), [0] * 3)
         problem = VqeProblem(
             h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=3, restarts=2,
+            initial="random", seed=3, restarts=2,
         )
         report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
         counts = [s.params_after for s in report.steps]
@@ -206,7 +207,7 @@ class TestDeparameterise:
         h = field_chain(3, 0.2)
         problem = VqeProblem(
             h, build_hea(HeaConfig(3, 1), [0] * 3), EstimatorSpec("exact"),
-            OptimizerSpec("quasi_newton"), initial="random", initial_seed=3, restarts=3,
+            OptimizerSpec("quasi_newton"), initial="random", seed=3, restarts=3,
         )
         report = deparameterise(problem, h.ground_state_energy()[0], tolerance=1e-2)
         # a trial with no free rotation left is evaluated, not optimized
@@ -219,7 +220,7 @@ class TestDeparameterise:
         circ = build_hea(HeaConfig(2, 1), [0, 0])
         problem = VqeProblem(
             h, circ, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=5,
+            initial="random", seed=5,
         )
         report = deparameterise(problem, h.ground_state_energy()[0], tolerance=0.0)
         assert len(report.steps) <= 1

@@ -62,6 +62,8 @@ H10_FRAGMENTS = {
     "2+3+3+2": ((0, 1), (2, 3, 4), (5, 6, 7), (8, 9)),
 }
 EXACT = ExactFragmentSolver()
+# the error of vqe.check_settings's one seed rule
+SEED_RULE = "a random start, multi-start, sampled estimation or SPSA needs vqe.seed"
 
 
 def hubbard_chain(n, t=1.0, u=2.0, n_electrons=None):
@@ -648,7 +650,7 @@ class TestMirrorClasses:
     def test_vqe_run_reuses_the_mirror_solve(self, h2, h2_mf):
         solver = CountingSolver(VqeFragmentSolver(
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
-            initial="random", initial_seed=5,
+            initial="random", seed=5,
         ))
         res = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
         assert res.solved_as == [0, 0]
@@ -720,7 +722,7 @@ class TestSolveFragment:
             optimizer=OptimizerSpec("quasi_newton"),
             estimator=EstimatorSpec("exact"),
             initial="random",
-            initial_seed=2,
+            seed=2,
         )
         via_vqe = solve_fragment(e, solver)
         assert abs(via_vqe.energy - exact.energy) < 2e-3
@@ -730,9 +732,9 @@ class TestSolveFragment:
 class TestVqeFragmentSolver:
     @pytest.mark.parametrize("settings,message", [
         ({"initial": "bogus"}, "unknown initial-parameter policy 'bogus'"),
-        ({"initial": "random"}, "random initial parameters require a seed"),
-        ({"restarts": 2}, "multi-start requires an initial seed"),
-        ({"estimator": EstimatorSpec("sampled", seed=1)}, "quasi-Newton optimizer needs exact"),
+        ({"initial": "random"}, SEED_RULE),
+        ({"restarts": 2}, SEED_RULE),
+        ({"estimator": EstimatorSpec("sampled"), "seed": 1}, "quasi-Newton optimizer needs exact"),
         ({"layers": -1}, "layers must be >= 0"),
         ({"restarts": 0}, "restarts must be >= 1, got 0"),
     ], ids=["unknown-initial", "random-without-seed", "restarts-without-seed", "sampled-lbfgs",
@@ -782,7 +784,7 @@ class TestRunDmet:
             optimizer=OptimizerSpec("quasi_newton"),
             estimator=EstimatorSpec("exact"),
             initial="random",
-            initial_seed=0,
+            seed=0,
         )
         via_vqe = run_dmet(m, h2_mf, frag, solver=solver)
         assert abs(via_vqe.total_energy - exact.total_energy) < 5e-3
@@ -805,7 +807,7 @@ class TestRunDmet:
                 optimizer=OptimizerSpec("quasi_newton"),
                 estimator=EstimatorSpec("exact"),
                 initial="random",
-                initial_seed=seed,
+                seed=seed,
             )
             plain = run_dmet(m, mf, Fragmentation(fragments), solver=solver)
             windowed = run_dmet(m, mf, Fragmentation(fragments), solver=solver, window=window)
@@ -833,7 +835,7 @@ class TestRunDmet:
         assert windowed.converged
         solver = VqeFragmentSolver(  # configs/h2_dmet_vqe.yaml
             layers=1, optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
-            initial="random", initial_seed=5,
+            initial="random", seed=5,
         )
         via_vqe = run_dmet(h2[0], h2_mf, Fragmentation(((0,), (1,))), solver=solver)
         assert via_vqe.converged
@@ -847,7 +849,7 @@ class TestRunDmet:
 
         monkeypatch.setattr(dmet_mod.vqe_mod, "bounded_quasi_newton", counting)
         solver = VqeFragmentSolver(
-            layers=1, initial="random", initial_seed=5, restarts=3,
+            layers=1, initial="random", seed=5, restarts=3,
             optimizer=OptimizerSpec("quasi_newton"), estimator=EstimatorSpec("exact"),
         )
         res = run_dmet(h4[0], h4_mf, Fragmentation(((0, 1), (2, 3))), solver=solver)
@@ -861,8 +863,8 @@ class TestRunDmet:
         # each H4 embedding has 4 orbitals: 8 spin orbitals, 4 in a window of 1
         noise = ReadoutNoiseModel.uniform(width + 2, 0.02)
         solver = CountingSolver(VqeFragmentSolver(
-            estimator=EstimatorSpec("sampled", shots=100, noise=noise, seed=1),
-            optimizer=OptimizerSpec("spsa", iterations=1, seed=1),
+            estimator=EstimatorSpec("sampled", shots=100, noise=noise),
+            optimizer=OptimizerSpec("spsa", iterations=1), seed=1,
             mapping=MappingSpec(PARITY, two_qubit_reduction=reduced),
         ))
         message = f"acts on {width + 2} qubits but the register has {width} qubits"

@@ -65,7 +65,7 @@ class TestSolve:
     def test_h2_spsa_converges(self, h2_reduced):
         h, circuit, oracle, _ = h2_reduced
         result = solve(
-            VqeProblem(h, circuit, EstimatorSpec("exact"), OptimizerSpec("spsa", iterations=100, seed=11)),
+            VqeProblem(h, circuit, EstimatorSpec("exact"), OptimizerSpec("spsa", iterations=100), seed=11),
             reference=oracle,
         )
         assert result.relative_error <= 5e-3
@@ -77,15 +77,15 @@ class TestSolve:
 
     def test_energy_equals_trace_best(self, h2_reduced):
         h, circuit, _, _ = h2_reduced
-        result = solve(VqeProblem(h, circuit, EstimatorSpec("exact"), OptimizerSpec("spsa", iterations=40, seed=2)))
+        result = solve(VqeProblem(h, circuit, EstimatorSpec("exact"), OptimizerSpec("spsa", iterations=40), seed=2))
         assert result.energy == min(result.trace.values)
 
     def test_bitwise_reproducible(self, h2_reduced):
         h, circuit, _, _ = h2_reduced
         problem = VqeProblem(
             h, circuit,
-            EstimatorSpec("sampled", shots=500, seed=13),
-            OptimizerSpec("spsa", iterations=20, seed=7),
+            EstimatorSpec("sampled", shots=500),
+            OptimizerSpec("spsa", iterations=20), seed=7,
         )
         r1, r2 = solve(problem), solve(problem)
         assert r1.energy == r2.energy
@@ -96,11 +96,11 @@ class TestSolve:
         h, circuit, oracle, _ = h2_reduced
         single = solve(VqeProblem(
             h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=8,
+            initial="random", seed=8,
         ))
         multi = solve(VqeProblem(
             h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=8, restarts=4,
+            initial="random", seed=8, restarts=4,
         ))
         assert multi.energy <= single.energy + 1e-12
 
@@ -115,7 +115,7 @@ class TestSolve:
         monkeypatch.setattr(vqe_mod, "bounded_quasi_newton", counted)
         problem = VqeProblem(
             h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=8, restarts=3,
+            initial="random", seed=8, restarts=3,
         )
         x0 = np.full(circuit.n_parameters, 0.1)
         result = solve(problem, x0=x0)
@@ -133,14 +133,15 @@ class TestSolve:
         assert shifted.energy == pytest.approx(solve(problem, x0=x0).energy, abs=1e-10)
 
     def test_sampled_estimator_requires_seed(self, h2_reduced):
+        h, circuit, _, _ = h2_reduced
         with pytest.raises(ValueError, match="seed"):
-            EstimatorSpec("sampled", shots=100)
+            VqeProblem(h, circuit, EstimatorSpec("sampled", shots=100), OptimizerSpec("spsa"))
 
     def test_sampled_energies_with_quasi_newton_rejected(self, h2_reduced):
         h, circuit, _, _ = h2_reduced
         with pytest.raises(ValueError, match="exact gradients"):
-            VqeProblem(h, circuit, EstimatorSpec("sampled", shots=100, seed=1),
-                       OptimizerSpec("quasi_newton"))
+            VqeProblem(h, circuit, EstimatorSpec("sampled", shots=100),
+                       OptimizerSpec("quasi_newton"), seed=1)
 
     @pytest.mark.parametrize("settings,message", [
         ({"iterations": 0}, "optimizer.iterations must be >= 1, got 0"),
@@ -188,7 +189,7 @@ class TestJordanWignerPath:
         circuit = build_hea(HeaConfig(4, 2), hartree_fock_bitstring(2, 2, spec))
         result = solve(VqeProblem(
             h, circuit, EstimatorSpec("exact"), OptimizerSpec("quasi_newton"),
-            initial="random", initial_seed=4, restarts=6,
+            initial="random", seed=4, restarts=6,
         ))
         assert result.energy >= oracle - 1e-9
         assert result.energy < -0.9
