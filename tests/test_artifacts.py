@@ -19,7 +19,7 @@ ARTIFACTS = {
     "h2_vqe_sampled": ("vqe", "configs/h2_vqe_sampled.yaml"),
     "h2_vqe_spsa": ("vqe", "configs/h2_vqe_spsa.yaml"),
     "h4_dmet": ("dmet", "configs/h4_dmet.yaml"),
-    "oracle_h2": ("oracle", "configs/h2_vqe_lbfgs.yaml"),
+    "oracle_h2": ("oracle", "configs/h2_oracle.yaml"),
 }
 
 
