@@ -423,8 +423,6 @@ class TestVqeCommand:
         # vqe.seed is the one seed of a run, and --seed sets it
         monkeypatch.chdir(ROOT)  # the config names its input files relative to the repo
         doc = yaml.safe_load((CONFIGS / "h2_vqe_sampled.yaml").read_text())
-        for section in ("estimator", "optimizer"):
-            doc[section].pop("seed", None)
         doc["vqe"] = {"seed": 5}
         cfg = tmp_path / "c.yaml"
         cfg.write_text(yaml.safe_dump(doc))
