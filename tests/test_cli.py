@@ -435,15 +435,38 @@ class TestVqeCommand:
     def test_sampled_with_mitigation_runs(self, outdir):
         assert run(["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--out", outdir]) == 0
 
-    @pytest.mark.parametrize("seed, digest", [
-        (0, "407043947e165f2d4f8a56b27f47b40b93168815dfef4edba0004b54d6fe7485"),
+    # sha256 of vqe_result.txt for each of the benchmark's 20 sampled runs
+    SAMPLED_DIGESTS = {
+        ("m3", 0): "922b6d5d1ccd5fabe2e624f6c5685b1922c66b78867f0856f0ecbd7a0d7bfbb0",
+        ("m3", 1): "62566dee0130abcaeae74bfbb94c10ed53344f6b68faca386151f7ce6ee885a8",
+        ("m3", 2): "cccd92ca42aef2eb3736239ba2b72bd3819446ba79055920b3b43801f3e72505",
+        ("m3", 3): "8bbee71449f05230f444a5675ec9621a8267e82140d62689c0ebeb5b6afde288",
+        ("m3", 4): "673e2939523ed7b9f121d7694be330508ff9dabb5aaf1cfd21cb15c787621a47",
+        ("m3", 5): "baa2616b93b6edd16c070f27d95fbee74cc23f9893aa9d843ddbde5f56f15382",
+        ("m3", 6): "0783a72e36d8de2bc11fb0d227e21c472cb9fde15b9ec07c5c99fc971f5e6416",
+        ("m3", 7): "b05ea733125e0f95e119269d8495c07acea0e33f3ba05da5e50226d750ec13c7",
+        ("m3", 8): "978f8dce085c3db3710176c153884d3524d05af2acfcdce3c3630a648cfd3f0f",
+        ("m3", 9): "380f4d9a9d4adfde6aa9da3fa9eb3195a909f2d0a8f0db2f238e5582c90232e9",
+        ("trex", 0): "407043947e165f2d4f8a56b27f47b40b93168815dfef4edba0004b54d6fe7485",
+        ("trex", 1): "0ddd21719a4ee57b0699e747dbcc3e50b8792ab910747e2a05d62d8aa6c3e8f2",
+        ("trex", 2): "58675bfa72bbcd588a0126803a31c0efabe4487b368f48c9e2aeb69e2208d968",
         # seed 3 ends closest to the benchmark's 5e-2 relative-error ceiling
-        (3, "cad5582daa94860723421c157091696f9bc0808b036e9c7b9fc20527335a2bff"),
-    ])
-    def test_sampled_trex_result_is_pinned(self, outdir, seed, digest):
+        ("trex", 3): "cad5582daa94860723421c157091696f9bc0808b036e9c7b9fc20527335a2bff",
+        ("trex", 4): "215806fcd7b8c4177b4e86ad75bd939b405629a1fba74c38706074f0619c8a03",
+        ("trex", 5): "81af8a5c92e4390e340a3864ea7692faaaef942c56ef072a4e4c5dd5046065e7",
+        ("trex", 6): "475db143f0cab9ed35d3580efa4c3cae7c18213dc42b130b32848edf5958dcab",
+        ("trex", 7): "43b56488fc2f1bdc6e0dd62e009a7b1031feebbe2787768cbf9bc8869dcedd85",
+        ("trex", 8): "15d1c1abca70c40d05d5369075b6bd5cb6e39fe52a33670ca81d70a2cc829233",
+        ("trex", 9): "6b861b3e00a6bc759a223aa8b3a46a34d828e6cd92dfc2e4ada4fa4acdb82bb5",
+    }
+
+    @pytest.mark.parametrize("mitigation, seed", sorted(SAMPLED_DIGESTS),
+                             ids=[f"{m}-{s}" for m, s in sorted(SAMPLED_DIGESTS)])
+    def test_sampled_result_is_pinned(self, outdir, mitigation, seed):
         argv = ["vqe", "--config", CONFIGS / "h2_vqe_sampled.yaml", "--seed", seed,
-                "--mitigation", "trex", "--out", outdir]
+                "--mitigation", mitigation, "--out", outdir]
         assert run(argv) == 0
+        digest = self.SAMPLED_DIGESTS[mitigation, seed]
         assert hashlib.sha256((outdir / "vqe_result.txt").read_bytes()).hexdigest() == digest
 
 

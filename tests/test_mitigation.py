@@ -372,3 +372,36 @@ def test_estimates_are_pinned():
         "IZZ": (0.8480000000000001, 0.0002808959999999998),
         "ZZZ": (-0.025999999999999968, 0.000999324),
     }
+
+
+def test_reused_estimators_match_fresh_ones():
+    # An objective keeps one estimator for all its evaluations. Whatever the
+    # estimator keeps between calls must give, bit for bit, what a fresh one
+    # gives, while the observed outcomes, members, basis and shot count change.
+    noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
+    cal = calibrate(noise, 20000, seed=22)
+    state = evolve(ghz(3), [])
+    member_lists = ([(0.7, 0b110), (-0.3, 0b001)], [(1.1, 0b111)], [(0.7, 0b110), (-0.2, 0b001)])
+    calls = [
+        (basis, members, 30 + seed % 2, seed)
+        for seed in range(8) for basis in ("ZZZ", "XXZ") for members in member_lists
+    ]
+    observed = {b: [sample(state, PauliWord(b), 30 + seed % 2, noise, seed).outcomes.tolist()
+                    for seed in range(8)] for b in ("ZZZ", "XXZ")}
+    # from one seed to the next the observed set changes in the Z basis and
+    # recurs in the X basis
+    assert all(a != b for a, b in zip(observed["ZZZ"], observed["ZZZ"][1:]))
+    assert observed["XXZ"][0] == observed["XXZ"][1] == observed["XXZ"][3]
+
+    m3 = M3GroupEstimator(cal)
+    trex = TrexGroupEstimator(4000)
+    for basis, members, shots, seed in calls:
+        args = (state, PauliWord(basis), members, shots, noise, seed)
+        assert m3.estimate_group(*args) == M3GroupEstimator(cal).estimate_group(*args)
+        got = trex.estimate_group(*args)
+        fresh = TrexGroupEstimator(4000)  # with the reused one's calibration pass
+        fresh._cal_width, fresh._cal_outcomes = trex._cal_width, trex._cal_outcomes
+        assert got == fresh.estimate_group(*args)
+    # a TREX estimator recalibrates for another register width
+    args = (evolve(ghz(2), []), PauliWord("ZX"), [(0.5, 0b11), (1.0, 0b01)], 45, None, 9)
+    assert trex.estimate_group(*args) == TrexGroupEstimator(4000).estimate_group(*args)
