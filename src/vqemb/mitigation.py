@@ -60,20 +60,21 @@ def _solve_assignment(A: np.ndarray, p: np.ndarray) -> np.ndarray:
         raise ValueError(f"singular restricted assignment matrix: {exc}") from exc
 
 
-def _subspace_inversion(counts: ShotCounts, cal: ReadoutNoiseModel):
-    """The observed outcomes' frequencies p, the restricted assignment matrix
-    A, and the solution x of A x = p, all in the order of ``counts.outcomes``.
+def _subspace_inversion(counts: ShotCounts, A: np.ndarray):
+    """The observed outcomes' frequencies p, the solution x of A x = p for
+    their restricted assignment matrix A, and the mass sum(x), all in the
+    order of ``counts.outcomes``.
 
-    Raises when the quasi-probability mass sum(x) vanishes.
+    Raises when the quasi-probability mass vanishes.
     """
     if not counts.outcomes.size:
         raise ValueError("empty counts")
     p = counts.counts / counts.shots
-    A = _restricted_matrix(counts.outcomes, counts.basis.n_qubits, cal)
     x = _solve_assignment(A, p)
-    if abs(x.sum()) < 1e-8:
+    s = x.sum()
+    if abs(s) < 1e-8:
         raise ValueError("quasi-probability mass vanished; calibration is pathological")
-    return p, A, x
+    return p, x, s
 
 
 def m3_mitigate(counts: ShotCounts, cal: ReadoutNoiseModel) -> dict:
@@ -83,8 +84,9 @@ def m3_mitigate(counts: ShotCounts, cal: ReadoutNoiseModel) -> dict:
     Solves A x = p with A restricted to the observed subspace; x is
     renormalized to unit sum and may carry negative entries.
     """
-    _, _, x = _subspace_inversion(counts, cal)
-    return dict(zip(counts.outcomes.tolist(), (x / x.sum()).tolist()))
+    A = _restricted_matrix(counts.outcomes, counts.basis.n_qubits, cal)
+    _, x, s = _subspace_inversion(counts, A)
+    return dict(zip(counts.outcomes.tolist(), (x / s).tolist()))
 
 
 class M3GroupEstimator:
@@ -93,36 +95,49 @@ class M3GroupEstimator:
     The group value is w . p_hat with A^T w = v, where v holds each observed
     outcome's coefficient-weighted parity; the variance is propagated from
     the multinomial covariance of p_hat (renormalization treated as constant).
+    Each group keeps A and w for its last observed set until the set changes.
     """
 
     def __init__(self, calibration: ReadoutNoiseModel):
         self.calibration = calibration
+        self._last = {}  # (basis letters, members) -> (outcome bytes, A, w, w * w)
 
     def estimate_group(self, state, basis, members, shots, noise, seed):
         counts = sample(state, basis, shots, noise, seed)
-        p, A, x = _subspace_inversion(counts, self.calibration)
-        s = x.sum()
-        w = _solve_assignment(A.T, _member_values(counts.outcomes, members))
-        mean = float(w @ p) / s
-        var = max(float(p @ (w * w)) - float(w @ p) ** 2, 0.0) / shots / (s * s)
-        return mean, var
+        group, observed = (basis.letters, tuple(members)), counts.outcomes.tobytes()
+        last = self._last.get(group)
+        if last is None or last[0] != observed:
+            A = _restricted_matrix(counts.outcomes, basis.n_qubits, self.calibration)
+            w = _solve_assignment(A.T, _member_values(counts.outcomes, members))
+            last = self._last[group] = (observed, A, w, w * w)
+        _, A, w, w2 = last
+        p, _, s = _subspace_inversion(counts, A)
+        wp = float(w @ p)
+        var = max(float(p @ w2) - wp**2, 0.0) / shots / (s * s)
+        return wp / s, var
 
 
 # -- twirled readout estimation ---------------------------------------------------
 
-def _twirled_bits(
-    state: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng
-) -> np.ndarray:
-    """Measured outcomes (int64 basis indices) with per-batch X-mask
-    twirling already compensated.
-
-    ``_TWIRL_BATCHES`` masks each cover one block of consecutive shots of
-    ``shots // _TWIRL_BATCHES``, the first ``shots % _TWIRL_BATCHES`` blocks
-    one shot longer; all shots are drawn in one pass.
-    """
-    masks = rng.integers(0, 2, size=(_TWIRL_BATCHES, n)) @ (1 << (n - 1 - np.arange(n)))
+def _twirl_layout(n: int, shots: int) -> tuple:
+    """(n, shots, register weights, block sizes) of a twirled pass: each of
+    ``_TWIRL_BATCHES`` masks covers one block of ``shots // _TWIRL_BATCHES``
+    consecutive shots, the first ``shots % _TWIRL_BATCHES`` one shot longer."""
     sizes = shots // _TWIRL_BATCHES + (np.arange(_TWIRL_BATCHES) < shots % _TWIRL_BATCHES)
-    return _sample_outcomes(np.abs(state) ** 2, n, shots, noise, rng, twirl=np.repeat(masks, sizes))
+    return n, shots, 1 << (n - 1 - np.arange(n)), sizes
+
+
+def _twirled_pass(state: np.ndarray, layout: tuple, noise: Optional[ReadoutNoiseModel], rng):
+    """Measured int64 basis indices of one twirled pass in ``layout``, all
+    shots drawn in one pass, with the X-mask twirling already compensated."""
+    n, shots, weights, sizes = layout
+    masks = rng.integers(0, 2, size=(_TWIRL_BATCHES, n)) @ weights
+    return _sample_outcomes(np.abs(state) ** 2, n, shots, noise, rng, twirl=masks.repeat(sizes))
+
+
+def _twirled_bits(state: np.ndarray, n: int, shots: int, noise, rng) -> np.ndarray:
+    """``_twirled_pass`` of ``shots`` shots on an n-qubit register."""
+    return _twirled_pass(state, _twirl_layout(n, shots), noise, rng)
 
 
 class TrexGroupEstimator:
@@ -131,7 +146,8 @@ class TrexGroupEstimator:
     One twirled calibration pass (lazy, on the first group) serves all Z
     masks; each mask's attenuation and its variance are computed from the
     stored calibration outcomes once and cached until the calibration is
-    redone for another register width.
+    redone for another register width.  The estimation passes' twirl layout
+    is rebuilt only for a new register width or shot count.
     """
 
     def __init__(self, cal_shots: int):
@@ -141,6 +157,7 @@ class TrexGroupEstimator:
         self._cal_width = None
         self._cal_outcomes = None
         self._attenuations: dict = {}
+        self._layout = (None, None)
 
     def _calibrate(self, n: int, noise, seed) -> None:
         """Run the calibration pass unless one for an n-qubit register is stored."""
@@ -165,17 +182,19 @@ class TrexGroupEstimator:
         n = basis.n_qubits
         rng = np.random.default_rng(seed)
         self._calibrate(n, noise, seed + 1 if seed is not None else 1)
-        rotated = _rotate_to_basis(state, basis, n)
-        outcomes = _twirled_bits(rotated, n, shots, noise, rng)
+        if self._layout[:2] != (n, shots):
+            self._layout = _twirl_layout(n, shots)
+        outcomes = _twirled_pass(_rotate_to_basis(state, basis, n), self._layout, noise, rng)
 
+        # np.add.reduce(x) / shots is np.mean(x) without its Python wrapper
         per_shot = np.zeros(shots)
         extra_var = 0.0
         for coeff, mask in members:
             eigs = _z_eigenvalues(outcomes, mask)
             att, var_att = self._attenuation(mask)
-            raw = float(eigs.mean())
+            raw = float(np.add.reduce(eigs) / shots)
             per_shot += coeff * eigs / att
             extra_var += (coeff * raw / att**2) ** 2 * var_att
-        mean = float(per_shot.mean())
-        var = max(float((per_shot**2).mean()) - mean * mean, 0.0) / shots
+        mean = float(np.add.reduce(per_shot) / shots)
+        var = max(float(np.add.reduce(per_shot**2) / shots) - mean * mean, 0.0) / shots
         return mean, var + extra_var

@@ -275,6 +275,11 @@ class ReadoutNoiseModel:
             blocks.append((lo, hi, table))
         return tuple(blocks)
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """Basis-index weight 2^(n-1-q) of each qubit q."""
+        return 1 << (self.n_qubits - 1 - np.arange(self.n_qubits))
+
     def flip_probs(self) -> np.ndarray:
         """(n, 2) array of [p(1|0), p(0|1)] per qubit."""
         return self._stacked[:, [1, 0], [0, 1]]
@@ -351,19 +356,19 @@ def _rotate_to_basis(state: np.ndarray, basis: PauliWord, n: int) -> np.ndarray:
 
 
 def _sample_outcomes(
-    probs: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng, twirl=0
+    probs: np.ndarray, n: int, shots: int, noise: Optional[ReadoutNoiseModel], rng, twirl=None
 ) -> np.ndarray:
     """Measured int64 basis indices of ``shots`` shots from the Born weights
     ``probs``, with the readout flips of ``noise`` (or none).
 
     The ideal outcomes make the draws and arithmetic of
     ``rng.choice(probs.size, shots, p=probs / probs.sum())``; then one uniform
-    per shot and qubit decides its flip.  ``twirl``, an X mask as a basis index
+    per shot and qubit decides its flip.  ``twirl``, X masks as basis indices
     (one, or one per shot), is applied before the flips and undone after them.
     Raises ValueError unless ``probs`` has finite, positive mass.
     """
     total = _positive_mass(probs.sum())
-    cdf = np.cumsum(probs / total)
+    cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
     outcomes = cdf.searchsorted(rng.random(shots), side="right")
     if noise is None:
@@ -371,15 +376,15 @@ def _sample_outcomes(
     if noise.n_qubits != n:
         raise ValueError(f"readout noise covers {noise.n_qubits} qubits, the register {n}")
     uniforms = rng.random((shots, n))
-    twirled = outcomes ^ twirl
-    weights = 1 << (n - 1 - np.arange(n))
+    twirled = outcomes if twirl is None else outcomes ^ twirl
+    weights = noise._weights
     for lo, hi, table in noise._flip_tables:
         # the block's bits of each twirled outcome; a register of one block
         # indexes its table directly
         rows = twirled >> (n - hi) if hi < n else twirled
         if lo:
             rows = rows & ((1 << (hi - lo)) - 1)
-        flips = uniforms[:, lo:hi] < np.take(table, rows, axis=0)
+        flips = uniforms[:, lo:hi] < table.take(rows, axis=0)
         outcomes = outcomes ^ (flips @ weights[lo:hi])
     return outcomes
 
@@ -414,7 +419,7 @@ def sample(
     rng = np.random.default_rng(seed)
     probs = np.abs(_rotate_to_basis(state, basis, n)) ** 2
     counts = np.bincount(_sample_outcomes(probs, n, shots, noise, rng), minlength=1 << n)
-    outcomes = np.flatnonzero(counts)
+    outcomes = counts.nonzero()[0]
     return ShotCounts(outcomes, counts[outcomes], basis)
 
 
