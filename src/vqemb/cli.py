@@ -186,6 +186,15 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
         ("estimator", "mitigation"): overrides.mitigation,
         ("output", "dir"): overrides.out,
     })
+    if overrides.command == "dmet" and cfg["dmet"].get("solver") != "vqe":
+        # --seed and --mitigation set vqe.seed and estimator.mitigation under every verb
+        unread = ["mapping"] * bool(cfg["mapping"]) + [f"ansatz.{k}" for k in cfg["ansatz"]]
+        unread += [f"vqe.{k}" for k in cfg["vqe"] if k != "seed"]
+        unread += [f"estimator.{k}" for k in cfg["estimator"] if k != "mitigation"]
+        unread += [f"optimizer.{k}" for k in cfg["optimizer"]]
+        if unread:
+            raise ConfigError(f"{unread[0]}: only the VQE fragment solver reads it, "
+                              "and dmet.solver is exact")
     system = cfg["system"]
     if "hamiltonian" in system:  # a qubit Hamiltonian is a whole system, already mapped
         if "fcidump" in system:
@@ -355,12 +364,7 @@ def cmd_dmet(cfg: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"mapping: {exc} (the VQE fragment solver's default is "
                               "parity with two-qubit reduction)") from exc
-    else:  # --seed and --mitigation set vqe.seed and estimator.mitigation under every verb
-        unread = ["mapping"] * bool(cfg["mapping"]) + [f"ansatz.{k}" for k in cfg["ansatz"]]
-        unread += [f"vqe.{k}" for k in ("initial", "restarts") if k in cfg["vqe"]]
-        if unread:
-            raise ConfigError(f"{unread[0]}: only the VQE fragment solver reads it, "
-                              "and dmet.solver is exact")
+    else:  # load_config refused the keys the exact solver does not read
         dmet["solver"] = ExactFragmentSolver()
     # run_dmet checks every embedding against its solver before the first solve
     try:

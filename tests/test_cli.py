@@ -79,6 +79,15 @@ BAD_CONFIGS = {
         "dmet", H4 + "vqe: {restarts: 2, seed: 3}\ndmet: {fragments: [[0, 1], [2, 3]]}\n",
         "vqe.restarts",
     ),
+    # nor reads the optimizer or the estimator, so neither meets the seed rule
+    "optimizer-with-exact-dmet": (
+        "dmet", H4 + "optimizer: {kind: spsa, iterations: 5}\nvqe: {seed: 1}\n"
+        "dmet: {fragments: [[0, 1], [2, 3]]}\n", "optimizer.kind",
+    ),
+    "estimator-with-exact-dmet": (
+        "dmet", H4 + "estimator: {kind: sampled}\ndmet: {fragments: [[0, 1], [2, 3]]}\n",
+        "estimator.kind",
+    ),
     "unknown-dmet-solver": (
         "dmet", H4 + "dmet: {fragments: [[0, 1], [2, 3]], solver: ccsd}\n", "dmet.solver",
     ),
