@@ -148,6 +148,37 @@ BAD_CONFIGS = {
     "estimator-seed": ("vqe", H2 + "estimator: {seed: 1}\n", "estimator.seed"),
     "optimizer-seed": ("vqe", H2 + "optimizer: {kind: spsa, seed: 1}\n", "optimizer.seed"),
     "shots-with-exact-estimator": ("vqe", H2 + "estimator: {shots: 100}\n", "estimator.shots"),
+    # keys outside what the verb's run reads: dmet windows through dmet.window,
+    # resources maps the molecule and runs no VQE, and neither verb reads a
+    # qubit Hamiltonian
+    "system-window-with-dmet": (
+        "dmet", f"system: {{fcidump: {ROOT}/fixtures/h4.fcidump, window: 1}}\n"
+        "dmet: {fragments: [[0, 1], [2, 3]]}\n", "system.window",
+    ),
+    "system-window-with-resources": (
+        "resources", f"system: {{fcidump: {ROOT}/fixtures/h4.fcidump, window: 1}}\n"
+        "resources: {windows: [0]}\n", "system.window",
+    ),
+    "ansatz-with-resources": (
+        "resources", H4 + "ansatz: {layers: 2}\nresources: {windows: [0]}\n", "ansatz.layers",
+    ),
+    # refused as unread before the seed rule could name vqe.seed
+    "estimator-with-resources": (
+        "resources", H4 + "estimator: {kind: sampled}\nresources: {windows: [0]}\n",
+        "estimator.kind",
+    ),
+    "hamiltonian-with-dmet": (
+        "dmet", CHAIN5 + "}\ndmet: {fragments: [[0, 1], [2, 3, 4]]}\n", "system.hamiltonian",
+    ),
+    # YAML keeps the last of two equal keys, so a repeat would silently drop the first
+    "repeated-section": (
+        "vqe", H2 + "optimizer: {kind: spsa, iterations: 5}\nvqe: {seed: 3}\n"
+        "optimizer: {kind: quasi_newton}\n", "optimizer: repeated on line 4",
+    ),
+    "repeated-key": (
+        "dmet", H2 + "dmet: {fragments: [[0], [1]], solver: vqe, solver: exact}\n",
+        "solver: repeated on line 2",
+    ),
 }
 
 # the error of vqe.check_settings's one seed rule
