@@ -126,13 +126,41 @@ CONFIG_KEYS = {
 }
 
 
-# section -> kind -> the keys that kind never reads.  Mitigation is not listed:
-# --mitigation sets it under every verb.
-_UNREAD_KEYS = {
-    "estimator": (EstimatorSpec, {"exact": ("noise", "shots")}),
-    "optimizer": (OptimizerSpec, {"quasi_newton": ("iterations",),
-                                  "spsa": ("max_iter", "conv_tol")}),
+_VQE_SECTIONS = ("mapping", "ansatz", "estimator", "optimizer", "vqe")
+# verb -> the sections and section.keys its run reads, as the README's "Keys each
+# verb reads" lists them; dmet reads the VQE sections only with solver: vqe.  Every
+# verb reads output: and the keys --seed and --mitigation set, and accepts each
+# verb's own section, so that one config serves several verbs.
+READS = {
+    "vqe": ("system", *_VQE_SECTIONS),
+    "deparam": ("system", *_VQE_SECTIONS),
+    "oracle": ("system", *_VQE_SECTIONS),  # it builds the vqe run's problem
+    "dmet": ("system.fcidump",),
+    "resources": ("system.fcidump", "mapping"),
 }
+_READ_BY_EVERY_VERB = {"output", "deparam", "dmet", "resources", "vqe.seed", "estimator.mitigation"}
+# (section.key, value) -> what a run with that setting does not read
+_UNREAD_WITH = {
+    ("estimator.kind", "exact"): ("estimator.noise", "estimator.shots"),
+    ("optimizer.kind", "quasi_newton"): ("optimizer.iterations",),
+    ("optimizer.kind", "spsa"): ("optimizer.max_iter", "optimizer.conv_tol"),
+    # a qubit Hamiltonian is a whole system, already mapped, with no orbitals
+    ("system.hamiltonian", True): ("system.fcidump", "system.window", "mapping"),
+}
+
+
+def _check_read(cfg: dict, verb: str):
+    """Refuse the first key given that the verb's run does not read."""
+    reads = READS[verb] + _VQE_SECTIONS * (verb == "dmet" and cfg["dmet"].get("solver") == "vqe")
+    settings = [("estimator.kind", cfg["estimator"].get("kind", EstimatorSpec.kind)),
+                ("optimizer.kind", cfg["optimizer"].get("kind", OptimizerSpec.kind)),
+                ("system.hamiltonian", "hamiltonian" in cfg["system"])]
+    unread = {name for setting in settings for name in _UNREAD_WITH.get(setting, ())}
+    for section, body in cfg.items():
+        for key in body:
+            names = {section, f"{section}.{key}"}
+            if not names & _READ_BY_EVERY_VERB and (not names.intersection(reads) or names & unread):
+                raise ConfigError(f"{section}.{key}: the {verb} run of this config does not read it")
 
 
 def _check(data: dict, flags: dict) -> dict:
@@ -163,6 +191,21 @@ def _check(data: dict, flags: dict) -> dict:
     return cfg
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a key repeated in one mapping: safe_load keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError(f"{key}: repeated on line {key_node.start_mark.line + 1} "
+                                      "(YAML keeps only the last)")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
     """Checked run configuration, section -> key -> value, holding only the keys given.
 
@@ -174,7 +217,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
     data = {}
     if path is not None:
         try:
-            data = yaml.safe_load(_path(path).read_text()) or {}
+            data = yaml.load(_path(path).read_text(), Loader=_UniqueKeyLoader) or {}
         except ValueError as exc:
             raise ConfigError(f"config {exc}") from exc
         except yaml.YAMLError as exc:
@@ -186,28 +229,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
         ("estimator", "mitigation"): overrides.mitigation,
         ("output", "dir"): overrides.out,
     })
-    if overrides.command == "dmet" and cfg["dmet"].get("solver") != "vqe":
-        # --seed and --mitigation set vqe.seed and estimator.mitigation under every verb
-        unread = ["mapping"] * bool(cfg["mapping"]) + [f"ansatz.{k}" for k in cfg["ansatz"]]
-        unread += [f"vqe.{k}" for k in cfg["vqe"] if k != "seed"]
-        unread += [f"estimator.{k}" for k in cfg["estimator"] if k != "mitigation"]
-        unread += [f"optimizer.{k}" for k in cfg["optimizer"]]
-        if unread:
-            raise ConfigError(f"{unread[0]}: only the VQE fragment solver reads it, "
-                              "and dmet.solver is exact")
-    system = cfg["system"]
-    if "hamiltonian" in system:  # a qubit Hamiltonian is a whole system, already mapped
-        if "fcidump" in system:
-            raise ConfigError("system.fcidump: give system.hamiltonian or system.fcidump, not both")
-        if "window" in system:
-            raise ConfigError("system.window: a qubit Hamiltonian has no orbitals to window")
-        if cfg["mapping"]:
-            raise ConfigError("mapping: a qubit Hamiltonian is not mapped again")
-    for section, (spec, unread) in _UNREAD_KEYS.items():
-        kind = cfg[section].get("kind", spec.kind)
-        for key in unread.get(kind, ()):
-            if key in cfg[section]:
-                raise ConfigError(f"{section}.{key}: the {kind} {section} does not read it")
+    _check_read(cfg, overrides.command)
     vqe = cfg["vqe"]
     try:
         MappingSpec(**cfg["mapping"])  # each verb builds the spec it feeds
@@ -364,7 +386,7 @@ def cmd_dmet(cfg: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"mapping: {exc} (the VQE fragment solver's default is "
                               "parity with two-qubit reduction)") from exc
-    else:  # load_config refused the keys the exact solver does not read
+    else:
         dmet["solver"] = ExactFragmentSolver()
     # run_dmet checks every embedding against its solver before the first solve
     try:

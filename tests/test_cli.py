@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from test_artifacts import ARTIFACTS
 
 import vqemb.ansatz as ansatz_mod
 import vqemb.cli as cli_mod
@@ -420,10 +421,15 @@ class TestConfigTable:
             documented[section] += re.findall(r"(\w+):", line)
         assert documented == {section: list(keys) for section, keys in CONFIG_KEYS.items()}
 
-    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
-    def test_shipped_configs_load(self, name, monkeypatch):
+    # each shipped config loads under vqe, and under the verb its out/ directory is written by
+    @pytest.mark.parametrize("name,verb", [
+        *(pytest.param(p.name, "vqe", id=p.name) for p in sorted(CONFIGS.glob("*.yaml"))),
+        *(pytest.param(Path(config).name, verb, id=f"{Path(config).name}-{verb}")
+          for verb, config in ARTIFACTS.values() if verb != "vqe"),
+    ])
+    def test_shipped_configs_load(self, name, verb, monkeypatch):
         monkeypatch.chdir(ROOT)  # configs name their input files relative to the repo
-        _load(["vqe", "--config", f"configs/{name}"])
+        _load([verb, "--config", f"configs/{name}"])
 
     @pytest.mark.parametrize("workload", ["deparam_sampled", "dmet_resources"])
     def test_benchmark_configs_load(self, workload, tmp_path, monkeypatch):
