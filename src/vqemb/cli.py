@@ -196,13 +196,12 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
     def construct_mapping(self, node, deep=False):
         seen = set()
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise ConfigError(f"{key}: repeated on line {key_node.start_mark.line + 1} "
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    raise ConfigError(f"{key.value}: repeated on line {key.start_mark.line + 1} "
                                       "(YAML keeps only the last)")
-                seen.add(key)
+                seen.add((key.tag, key.value))
         return super().construct_mapping(node, deep)
 
 
