@@ -1,5 +1,6 @@
 """End-to-end VQE solves against the dense oracle."""
 
+import copy
 import math
 import re
 
@@ -91,6 +92,31 @@ class TestSolve:
         assert r1.energy == r2.energy
         assert r1.trace.values == r2.trace.values
         assert np.array_equal(r1.parameters, r2.parameters)
+
+    @pytest.mark.parametrize("mitigation", ["m3", "trex"])
+    def test_random_streams_start_on_different_draws(self, h2_reduced, monkeypatch, mitigation):
+        # SPSA's convergence argument (Spall 1992) assumes the measurement noise
+        # is independent of the perturbation signs. So the start draws, the shots,
+        # the calibration and SPSA of one run must not read one bit stream: no
+        # two generators a run starts may begin with the same draw.
+        h, circuit, _, _ = h2_reduced
+        make, first = np.random.default_rng, []
+
+        def recorded(*args, **kwargs):
+            rng = make(*args, **kwargs)
+            first.append(copy.deepcopy(rng.bit_generator).random_raw())
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        for seed in range(10):
+            first.clear()
+            solve(VqeProblem(
+                h, circuit, EstimatorSpec("sampled", shots=100, mitigation=mitigation),
+                OptimizerSpec("spsa", iterations=1), initial="random", seed=seed,
+            ))
+            assert len(set(first)) == len(first), (seed, first)
+            # one generator per stream: none is started per evaluation
+            assert len(first) == 4, (seed, len(first))
 
     def test_multi_start_keeps_best(self, h2_reduced):
         h, circuit, oracle, _ = h2_reduced
