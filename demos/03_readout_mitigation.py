@@ -4,9 +4,16 @@ With 2% per-qubit readout flips the raw <ZZZZ> estimate is biased low by
 roughly (1 - 2p)^4.  Subspace inversion of the assignment matrix over the
 observed bitstrings and twirled readout estimation both recover the ideal
 value within their error bars.
+
+Every stochastic step draws from a generator passed in: each estimate reads
+its own shot stream, and each calibration (M3's, and TREX's one pass on the
+empty circuit) reads a stream of its own, the way a VQE run splits its seed
+(see ``vqemb.vqe.solve``).
 """
 
 import math
+
+import numpy as np
 
 from vqemb import ReadoutNoiseModel, calibrate, sampled_expectation
 from vqemb.mitigation import M3GroupEstimator, TrexGroupEstimator
@@ -18,23 +25,29 @@ ghz = Circuit(4, [RyGate(0, FrozenSlot(math.pi / 2)),
 parity = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
 noise = ReadoutNoiseModel.uniform(4, 0.02)
 shots = 10000
+# the shot, M3 calibration and TREX calibration streams, as a VQE run splits its seed
+shot_stream, m3_stream, trex_stream = np.random.SeedSequence(42).spawn(3)
 
 print(f"ideal <ZZZZ> on GHZ(4):        +1.0")
 print(f"analytic raw bias factor:      (1 - 0.04)^4 = {0.96 ** 4:.4f}\n")
 
-raw, raw_err = sampled_expectation(ghz, [], parity, shots, noise=noise, seed=42)
+raw, raw_err = sampled_expectation(ghz, [], parity, shots, noise=noise,
+                                   rng=np.random.default_rng(shot_stream))
 print(f"raw estimate:                  {raw:+.4f} +- {raw_err:.4f}  "
       f"({(1 - raw) / raw_err:.1f} sigma from ideal)")
 
-cal = calibrate(noise, shots=100000, seed=7)
+cal = calibrate(noise, shots=100000, rng=np.random.default_rng(m3_stream))
 m3_value, m3_err = sampled_expectation(
-    ghz, [], parity, shots, noise=noise, mitigator=M3GroupEstimator(cal), seed=42
+    ghz, [], parity, shots, noise=noise, mitigator=M3GroupEstimator(cal),
+    rng=np.random.default_rng(shot_stream),
 )
 print(f"subspace inversion:            {m3_value:+.4f} +- {m3_err:.4f}  "
       f"({abs(m3_value - 1) / m3_err:.1f} sigma from ideal)")
 
 trex_value, trex_err = sampled_expectation(
-    ghz, [], parity, shots, noise=noise, mitigator=TrexGroupEstimator(20000), seed=42
+    ghz, [], parity, shots, noise=noise,
+    mitigator=TrexGroupEstimator(20000, np.random.default_rng(trex_stream)),
+    rng=np.random.default_rng(shot_stream),
 )
 print(f"twirled readout:               {trex_value:+.4f} +- {trex_err:.4f}  "
       f"({abs(trex_value - 1) / trex_err:.1f} sigma from ideal)")

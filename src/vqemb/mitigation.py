@@ -4,7 +4,8 @@ Two schemes: assignment-matrix inversion restricted to the subspace of
 observed outcomes, solved directly on the dense restricted matrix, and
 twirled readout estimation, where random X masks symmetrize the readout
 channel and a calibration pass on the empty circuit measures the attenuation
-factor to divide out.
+factor to divide out.  Calibrations draw from a generator of their own, not
+from the shots' generator that ``estimate_group`` receives.
 
 Quasi-probabilities are renormalized to unit sum (restriction to the observed
 subspace can lose the unobserved probability mass) and are never clipped;
@@ -31,11 +32,11 @@ from .simulator import (
 _TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
-def calibrate(noise: ReadoutNoiseModel, shots: int, seed: int = 0) -> ReadoutNoiseModel:
-    """Estimate each qubit's flip rates by measuring all-0 and all-1 preparations."""
+def calibrate(noise: ReadoutNoiseModel, shots: int, *, rng: np.random.Generator):
+    """Estimate each qubit's flip rates (a ``ReadoutNoiseModel``) by measuring
+    all-0 and all-1 preparations, drawing from ``rng``."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    rng = np.random.default_rng(seed)
     fp = noise.flip_probs()
     n = noise.n_qubits
     p10 = (rng.random((shots, n)) < fp[:, 0]).mean(axis=0)
@@ -60,21 +61,18 @@ def _solve_assignment(A: np.ndarray, p: np.ndarray) -> np.ndarray:
         raise ValueError(f"singular restricted assignment matrix: {exc}") from exc
 
 
-def _subspace_inversion(counts: ShotCounts, A: np.ndarray):
-    """The observed outcomes' frequencies p, the solution x of A x = p for
-    their restricted assignment matrix A, and the mass sum(x), all in the
-    order of ``counts.outcomes``.
-
-    Raises when the quasi-probability mass vanishes.
-    """
+def _frequencies(counts: ShotCounts) -> np.ndarray:
+    """The observed outcomes' frequencies, in the order of ``counts.outcomes``."""
     if not counts.outcomes.size:
         raise ValueError("empty counts")
-    p = counts.counts / counts.shots
-    x = _solve_assignment(A, p)
-    s = x.sum()
+    return counts.counts / counts.shots
+
+
+def _quasi_mass(s: float) -> float:
+    """``s``, the mass sum(A^-1 p) of a quasi-distribution; raises when it vanishes."""
     if abs(s) < 1e-8:
         raise ValueError("quasi-probability mass vanished; calibration is pathological")
-    return p, x, s
+    return s
 
 
 def m3_mitigate(counts: ShotCounts, cal: ReadoutNoiseModel) -> dict:
@@ -85,33 +83,37 @@ def m3_mitigate(counts: ShotCounts, cal: ReadoutNoiseModel) -> dict:
     renormalized to unit sum and may carry negative entries.
     """
     A = _restricted_matrix(counts.outcomes, counts.basis.n_qubits, cal)
-    _, x, s = _subspace_inversion(counts, A)
+    x = _solve_assignment(A, _frequencies(counts))
+    s = _quasi_mass(x.sum())
     return dict(zip(counts.outcomes.tolist(), (x / s).tolist()))
 
 
 class M3GroupEstimator:
     """Group-estimation hook for sampled expectations with subspace inversion.
 
-    The group value is w . p_hat with A^T w = v, where v holds each observed
-    outcome's coefficient-weighted parity; the variance is propagated from
-    the multinomial covariance of p_hat (renormalization treated as constant).
-    Each group keeps A and w for its last observed set until the set changes.
+    The group value is w . p_hat / s with A^T [w u] = [v 1], where v holds each
+    observed outcome's coefficient-weighted parity and s = u . p_hat = sum(A^-1
+    p_hat) is the quasi-probability mass; the variance is propagated from the
+    multinomial covariance of p_hat (renormalization treated as constant).
+    Each group keeps w and u for its last observed set until the set changes.
     """
 
     def __init__(self, calibration: ReadoutNoiseModel):
         self.calibration = calibration
-        self._last = {}  # (basis letters, members) -> (outcome bytes, A, w, w * w)
+        self._last = {}  # (basis letters, members) -> (outcome bytes, w, w * w, u)
 
-    def estimate_group(self, state, basis, members, shots, noise, seed):
-        counts = sample(state, basis, shots, noise, seed)
+    def estimate_group(self, state, basis, members, shots, noise, rng):
+        counts = sample(state, basis, shots, noise, rng=rng)
+        p = _frequencies(counts)
         group, observed = (basis.letters, tuple(members)), counts.outcomes.tobytes()
         last = self._last.get(group)
         if last is None or last[0] != observed:
             A = _restricted_matrix(counts.outcomes, basis.n_qubits, self.calibration)
-            w = _solve_assignment(A.T, _member_values(counts.outcomes, members))
-            last = self._last[group] = (observed, A, w, w * w)
-        _, A, w, w2 = last
-        p, _, s = _subspace_inversion(counts, A)
+            v = _member_values(counts.outcomes, members)
+            w, u = _solve_assignment(A.T, np.stack((v, np.ones_like(v)), axis=1)).T
+            last = self._last[group] = (observed, w, w * w, u)
+        _, w, w2, u = last
+        s = _quasi_mass(float(u @ p))
         wp = float(w @ p)
         var = max(float(p @ w2) - wp**2, 0.0) / shots / (s * s)
         return wp / s, var
@@ -146,26 +148,20 @@ class TrexGroupEstimator:
     One twirled calibration pass (lazy, on the first group) serves all Z
     masks; each mask's attenuation and its variance are computed from the
     stored calibration outcomes once and cached until the calibration is
-    redone for another register width.  The estimation passes' twirl layout
-    is rebuilt only for a new register width or shot count.
+    redone for another register width; calibration passes draw from
+    ``cal_rng``.  The estimation passes' twirl layout is rebuilt only for a
+    new register width or shot count.
     """
 
-    def __init__(self, cal_shots: int):
+    def __init__(self, cal_shots: int, cal_rng: np.random.Generator):
         if cal_shots <= 0:
             raise ValueError("cal_shots must be positive")
         self.cal_shots = cal_shots
+        self._cal_rng = cal_rng
         self._cal_width = None
         self._cal_outcomes = None
         self._attenuations: dict = {}
         self._layout = (None, None)
-
-    def _calibrate(self, n: int, noise, seed) -> None:
-        """Run the calibration pass unless one for an n-qubit register is stored."""
-        if self._cal_width != n:
-            rng = np.random.default_rng(seed)
-            self._cal_outcomes = _twirled_bits(zero_state(n), n, self.cal_shots, noise, rng)
-            self._cal_width = n
-            self._attenuations = {}
 
     def _attenuation(self, mask: int) -> tuple[float, float]:
         """(attenuation, its variance) of one Z mask, from the calibration outcomes."""
@@ -178,10 +174,11 @@ class TrexGroupEstimator:
             self._attenuations[mask] = (att, var_att)
         return self._attenuations[mask]
 
-    def estimate_group(self, state, basis, members, shots, noise, seed):
+    def estimate_group(self, state, basis, members, shots, noise, rng):
         n = basis.n_qubits
-        rng = np.random.default_rng(seed)
-        self._calibrate(n, noise, seed + 1 if seed is not None else 1)
+        if self._cal_width != n:  # one calibration pass per register width
+            cal = _twirled_bits(zero_state(n), n, self.cal_shots, noise, self._cal_rng)
+            self._cal_outcomes, self._cal_width, self._attenuations = cal, n, {}
         if self._layout[:2] != (n, shots):
             self._layout = _twirl_layout(n, shots)
         outcomes = _twirled_pass(_rotate_to_basis(state, basis, n), self._layout, noise, rng)

@@ -6,7 +6,7 @@ unbounded limited-memory quasi-Newton method (scipy L-BFGS-B), which takes a
 function returning the value and its exact gradient together.  The VQE
 trains only Ry angles, so its energy is 2π-periodic in every parameter and
 the quasi-Newton search needs no box.  Both record an evaluation trace and
-are deterministic given their seed and inputs.
+are deterministic given their inputs and, for SPSA, its generator's state.
 ``scipy.optimize`` is imported by the quasi-Newton driver when it runs, so a
 process that never calls it (exact DMET, resources, SPSA) does not load it.
 """
@@ -66,7 +66,7 @@ def spsa(
     f,
     x0,
     iterations: int = 100,
-    seed: int = 0,
+    *, rng: np.random.Generator,
 ) -> tuple[np.ndarray, OptimizerTrace]:
     """SPSA with Rademacher perturbations and gain sequences
     a_k = a / (k + 1 + A)^alpha, c_k = c / (k + 1)^gamma, A = iterations / 10.
@@ -74,12 +74,11 @@ def spsa(
     ``a`` is calibrated from 10 probe gradient estimates so the first update
     step has magnitude about 0.1 per component (the probes are not recorded
     in the trace).  Returns the best parameters seen across all recorded
-    evaluations, not the final iterate.
+    evaluations, not the final iterate.  Perturbations are drawn from ``rng``.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     x = np.array(x0, dtype=float)
-    rng = np.random.default_rng(seed)
     A = iterations / 10.0
 
     magnitudes = []

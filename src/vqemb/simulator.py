@@ -12,8 +12,9 @@ gradient in all free angles come from one forward and one adjoint sweep
 
 Measurement grouping for sampled expectations uses greedy qubit-wise
 commutativity; Y-basis measurements rotate with S-dagger followed by H.
-Shots are drawn as packed basis indices.  Every stochastic operation takes
-an explicit seed.
+Shots are drawn as packed basis indices from the ``np.random.Generator`` a
+caller passes in; a sampled expectation passes its one generator down to
+every group (``estimate_group``, ``sample``) in ``group_qubitwise`` order.
 """
 
 from __future__ import annotations
@@ -407,16 +408,15 @@ def sample(
     basis: PauliWord,
     shots: int,
     noise: Optional[ReadoutNoiseModel] = None,
-    seed: int = 0,
+    *, rng: np.random.Generator,
 ) -> ShotCounts:
     """Born-rule sampling of all qubits after rotating into ``basis``: the
-    ``_sample_outcomes`` of ``np.random.default_rng(seed)``, counted."""
+    ``_sample_outcomes`` drawn from ``rng``, counted."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     n = basis.n_qubits
     if state.size != 1 << n:
         raise ValueError(f"state dimension {state.size} does not match basis {basis.letters}")
-    rng = np.random.default_rng(seed)
     probs = np.abs(_rotate_to_basis(state, basis, n)) ** 2
     counts = np.bincount(_sample_outcomes(probs, n, shots, noise, rng), minlength=1 << n)
     outcomes = counts.nonzero()[0]
@@ -475,9 +475,8 @@ def tally_counts(counts: ShotCounts, members: list) -> tuple[float, float]:
 class RawGroupEstimator:
     """Unmitigated group estimation: sample and tally."""
 
-    def estimate_group(self, state, basis, members, shots, noise, seed):
-        counts = sample(state, basis, shots, noise, seed)
-        return tally_counts(counts, members)
+    def estimate_group(self, state, basis, members, shots, noise, rng):
+        return tally_counts(sample(state, basis, shots, noise, rng=rng), members)
 
 
 def sampled_expectation(
@@ -487,7 +486,7 @@ def sampled_expectation(
     shots: int,
     noise: Optional[ReadoutNoiseModel] = None,
     mitigator=None,
-    seed: int = 0,
+    *, rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Shot-based estimate of <H> with one measurement per commuting group.
 
@@ -495,18 +494,17 @@ def sampled_expectation(
     groups) pair ``group_qubitwise`` returns for it, so a caller evaluating
     one Hamiltonian many times groups it once.  ``mitigator`` may supply an
     ``estimate_group`` hook (see mitigation module); None means raw counts.
+    Every group draws its shots from ``rng``, one after another.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     state = evolve(circuit, params)
     constant, groups = group_qubitwise(h) if isinstance(h, QubitHamiltonian) else h
     estimator = mitigator if mitigator is not None else RawGroupEstimator()
-    rng = np.random.default_rng(seed)
     value = constant
     variance = 0.0
     for basis, members in groups:
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        mean, var = estimator.estimate_group(state, basis, members, shots, noise, sub_seed)
+        mean, var = estimator.estimate_group(state, basis, members, shots, noise, rng)
         value += mean
         variance += var
     return value, math.sqrt(variance)

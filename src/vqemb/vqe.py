@@ -139,7 +139,8 @@ def relative_error(energy: float, reference: float) -> float:
 
 
 def build_objective(problem: VqeProblem):
-    """Energy-evaluation closure for the configured estimator."""
+    """Energy-evaluation closure for the configured estimator.  A sampled
+    closure draws every shot from one generator on the run's shot stream."""
     est = problem.estimator
     if est.kind == "exact":
         evaluator = PauliExpectation(problem.hamiltonian)
@@ -149,34 +150,23 @@ def build_objective(problem: VqeProblem):
 
         return objective
 
+    shot_stream, cal_stream, _ = np.random.SeedSequence(problem.seed).spawn(3)  # see solve
+    cal_rng = np.random.default_rng(cal_stream)
     mitigator = None
     if est.mitigation == "m3":
-        cal = mitigation.calibrate(
-            est.noise
-            if est.noise is not None
-            else ReadoutNoiseModel.uniform(problem.circuit.n_qubits, 0.0),
-            _CALIBRATION_SHOTS,
-            seed=problem.seed,
-        )
-        mitigator = mitigation.M3GroupEstimator(cal)
+        noise = est.noise if est.noise is not None else ReadoutNoiseModel.uniform(
+            problem.circuit.n_qubits, 0.0)
+        mitigator = mitigation.M3GroupEstimator(
+            mitigation.calibrate(noise, _CALIBRATION_SHOTS, rng=cal_rng))
     elif est.mitigation == "trex":
-        mitigator = mitigation.TrexGroupEstimator(cal_shots=_CALIBRATION_SHOTS)
+        mitigator = mitigation.TrexGroupEstimator(_CALIBRATION_SHOTS, cal_rng)
 
-    rng = np.random.default_rng(problem.seed)
+    rng = np.random.default_rng(shot_stream)
     grouped = group_qubitwise(problem.hamiltonian)
 
     def objective(params):
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        value, _ = sampled_expectation(
-            problem.circuit,
-            params,
-            grouped,
-            est.shots,
-            noise=est.noise,
-            mitigator=mitigator,
-            seed=sub_seed,
-        )
-        return value
+        return sampled_expectation(problem.circuit, params, grouped, est.shots, noise=est.noise,
+                                   mitigator=mitigator, rng=rng)[0]
 
     return objective
 
@@ -193,7 +183,8 @@ def _optimizer_runner(problem: VqeProblem):
     opt = problem.optimizer
     if opt.kind == "spsa":
         objective = build_objective(problem)
-        return lambda x0: spsa(objective, x0, iterations=opt.iterations, seed=problem.seed)
+        rng = np.random.default_rng(np.random.SeedSequence(problem.seed).spawn(3)[2])  # see solve
+        return lambda x0: spsa(objective, x0, iterations=opt.iterations, rng=rng)
     # quasi-Newton: VqeProblem admits it only with the exact estimator
     evaluator = PauliExpectation(problem.hamiltonian)
 
@@ -214,9 +205,12 @@ def solve(
 
     ``x0`` is a warm start: one optimizer run from it, whatever
     ``problem.restarts`` says.  ``reference`` fills in the relative-error
-    field.  Deterministic for a fixed ``problem.seed``: the start draws, the
-    shot sampling with its M3 calibration, and SPSA each draw from their own
-    ``np.random.default_rng(problem.seed)``.
+    field.  Deterministic for a fixed ``problem.seed``, and one generator
+    per random stream: the start draws read ``default_rng(problem.seed)``;
+    the shots, the readout calibration (M3's, or TREX's one pass) and SPSA
+    read the three children of ``SeedSequence(problem.seed)``, in that
+    order.  The shot generator is passed down to every sampled group, and
+    SPSA's carries on across restarts.
     """
     if problem.circuit.n_parameters == 0:
         trace = OptimizerTrace()

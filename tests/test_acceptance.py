@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 import pytest
 
 from vqemb.ansatz import HeaConfig, build_hea, deparameterise
@@ -147,24 +148,26 @@ def test_criterion_4_mitigation_efficacy():
     h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
     noise = ReadoutNoiseModel.uniform(4, 0.02)
     with Stopwatch(60) as clock:
-        raw, raw_err = sampled_expectation(ghz, [], h, 10000, noise=noise, seed=42)
-        cal = calibrate(noise, 100000, seed=7)
+        raw, raw_err = sampled_expectation(ghz, [], h, 10000, noise=noise, rng=default_rng(42))
+        cal = calibrate(noise, 100000, rng=default_rng(7))
         m3_value, m3_err = sampled_expectation(
-            ghz, [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), seed=42
+            ghz, [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), rng=default_rng(42)
         )
         trex_value, trex_err = sampled_expectation(
-            ghz, [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000), seed=42
+            ghz, [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000, default_rng(43)),
+            rng=default_rng(42),
         )
         # zero-noise pass-throughs
-        clean, _ = sampled_expectation(ghz, [], h, 10000, seed=5)
-        ident_cal = calibrate(ReadoutNoiseModel.uniform(4, 0.0), 1000, seed=1)
+        clean, _ = sampled_expectation(ghz, [], h, 10000, rng=default_rng(5))
+        ident_cal = calibrate(ReadoutNoiseModel.uniform(4, 0.0), 1000, rng=default_rng(1))
         m3_clean, _ = sampled_expectation(
-            ghz, [], h, 10000, mitigator=M3GroupEstimator(ident_cal), seed=5
+            ghz, [], h, 10000, mitigator=M3GroupEstimator(ident_cal), rng=default_rng(5)
         )
         counts = ShotCounts(np.array([0b0000, 0b1111]), np.array([6, 4]), PauliWord("ZZZZ"))
         quasi = m3_mitigate(counts, ident_cal)
         trex_clean, trex_clean_err = sampled_expectation(
-            ghz, [], h, 10000, noise=None, mitigator=TrexGroupEstimator(10000), seed=5
+            ghz, [], h, 10000, noise=None, mitigator=TrexGroupEstimator(10000, default_rng(6)),
+            rng=default_rng(5),
         )
     assert (1.0 - raw) > 5 * raw_err, "raw estimate is not significantly biased"
     assert abs(m3_value - 1.0) <= 3 * m3_err
@@ -268,3 +271,4 @@ def test_criterion_7_determinism(tmp_path):
         "criterion 7 (determinism)",
         f"byte-identical artifacts: {', '.join(comparisons)}",
     )
+

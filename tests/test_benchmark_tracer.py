@@ -12,6 +12,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -76,7 +78,7 @@ def test_work_counts_read_real_return_values(h10, tmp_path, monkeypatch):
             spec = MappingSpec(kind, reduced, m.n_electrons)
             mapped += sum(e.hamiltonian_terms
                           for e in estimate(m, mf, workloads.RESOURCE_WINDOWS, spec))
-        simulator.sample(simulator.zero_state(2), PauliWord("ZZ"), 37, seed=0)
+        simulator.sample(simulator.zero_state(2), PauliWord("ZZ"), 37, rng=np.random.default_rng(0))
         cli.write_atomic(tmp_path / "out.txt", "énergie\n")
     finally:
         tracer.uninstall()

@@ -1,9 +1,11 @@
 """Readout calibration, subspace inversion, and twirled readout estimation."""
 
+import copy
 import hashlib
 import math
 
 import numpy as np
+from numpy.random import default_rng
 import pytest
 
 from vqemb.mitigation import (
@@ -40,33 +42,33 @@ def ghz(n):
 
 class TestCalibrate:
     def test_noiseless_is_exact(self):
-        cal = calibrate(ReadoutNoiseModel.uniform(3, 0.0), shots=50, seed=1)
+        cal = calibrate(ReadoutNoiseModel.uniform(3, 0.0), shots=50, rng=default_rng(1))
         for m in cal.matrices:
             assert np.allclose(np.asarray(m), np.eye(2))
 
     def test_flip_estimates_within_binomial_band(self):
         noise = ReadoutNoiseModel.uniform(2, 0.05)
-        cal = calibrate(noise, shots=100000, seed=2)
+        cal = calibrate(noise, shots=100000, rng=default_rng(2))
         for m in cal.matrices:
             p10 = np.asarray(m)[1, 0]
             assert 0.0466 <= p10 <= 0.0534  # 5 sigma around 0.05
 
     def test_asymmetric_directions_recovered(self):
         noise = ReadoutNoiseModel.from_flip_probs([0.02], [0.08])
-        cal = calibrate(noise, shots=200000, seed=3)
+        cal = calibrate(noise, shots=200000, rng=default_rng(3))
         m = np.asarray(cal.matrices[0])
         assert m[1, 0] == pytest.approx(0.02, abs=5 * math.sqrt(0.02 * 0.98 / 200000))
         assert m[0, 1] == pytest.approx(0.08, abs=5 * math.sqrt(0.08 * 0.92 / 200000))
 
     def test_columns_sum_to_one(self):
-        cal = calibrate(ReadoutNoiseModel.uniform(2, 0.03), shots=1000, seed=4)
+        cal = calibrate(ReadoutNoiseModel.uniform(2, 0.03), shots=1000, rng=default_rng(4))
         for m in cal.matrices:
             assert np.allclose(np.asarray(m).sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestM3:
     def test_identity_calibration_is_passthrough(self):
-        cal = calibrate(ReadoutNoiseModel.uniform(2, 0.0), shots=10, seed=0)
+        cal = calibrate(ReadoutNoiseModel.uniform(2, 0.0), shots=10, rng=default_rng(0))
         counts = ShotCounts(np.array([0b00, 0b11]), np.array([70, 30]), PauliWord("ZZ"))
         quasi = m3_mitigate(counts, cal)
         assert quasi[0b00] == pytest.approx(0.7)
@@ -82,59 +84,60 @@ class TestM3:
 
     def test_quasi_distribution_sums_to_one(self):
         noise = ReadoutNoiseModel.uniform(3, 0.04)
-        cal = calibrate(noise, shots=50000, seed=5)
+        cal = calibrate(noise, shots=50000, rng=default_rng(5))
         from vqemb.simulator import sample
 
-        counts = sample(evolve(ghz(3), []), PauliWord("ZZZ"), 5000, noise=noise, seed=6)
+        counts = sample(evolve(ghz(3), []), PauliWord("ZZZ"), 5000, noise=noise, rng=default_rng(6))
         quasi = m3_mitigate(counts, cal)
         assert sum(quasi.values()) == pytest.approx(1.0, abs=1e-8)
 
     def test_empty_counts_rejected(self):
-        cal = calibrate(ReadoutNoiseModel.uniform(1, 0.0), shots=10, seed=0)
+        cal = calibrate(ReadoutNoiseModel.uniform(1, 0.0), shots=10, rng=default_rng(0))
         with pytest.raises(ValueError, match="empty"):
             empty = np.array([], dtype=np.int64)
             m3_mitigate(ShotCounts(empty, empty, PauliWord("Z")), cal)
 
     def test_ghz_parity_recovered(self):
         noise = ReadoutNoiseModel.uniform(4, 0.02)
-        cal = calibrate(noise, shots=100000, seed=7)
+        cal = calibrate(noise, shots=100000, rng=default_rng(7))
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), seed=8
+            ghz(4), [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), rng=default_rng(8)
         )
         assert abs(value - 1.0) <= 3 * err
-        raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, seed=8)
+        raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, rng=default_rng(8))
         assert (1.0 - raw) > 5 * raw_err
 
     def test_quasi_distribution_gives_the_group_estimate(self):
         # sum_b q(b) v(b) = v . x / sum(x) = w . p / sum(x) with A^T w = v
         noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
-        cal = calibrate(noise, shots=20000, seed=9)
+        cal = calibrate(noise, shots=20000, rng=default_rng(9))
         state = evolve(ghz(3), [])
         members = [(0.7, 0b110), (-0.3, 0b001), (1.1, 0b111)]
         for basis in ("ZZZ", "XXZ"):
-            counts = sample(state, PauliWord(basis), 3000, noise, seed=10)
+            counts = sample(state, PauliWord(basis), 3000, noise, rng=default_rng(10))
             quasi = m3_mitigate(counts, cal)
             parity = {
                 b: sum(c * (-1) ** bin(b & mask).count("1") for c, mask in members)
                 for b in quasi
             }
             mean, _ = M3GroupEstimator(cal).estimate_group(
-                state, PauliWord(basis), members, 3000, noise, 10
+                state, PauliWord(basis), members, 3000, noise, default_rng(10)
             )
             assert mean == pytest.approx(sum(quasi[b] * parity[b] for b in quasi), abs=1e-12)
 
     @pytest.mark.parametrize("flip", [0.02, 0.30])
     def test_many_outcomes_are_solved_directly(self, flip):
-        # A x = p and A^T w = v are one np.linalg.solve each, however many
-        # distinct outcomes there are
+        # A x = p (the quasi-distribution) and A^T [w u] = [v 1] (the group
+        # estimate, with mass sum(x) = u . p) are one np.linalg.solve each,
+        # however many distinct outcomes there are
         n = 10
-        rng = np.random.default_rng(14)
+        rng = default_rng(14)
         state = rng.normal(size=1 << n)
         state /= np.linalg.norm(state)
         noise = ReadoutNoiseModel.uniform(n, flip)
         basis = PauliWord("Z" * n)
-        counts = sample(state, basis, 4000, noise, seed=15)
+        counts = sample(state, basis, 4000, noise, rng=default_rng(15))
         assert counts.outcomes.size > 500
         A = _restricted_matrix(counts.outcomes, n, noise)
         p = counts.counts / counts.shots
@@ -144,12 +147,16 @@ class TestM3:
         assert list(quasi.values()) == (x / x.sum()).tolist()
 
         members = [(0.7, 0b1100000011), (-0.3, 0b0000000001), (1.1, (1 << n) - 1)]
-        w = np.linalg.solve(A.T, _member_values(counts.outcomes, members))
-        s = x.sum()
+        v = _member_values(counts.outcomes, members)
+        w, u = np.linalg.solve(A.T, np.stack((v, np.ones_like(v)), axis=1)).T
+        s = float(u @ p)
+        assert s == pytest.approx(x.sum(), rel=1e-12)
         mean = float(w @ p) / s
         var = max(float(p @ (w * w)) - float(w @ p) ** 2, 0.0) / 4000 / (s * s)
-        got = M3GroupEstimator(noise).estimate_group(state, basis, members, 4000, noise, 15)
+        got = M3GroupEstimator(noise).estimate_group(state, basis, members, 4000, noise,
+                                                     default_rng(15))
         assert got == (mean, var)
+
 
 def pack(bits):
     """Basis index of each row of a (shots, n) bit matrix, or of one (n,) row."""
@@ -166,7 +173,7 @@ def batch_of_each_shot(shots, batches=16):
 
 class TestTwirledBits:
     def random_state(self, n, seed):
-        amps = np.random.default_rng(seed).normal(size=2**n)
+        amps = default_rng(seed).normal(size=2**n)
         return amps / np.linalg.norm(amps)
 
     @pytest.mark.parametrize("shots", [1, 15, 16, 17, 1000])
@@ -177,7 +184,7 @@ class TestTwirledBits:
         state = self.random_state(n, shots + n)
         noise = ReadoutNoiseModel.from_flip_probs([0.1, 0.2, 0.3][:n], [0.25, 0.05, 0.15][:n])
         noise = noise if noisy else None
-        rng = np.random.default_rng(77)
+        rng = default_rng(77)
         masks = rng.integers(0, 2, size=(16, n))
         twirl = masks[batch_of_each_shot(shots)]
         probs = np.abs(state) ** 2
@@ -189,7 +196,7 @@ class TestTwirledBits:
             fp = noise.flip_probs()
             p_flip = np.where(measured == 0, fp[:, 0], fp[:, 1])
             bits = measured ^ (u < p_flip) ^ twirl
-        got = _twirled_bits(state, n, shots, noise, np.random.default_rng(77))
+        got = _twirled_bits(state, n, shots, noise, default_rng(77))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, pack(bits))
 
@@ -197,8 +204,8 @@ class TestTwirledBits:
     def test_always_one_channel_returns_complemented_masks(self, shots):
         n = 3
         always_one = ReadoutNoiseModel.from_flip_probs([1.0] * n, [0.0] * n)
-        masks = np.random.default_rng(5).integers(0, 2, size=(16, n))
-        got = _twirled_bits(self.random_state(n, 1), n, shots, always_one, np.random.default_rng(5))
+        masks = default_rng(5).integers(0, 2, size=(16, n))
+        got = _twirled_bits(self.random_state(n, 1), n, shots, always_one, default_rng(5))
         assert got.shape == (shots,)
         for shot, batch in enumerate(batch_of_each_shot(shots)):
             assert got[shot] == pack(1 - masks[batch])
@@ -213,14 +220,14 @@ class TestTwirledBits:
     @pytest.mark.parametrize("n", sorted(PINNED_WIDE))
     def test_wide_registers_are_pinned(self, n):
         noise = ReadoutNoiseModel.from_flip_probs(np.linspace(0.01, 0.3, n), np.linspace(0.25, 0.02, n))
-        got = _twirled_bits(self.random_state(n, 200 + n), n, 3000, noise, np.random.default_rng(300 + n))
+        got = _twirled_bits(self.random_state(n, 200 + n), n, 3000, noise, default_rng(300 + n))
         assert hashlib.sha256(got.tobytes()).hexdigest()[:32] == self.PINNED_WIDE[n]
 
     def test_twirl_cancels_without_noise(self):
         n = 3
         state = np.zeros(2**n)
         state[0b101] = 1.0
-        got = _twirled_bits(state, n, 1000, None, np.random.default_rng(8))
+        got = _twirled_bits(state, n, 1000, None, default_rng(8))
         np.testing.assert_array_equal(got, np.full(1000, 0b101))
 
 
@@ -232,7 +239,7 @@ class TestTwirledBits:
             state[1] = float(bad)
         noise = ReadoutNoiseModel.uniform(2, 0.05) if noisy else None
         with pytest.raises(ValueError):
-            _twirled_bits(state, 2, 100, noise, np.random.default_rng(3))
+            _twirled_bits(state, 2, 100, noise, default_rng(3))
 
 
 class TestTrex:
@@ -243,19 +250,21 @@ class TestTrex:
             state[3] = float(bad)
         noise = ReadoutNoiseModel.uniform(2, 0.05)
         with pytest.raises(ValueError, match="finite positive mass"):
-            TrexGroupEstimator(1000).estimate_group(state, PauliWord("XZ"), [(1.0, 0b11)], 100, noise, 1)
+            TrexGroupEstimator(1000, default_rng(2)).estimate_group(
+                state, PauliWord("XZ"), [(1.0, 0b11)], 100, noise, default_rng(1))
 
     @pytest.mark.parametrize("cal_shots", [0, -5])
     def test_nonpositive_calibration_budget_rejected(self, cal_shots):
         # an empty calibration would give a NaN attenuation
         with pytest.raises(ValueError, match="cal_shots must be positive"):
-            TrexGroupEstimator(cal_shots)
+            TrexGroupEstimator(cal_shots, default_rng(0))
 
     def test_zero_noise_passthrough(self):
         # even-size GHZ: <Z...Z> = +1 (odd-weight parities vanish instead)
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 4000, noise=None, mitigator=TrexGroupEstimator(4000), seed=1
+            ghz(4), [], h, 4000, noise=None, mitigator=TrexGroupEstimator(4000, default_rng(2)),
+            rng=default_rng(1),
         )
         assert abs(value - 1.0) <= 5 * max(err, 1e-12)
 
@@ -267,7 +276,8 @@ class TestTrex:
         ones = Circuit(n, [PauliXGate(q) for q in range(n)])
         h = QubitHamiltonian.from_dict(n, {"Z" * n: 1.0})
         value, err = sampled_expectation(
-            ones, [], h, shots, noise=noise, mitigator=TrexGroupEstimator(shots), seed=2
+            ones, [], h, shots, noise=noise, mitigator=TrexGroupEstimator(shots, default_rng(3)),
+            rng=default_rng(2),
         )
         assert value == pytest.approx(-1.0, abs=5 * err)
         raw = value * (1 - 2 * p) ** n
@@ -277,10 +287,11 @@ class TestTrex:
         noise = ReadoutNoiseModel.uniform(4, 0.02)
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000), seed=42
+            ghz(4), [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000, default_rng(43)),
+            rng=default_rng(42),
         )
         assert abs(value - 1.0) <= 3 * err
-        raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, seed=42)
+        raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, rng=default_rng(42))
         assert (1.0 - raw) > 5 * raw_err
 
     def test_group_estimator_matches_standalone_scale(self):
@@ -288,25 +299,27 @@ class TestTrex:
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
             ghz(4), [], h, 10000, noise=noise,
-            mitigator=TrexGroupEstimator(cal_shots=20000), seed=4,
+            mitigator=TrexGroupEstimator(20000, default_rng(5)), rng=default_rng(4),
         )
         assert abs(value - 1.0) <= 3 * err
 
     def test_attenuation_cache_reused_and_reset(self):
         noise = ReadoutNoiseModel.uniform(3, 0.05)
-        est = TrexGroupEstimator(cal_shots=5000)
+        est = TrexGroupEstimator(5000, default_rng(4))
         state = evolve(ghz(3), [])
         members = [(1.0, 0b110), (0.5, 0b011)]
-        first = est.estimate_group(state, PauliWord("ZZZ"), members, 1000, noise, 3)
+        args = (state, PauliWord("ZZZ"), members, 1000, noise)
+        first = est.estimate_group(*args, default_rng(3))
         cached = dict(est._attenuations)
         assert set(cached) == {0b110, 0b011}
         for mask, (att, var_att) in cached.items():
             eigs = 1.0 - 2.0 * np.array([bin(o & mask).count("1") % 2 for o in est._cal_outcomes])
             assert att == float(eigs.mean())
             assert var_att == max(float((eigs**2).mean()) - att * att, 0.0) / 5000
-        assert est.estimate_group(state, PauliWord("ZZZ"), members, 1000, noise, 3) == first
+        assert est.estimate_group(*args, default_rng(3)) == first
         # a calibration rebuilt for another register drops the cached values
-        est.estimate_group(evolve(ghz(2), []), PauliWord("ZZ"), [(1.0, 0b10)], 100, None, 4)
+        est.estimate_group(evolve(ghz(2), []), PauliWord("ZZ"), [(1.0, 0b10)], 100, None,
+                           default_rng(4))
         assert set(est._attenuations) == {0b10}
 
     def test_convergence_with_shots(self):
@@ -318,7 +331,7 @@ class TestTrex:
         for shots in (1000, 10000, 100000):
             value, err = sampled_expectation(
                 ghz(4), [], h, shots, noise=noise,
-                mitigator=TrexGroupEstimator(cal_shots=4 * shots), seed=11,
+                mitigator=TrexGroupEstimator(4 * shots, default_rng(12)), rng=default_rng(11),
             )
             assert abs(value - 1.0) <= 5 * err
             errs.append(err)
@@ -326,13 +339,13 @@ class TestTrex:
 
     def test_m3_convergence_with_shots(self):
         noise = ReadoutNoiseModel.uniform(4, 0.03)
-        cal = calibrate(noise, 400000, seed=31)
+        cal = calibrate(noise, 400000, rng=default_rng(31))
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         errs = []
         for shots in (1000, 10000, 100000):
             value, err = sampled_expectation(
                 ghz(4), [], h, shots, noise=noise,
-                mitigator=M3GroupEstimator(cal), seed=13,
+                mitigator=M3GroupEstimator(cal), rng=default_rng(13),
             )
             assert abs(value - 1.0) <= 5 * err
             errs.append(err)
@@ -348,16 +361,18 @@ def test_estimates_are_pinned():
     })
     noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
     assert len(group_qubitwise(h.simplify())[1]) == 4
-    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, seed=21) == (
-        0.66235, 0.014090481494611886)
-    m3 = M3GroupEstimator(calibrate(noise, 20000, seed=22))
-    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, mitigator=m3, seed=21) == (
-        0.8419582178230568, 0.017141801580304105)
-    trex = TrexGroupEstimator(4000)
-    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, mitigator=trex, seed=21) == (
-        0.8537644379477394, 0.021105998409340597)
+    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, rng=default_rng(21)) == (
+        0.6779000000000001, 0.013653582771565857)
+    m3 = M3GroupEstimator(calibrate(noise, 20000, rng=default_rng(22)))
+    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, mitigator=m3,
+                               rng=default_rng(21)) == (
+        0.8594793905761364, 0.01661160131266678)
+    trex = TrexGroupEstimator(4000, default_rng(22))
+    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, mitigator=trex,
+                               rng=default_rng(21)) == (
+        0.8337831157044183, 0.019506459338736216)
     # The tallies of the seven Z strings fix all eight outcome counts of the histogram.
-    counts = sample(evolve(ghz(3), []), PauliWord("ZZZ"), 1000, noise=noise, seed=23)
+    counts = sample(evolve(ghz(3), []), PauliWord("ZZZ"), 1000, noise=noise, rng=default_rng(23))
     assert counts.shots == 1000 and len(counts.counts) == 8
     tallies = {}
     for word in ("ZII", "IZI", "IIZ", "ZZI", "ZIZ", "IZZ", "ZZZ"):
@@ -379,14 +394,15 @@ def test_reused_estimators_match_fresh_ones():
     # estimator keeps between calls must give, bit for bit, what a fresh one
     # gives, while the observed outcomes, members, basis and shot count change.
     noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
-    cal = calibrate(noise, 20000, seed=22)
+    cal = calibrate(noise, 20000, rng=default_rng(22))
     state = evolve(ghz(3), [])
     member_lists = ([(0.7, 0b110), (-0.3, 0b001)], [(1.1, 0b111)], [(0.7, 0b110), (-0.2, 0b001)])
     calls = [
         (basis, members, 30 + seed % 2, seed)
         for seed in range(8) for basis in ("ZZZ", "XXZ") for members in member_lists
     ]
-    observed = {b: [sample(state, PauliWord(b), 30 + seed % 2, noise, seed).outcomes.tolist()
+    observed = {b: [sample(state, PauliWord(b), 30 + seed % 2, noise,
+                           rng=default_rng(seed)).outcomes.tolist()
                     for seed in range(8)] for b in ("ZZZ", "XXZ")}
     # from one seed to the next the observed set changes in the Z basis and
     # recurs in the X basis
@@ -394,14 +410,19 @@ def test_reused_estimators_match_fresh_ones():
     assert observed["XXZ"][0] == observed["XXZ"][1] == observed["XXZ"][3]
 
     m3 = M3GroupEstimator(cal)
-    trex = TrexGroupEstimator(4000)
+    trex = TrexGroupEstimator(4000, default_rng(23))
     for basis, members, shots, seed in calls:
-        args = (state, PauliWord(basis), members, shots, noise, seed)
-        assert m3.estimate_group(*args) == M3GroupEstimator(cal).estimate_group(*args)
-        got = trex.estimate_group(*args)
-        fresh = TrexGroupEstimator(4000)  # with the reused one's calibration pass
+        args = (state, PauliWord(basis), members, shots, noise)
+        rng = lambda: default_rng(seed)  # one fresh generator per call
+        assert m3.estimate_group(*args, rng()) == M3GroupEstimator(cal).estimate_group(*args, rng())
+        got = trex.estimate_group(*args, rng())
+        # with the reused one's calibration pass
+        fresh = TrexGroupEstimator(4000, default_rng(23))
         fresh._cal_width, fresh._cal_outcomes = trex._cal_width, trex._cal_outcomes
-        assert got == fresh.estimate_group(*args)
-    # a TREX estimator recalibrates for another register width
-    args = (evolve(ghz(2), []), PauliWord("ZX"), [(0.5, 0b11), (1.0, 0b01)], 45, None, 9)
-    assert trex.estimate_group(*args) == TrexGroupEstimator(4000).estimate_group(*args)
+        assert got == fresh.estimate_group(*args, rng())
+    # a TREX estimator recalibrates for another register width, from where its
+    # calibration stream stands
+    args = (evolve(ghz(2), []), PauliWord("ZX"), [(0.5, 0b11), (1.0, 0b01)], 45, None)
+    fresh = TrexGroupEstimator(4000, copy.deepcopy(trex._cal_rng))
+    assert trex.estimate_group(*args, default_rng(9)) == fresh.estimate_group(
+        *args, default_rng(9))

@@ -1,6 +1,7 @@
 """SPSA and the quasi-Newton driver."""
 
 import numpy as np
+from numpy.random import default_rng
 import pytest
 
 from vqemb.optimize import (
@@ -38,21 +39,21 @@ def shifted_square_vg(x):
 
 class TestSpsa:
     def test_sphere_converges(self):
-        best, trace = spsa(sphere, np.ones(3), iterations=100, seed=1)
+        best, trace = spsa(sphere, np.ones(3), iterations=100, rng=default_rng(1))
         assert np.linalg.norm(best) < 0.1
 
     def test_same_seed_same_trace(self):
-        _, t1 = spsa(sphere, np.ones(2), iterations=30, seed=5)
-        _, t2 = spsa(sphere, np.ones(2), iterations=30, seed=5)
+        _, t1 = spsa(sphere, np.ones(2), iterations=30, rng=default_rng(5))
+        _, t2 = spsa(sphere, np.ones(2), iterations=30, rng=default_rng(5))
         assert t1.values == t2.values
         assert t1.iterations == t2.iterations
 
     def test_returns_best_seen_not_last(self):
-        best, trace = spsa(sphere, np.ones(2), iterations=50, seed=2)
+        best, trace = spsa(sphere, np.ones(2), iterations=50, rng=default_rng(2))
         assert sphere(best) == pytest.approx(min(trace.values))
 
     def test_every_evaluation_recorded(self):
-        _, trace = spsa(sphere, np.ones(2), iterations=25, seed=4)
+        _, trace = spsa(sphere, np.ones(2), iterations=25, rng=default_rng(4))
         assert len(trace.values) == 50  # two evaluations per update step
         assert sorted(set(trace.iterations)) == list(range(25))
 
@@ -61,7 +62,7 @@ class TestSpsa:
             return float("nan")
 
         with pytest.raises(NonFiniteObjectiveError):
-            spsa(bad, np.ones(2), iterations=5, seed=0)
+            spsa(bad, np.ones(2), iterations=5, rng=default_rng(0))
 
 
 class TestBoundedQuasiNewton:
@@ -101,7 +102,7 @@ class TestBoundedQuasiNewton:
 
 class TestTraceCsv:
     def test_csv_shape(self):
-        _, trace = spsa(sphere, np.ones(2), iterations=5, seed=1)
+        _, trace = spsa(sphere, np.ones(2), iterations=5, rng=default_rng(1))
         lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "iteration,objective"
         assert len(lines) == 11

@@ -6,6 +6,7 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 import pytest
 
 from vqemb.ansatz import HeaConfig, build_hea
@@ -102,7 +103,7 @@ class TestEvolve:
         assert np.allclose(state, expected, atol=1e-12)
 
     def test_norm_preserved_random_circuit(self):
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         gates = []
         p = 0
         for _ in range(30):
@@ -122,7 +123,7 @@ class TestEvolve:
 
 def random_circuit(n, n_gates, seed):
     """X, free and frozen Ry, and CNOT gates in random order on n qubits."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     gates, p = [], 0
     for _ in range(n_gates):
         kind = rng.integers(4)
@@ -172,7 +173,7 @@ class TestEvolveAgainstDense:
 
     def test_hea_with_reference_bits(self):
         circuit = build_hea(HeaConfig(4, 2), [1, 0, 1, 1])
-        params = np.random.default_rng(7).uniform(-4, 4, size=circuit.n_parameters)
+        params = default_rng(7).uniform(-4, 4, size=circuit.n_parameters)
         reference = dense_reference_state(circuit, params)
         assert np.abs(evolve(circuit, params) - reference).max() < 1e-12
 
@@ -203,7 +204,7 @@ def freeze(circuit, positions, angle):
 class TestAdjointGradient:
     def check(self, h, circuit, seed):
         evaluator = PauliExpectation(h.simplify())
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         for _ in range(3):
             params = rng.uniform(-math.pi, math.pi, size=circuit.n_parameters)
             energy, grad = energy_and_gradient(circuit, params, evaluator)
@@ -221,7 +222,7 @@ class TestAdjointGradient:
         h = QubitHamiltonian.from_text((FIXTURES / "chain5.ham").read_text())
         circuit = freeze(build_hea(HeaConfig(5, 1), [0] * 5), {0, 11}, math.pi / 2)
         evaluator = PauliExpectation(h)
-        rng = np.random.default_rng(31)
+        rng = default_rng(31)
         pins = [
             ("e4f530038a3e728cc054fb928cc1c7b9", "-0x1.fa5f0d0f2bf3ep-1", [
                 "0x1.2003dd3801d02p-1", "-0x1.19b8e649e5a8bp-1", "-0x1.88caec70cc537p-4",
@@ -252,7 +253,7 @@ class TestAdjointGradient:
         self.check(h, build_hea(HeaConfig(4, 2), bits), seed=6)
 
     def test_random_circuit_with_y_terms(self):
-        rng = np.random.default_rng(8)
+        rng = default_rng(8)
         letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(12)]
         h = QubitHamiltonian.from_dict(4, {w: float(rng.normal()) for w in letters})
         circuit, _ = random_circuit(4, 30, 9)
@@ -273,7 +274,7 @@ class TestExactExpectation:
 
     def test_matches_dense(self):
         # a simulated state is real: PauliExpectation evaluates no other kind
-        rng = np.random.default_rng(2)
+        rng = default_rng(2)
         letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(10)]
         h = QubitHamiltonian.from_dict(4, {w: float(rng.normal()) for w in letters})
         v = rng.normal(size=16)
@@ -298,17 +299,17 @@ class TestNoiseModel:
 
 class TestSample:
     def test_zero_state_z_basis(self):
-        counts = sample(zero_state(2), PauliWord("ZZ"), 100, seed=1)
+        counts = sample(zero_state(2), PauliWord("ZZ"), 100, rng=default_rng(1))
         assert histogram(counts) == {0b00: 100}
 
     def test_plus_state_x_basis(self):
         plus = evolve(Circuit(1, [RyGate(0, FrozenSlot(math.pi / 2))]), [])
-        counts = sample(plus, PauliWord("X"), 200, seed=1)
+        counts = sample(plus, PauliWord("X"), 200, rng=default_rng(1))
         assert histogram(counts) == {0b0: 200}
 
     def test_flip_rate_within_binomial_band(self):
         noise = ReadoutNoiseModel.from_flip_probs([0.1], [0.0])
-        counts = sample(zero_state(1), PauliWord("Z"), 100000, noise=noise, seed=3)
+        counts = sample(zero_state(1), PauliWord("Z"), 100000, noise=noise, rng=default_rng(3))
         frac = histogram(counts).get(0b1, 0) / 100000
         assert 0.094 <= frac <= 0.106  # 5 sigma around 0.1
 
@@ -330,11 +331,12 @@ class TestSample:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_histograms_are_pinned(self, basis, noisy):
         n = len(basis)
-        rng = np.random.default_rng(n)
+        rng = default_rng(n)
         state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state /= np.linalg.norm(state)
         noise = ReadoutNoiseModel.from_flip_probs([0.1, 0.2, 0.3][:n], [0.25, 0.05, 0.15][:n])
-        counts = sample(state, PauliWord(basis), 1000, noise=noise if noisy else None, seed=40 + n)
+        counts = sample(state, PauliWord(basis), 1000, noise=noise if noisy else None,
+                        rng=default_rng(40 + n))
         assert counts.outcomes.dtype == np.int64 and counts.counts.dtype == np.int64
         assert histogram(counts) == self.PINNED_HISTOGRAMS[basis][noisy]
 
@@ -349,11 +351,11 @@ class TestSample:
     @pytest.mark.parametrize("basis", sorted(PINNED_WIDE, key=len))
     def test_wide_noisy_histograms_are_pinned(self, basis):
         n = len(basis)
-        rng = np.random.default_rng(100 + n)
+        rng = default_rng(100 + n)
         state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state /= np.linalg.norm(state)
         noise = ReadoutNoiseModel.from_flip_probs(np.linspace(0.01, 0.3, n), np.linspace(0.25, 0.02, n))
-        counts = sample(state, PauliWord(basis), 3000, noise=noise, seed=60 + n)
+        counts = sample(state, PauliWord(basis), 3000, noise=noise, rng=default_rng(60 + n))
         digest = hashlib.sha256(counts.outcomes.tobytes() + counts.counts.tobytes()).hexdigest()[:32]
         assert (counts.outcomes.size, digest) == self.PINNED_WIDE[basis]
 
@@ -365,25 +367,25 @@ class TestSample:
             state[3] = float(bad)
         noise = ReadoutNoiseModel.uniform(2, 0.05) if noisy else None
         with pytest.raises(ValueError):
-            sample(state, PauliWord("XZ"), 100, noise=noise, seed=1)
+            sample(state, PauliWord("XZ"), 100, noise=noise, rng=default_rng(1))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_noise_model_of_another_width_is_rejected(self, width):
         noise = ReadoutNoiseModel.uniform(width, 0.05)
         with pytest.raises(ValueError, match=f"covers {width} qubits"):
-            sample(evolve(ghz(2), []), PauliWord("ZZ"), 100, noise=noise, seed=1)
+            sample(evolve(ghz(2), []), PauliWord("ZZ"), 100, noise=noise, rng=default_rng(1))
 
     def test_deterministic_given_seed(self):
         state = evolve(ghz(3), [])
-        a = sample(state, PauliWord("ZZZ"), 500, seed=9)
-        b = sample(state, PauliWord("ZZZ"), 500, seed=9)
+        a = sample(state, PauliWord("ZZZ"), 500, rng=default_rng(9))
+        b = sample(state, PauliWord("ZZZ"), 500, rng=default_rng(9))
         assert histogram(a) == histogram(b)
         assert a.shots == 500
 
 
 class TestGrouping:
     def test_groups_never_conflict(self):
-        rng = np.random.default_rng(5)
+        rng = default_rng(5)
         letters = ["".join(rng.choice(list("IXYZ"), size=5)) for _ in range(30)]
         h = QubitHamiltonian.from_dict(5, {w: 1.0 for w in letters}).simplify()
         _, groups = group_qubitwise(h)
@@ -396,7 +398,7 @@ class TestGrouping:
         term_letters = {support(t.word): t.word for t in h.terms}
 
     def test_array_hamiltonian_is_grouped_from_its_masks(self):
-        rng = np.random.default_rng(6)
+        rng = default_rng(6)
         x, z = rng.integers(0, 1 << 5, size=(2, 40))
         coeffs = rng.normal(size=40)
         h = QubitHamiltonian.from_arrays(5, x, z, coeffs)
@@ -411,7 +413,7 @@ class TestGrouping:
 
     def test_identity_only(self):
         h = QubitHamiltonian.from_dict(2, {"II": 1.25})
-        value, err = sampled_expectation(Circuit(2), [], h, shots=10, seed=0)
+        value, err = sampled_expectation(Circuit(2), [], h, shots=10, rng=default_rng(0))
         assert value == pytest.approx(1.25) and err == 0.0
 
 
@@ -438,7 +440,7 @@ def tally_reference(counts, members):
 
 
 def test_tally_counts_matches_character_loop():
-    rng = np.random.default_rng(17)
+    rng = default_rng(17)
     for _ in range(50):
         n = int(rng.integers(1, 9))
         keys = rng.choice(2**n, size=int(rng.integers(1, min(2**n, 40) + 1)), replace=False)
@@ -454,7 +456,7 @@ def test_tally_counts_matches_character_loop():
 
 class TestSampledExpectation:
     def test_consistent_with_exact(self):
-        rng = np.random.default_rng(12)
+        rng = default_rng(12)
         letters = ["".join(rng.choice(list("IXYZ"), size=4)) for _ in range(8)]
         h = QubitHamiltonian.from_dict(4, {w: float(rng.normal()) for w in letters}).simplify()
         gates, p = [], 0
@@ -465,18 +467,19 @@ class TestSampledExpectation:
         c = Circuit(4, gates)
         params = rng.uniform(-2, 2, size=p)
         exact = dense_expectation(evolve(c, params), h)
-        value, err = sampled_expectation(c, params, h, shots=20000, seed=77)
+        value, err = sampled_expectation(c, params, h, shots=20000, rng=default_rng(77))
         assert abs(value - exact) < 5 * max(err, 1e-12)
 
     def test_ghz_parity_bias_with_readout_flips(self):
         # uncorrected 2% flips shrink <ZZZZ> by about (1 - 2p)^4
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         noise = ReadoutNoiseModel.uniform(4, 0.02)
-        value, err = sampled_expectation(ghz(4), [], h, shots=100000, noise=noise, seed=21)
+        value, err = sampled_expectation(ghz(4), [], h, shots=100000, noise=noise,
+                                         rng=default_rng(21))
         assert value == pytest.approx(0.96**4, abs=5 * max(err, 1e-4))
 
     def test_seed_determinism(self):
         h = QubitHamiltonian.from_dict(2, {"ZZ": 1.0, "XX": 0.5})
-        a = sampled_expectation(ghz(2), [], h, shots=1000, seed=4)
-        b = sampled_expectation(ghz(2), [], h, shots=1000, seed=4)
+        a = sampled_expectation(ghz(2), [], h, shots=1000, rng=default_rng(4))
+        b = sampled_expectation(ghz(2), [], h, shots=1000, rng=default_rng(4))
         assert a == b
