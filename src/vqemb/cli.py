@@ -191,8 +191,9 @@ def _check(data: dict, flags: dict) -> dict:
     return cfg
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe loader, refusing a key repeated in one mapping: safe_load keeps the last."""
+class _UniqueKeyLoader(yaml.CSafeLoader):
+    """The safe loader on libyaml's parser, refusing a key repeated in one mapping:
+    safe_load keeps the last."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()

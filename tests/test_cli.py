@@ -180,6 +180,15 @@ BAD_CONFIGS = {
         "dmet", H2 + "dmet: {fragments: [[0], [1]], solver: vqe, solver: exact}\n",
         "solver: repeated on line 2",
     ),
+    # text that is no YAML; the pure-Python and the libyaml parser word these alike
+    "parse-unclosed-flow": (
+        "vqe", H2 + "ansatz: {layers: 1\n", "config parse failure: while parsing a flow mapping",
+    ),
+    "parse-tab-indent": (
+        "vqe", H2 + "ansatz:\n\tlayers: 1\n",
+        "config parse failure: while scanning for the next token",
+    ),
+    "parse-undefined-alias": ("vqe", H2 + "ansatz: *layers\n", "found undefined alias"),
 }
 
 # the error of vqe.check_settings's one seed rule
