@@ -15,6 +15,7 @@ import pytest
 from vqemb.ansatz import HeaConfig, build_hea, deparameterise
 from vqemb.cli import main as cli_main
 from vqemb.dmet import (
+    DmetConvergenceError,
     Fragmentation,
     VqeFragmentSolver,
     full_ci_ground_energy,
@@ -272,3 +273,34 @@ def test_criterion_7_determinism(tmp_path):
         f"byte-identical artifacts: {', '.join(comparisons)}",
     )
 
+
+# ROADMAP item 1: at θ = 0 the hardware-efficient state is the reference bits
+# pushed through the CNOT chains, which under parity mapping can leave the
+# embedding's particle sector; the μ walk then runs past |μ| = 1e3.
+@pytest.mark.xfail(strict=True, raises=DmetConvergenceError,
+                   reason="VQE from θ = 0 does not start at Hartree-Fock (ROADMAP item 1)")
+def test_criterion_8_vqe_dmet_correlates(h10, h10_mf):
+    # VQE as the fragment solver recovers most of exact DMET's correlation energy
+    # on H10 5×2, where each 4-orbital embedding has correlation to recover
+    m, _ = h10
+    fragments = Fragmentation(((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)))
+    solver = VqeFragmentSolver(
+        layers=2,
+        optimizer=OptimizerSpec("quasi_newton"),
+        estimator=EstimatorSpec("exact"),
+        mapping=MappingSpec(PARITY, two_qubit_reduction=True),
+        initial="zeros",
+    )
+    with Stopwatch(20) as clock:
+        res = run_dmet(m, h10_mf, fragments, solver=solver, mu_tol=1e-6)
+    exact = run_dmet(m, h10_mf, fragments, mu_tol=1e-6)
+    e_rhf = h10_mf.hf_energy
+    share = (e_rhf - res.total_energy) / (e_rhf - exact.total_energy)
+    assert res.total_energy < e_rhf
+    assert share >= 0.8
+    report(
+        "criterion 8 (VQE-DMET correlates)",
+        f"H10 5x2, 2 layers: E = {res.total_energy:.6f} Ha, RHF {e_rhf:.6f}, "
+        f"exact DMET {exact.total_energy:.6f}; {share:.1%} of the correlation energy (>= 80%), "
+        f"{res.fragment_solves} fragment solves, {clock.elapsed:.1f}s",
+    )
