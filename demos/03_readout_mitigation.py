@@ -5,10 +5,10 @@ roughly (1 - 2p)^4.  Subspace inversion of the assignment matrix over the
 observed bitstrings and twirled readout estimation both recover the ideal
 value within their error bars.
 
-Every stochastic step draws from a generator passed in: each estimate reads
-its own shot stream, and each calibration (M3's, and TREX's one pass on the
-empty circuit) reads a stream of its own, the way a VQE run splits its seed
-(see ``vqemb.vqe.solve``).
+Every stochastic step draws from a generator passed in.  The three estimates
+each start the same shot stream afresh, and each calibration (M3's, and
+TREX's one pass on the empty circuit) reads a stream of its own, split from
+one seed the way a VQE run splits its seed (see ``vqemb.vqe.solve``).
 """
 
 import math

@@ -32,9 +32,10 @@ from .simulator import (
 _TWIRL_BATCHES = 16  # twirl masks drawn per sampling pass
 
 
-def calibrate(noise: ReadoutNoiseModel, shots: int, *, rng: np.random.Generator):
-    """Estimate each qubit's flip rates (a ``ReadoutNoiseModel``) by measuring
-    all-0 and all-1 preparations, drawing from ``rng``."""
+def calibrate(noise: ReadoutNoiseModel, shots: int, *,
+              rng: np.random.Generator) -> ReadoutNoiseModel:
+    """Estimate each qubit's flip rates by measuring all-0 and all-1
+    preparations, drawing from ``rng``."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     fp = noise.flip_probs()

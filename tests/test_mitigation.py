@@ -412,14 +412,15 @@ def test_reused_estimators_match_fresh_ones():
     m3 = M3GroupEstimator(cal)
     trex = TrexGroupEstimator(4000, default_rng(23))
     for basis, members, shots, seed in calls:
+        # each call draws its shots from a fresh generator on its seed
         args = (state, PauliWord(basis), members, shots, noise)
-        rng = lambda: default_rng(seed)  # one fresh generator per call
-        assert m3.estimate_group(*args, rng()) == M3GroupEstimator(cal).estimate_group(*args, rng())
-        got = trex.estimate_group(*args, rng())
+        got = m3.estimate_group(*args, default_rng(seed))
+        assert got == M3GroupEstimator(cal).estimate_group(*args, default_rng(seed))
+        got = trex.estimate_group(*args, default_rng(seed))
         # with the reused one's calibration pass
         fresh = TrexGroupEstimator(4000, default_rng(23))
         fresh._cal_width, fresh._cal_outcomes = trex._cal_width, trex._cal_outcomes
-        assert got == fresh.estimate_group(*args, rng())
+        assert got == fresh.estimate_group(*args, default_rng(seed))
     # a TREX estimator recalibrates for another register width, from where its
     # calibration stream stands
     args = (evolve(ghz(2), []), PauliWord("ZX"), [(0.5, 0b11), (1.0, 0b01)], 45, None)
