@@ -743,6 +743,24 @@ class TestVqeFragmentSolver:
         with pytest.raises(ValueError, match=message):
             VqeFragmentSolver(**settings)
 
+    # mitigation -> (energy, n_electrons) of one sampled SPSA solve of H2's first fragment
+    SAMPLED_SOLVES = {
+        "none": (-0.8887914361330177, 0.9519957475025808),
+        "m3": (-0.9042089073658661, 1.019679978697072),
+        "trex": (-0.8521688417887476, 0.9858758955567721),
+    }
+
+    @pytest.mark.parametrize("mitigation", sorted(SAMPLED_SOLVES))
+    def test_sampled_solves_are_pinned(self, h2, h2_mf, fixtures_dir, mitigation):
+        # the shots, the readout calibration and SPSA of a fragment solve, bit for bit
+        noise = ReadoutNoiseModel.from_text((fixtures_dir / "noise_2q_2pct.txt").read_text())
+        solver = VqeFragmentSolver(
+            estimator=EstimatorSpec("sampled", shots=1000, noise=noise, mitigation=mitigation),
+            optimizer=OptimizerSpec("spsa", iterations=30), seed=11,
+        )
+        sol = solve_fragment(build_embedding(h2[0], h2_mf, [0]), solver, 0.0)
+        assert (sol.energy, sol.n_electrons) == self.SAMPLED_SOLVES[mitigation]
+
 
 class TestRunDmet:
     def test_whole_molecule_identity(self, h2, h4, h2_mf, h4_mf):
