@@ -149,6 +149,17 @@ BAD_CONFIGS = {
     "estimator-seed": ("vqe", H2 + "estimator: {seed: 1}\n", "estimator.seed"),
     "optimizer-seed": ("vqe", H2 + "optimizer: {kind: spsa, seed: 1}\n", "optimizer.seed"),
     "shots-with-exact-estimator": ("vqe", H2 + "estimator: {shots: 100}\n", "estimator.shots"),
+    # --seed and --mitigation may be given to every verb; the same keys in a file may not
+    "mitigation-with-exact-estimator": (
+        "vqe", H2 + "estimator: {kind: exact, mitigation: trex}\n", "estimator.mitigation",
+    ),
+    "mitigation-with-resources": (
+        "resources", H4 + "estimator: {mitigation: m3}\nresources: {windows: [0]}\n",
+        "estimator.mitigation",
+    ),
+    "seed-with-exact-dmet": (
+        "dmet", H4 + "vqe: {seed: 3}\ndmet: {fragments: [[0, 1], [2, 3]]}\n", "vqe.seed",
+    ),
     # keys outside what the verb's run reads: dmet windows through dmet.window,
     # resources maps the molecule and runs no VQE, and neither verb reads a
     # qubit Hamiltonian
