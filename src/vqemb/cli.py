@@ -129,8 +129,8 @@ CONFIG_KEYS = {
 _VQE_SECTIONS = ("mapping", "ansatz", "estimator", "optimizer", "vqe")
 # verb -> the sections and section.keys its run reads, as the README's "Keys each
 # verb reads" lists them; dmet reads the VQE sections only with solver: vqe.  Every
-# verb reads output: and the keys --seed and --mitigation set, and accepts each
-# verb's own section, so that one config serves several verbs.
+# verb reads output: and accepts each verb's own section, so that one config serves
+# several verbs; --seed and --mitigation may be given to every verb.
 READS = {
     "vqe": ("system", *_VQE_SECTIONS),
     "deparam": ("system", *_VQE_SECTIONS),
@@ -138,10 +138,10 @@ READS = {
     "dmet": ("system.fcidump",),
     "resources": ("system.fcidump", "mapping"),
 }
-_READ_BY_EVERY_VERB = {"output", "deparam", "dmet", "resources", "vqe.seed", "estimator.mitigation"}
+_READ_BY_EVERY_VERB = {"output", "deparam", "dmet", "resources"}
 # (section.key, value) -> what a run with that setting does not read
 _UNREAD_WITH = {
-    ("estimator.kind", "exact"): ("estimator.noise", "estimator.shots"),
+    ("estimator.kind", "exact"): ("estimator.noise", "estimator.shots", "estimator.mitigation"),
     ("optimizer.kind", "quasi_newton"): ("optimizer.iterations",),
     ("optimizer.kind", "spsa"): ("optimizer.max_iter", "optimizer.conv_tol"),
     # a qubit Hamiltonian is a whole system, already mapped, with no orbitals
@@ -149,15 +149,15 @@ _UNREAD_WITH = {
 }
 
 
-def _check_read(cfg: dict, verb: str):
-    """Refuse the first key given that the verb's run does not read."""
+def _check_read(cfg: dict, data: dict, verb: str):
+    """Refuse the first key of the file, ``data``, that the verb's run does not read."""
     reads = READS[verb] + _VQE_SECTIONS * (verb == "dmet" and cfg["dmet"].get("solver") == "vqe")
     settings = [("estimator.kind", cfg["estimator"].get("kind", EstimatorSpec.kind)),
                 ("optimizer.kind", cfg["optimizer"].get("kind", OptimizerSpec.kind)),
                 ("system.hamiltonian", "hamiltonian" in cfg["system"])]
     unread = {name for setting in settings for name in _UNREAD_WITH.get(setting, ())}
-    for section, body in cfg.items():
-        for key in body:
+    for section, body in data.items():
+        for key in body or {}:
             names = {section, f"{section}.{key}"}
             if not names & _READ_BY_EVERY_VERB and (not names.intersection(reads) or names & unread):
                 raise ConfigError(f"{section}.{key}: the {verb} run of this config does not read it")
@@ -229,7 +229,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> dict:
         ("estimator", "mitigation"): overrides.mitigation,
         ("output", "dir"): overrides.out,
     })
-    _check_read(cfg, overrides.command)
+    _check_read(cfg, data, overrides.command)
     vqe = cfg["vqe"]
     try:
         MappingSpec(**cfg["mapping"])  # each verb builds the spec it feeds
