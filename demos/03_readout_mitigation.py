@@ -5,24 +5,32 @@ roughly (1 - 2p)^4.  Subspace inversion of the assignment matrix over the
 observed bitstrings and twirled readout estimation both recover the ideal
 value within their error bars.
 
-Every stochastic step draws from a generator passed in.  The three estimates
+Every stochastic step draws from a generator passed in.  Each estimator
+holds its shot count, noise model and shot generator; the three estimates
 each start the same shot stream afresh, and each calibration (M3's, and
-TREX's one pass on the empty circuit) reads a stream of its own, split from
-one seed the way a VQE run splits its seed (see ``vqemb.vqe.solve``).
+TREX's one pass on the empty circuit, drawn when its estimator is built)
+reads a stream of its own, split from one seed the way a VQE run splits its
+seed (see ``vqemb.vqe.solve``).
 """
 
 import math
 
 import numpy as np
 
-from vqemb import ReadoutNoiseModel, calibrate, sampled_expectation
+from vqemb import (
+    RawGroupEstimator,
+    ReadoutNoiseModel,
+    calibrate,
+    group_qubitwise,
+    sampled_expectation,
+)
 from vqemb.mitigation import M3GroupEstimator, TrexGroupEstimator
 from vqemb.pauli import QubitHamiltonian
 from vqemb.simulator import Circuit, CnotGate, FrozenSlot, RyGate
 
 ghz = Circuit(4, [RyGate(0, FrozenSlot(math.pi / 2)),
                   CnotGate(0, 1), CnotGate(1, 2), CnotGate(2, 3)])
-parity = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
+parity = group_qubitwise(QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0}))
 noise = ReadoutNoiseModel.uniform(4, 0.02)
 shots = 10000
 # the shot, M3 calibration and TREX calibration streams, as a VQE run splits its seed
@@ -31,23 +39,19 @@ shot_stream, m3_stream, trex_stream = np.random.SeedSequence(42).spawn(3)
 print(f"ideal <ZZZZ> on GHZ(4):        +1.0")
 print(f"analytic raw bias factor:      (1 - 0.04)^4 = {0.96 ** 4:.4f}\n")
 
-raw, raw_err = sampled_expectation(ghz, [], parity, shots, noise=noise,
-                                   rng=np.random.default_rng(shot_stream))
+raw, raw_err = sampled_expectation(
+    ghz, [], parity, RawGroupEstimator(shots, noise, np.random.default_rng(shot_stream)))
 print(f"raw estimate:                  {raw:+.4f} +- {raw_err:.4f}  "
       f"({(1 - raw) / raw_err:.1f} sigma from ideal)")
 
 cal = calibrate(noise, shots=100000, rng=np.random.default_rng(m3_stream))
 m3_value, m3_err = sampled_expectation(
-    ghz, [], parity, shots, noise=noise, mitigator=M3GroupEstimator(cal),
-    rng=np.random.default_rng(shot_stream),
-)
+    ghz, [], parity, M3GroupEstimator(cal, shots, noise, np.random.default_rng(shot_stream)))
 print(f"subspace inversion:            {m3_value:+.4f} +- {m3_err:.4f}  "
       f"({abs(m3_value - 1) / m3_err:.1f} sigma from ideal)")
 
-trex_value, trex_err = sampled_expectation(
-    ghz, [], parity, shots, noise=noise,
-    mitigator=TrexGroupEstimator(20000, np.random.default_rng(trex_stream)),
-    rng=np.random.default_rng(shot_stream),
-)
+trex = TrexGroupEstimator(4, shots, noise, np.random.default_rng(shot_stream),
+                          20000, np.random.default_rng(trex_stream))
+trex_value, trex_err = sampled_expectation(ghz, [], parity, trex)
 print(f"twirled readout:               {trex_value:+.4f} +- {trex_err:.4f}  "
       f"({abs(trex_value - 1) / trex_err:.1f} sigma from ideal)")

@@ -44,11 +44,13 @@ from .simulator import (
     FreeSlot,
     FrozenSlot,
     PauliXGate,
+    RawGroupEstimator,
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
     energy_and_gradient,
     evolve,
+    group_qubitwise,
     sample,
     sampled_expectation,
 )

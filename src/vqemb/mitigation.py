@@ -1,11 +1,12 @@
 """Readout-error mitigation.
 
-Two schemes: assignment-matrix inversion restricted to the subspace of
-observed outcomes, solved directly on the dense restricted matrix, and
-twirled readout estimation, where random X masks symmetrize the readout
-channel and a calibration pass on the empty circuit measures the attenuation
-factor to divide out.  Calibrations draw from a generator of their own, not
-from the shots' generator that ``estimate_group`` receives.
+Two group estimators for ``sampled_expectation``: assignment-matrix
+inversion restricted to the subspace of observed outcomes, solved directly on
+the dense restricted matrix, and twirled readout estimation, where random X
+masks symmetrize the readout channel and a calibration pass on the empty
+circuit measures the attenuation factor to divide out.  Each holds its shot
+count, noise model and shot generator; calibrations (``calibrate`` for M3,
+TREX's one pass at construction) draw from a generator of their own.
 
 Quasi-probabilities are renormalized to unit sum (restriction to the observed
 subspace can lose the unobserved probability mass) and are never clipped;
@@ -97,14 +98,17 @@ class M3GroupEstimator:
     p_hat) is the quasi-probability mass; the variance is propagated from the
     multinomial covariance of p_hat (renormalization treated as constant).
     Each group keeps w and u for its last observed set until the set changes.
+    Every group draws ``shots`` shots under ``noise`` from ``rng``.
     """
 
-    def __init__(self, calibration: ReadoutNoiseModel):
+    def __init__(self, calibration: ReadoutNoiseModel, shots: int,
+                 noise: Optional[ReadoutNoiseModel], rng: np.random.Generator):
         self.calibration = calibration
+        self.shots, self.noise, self.rng = shots, noise, rng
         self._last = {}  # (basis letters, members) -> (outcome bytes, w, w * w, u)
 
-    def estimate_group(self, state, basis, members, shots, noise, rng):
-        counts = sample(state, basis, shots, noise, rng=rng)
+    def estimate_group(self, state, basis, members):
+        counts = sample(state, basis, self.shots, self.noise, rng=self.rng)
         p = _frequencies(counts)
         group, observed = (basis.letters, tuple(members)), counts.outcomes.tobytes()
         last = self._last.get(group)
@@ -116,53 +120,49 @@ class M3GroupEstimator:
         _, w, w2, u = last
         s = _quasi_mass(float(u @ p))
         wp = float(w @ p)
-        var = max(float(p @ w2) - wp**2, 0.0) / shots / (s * s)
+        var = max(float(p @ w2) - wp**2, 0.0) / self.shots / (s * s)
         return wp / s, var
 
 
 # -- twirled readout estimation ---------------------------------------------------
 
-def _twirl_layout(n: int, shots: int) -> tuple:
-    """(n, shots, register weights, block sizes) of a twirled pass: each of
-    ``_TWIRL_BATCHES`` masks covers one block of ``shots // _TWIRL_BATCHES``
-    consecutive shots, the first ``shots % _TWIRL_BATCHES`` one shot longer."""
-    sizes = shots // _TWIRL_BATCHES + (np.arange(_TWIRL_BATCHES) < shots % _TWIRL_BATCHES)
-    return n, shots, 1 << (n - 1 - np.arange(n)), sizes
+def _block_sizes(shots: int) -> np.ndarray:
+    """Shots under each of the ``_TWIRL_BATCHES`` masks of a twirled pass:
+    ``shots // _TWIRL_BATCHES``, the first ``shots % _TWIRL_BATCHES`` one more."""
+    return shots // _TWIRL_BATCHES + (np.arange(_TWIRL_BATCHES) < shots % _TWIRL_BATCHES)
 
 
-def _twirled_pass(state: np.ndarray, layout: tuple, noise: Optional[ReadoutNoiseModel], rng):
-    """Measured int64 basis indices of one twirled pass in ``layout``, all
-    shots drawn in one pass, with the X-mask twirling already compensated."""
-    n, shots, weights, sizes = layout
-    masks = rng.integers(0, 2, size=(_TWIRL_BATCHES, n)) @ weights
-    return _sample_outcomes(np.abs(state) ** 2, n, shots, noise, rng, twirl=masks.repeat(sizes))
-
-
-def _twirled_bits(state: np.ndarray, n: int, shots: int, noise, rng) -> np.ndarray:
-    """``_twirled_pass`` of ``shots`` shots on an n-qubit register."""
-    return _twirled_pass(state, _twirl_layout(n, shots), noise, rng)
+def _twirled_bits(state: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
+                  noise: Optional[ReadoutNoiseModel], rng) -> np.ndarray:
+    """Measured int64 basis indices of one twirled pass over the register whose
+    qubits have the basis-index ``weights``, all shots drawn in one pass, with
+    the X-mask twirling already compensated: mask i of ``_TWIRL_BATCHES``
+    covers the next ``sizes[i]`` shots."""
+    n = weights.size
+    twirl = (rng.integers(0, 2, size=(_TWIRL_BATCHES, n)) @ weights).repeat(sizes)
+    return _sample_outcomes(np.abs(state) ** 2, n, twirl.size, noise, rng, twirl=twirl)
 
 
 class TrexGroupEstimator:
     """Group-estimation hook applying twirled readout to every term.
 
-    One twirled calibration pass (lazy, on the first group) serves all Z
-    masks; each mask's attenuation and its variance are computed from the
-    stored calibration outcomes once and cached until the calibration is
-    redone for another register width; calibration passes draw from
-    ``cal_rng``.  The estimation passes' twirl layout is rebuilt only for a
-    new register width or shot count.
+    Every group is one twirled pass of ``shots`` shots on the ``n_qubits``
+    register under ``noise``, drawn from ``rng``.  One twirled calibration
+    pass of ``cal_shots`` shots on the empty circuit, drawn from ``cal_rng``
+    at construction, serves all Z masks; each mask's attenuation and its
+    variance are computed from the stored calibration outcomes once.
     """
 
-    def __init__(self, cal_shots: int, cal_rng: np.random.Generator):
-        if cal_shots <= 0:
-            raise ValueError("cal_shots must be positive")
-        self.cal_shots = cal_shots
-        self._cal_rng = cal_rng
-        self._cal_width = None
-        self._cal_outcomes = None
+    def __init__(self, n_qubits: int, shots: int, noise: Optional[ReadoutNoiseModel],
+                 rng: np.random.Generator, cal_shots: int, cal_rng: np.random.Generator):
+        if min(shots, cal_shots) <= 0:
+            raise ValueError("shots and cal_shots must be positive")
+        self.shots, self.noise, self.rng, self.cal_shots = shots, noise, rng, cal_shots
+        self._weights = 1 << (n_qubits - 1 - np.arange(n_qubits))
+        self._sizes = _block_sizes(shots)
+        self._cal_outcomes = _twirled_bits(zero_state(n_qubits), self._weights,
+                                           _block_sizes(cal_shots), noise, cal_rng)
         self._attenuations: dict = {}
-        self._layout = (None, None)
 
     def _attenuation(self, mask: int) -> tuple[float, float]:
         """(attenuation, its variance) of one Z mask, from the calibration outcomes."""
@@ -175,14 +175,10 @@ class TrexGroupEstimator:
             self._attenuations[mask] = (att, var_att)
         return self._attenuations[mask]
 
-    def estimate_group(self, state, basis, members, shots, noise, rng):
-        n = basis.n_qubits
-        if self._cal_width != n:  # one calibration pass per register width
-            cal = _twirled_bits(zero_state(n), n, self.cal_shots, noise, self._cal_rng)
-            self._cal_outcomes, self._cal_width, self._attenuations = cal, n, {}
-        if self._layout[:2] != (n, shots):
-            self._layout = _twirl_layout(n, shots)
-        outcomes = _twirled_pass(_rotate_to_basis(state, basis, n), self._layout, noise, rng)
+    def estimate_group(self, state, basis, members):
+        shots = self.shots
+        outcomes = _twirled_bits(_rotate_to_basis(state, basis, basis.n_qubits), self._weights,
+                                 self._sizes, self.noise, self.rng)
 
         # np.add.reduce(x) / shots is np.mean(x) without its Python wrapper
         per_shot = np.zeros(shots)

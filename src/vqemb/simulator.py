@@ -13,8 +13,9 @@ gradient in all free angles come from one forward and one adjoint sweep
 Measurement grouping for sampled expectations uses greedy qubit-wise
 commutativity; Y-basis measurements rotate with S-dagger followed by H.
 Shots are drawn as packed basis indices from the ``np.random.Generator`` a
-caller passes in; a sampled expectation passes its one generator down to
-every group (``estimate_group``, ``sample``) in ``group_qubitwise`` order.
+caller passes in.  A sampled expectation hands each group, in
+``group_qubitwise`` order, to one group estimator, which holds the run's
+shot count, readout noise and shot generator from construction.
 """
 
 from __future__ import annotations
@@ -473,38 +474,32 @@ def tally_counts(counts: ShotCounts, members: list) -> tuple[float, float]:
 
 
 class RawGroupEstimator:
-    """Unmitigated group estimation: sample and tally."""
+    """Unmitigated group estimation: sample ``shots`` shots under ``noise``
+    (or none) from ``rng``, and tally them."""
 
-    def estimate_group(self, state, basis, members, shots, noise, rng):
-        return tally_counts(sample(state, basis, shots, noise, rng=rng), members)
+    def __init__(self, shots: int, noise: Optional[ReadoutNoiseModel], rng: np.random.Generator):
+        self.shots, self.noise, self.rng = shots, noise, rng
+
+    def estimate_group(self, state, basis, members):
+        return tally_counts(sample(state, basis, self.shots, self.noise, rng=self.rng), members)
 
 
-def sampled_expectation(
-    circuit: Circuit,
-    params: Sequence[float],
-    h: QubitHamiltonian | tuple,
-    shots: int,
-    noise: Optional[ReadoutNoiseModel] = None,
-    mitigator=None,
-    *, rng: np.random.Generator,
-) -> tuple[float, float]:
+def sampled_expectation(circuit: Circuit, params: Sequence[float], grouped: tuple,
+                        estimator) -> tuple[float, float]:
     """Shot-based estimate of <H> with one measurement per commuting group.
 
-    Returns (value, stderr).  ``h`` is a QubitHamiltonian or the (constant,
-    groups) pair ``group_qubitwise`` returns for it, so a caller evaluating
-    one Hamiltonian many times groups it once.  ``mitigator`` may supply an
-    ``estimate_group`` hook (see mitigation module); None means raw counts.
-    Every group draws its shots from ``rng``, one after another.
+    Returns (value, stderr).  ``grouped`` is the (constant, groups) pair
+    ``group_qubitwise`` returns for H, so a caller evaluating one Hamiltonian
+    many times groups it once.  ``estimator.estimate_group(state, basis,
+    members)`` estimates each group in turn: a ``RawGroupEstimator``, or a
+    mitigating one from the mitigation module.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
     state = evolve(circuit, params)
-    constant, groups = group_qubitwise(h) if isinstance(h, QubitHamiltonian) else h
-    estimator = mitigator if mitigator is not None else RawGroupEstimator()
+    constant, groups = grouped
     value = constant
     variance = 0.0
     for basis, members in groups:
-        mean, var = estimator.estimate_group(state, basis, members, shots, noise, rng)
+        mean, var = estimator.estimate_group(state, basis, members)
         value += mean
         variance += var
     return value, math.sqrt(variance)

@@ -14,6 +14,7 @@ from .optimize import OptimizerTrace, bounded_quasi_newton, spsa
 from .pauli import PauliExpectation, QubitHamiltonian
 from .simulator import (
     Circuit,
+    RawGroupEstimator,
     ReadoutNoiseModel,
     energy_and_gradient,
     evolve,
@@ -138,9 +139,10 @@ def relative_error(energy: float, reference: float) -> float:
     return abs(energy - reference) / abs(reference)
 
 
-def build_objective(problem: VqeProblem):
-    """Energy-evaluation closure for the configured estimator.  A sampled
-    closure draws every shot from one generator on the run's shot stream."""
+def build_objective(problem: VqeProblem, streams: list):
+    """Energy-evaluation closure for the configured estimator.  A sampled closure
+    holds one group estimator, which draws its shots from one generator on the shot
+    stream ``streams[0]`` and calibrates on ``streams[1]`` (see solve)."""
     est = problem.estimator
     if est.kind == "exact":
         evaluator = PauliExpectation(problem.hamiltonian)
@@ -150,23 +152,21 @@ def build_objective(problem: VqeProblem):
 
         return objective
 
-    shot_stream, cal_stream, _ = np.random.SeedSequence(problem.seed).spawn(3)  # see solve
-    cal_rng = np.random.default_rng(cal_stream)
-    mitigator = None
+    n = problem.circuit.n_qubits
+    rng = np.random.default_rng(streams[0])
     if est.mitigation == "m3":
-        noise = est.noise if est.noise is not None else ReadoutNoiseModel.uniform(
-            problem.circuit.n_qubits, 0.0)
-        mitigator = mitigation.M3GroupEstimator(
-            mitigation.calibrate(noise, _CALIBRATION_SHOTS, rng=cal_rng))
+        noise = est.noise if est.noise is not None else ReadoutNoiseModel.uniform(n, 0.0)
+        cal = mitigation.calibrate(noise, _CALIBRATION_SHOTS, rng=np.random.default_rng(streams[1]))
+        estimator = mitigation.M3GroupEstimator(cal, est.shots, est.noise, rng)
     elif est.mitigation == "trex":
-        mitigator = mitigation.TrexGroupEstimator(_CALIBRATION_SHOTS, cal_rng)
-
-    rng = np.random.default_rng(shot_stream)
+        estimator = mitigation.TrexGroupEstimator(n, est.shots, est.noise, rng, _CALIBRATION_SHOTS,
+                                                  np.random.default_rng(streams[1]))
+    else:
+        estimator = RawGroupEstimator(est.shots, est.noise, rng)
     grouped = group_qubitwise(problem.hamiltonian)
 
     def objective(params):
-        return sampled_expectation(problem.circuit, params, grouped, est.shots, noise=est.noise,
-                                   mitigator=mitigator, rng=rng)[0]
+        return sampled_expectation(problem.circuit, params, grouped, estimator)[0]
 
     return objective
 
@@ -178,12 +178,12 @@ def _initial_vector(problem: VqeProblem, restart: int, init_rng) -> np.ndarray:
     return init_rng.uniform(-math.pi, math.pi, size=n)
 
 
-def _optimizer_runner(problem: VqeProblem):
+def _optimizer_runner(problem: VqeProblem, streams: list):
     """Function from a start point to (parameters, trace) for the configured optimizer."""
     opt = problem.optimizer
     if opt.kind == "spsa":
-        objective = build_objective(problem)
-        rng = np.random.default_rng(np.random.SeedSequence(problem.seed).spawn(3)[2])  # see solve
+        objective = build_objective(problem, streams)
+        rng = np.random.default_rng(streams[2])
         return lambda x0: spsa(objective, x0, iterations=opt.iterations, rng=rng)
     # quasi-Newton: VqeProblem admits it only with the exact estimator
     evaluator = PauliExpectation(problem.hamiltonian)
@@ -209,18 +209,19 @@ def solve(
     per random stream: the start draws read ``default_rng(problem.seed)``;
     the shots, the readout calibration (M3's, or TREX's one pass) and SPSA
     read the three children of ``SeedSequence(problem.seed)``, in that
-    order.  The shot generator is passed down to every sampled group, and
-    SPSA's carries on across restarts.
+    order.  The shot generator is held by the run's one group estimator,
+    and SPSA's carries on across restarts.
     """
+    streams = np.random.SeedSequence(problem.seed).spawn(3)  # shots, calibration, SPSA
     if problem.circuit.n_parameters == 0:
         trace = OptimizerTrace()
-        value = float(build_objective(problem)(np.zeros(0)))
+        value = float(build_objective(problem, streams)(np.zeros(0)))
         trace.record(0, value, np.zeros(0))
         result = VqeResult(value, np.zeros(0), trace)
         if reference is not None:
             result.relative_error = relative_error(value, reference)
         return result
-    run = _optimizer_runner(problem)
+    run = _optimizer_runner(problem, streams)
     init_rng = np.random.default_rng(problem.seed)
     best = None
     for r in range(1 if x0 is not None else problem.restarts):

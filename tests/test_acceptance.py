@@ -36,9 +36,11 @@ from vqemb.simulator import (
     Circuit,
     CnotGate,
     FrozenSlot,
+    RawGroupEstimator,
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
+    group_qubitwise,
     sampled_expectation,
 )
 from vqemb.vqe import EstimatorSpec, OptimizerSpec, VqeProblem, relative_error, solve
@@ -146,29 +148,28 @@ def test_criterion_3_deparameterisation():
 def test_criterion_4_mitigation_efficacy():
     ghz = Circuit(4, [RyGate(0, FrozenSlot(math.pi / 2)),
                       CnotGate(0, 1), CnotGate(1, 2), CnotGate(2, 3)])
-    h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
+    h = group_qubitwise(QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0}))
     noise = ReadoutNoiseModel.uniform(4, 0.02)
     with Stopwatch(60) as clock:
-        raw, raw_err = sampled_expectation(ghz, [], h, 10000, noise=noise, rng=default_rng(42))
+        raw, raw_err = sampled_expectation(
+            ghz, [], h, RawGroupEstimator(10000, noise, default_rng(42)))
         cal = calibrate(noise, 100000, rng=default_rng(7))
         m3_value, m3_err = sampled_expectation(
-            ghz, [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), rng=default_rng(42)
+            ghz, [], h, M3GroupEstimator(cal, 10000, noise, default_rng(42))
         )
         trex_value, trex_err = sampled_expectation(
-            ghz, [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000, default_rng(43)),
-            rng=default_rng(42),
+            ghz, [], h, TrexGroupEstimator(4, 10000, noise, default_rng(42), 20000, default_rng(43))
         )
         # zero-noise pass-throughs
-        clean, _ = sampled_expectation(ghz, [], h, 10000, rng=default_rng(5))
+        clean, _ = sampled_expectation(ghz, [], h, RawGroupEstimator(10000, None, default_rng(5)))
         ident_cal = calibrate(ReadoutNoiseModel.uniform(4, 0.0), 1000, rng=default_rng(1))
         m3_clean, _ = sampled_expectation(
-            ghz, [], h, 10000, mitigator=M3GroupEstimator(ident_cal), rng=default_rng(5)
+            ghz, [], h, M3GroupEstimator(ident_cal, 10000, None, default_rng(5))
         )
         counts = ShotCounts(np.array([0b0000, 0b1111]), np.array([6, 4]), PauliWord("ZZZZ"))
         quasi = m3_mitigate(counts, ident_cal)
         trex_clean, trex_clean_err = sampled_expectation(
-            ghz, [], h, 10000, noise=None, mitigator=TrexGroupEstimator(10000, default_rng(6)),
-            rng=default_rng(5),
+            ghz, [], h, TrexGroupEstimator(4, 10000, None, default_rng(5), 10000, default_rng(6))
         )
     assert (1.0 - raw) > 5 * raw_err, "raw estimate is not significantly biased"
     assert abs(m3_value - 1.0) <= 3 * m3_err

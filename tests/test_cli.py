@@ -805,8 +805,8 @@ def m3_many_outcomes(stage):
     state = np.random.default_rng(14).normal(size=1 << n)
     state /= np.linalg.norm(state)
     noise, basis = ReadoutNoiseModel.uniform(n, 0.02), PauliWord("Z" * n)
-    M3GroupEstimator(noise).estimate_group(state, basis, [(1.0, (1 << n) - 1)], 4000, noise,
-                                           np.random.default_rng(15))
+    M3GroupEstimator(noise, 4000, noise, np.random.default_rng(15)).estimate_group(
+        state, basis, [(1.0, (1 << n) - 1)])
     return sample(state, basis, 4000, noise, rng=np.random.default_rng(15)).outcomes.size > 500
 
 report = {"import": loaded()}

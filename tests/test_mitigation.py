@@ -11,6 +11,7 @@ import pytest
 from vqemb.mitigation import (
     M3GroupEstimator,
     TrexGroupEstimator,
+    _block_sizes,
     _restricted_matrix,
     _twirled_bits,
     calibrate,
@@ -22,6 +23,7 @@ from vqemb.simulator import (
     CnotGate,
     FrozenSlot,
     PauliXGate,
+    RawGroupEstimator,
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
@@ -102,10 +104,11 @@ class TestM3:
         cal = calibrate(noise, shots=100000, rng=default_rng(7))
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 10000, noise=noise, mitigator=M3GroupEstimator(cal), rng=default_rng(8)
+            ghz(4), [], group_qubitwise(h), M3GroupEstimator(cal, 10000, noise, default_rng(8))
         )
         assert abs(value - 1.0) <= 3 * err
-        raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, rng=default_rng(8))
+        raw, raw_err = sampled_expectation(
+            ghz(4), [], group_qubitwise(h), RawGroupEstimator(10000, noise, default_rng(8)))
         assert (1.0 - raw) > 5 * raw_err
 
     def test_quasi_distribution_gives_the_group_estimate(self):
@@ -121,8 +124,8 @@ class TestM3:
                 b: sum(c * (-1) ** bin(b & mask).count("1") for c, mask in members)
                 for b in quasi
             }
-            mean, _ = M3GroupEstimator(cal).estimate_group(
-                state, PauliWord(basis), members, 3000, noise, default_rng(10)
+            mean, _ = M3GroupEstimator(cal, 3000, noise, default_rng(10)).estimate_group(
+                state, PauliWord(basis), members
             )
             assert mean == pytest.approx(sum(quasi[b] * parity[b] for b in quasi), abs=1e-12)
 
@@ -153,8 +156,8 @@ class TestM3:
         assert s == pytest.approx(x.sum(), rel=1e-12)
         mean = float(w @ p) / s
         var = max(float(p @ (w * w)) - float(w @ p) ** 2, 0.0) / 4000 / (s * s)
-        got = M3GroupEstimator(noise).estimate_group(state, basis, members, 4000, noise,
-                                                     default_rng(15))
+        got = M3GroupEstimator(noise, 4000, noise, default_rng(15)).estimate_group(
+            state, basis, members)
         assert got == (mean, var)
 
 
@@ -169,6 +172,11 @@ def batch_of_each_shot(shots, batches=16):
     batch, the first ``shots % batches`` batches one shot longer."""
     sizes = [shots // batches + (i < shots % batches) for i in range(batches)]
     return [i for i, size in enumerate(sizes) for _ in range(size)]
+
+
+def twirled_bits(state, n, shots, noise, rng):
+    """``_twirled_bits`` of one pass of ``shots`` shots on an n-qubit register."""
+    return _twirled_bits(state, 1 << (n - 1 - np.arange(n)), _block_sizes(shots), noise, rng)
 
 
 class TestTwirledBits:
@@ -196,7 +204,7 @@ class TestTwirledBits:
             fp = noise.flip_probs()
             p_flip = np.where(measured == 0, fp[:, 0], fp[:, 1])
             bits = measured ^ (u < p_flip) ^ twirl
-        got = _twirled_bits(state, n, shots, noise, default_rng(77))
+        got = twirled_bits(state, n, shots, noise, default_rng(77))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, pack(bits))
 
@@ -205,7 +213,7 @@ class TestTwirledBits:
         n = 3
         always_one = ReadoutNoiseModel.from_flip_probs([1.0] * n, [0.0] * n)
         masks = default_rng(5).integers(0, 2, size=(16, n))
-        got = _twirled_bits(self.random_state(n, 1), n, shots, always_one, default_rng(5))
+        got = twirled_bits(self.random_state(n, 1), n, shots, always_one, default_rng(5))
         assert got.shape == (shots,)
         for shot, batch in enumerate(batch_of_each_shot(shots)):
             assert got[shot] == pack(1 - masks[batch])
@@ -220,14 +228,14 @@ class TestTwirledBits:
     @pytest.mark.parametrize("n", sorted(PINNED_WIDE))
     def test_wide_registers_are_pinned(self, n):
         noise = ReadoutNoiseModel.from_flip_probs(np.linspace(0.01, 0.3, n), np.linspace(0.25, 0.02, n))
-        got = _twirled_bits(self.random_state(n, 200 + n), n, 3000, noise, default_rng(300 + n))
+        got = twirled_bits(self.random_state(n, 200 + n), n, 3000, noise, default_rng(300 + n))
         assert hashlib.sha256(got.tobytes()).hexdigest()[:32] == self.PINNED_WIDE[n]
 
     def test_twirl_cancels_without_noise(self):
         n = 3
         state = np.zeros(2**n)
         state[0b101] = 1.0
-        got = _twirled_bits(state, n, 1000, None, default_rng(8))
+        got = twirled_bits(state, n, 1000, None, default_rng(8))
         np.testing.assert_array_equal(got, np.full(1000, 0b101))
 
 
@@ -239,7 +247,7 @@ class TestTwirledBits:
             state[1] = float(bad)
         noise = ReadoutNoiseModel.uniform(2, 0.05) if noisy else None
         with pytest.raises(ValueError):
-            _twirled_bits(state, 2, 100, noise, default_rng(3))
+            twirled_bits(state, 2, 100, noise, default_rng(3))
 
 
 class TestTrex:
@@ -250,21 +258,21 @@ class TestTrex:
             state[3] = float(bad)
         noise = ReadoutNoiseModel.uniform(2, 0.05)
         with pytest.raises(ValueError, match="finite positive mass"):
-            TrexGroupEstimator(1000, default_rng(2)).estimate_group(
-                state, PauliWord("XZ"), [(1.0, 0b11)], 100, noise, default_rng(1))
+            TrexGroupEstimator(2, 100, noise, default_rng(1), 1000, default_rng(2)).estimate_group(
+                state, PauliWord("XZ"), [(1.0, 0b11)])
 
     @pytest.mark.parametrize("cal_shots", [0, -5])
     def test_nonpositive_calibration_budget_rejected(self, cal_shots):
         # an empty calibration would give a NaN attenuation
         with pytest.raises(ValueError, match="cal_shots must be positive"):
-            TrexGroupEstimator(cal_shots, default_rng(0))
+            TrexGroupEstimator(2, 100, None, default_rng(1), cal_shots, default_rng(0))
 
     def test_zero_noise_passthrough(self):
         # even-size GHZ: <Z...Z> = +1 (odd-weight parities vanish instead)
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 4000, noise=None, mitigator=TrexGroupEstimator(4000, default_rng(2)),
-            rng=default_rng(1),
+            ghz(4), [], group_qubitwise(h),
+            TrexGroupEstimator(4, 4000, None, default_rng(1), 4000, default_rng(2)),
         )
         assert abs(value - 1.0) <= 5 * max(err, 1e-12)
 
@@ -276,8 +284,8 @@ class TestTrex:
         ones = Circuit(n, [PauliXGate(q) for q in range(n)])
         h = QubitHamiltonian.from_dict(n, {"Z" * n: 1.0})
         value, err = sampled_expectation(
-            ones, [], h, shots, noise=noise, mitigator=TrexGroupEstimator(shots, default_rng(3)),
-            rng=default_rng(2),
+            ones, [], group_qubitwise(h),
+            TrexGroupEstimator(n, shots, noise, default_rng(2), shots, default_rng(3)),
         )
         assert value == pytest.approx(-1.0, abs=5 * err)
         raw = value * (1 - 2 * p) ** n
@@ -287,40 +295,42 @@ class TestTrex:
         noise = ReadoutNoiseModel.uniform(4, 0.02)
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 10000, noise=noise, mitigator=TrexGroupEstimator(20000, default_rng(43)),
-            rng=default_rng(42),
+            ghz(4), [], group_qubitwise(h),
+            TrexGroupEstimator(4, 10000, noise, default_rng(42), 20000, default_rng(43)),
         )
         assert abs(value - 1.0) <= 3 * err
-        raw, raw_err = sampled_expectation(ghz(4), [], h, 10000, noise=noise, rng=default_rng(42))
+        raw, raw_err = sampled_expectation(
+            ghz(4), [], group_qubitwise(h), RawGroupEstimator(10000, noise, default_rng(42)))
         assert (1.0 - raw) > 5 * raw_err
 
     def test_group_estimator_matches_standalone_scale(self):
         noise = ReadoutNoiseModel.uniform(4, 0.02)
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         value, err = sampled_expectation(
-            ghz(4), [], h, 10000, noise=noise,
-            mitigator=TrexGroupEstimator(20000, default_rng(5)), rng=default_rng(4),
+            ghz(4), [], group_qubitwise(h),
+            TrexGroupEstimator(4, 10000, noise, default_rng(4), 20000, default_rng(5)),
         )
         assert abs(value - 1.0) <= 3 * err
 
     def test_attenuation_cache_reused_and_reset(self):
         noise = ReadoutNoiseModel.uniform(3, 0.05)
-        est = TrexGroupEstimator(5000, default_rng(4))
+        cal_rng = default_rng(4)
+        est = TrexGroupEstimator(3, 1000, noise, default_rng(3), 5000, cal_rng)
+        calibrated = copy.deepcopy(cal_rng.bit_generator.state)
         state = evolve(ghz(3), [])
         members = [(1.0, 0b110), (0.5, 0b011)]
-        args = (state, PauliWord("ZZZ"), members, 1000, noise)
-        first = est.estimate_group(*args, default_rng(3))
+        args = (state, PauliWord("ZZZ"), members)
+        first = est.estimate_group(*args)
         cached = dict(est._attenuations)
         assert set(cached) == {0b110, 0b011}
         for mask, (att, var_att) in cached.items():
             eigs = 1.0 - 2.0 * np.array([bin(o & mask).count("1") % 2 for o in est._cal_outcomes])
             assert att == float(eigs.mean())
             assert var_att == max(float((eigs**2).mean()) - att * att, 0.0) / 5000
-        assert est.estimate_group(*args, default_rng(3)) == first
-        # a calibration rebuilt for another register drops the cached values
-        est.estimate_group(evolve(ghz(2), []), PauliWord("ZZ"), [(1.0, 0b10)], 100, None,
-                           default_rng(4))
-        assert set(est._attenuations) == {0b10}
+        est.rng = default_rng(3)
+        assert est.estimate_group(*args) == first
+        # the one calibration pass is drawn at construction: no evaluation reads cal_rng
+        assert cal_rng.bit_generator.state == calibrated
 
     def test_convergence_with_shots(self):
         # mitigated estimates stay consistent with the ideal value at every
@@ -330,8 +340,8 @@ class TestTrex:
         errs = []
         for shots in (1000, 10000, 100000):
             value, err = sampled_expectation(
-                ghz(4), [], h, shots, noise=noise,
-                mitigator=TrexGroupEstimator(4 * shots, default_rng(12)), rng=default_rng(11),
+                ghz(4), [], group_qubitwise(h),
+                TrexGroupEstimator(4, shots, noise, default_rng(11), 4 * shots, default_rng(12)),
             )
             assert abs(value - 1.0) <= 5 * err
             errs.append(err)
@@ -344,8 +354,7 @@ class TestTrex:
         errs = []
         for shots in (1000, 10000, 100000):
             value, err = sampled_expectation(
-                ghz(4), [], h, shots, noise=noise,
-                mitigator=M3GroupEstimator(cal), rng=default_rng(13),
+                ghz(4), [], group_qubitwise(h), M3GroupEstimator(cal, shots, noise, default_rng(13)),
             )
             assert abs(value - 1.0) <= 5 * err
             errs.append(err)
@@ -361,15 +370,15 @@ def test_estimates_are_pinned():
     })
     noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
     assert len(group_qubitwise(h.simplify())[1]) == 4
-    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, rng=default_rng(21)) == (
+    raw = RawGroupEstimator(2000, noise, default_rng(21))
+    assert sampled_expectation(ghz(3), [], group_qubitwise(h), raw) == (
         0.6779000000000001, 0.013653582771565857)
-    m3 = M3GroupEstimator(calibrate(noise, 20000, rng=default_rng(22)))
-    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, mitigator=m3,
-                               rng=default_rng(21)) == (
+    m3 = M3GroupEstimator(calibrate(noise, 20000, rng=default_rng(22)), 2000, noise,
+                          default_rng(21))
+    assert sampled_expectation(ghz(3), [], group_qubitwise(h), m3) == (
         0.8594793905761364, 0.01661160131266678)
-    trex = TrexGroupEstimator(4000, default_rng(22))
-    assert sampled_expectation(ghz(3), [], h, 2000, noise=noise, mitigator=trex,
-                               rng=default_rng(21)) == (
+    trex = TrexGroupEstimator(3, 2000, noise, default_rng(21), 4000, default_rng(22))
+    assert sampled_expectation(ghz(3), [], group_qubitwise(h), trex) == (
         0.8337831157044183, 0.019506459338736216)
     # The tallies of the seven Z strings fix all eight outcome counts of the histogram.
     counts = sample(evolve(ghz(3), []), PauliWord("ZZZ"), 1000, noise=noise, rng=default_rng(23))
@@ -392,38 +401,32 @@ def test_estimates_are_pinned():
 def test_reused_estimators_match_fresh_ones():
     # An objective keeps one estimator for all its evaluations. Whatever the
     # estimator keeps between calls must give, bit for bit, what a fresh one
-    # gives, while the observed outcomes, members, basis and shot count change.
+    # gives, while the observed outcomes, members and basis change.
     noise = ReadoutNoiseModel.from_flip_probs([0.02, 0.05, 0.03], [0.04, 0.01, 0.06])
     cal = calibrate(noise, 20000, rng=default_rng(22))
     state = evolve(ghz(3), [])
     member_lists = ([(0.7, 0b110), (-0.3, 0b001)], [(1.1, 0b111)], [(0.7, 0b110), (-0.2, 0b001)])
     calls = [
-        (basis, members, 30 + seed % 2, seed)
+        (basis, members, seed)
         for seed in range(8) for basis in ("ZZZ", "XXZ") for members in member_lists
     ]
-    observed = {b: [sample(state, PauliWord(b), 30 + seed % 2, noise,
-                           rng=default_rng(seed)).outcomes.tolist()
+    observed = {b: [sample(state, PauliWord(b), 30, noise, rng=default_rng(seed)).outcomes.tolist()
                     for seed in range(8)] for b in ("ZZZ", "XXZ")}
     # from one seed to the next the observed set changes in the Z basis and
     # recurs in the X basis
     assert all(a != b for a, b in zip(observed["ZZZ"], observed["ZZZ"][1:]))
     assert observed["XXZ"][0] == observed["XXZ"][1] == observed["XXZ"][3]
 
-    m3 = M3GroupEstimator(cal)
-    trex = TrexGroupEstimator(4000, default_rng(23))
-    for basis, members, shots, seed in calls:
+    m3 = M3GroupEstimator(cal, 30, noise, None)
+    trex = TrexGroupEstimator(3, 30, noise, None, 4000, default_rng(23))
+    for basis, members, seed in calls:
         # each call draws its shots from a fresh generator on its seed
-        args = (state, PauliWord(basis), members, shots, noise)
-        got = m3.estimate_group(*args, default_rng(seed))
-        assert got == M3GroupEstimator(cal).estimate_group(*args, default_rng(seed))
-        got = trex.estimate_group(*args, default_rng(seed))
-        # with the reused one's calibration pass
-        fresh = TrexGroupEstimator(4000, default_rng(23))
-        fresh._cal_width, fresh._cal_outcomes = trex._cal_width, trex._cal_outcomes
-        assert got == fresh.estimate_group(*args, default_rng(seed))
-    # a TREX estimator recalibrates for another register width, from where its
-    # calibration stream stands
-    args = (evolve(ghz(2), []), PauliWord("ZX"), [(0.5, 0b11), (1.0, 0b01)], 45, None)
-    fresh = TrexGroupEstimator(4000, copy.deepcopy(trex._cal_rng))
-    assert trex.estimate_group(*args, default_rng(9)) == fresh.estimate_group(
-        *args, default_rng(9))
+        args = (state, PauliWord(basis), members)
+        m3.rng = default_rng(seed)
+        got = m3.estimate_group(*args)
+        assert got == M3GroupEstimator(cal, 30, noise, default_rng(seed)).estimate_group(*args)
+        trex.rng = default_rng(seed)
+        got = trex.estimate_group(*args)
+        # with the same calibration pass, drawn at construction
+        fresh = TrexGroupEstimator(3, 30, noise, default_rng(seed), 4000, default_rng(23))
+        assert got == fresh.estimate_group(*args)

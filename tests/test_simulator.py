@@ -24,6 +24,7 @@ from vqemb.simulator import (
     FreeSlot,
     FrozenSlot,
     PauliXGate,
+    RawGroupEstimator,
     ReadoutNoiseModel,
     RyGate,
     ShotCounts,
@@ -413,7 +414,8 @@ class TestGrouping:
 
     def test_identity_only(self):
         h = QubitHamiltonian.from_dict(2, {"II": 1.25})
-        value, err = sampled_expectation(Circuit(2), [], h, shots=10, rng=default_rng(0))
+        value, err = sampled_expectation(Circuit(2), [], group_qubitwise(h),
+                                         RawGroupEstimator(10, None, default_rng(0)))
         assert value == pytest.approx(1.25) and err == 0.0
 
 
@@ -467,19 +469,22 @@ class TestSampledExpectation:
         c = Circuit(4, gates)
         params = rng.uniform(-2, 2, size=p)
         exact = dense_expectation(evolve(c, params), h)
-        value, err = sampled_expectation(c, params, h, shots=20000, rng=default_rng(77))
+        value, err = sampled_expectation(c, params, group_qubitwise(h),
+                                         RawGroupEstimator(20000, None, default_rng(77)))
         assert abs(value - exact) < 5 * max(err, 1e-12)
 
     def test_ghz_parity_bias_with_readout_flips(self):
         # uncorrected 2% flips shrink <ZZZZ> by about (1 - 2p)^4
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
         noise = ReadoutNoiseModel.uniform(4, 0.02)
-        value, err = sampled_expectation(ghz(4), [], h, shots=100000, noise=noise,
-                                         rng=default_rng(21))
+        value, err = sampled_expectation(ghz(4), [], group_qubitwise(h),
+                                         RawGroupEstimator(100000, noise, default_rng(21)))
         assert value == pytest.approx(0.96**4, abs=5 * max(err, 1e-4))
 
     def test_seed_determinism(self):
         h = QubitHamiltonian.from_dict(2, {"ZZ": 1.0, "XX": 0.5})
-        a = sampled_expectation(ghz(2), [], h, shots=1000, rng=default_rng(4))
-        b = sampled_expectation(ghz(2), [], h, shots=1000, rng=default_rng(4))
+        a = sampled_expectation(ghz(2), [], group_qubitwise(h),
+                                RawGroupEstimator(1000, None, default_rng(4)))
+        b = sampled_expectation(ghz(2), [], group_qubitwise(h),
+                                RawGroupEstimator(1000, None, default_rng(4)))
         assert a == b
