@@ -267,6 +267,12 @@ class TestTrex:
         with pytest.raises(ValueError, match="cal_shots must be positive"):
             TrexGroupEstimator(2, 100, None, default_rng(1), cal_shots, default_rng(0))
 
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_nonpositive_shot_count_rejected(self, shots):
+        # an empty twirled pass would give a NaN estimate
+        with pytest.raises(ValueError, match="shots and cal_shots must be positive"):
+            TrexGroupEstimator(2, shots, None, default_rng(1), 100, default_rng(0))
+
     def test_zero_noise_passthrough(self):
         # even-size GHZ: <Z...Z> = +1 (odd-weight parities vanish instead)
         h = QubitHamiltonian.from_dict(4, {"ZZZZ": 1.0})
